@@ -132,16 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--enum-cap", type=int, default=None,
                        help=f"brute-force enumeration cap (env {ENV_ENUM_CAP})")
 
+    def add_scan_cap(p):
+        p.add_argument("--scan-cap", type=int, default=None,
+                       help=f"classic-greedy scan ceiling (env {ENV_SCAN_CAP})")
+
     gen = sub.add_parser("generate", help="generate a sequence")
     add_params(gen)
     gen.add_argument("--algo", choices=(ALGORITHM_STRONG, ALGORITHM_CLASSIC),
                      default=ALGORITHM_STRONG)
     gen.add_argument("--format", choices=FORMATS, default="json")
     gen.add_argument("--out", default=None, help="output path (default stdout)")
-    gen.add_argument("--workers", type=int, default=1,
-                     help="parallel candidate-scan workers")
-    gen.add_argument("--scan-cap", type=int, default=None,
-                     help=f"classic-greedy scan ceiling (env {ENV_SCAN_CAP})")
+    add_scan_cap(gen)
     gen.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in JSON output")
     add_guards(gen)
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="classic vs strong, side by side")
     add_params(cmp_)
     add_guards(cmp_)
-    cmp_.add_argument("--scan-cap", type=int, default=None)
+    add_scan_cap(cmp_)
     cmp_.set_defaults(func=_cmd_compare)
 
     fit = sub.add_parser("fit", help="growth-exponent fit of a sequence file")
@@ -203,6 +204,12 @@ def _caps(args):
     return memory_cap, enum_cap
 
 
+def _scan_cap(args) -> Optional[int]:
+    if args.scan_cap is not None:
+        return args.scan_cap
+    return _env_int(ENV_SCAN_CAP, 0) or None
+
+
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -215,12 +222,10 @@ def _cmd_generate(args) -> int:
     params = Params(args.h, args.g, args.n)
     memory_cap, _ = _caps(args)
     if args.algo == ALGORITHM_STRONG:
-        rec = strong_greedy(params, workers=args.workers, max_entries=memory_cap)
+        rec = strong_greedy(params, max_entries=memory_cap)
         bound_ok = verify_mod.strong_bound_check(rec).ok
     else:
-        scan_cap = args.scan_cap if args.scan_cap is not None \
-            else (_env_int(ENV_SCAN_CAP, 0) or None)
-        rec = classic_greedy(params, scan_cap=scan_cap, workers=args.workers,
+        rec = classic_greedy(params, scan_cap=_scan_cap(args),
                              max_entries=memory_cap)
         bound_ok = verify_mod.classic_bound_check(rec).ok if params.g == 1 else None
     text = render_terms(rec, args.format, bound_ok=bound_ok,
@@ -369,7 +374,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_compare(args) -> int:
     params = Params(args.h, args.g, args.n)
     memory_cap, _ = _caps(args)
-    classic = classic_greedy(params, scan_cap=args.scan_cap, max_entries=memory_cap)
+    classic = classic_greedy(params, scan_cap=_scan_cap(args), max_entries=memory_cap)
     strong = strong_greedy(params, max_entries=memory_cap)
     width = max(len(str(t)) for t in classic.terms + strong.terms)
     print(f"{'n':>4}  {'classic':>{width}}  {'strong':>{width}}")

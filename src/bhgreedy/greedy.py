@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import ScanExceededBound, ScanExceededConfiguredLimit
+from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
 from .sumrep import DEFAULT_MAX_ENTRIES, CandidateDelta, RepProfile, SumTableSet
 
 ALGORITHM_CLASSIC = "classic"
@@ -58,10 +57,9 @@ class Params:
 class StepMeta:
     """Per-step generation metadata.
 
-    scan_length counts the candidates a sequential scan tests before
-    accepting (members of the set are skipped, not counted); it is defined
-    that way so the number is independent of the worker count.  elapsed is
-    wall-clock seconds and is excluded from canonical serializations.
+    scan_length counts the candidates the scan tests before accepting
+    (members of the set are skipped, not counted).  elapsed is wall-clock
+    seconds and is excluded from canonical serializations.
     """
 
     n: int
@@ -107,18 +105,6 @@ def int_nth_root(x: int, k: int) -> int:
     return r
 
 
-def threshold_leq(count: int, n: int, h: int, g: int, s: int) -> bool:
-    """Exact test of count <= n^(h + (1-s)(h-1)/g).
-
-    Raising both sides to the g-th power leaves only integer exponents:
-    count^g <= n^(h*g + (1-s)(h-1)).  The comparison is inclusive, so a
-    count exactly on the ceiling is admitted.
-    """
-    if not 1 <= s <= g:
-        raise ValueError(f"level s must satisfy 1 <= s <= g, got s={s}, g={g}")
-    return count ** g <= n ** (h * g + (1 - s) * (h - 1))
-
-
 @dataclass(frozen=True)
 class Threshold:
     """The level ceiling n^(e_num/g) with integer numerator e_num.
@@ -144,6 +130,16 @@ class Threshold:
     def floor(self) -> int:
         """Largest integer admitted by the ceiling."""
         return int_nth_root(self.n ** self.e_num, self.g)
+
+
+def threshold_leq(count: int, n: int, h: int, g: int, s: int) -> bool:
+    """Exact test of count <= n^(h + (1-s)(h-1)/g).
+
+    Raising both sides to the g-th power leaves only integer exponents:
+    count^g <= n^(h*g + (1-s)(h-1)).  The comparison is inclusive, so a
+    count exactly on the ceiling is admitted.
+    """
+    return Threshold.for_level(n, h, g, s).admits(count)
 
 
 @dataclass(frozen=True)
@@ -188,6 +184,36 @@ class CandidateVerdict:
     x: Optional[int] = None
 
 
+def classify_candidate(
+    th: dict[int, int],
+    added: dict[int, int],
+    g: int,
+    base: tuple[int, ...],
+    thresholds: list[Threshold],
+) -> tuple[Optional[int], tuple[int, ...]]:
+    """Classify a candidate m by the representations it would add.
+
+    th is the h-fold table of the current set, added the candidate's
+    CandidateDelta.added, base the level counts R_1..R_g of the current set
+    and thresholds the level ceilings at the enlarged size.  Returns the
+    first sum in added that m pushes past g (None when the enlarged set
+    stays B_h[g]) and the levels s, in increasing order, whose count R_s
+    would exceed its ceiling.  A sum x enters level s exactly when
+    r(x) < s <= r(x) + added[x].
+    """
+    witness = None
+    gains = [0] * (g + 1)
+    for x, add in added.items():
+        lo = th.get(x, 0)
+        if lo + add > g and witness is None:
+            witness = x
+        for s in range(lo + 1, min(lo + add, g) + 1):
+            gains[s] += 1
+    failed = tuple(s for s in range(1, g + 1)
+                   if not thresholds[s - 1].admits(base[s - 1] + gains[s]))
+    return witness, failed
+
+
 def is_strong_candidate(
     t: SumTableSet,
     delta: CandidateDelta,
@@ -201,24 +227,17 @@ def is_strong_candidate(
 
     profile, when given, must be t.rep_histogram(g) for the current set;
     passing it avoids recomputing the histogram for every candidate of a
-    scan.  Level counts of the enlarged set are obtained by adjusting the
-    profile with the delta: a sum x moves into level s exactly when
-    r(x) < s <= r(x) + added[x].
+    scan.  A B_h[g] break is reported before a level failure.
     """
-    th = t.tables[h]
-    for x, add in delta.added.items():
-        if th.get(x, 0) + add > g:
-            return CandidateVerdict(False, reason="bhg", x=x)
     if profile is None:
         profile = t.rep_histogram(g)
-    gains = [0] * (g + 2)
-    for x, add in delta.added.items():
-        lo = th.get(x, 0)
-        for s in range(lo + 1, min(lo + add, g) + 1):
-            gains[s] += 1
-    for s in range(1, g + 1):
-        if not threshold_leq(profile.level(s) + gains[s], n_next, h, g, s):
-            return CandidateVerdict(False, reason="level", s=s)
+    thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
+    x, failed = classify_candidate(t.tables[h], delta.added, g, profile.counts,
+                                   thresholds)
+    if x is not None:
+        return CandidateVerdict(False, reason="bhg", x=x)
+    if failed:
+        return CandidateVerdict(False, reason="level", s=failed[0])
     return CandidateVerdict(True)
 
 
@@ -254,18 +273,19 @@ def _accept_general(
 ) -> Callable[[int], bool]:
     """Candidate test for general g, fused for the scan hot path.
 
-    Tracks exact multiplicities with an early abort on the first sum pushed
-    past g; with check_levels it then applies the level ceilings against
-    the cached profile of the current set.  Behaviour is identical to
-    candidate_delta + is_strong_candidate (property-tested), just without
-    materializing a CandidateDelta per candidate.
+    Builds the added counts with an early abort on the first sum pushed
+    past g, where most rejected candidates fail; with check_levels the
+    survivors then go through classify_candidate against the cached profile
+    of the current set.  Behaviour is identical to candidate_delta +
+    is_strong_candidate (property-tested), just without materializing a
+    CandidateDelta per candidate.
     """
     h = t.h
     th = t.tables[h]
     lowers = [(k, t.tables[h - k]) for k in range(1, h + 1)]
     if check_levels:
         base = t.rep_histogram(g).counts
-        thresholds = [Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
+        thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
 
     def accept(m: int) -> bool:
         added: dict[int, int] = {}
@@ -277,61 +297,9 @@ def _accept_general(
                 if th.get(x, 0) + nc > g:
                     return False
                 added[x] = nc
-        if check_levels:
-            gains = [0] * (g + 2)
-            for x, add in added.items():
-                lo = th.get(x, 0)
-                for s in range(lo + 1, min(lo + add, g) + 1):
-                    gains[s] += 1
-            for s in range(1, g + 1):
-                if not thresholds[s - 1].admits(base[s - 1] + gains[s]):
-                    return False
-        return True
+        return not (check_levels and classify_candidate(th, added, g, base, thresholds)[1])
 
     return accept
-
-
-def _scan_smallest(
-    accept: Callable[[int], bool],
-    start: int,
-    ceiling: int,
-    members: set[int],
-    workers: int = 1,
-    chunk: int = 512,
-) -> Optional[int]:
-    """Smallest non-member m in [start, ceiling] with accept(m), or None.
-
-    With workers > 1 the range is split into consecutive chunks evaluated
-    concurrently against the frozen tables; chunks are reconciled in range
-    order, so the winner is exactly the sequential scan's answer.
-    """
-    if workers <= 1:
-        for m in range(start, ceiling + 1):
-            if m not in members and accept(m):
-                return m
-        return None
-
-    def best_in(lo: int, hi: int) -> Optional[int]:
-        for m in range(lo, hi + 1):
-            if m not in members and accept(m):
-                return m
-        return None
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        lo = start
-        while lo <= ceiling:
-            batch = []
-            for _ in range(workers):
-                if lo > ceiling:
-                    break
-                hi = min(lo + chunk - 1, ceiling)
-                batch.append(pool.submit(best_in, lo, hi))
-                lo = hi + 1
-            for fut in batch:
-                found = fut.result()
-                if found is not None:
-                    return found
-    return None
 
 
 def _sequential_scan_length(elements: list[int], start: int, found: int) -> int:
@@ -341,58 +309,85 @@ def _sequential_scan_length(elements: list[int], start: int, found: int) -> int:
     return found - start + 1 - skipped
 
 
+@dataclass(frozen=True)
+class _ScanCap:
+    """A plain scan ceiling: admits exactly the integers up to floor."""
+
+    floor: int
+
+    def admits(self, value: int) -> bool:
+        return value <= self.floor
+
+
+def _greedy(
+    params: Params,
+    algorithm: str,
+    ceiling: Callable[[int], "TheoremBound | _ScanCap"],
+    check_levels: bool,
+    error: type[BhgError],
+    hint: str,
+    on_step: Optional[Callable[[StepMeta], None]],
+    max_entries: int,
+) -> SequenceRecord:
+    """The scan loop shared by both generators.
+
+    Term n is the smallest non-member in [start, ceiling(n).floor] that
+    keeps the set B_h[g] and, with check_levels, within its level ceilings;
+    if there is none, or ceiling(n) does not admit it, error is raised.
+    Only a level ceiling can reject a candidate that a later step admits,
+    and for g = 1 none rejects (see _accept_g1).  Every other rejection is
+    a B_h[g] break, permanent because representation counts never
+    decrease, so the scan restarts at m = 1 only when check_levels holds
+    and g > 1, and otherwise resumes after the last term.
+    """
+    h, g = params.h, params.g
+    t = SumTableSet(h, max_entries=max_entries)
+    members = t._members
+    rec = SequenceRecord(params, algorithm)
+    _commit(rec, t, term=1, scan_length=0, bound_floor=ceiling(1).floor,
+            elapsed=0.0, on_step=on_step)
+    while len(rec.terms) < params.n_terms:
+        t0 = time.perf_counter()
+        n_next = len(t) + 1
+        bound = ceiling(n_next)
+        if g == 1:
+            accept = _accept_g1(t)
+        else:
+            accept = _accept_general(t, g, n_next, check_levels)
+        start = 1 if check_levels and g > 1 else rec.terms[-1] + 1
+        found = next((m for m in range(start, bound.floor + 1)
+                      if m not in members and accept(m)), None)
+        if found is None or not bound.admits(found):
+            raise error(f"no admissible candidate <= {bound.floor} for term "
+                        f"{n_next} (h={h}, g={g}); {hint}")
+        _commit(rec, t, term=found,
+                scan_length=_sequential_scan_length(t.elements, start, found),
+                bound_floor=bound.floor, elapsed=time.perf_counter() - t0,
+                on_step=on_step)
+    return rec
+
+
 def strong_greedy(
     params: Params,
     *,
     on_step: Optional[Callable[[StepMeta], None]] = None,
-    workers: int = 1,
-    chunk: int = 512,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-    literal_scan: bool = False,
 ) -> SequenceRecord:
     """Generate the strong greedy B_h[g] sequence.
 
-    Each step scans candidates in increasing order, skipping members, and
-    commits the smallest one that keeps the set strong.  The scan for the
-    term of index n stops at floor(2g * n^(h+(h-1)/g)); finding no
-    candidate there would contradict the proven ceiling, so it raises
-    ScanExceededBound rather than scanning further.
-
-    For g = 1 the level ceilings can never reject (see _accept_g1), so
-    every rejection is a permanent B_h collision and the smallest
-    admissible candidate always lies above the last term.  The scan
-    therefore resumes there instead of restarting at m = 1, which provably
-    yields the same sequence; pass literal_scan=True to force the
-    restart-at-1 rule anyway.
+    Each step commits the smallest candidate, skipping members, that keeps
+    the set strong.  The scan for the term of index n stops at
+    floor(2g * n^(h+(h-1)/g)); finding no candidate there would contradict
+    the proven ceiling, so it raises ScanExceededBound rather than scanning
+    further.
 
     on_step, when given, is called with each StepMeta as it is committed.
     """
     h, g = params.h, params.g
-    t = SumTableSet(h, max_entries=max_entries)
-    rec = SequenceRecord(params, ALGORITHM_STRONG)
-    _commit(rec, t, term=1, scan_length=0,
-            bound_floor=theorem_bound(1, h, g).floor, elapsed=0.0, on_step=on_step)
-    while len(rec.terms) < params.n_terms:
-        t0 = time.perf_counter()
-        n_next = len(t) + 1
-        bound = theorem_bound(n_next, h, g)
-        if g == 1:
-            accept = _accept_g1(t)
-            start = 1 if literal_scan else rec.terms[-1] + 1
-        else:
-            accept = _accept_general(t, g, n_next, check_levels=True)
-            start = 1
-        found = _scan_smallest(accept, start, bound.floor, t._members, workers, chunk)
-        if found is None or not bound.admits(found):
-            raise ScanExceededBound(
-                f"no admissible candidate <= {bound.floor} for term {n_next} "
-                f"(h={h}, g={g}); this contradicts the proven ceiling"
-            )
-        scan_length = _sequential_scan_length(t.elements, start, found)
-        _commit(rec, t, term=found, scan_length=scan_length,
-                bound_floor=bound.floor, elapsed=time.perf_counter() - t0,
-                on_step=on_step)
-    return rec
+    return _greedy(params, ALGORITHM_STRONG, lambda n: theorem_bound(n, h, g),
+                   check_levels=True, error=ScanExceededBound,
+                   hint="this contradicts the proven ceiling",
+                   on_step=on_step, max_entries=max_entries)
 
 
 def default_classic_ceiling(n: int, h: int, g: int) -> int:
@@ -412,8 +407,6 @@ def classic_greedy(
     *,
     scan_cap: Optional[int] = None,
     on_step: Optional[Callable[[StepMeta], None]] = None,
-    workers: int = 1,
-    chunk: int = 512,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> SequenceRecord:
     """Generate the classic greedy B_h[g] sequence (strictly increasing).
@@ -423,30 +416,15 @@ def classic_greedy(
     ScanExceededConfiguredLimit; generation never loops unbounded.
     """
     h, g = params.h, params.g
-    t = SumTableSet(h, max_entries=max_entries)
-    rec = SequenceRecord(params, ALGORITHM_CLASSIC)
-    _commit(rec, t, term=1, scan_length=0,
-            bound_floor=scan_cap if scan_cap is not None else default_classic_ceiling(1, h, g),
-            elapsed=0.0, on_step=on_step)
-    while len(rec.terms) < params.n_terms:
-        t0 = time.perf_counter()
-        n_next = len(t) + 1
-        ceiling = scan_cap if scan_cap is not None else default_classic_ceiling(n_next, h, g)
-        if g == 1:
-            accept = _accept_g1(t)
-        else:
-            accept = _accept_general(t, g, n_next, check_levels=False)
-        start = rec.terms[-1] + 1
-        found = _scan_smallest(accept, start, ceiling, t._members, workers, chunk)
-        if found is None:
-            raise ScanExceededConfiguredLimit(
-                f"no admissible candidate <= {ceiling} for term {n_next} "
-                f"(h={h}, g={g}); raise the scan cap to continue"
-            )
-        _commit(rec, t, term=found, scan_length=found - start + 1,
-                bound_floor=ceiling, elapsed=time.perf_counter() - t0,
-                on_step=on_step)
-    return rec
+
+    def ceiling(n: int) -> _ScanCap:
+        return _ScanCap(scan_cap if scan_cap is not None
+                        else default_classic_ceiling(n, h, g))
+
+    return _greedy(params, ALGORITHM_CLASSIC, ceiling, check_levels=False,
+                   error=ScanExceededConfiguredLimit,
+                   hint="raise the scan cap to continue",
+                   on_step=on_step, max_entries=max_entries)
 
 
 def _commit(rec, t, *, term, scan_length, bound_floor, elapsed, on_step):

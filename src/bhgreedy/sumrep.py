@@ -78,12 +78,7 @@ class CandidateDelta:
 
 
 class SumTableSet:
-    """Exact j-fold multiset-sum counts of a growing set, j = 0..h.
-
-    Single-writer: ``add_element`` needs exclusive access, while a frozen
-    instance may be read from any number of threads concurrently (all
-    queries are pure dict reads).
-    """
+    """Exact j-fold multiset-sum counts of a growing set, j = 0..h."""
 
     __slots__ = ("h", "tables", "elements", "_members", "max_entries", "_entries")
 

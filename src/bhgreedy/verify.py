@@ -56,6 +56,7 @@ from .errors import GuardExceeded
 from .greedy import (
     SequenceRecord,
     Threshold,
+    classify_candidate,
     int_nth_root,
     theorem_bound,
     threshold_leq,
@@ -351,9 +352,10 @@ def forbidden_set_sizes(A, h: int, g: int, *,
     exceeds its ceiling at size n+1.  A candidate can fall into several
     classes; union_size counts candidates in at least one.
 
-    The per-candidate arithmetic runs on a table set built freshly from A
-    here; the brute-force route lives in proof_diagnostics, and the test
-    suite cross-checks the two on shared windows.
+    Each candidate is classified by the generators' classify_candidate,
+    from candidate_delta of a table set built freshly from A here; the
+    brute-force route lives in proof_diagnostics, and the test suite
+    cross-checks the two on shared windows.
     """
     elems = _check_distinct_positive(A)
     n = len(elems)
@@ -365,8 +367,6 @@ def forbidden_set_sizes(A, h: int, g: int, *,
     t = SumTableSet(h)
     for a in elems:
         t.add_element(a)
-    th = t.tables[h]
-    lowers = [(k, t.tables[h - k]) for k in range(1, h + 1)]
     base = t.rep_histogram(g).counts
     thresholds = [Threshold.for_level(n + 1, h, g, s) for s in range(1, g + 1)]
 
@@ -380,28 +380,13 @@ def forbidden_set_sizes(A, h: int, g: int, *,
             members += 1
             union += 1
             continue
-        added: dict[int, int] = {}
-        for k, tab in lowers:
-            km = k * m
-            for y, c in tab.items():
-                x = km + y
-                added[x] = added.get(x, 0) + c
-        breaks_bhg = False
-        gains = [0] * (g + 2)
-        for x, add in added.items():
-            lo = th.get(x, 0)
-            if lo + add > g:
-                breaks_bhg = True
-            for s in range(lo + 1, min(lo + add, g) + 1):
-                gains[s] += 1
-        forbidden = breaks_bhg
-        if breaks_bhg:
+        witness, failed = classify_candidate(
+            t.tables[h], t.candidate_delta(m).added, g, base, thresholds)
+        if witness is not None:
             bhg_breaks += 1
-        for s in range(1, g + 1):
-            if not thresholds[s - 1].admits(base[s - 1] + gains[s]):
-                level_breaks[s - 1] += 1
-                forbidden = True
-        if forbidden:
+        for s in failed:
+            level_breaks[s - 1] += 1
+        if witness is not None or failed:
             union += 1
         elif first_admissible is None:
             first_admissible = m

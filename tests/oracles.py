@@ -31,12 +31,17 @@ def is_bhg(A, h, g):
     return all(c <= g for c in multiset_sum_histogram(A, h).values())
 
 
-def level_ok(hist, n, h, g):
+def first_failed_level(hist, n, h, g):
+    """Smallest level s whose count exceeds n^(h+(1-s)(h-1)/g), or None."""
     for s in range(1, g + 1):
         r_s = sum(1 for c in hist.values() if c >= s)
         if r_s ** g > n ** (h * g + (1 - s) * (h - 1)):
-            return False
-    return True
+            return s
+    return None
+
+
+def level_ok(hist, n, h, g):
+    return first_failed_level(hist, n, h, g) is None
 
 
 def is_strong(A, h, g):

@@ -76,15 +76,6 @@ def test_generate_deterministic_bytes(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_workers_match_sequential(capsys, tmp_path):
-    seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-    run(capsys, "generate", "--h", "2", "--g", "2", "--n", "12",
-        "--format", "json", "--out", str(seq))
-    run(capsys, "generate", "--h", "2", "--g", "2", "--n", "12",
-        "--format", "json", "--out", str(par), "--workers", "3")
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_generate_classic_scan_cap_guard(capsys):
     code, _, err = run(capsys, "generate", "--h", "2", "--g", "1", "--n", "10",
                        "--algo", "classic", "--scan-cap", "3")
@@ -237,6 +228,13 @@ def test_compare_reports_divergence(capsys):
     assert code == EXIT_OK
     assert "diverge at n=20" in stdout
     assert "770" in stdout and "806" in stdout
+
+
+def test_compare_scan_cap_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("BHG_SCAN_CAP", "3")
+    code, _, err = run(capsys, "compare", "--h", "2", "--g", "1", "--n", "10")
+    assert code == EXIT_GUARD
+    assert "guard exceeded" in err
 
 
 def test_compare_single_term_trivially_identical(capsys):

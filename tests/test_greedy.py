@@ -18,7 +18,10 @@ from bhgreedy import (
 )
 from bhgreedy.greedy import _accept_g1, _accept_general
 from oracles import (
+    first_failed_level,
+    is_bhg,
     is_strong,
+    multiset_sum_histogram,
     naive_classic_greedy,
     naive_classic_greedy_slow,
     naive_strong_greedy,
@@ -126,25 +129,47 @@ def test_is_strong_candidate_level_rejection_names_level():
     assert not verdict.accepted
     assert verdict.reason == "level"
     assert verdict.s == 3
-    from oracles import is_bhg
     assert is_bhg(prefix + [770], 3, 3)
     assert not is_strong(prefix + [770], 3, 3)
     assert strong_greedy(Params(3, 3, 20)).terms[19] == 806
     assert classic_greedy(Params(3, 3, 20)).terms[19] == 770
 
 
+def check_verdicts_against_oracle(prefix, h, g):
+    """Compare is_strong_candidate with the enumeration oracles for every
+    non-member m in [1, 3*max(prefix)+3]; returns the verdict reasons seen."""
+    n = len(prefix)
+    t = build(h, prefix)
+    profile = t.rep_histogram(g)
+    reasons = set()
+    for m in range(1, 3 * max(prefix) + 4):
+        if m in t:
+            continue
+        verdict = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
+        enlarged = prefix + [m]
+        hist = multiset_sum_histogram(enlarged, h)
+        assert verdict.accepted == is_strong(enlarged, h, g), (n, m)
+        assert (verdict.reason == "bhg") == (not is_bhg(enlarged, h, g)), (n, m)
+        if verdict.reason == "bhg":
+            assert hist[verdict.x] > g, (n, m)
+        if verdict.reason == "level":
+            assert verdict.s == first_failed_level(hist, n + 1, h, g), (n, m)
+        reasons.add(verdict.reason)
+    return reasons
+
+
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (3, 2), (3, 3)])
 def test_verdicts_match_from_scratch_oracle(h, g):
     rec = strong_greedy(Params(h, g, 8))
     for n in range(2, len(rec.terms)):
-        prefix = rec.terms[:n]
-        t = build(h, prefix)
-        profile = t.rep_histogram(g)
-        for m in range(1, 3 * max(prefix) + 4):
-            if m in t:
-                continue
-            verdict = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
-            assert verdict.accepted == is_strong(prefix + [m], h, g), (n, m)
+        check_verdicts_against_oracle(rec.terms[:n], h, g)
+
+
+def test_level_verdicts_match_from_scratch_oracle():
+    # Level rejections are rare: none occur in the windows above.  The
+    # 19-term (3, 3) prefix has three, 770 among them.
+    prefix = strong_greedy(Params(3, 3, 19)).terms
+    assert "level" in check_verdicts_against_oracle(prefix, 3, 3)
 
 
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 3), (3, 1), (3, 2)])
@@ -216,13 +241,6 @@ def test_g1_collapse_h2_and_h3():
     assert strong_greedy(Params(3, 1, 12)).terms == classic_greedy(Params(3, 1, 12)).terms
 
 
-def test_g1_literal_scan_matches_resumed_scan():
-    for h, n in ((2, 15), (3, 8)):
-        literal = strong_greedy(Params(h, 1, n), literal_scan=True)
-        fast = strong_greedy(Params(h, 1, n))
-        assert literal.terms == fast.terms
-
-
 # ---------------------------------------------------------------------------
 # record contents and scan behaviour
 
@@ -251,15 +269,6 @@ def test_determinism():
     assert a.terms == b.terms
     assert [(m.n, m.term, m.scan_length, m.bound_floor) for m in a.per_step] == \
            [(m.n, m.term, m.scan_length, m.bound_floor) for m in b.per_step]
-
-
-@pytest.mark.parametrize("algo", [strong_greedy, classic_greedy])
-def test_parallel_scan_matches_sequential(algo):
-    params = Params(2, 2, 18)
-    seq = algo(params)
-    par = algo(params, workers=3, chunk=7)
-    assert par.terms == seq.terms
-    assert [m.scan_length for m in par.per_step] == [m.scan_length for m in seq.per_step]
 
 
 def test_classic_scan_cap_is_enforced():
