@@ -69,7 +69,7 @@ ENV_SCAN_CAP = "BHG_SCAN_CAP"
 ENV_WINDOW_CAP = "BHG_WINDOW_CAP"
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -205,9 +205,12 @@ def _caps(args):
 
 
 def _scan_cap(args) -> Optional[int]:
-    if args.scan_cap is not None:
-        return args.scan_cap
-    return _env_int(ENV_SCAN_CAP, 0) or None
+    cap, source = args.scan_cap, "--scan-cap"
+    if cap is None:
+        cap, source = _env_int(ENV_SCAN_CAP, None), f"environment variable {ENV_SCAN_CAP}"
+    if cap is not None and cap < 1:
+        raise ValueError(f"{source} must be >= 1, got {cap}")
+    return cap
 
 
 def _write_out(text: str, out: Optional[str]) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Optional
 
 from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
@@ -57,9 +58,11 @@ class Params:
 class StepMeta:
     """Per-step generation metadata.
 
-    scan_length counts the candidates the scan tests before accepting
-    (members of the set are skipped, not counted).  elapsed is wall-clock
-    seconds and is excluded from canonical serializations.
+    scan_length is the number of non-members in [start, term] that a scan
+    without a record of dead candidates would test, where start is 1 for
+    strong runs with g > 1 and the previous term + 1 otherwise; it follows
+    from the terms alone.  elapsed is wall-clock seconds and is excluded
+    from canonical serializations.
     """
 
     n: int
@@ -241,14 +244,16 @@ def is_strong_candidate(
     return CandidateVerdict(True)
 
 
-def _accept_g1(t: SumTableSet) -> Callable[[int], bool]:
+def _accept_g1(t: SumTableSet, alive: bytearray, base: int) -> Callable[[int], bool]:
     """Candidate test specialized to g = 1.
 
     In a B_h[1] set every multiset sum is unique, so every table below h
     also has all-1 counts, and a candidate is admissible iff the sums it
     creates are fresh and pairwise distinct.  The level-1 ceiling n^h can
     never reject: there are at most C(n+h-1, h) <= n^h distinct sums, so
-    for g = 1 the strong rule coincides with the plain B_h condition.
+    for g = 1 the strong rule coincides with the plain B_h condition and
+    every rejection is a permanent B_h break.  A rejected m is marked dead
+    by clearing alive[m - base].
     """
     h = t.h
     old = set(t.tables[h])
@@ -261,6 +266,7 @@ def _accept_g1(t: SumTableSet) -> Callable[[int], bool]:
             for y in keys:
                 x = km + y
                 if x in old or x in seen:
+                    alive[m - base] = 0
                     return False
                 seen.add(x)
         return True
@@ -269,7 +275,8 @@ def _accept_g1(t: SumTableSet) -> Callable[[int], bool]:
 
 
 def _accept_general(
-    t: SumTableSet, g: int, n_next: int, check_levels: bool
+    t: SumTableSet, g: int, n_next: int, check_levels: bool,
+    alive: bytearray, base: int,
 ) -> Callable[[int], bool]:
     """Candidate test for general g, fused for the scan hot path.
 
@@ -278,13 +285,15 @@ def _accept_general(
     survivors then go through classify_candidate against the cached profile
     of the current set.  Behaviour is identical to candidate_delta +
     is_strong_candidate (property-tested), just without materializing a
-    CandidateDelta per candidate.
+    CandidateDelta per candidate.  The early abort is a B_h[g] break, which
+    no later step can undo, so it marks m dead by clearing alive[m - base];
+    a level rejection leaves m alive for later steps to test again.
     """
     h = t.h
     th = t.tables[h]
     lowers = [(k, t.tables[h - k]) for k in range(1, h + 1)]
     if check_levels:
-        base = t.rep_histogram(g).counts
+        counts = t.rep_histogram(g).counts
         thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
 
     def accept(m: int) -> bool:
@@ -295,18 +304,23 @@ def _accept_general(
                 x = km + y
                 nc = added.get(x, 0) + c
                 if th.get(x, 0) + nc > g:
+                    alive[m - base] = 0
                     return False
                 added[x] = nc
-        return not (check_levels and classify_candidate(th, added, g, base, thresholds)[1])
+        return not (check_levels and classify_candidate(th, added, g, counts, thresholds)[1])
 
     return accept
 
 
 def _sequential_scan_length(elements: list[int], start: int, found: int) -> int:
-    """Candidates a sequential scan tests before accepting: the non-members
-    in [start, found]."""
+    """Candidates a scan from start without a record of dead candidates
+    tests before accepting: the non-members in [start, found]."""
     skipped = bisect_right(elements, found) - bisect_left(elements, start)
     return found - start + 1 - skipped
+
+
+#: Candidates per scan slice, and the step by which the alive window grows.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -331,39 +345,60 @@ def _greedy(
 ) -> SequenceRecord:
     """The scan loop shared by both generators.
 
-    Term n is the smallest non-member in [start, ceiling(n).floor] that
-    keeps the set B_h[g] and, with check_levels, within its level ceilings;
-    if there is none, or ceiling(n) does not admit it, error is raised.
-    Only a level ceiling can reject a candidate that a later step admits,
-    and for g = 1 none rejects (see _accept_g1).  Every other rejection is
-    a B_h[g] break, permanent because representation counts never
-    decrease, so the scan restarts at m = 1 only when check_levels holds
-    and g > 1, and otherwise resumes after the last term.
+    Term n is the smallest non-member in [1, ceiling(n).floor] that keeps
+    the set B_h[g] and, with check_levels, within its level ceilings; if
+    there is none, or ceiling(n) does not admit it, error is raised.
+
+    A B_h[g] break is permanent, because representation counts never
+    decrease, so the scan never tests such a candidate twice.  The
+    bytearray alive is a window over [base, base + len(alive)) holding 1
+    for "not a member and not known to break B_h[g]".  The accept closures
+    clear the candidates that break it, each commit clears the new term,
+    and the window then drops its leading zeros, so base is the smallest
+    live candidate.  The scan walks [base, ceiling] one _CHUNK at a time,
+    and compress skips cleared entries without running Python code for
+    them.  Only a level ceiling can reject a candidate that a later step
+    admits, and for g = 1 none rejects (see _accept_g1); so without
+    check_levels, or with g = 1, every non-member below the last term is
+    dead and base is the last term + 1.  scan_length counts from 1 for
+    strong g > 1 and from the last term + 1 otherwise.
     """
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=max_entries)
-    members = t._members
     rec = SequenceRecord(params, algorithm)
     _commit(rec, t, term=1, scan_length=0, bound_floor=ceiling(1).floor,
             elapsed=0.0, on_step=on_step)
+    alive, base = bytearray(), 2
     while len(rec.terms) < params.n_terms:
         t0 = time.perf_counter()
         n_next = len(t) + 1
         bound = ceiling(n_next)
         if g == 1:
-            accept = _accept_g1(t)
+            accept = _accept_g1(t, alive, base)
         else:
-            accept = _accept_general(t, g, n_next, check_levels)
-        start = 1 if check_levels and g > 1 else rec.terms[-1] + 1
-        found = next((m for m in range(start, bound.floor + 1)
-                      if m not in members and accept(m)), None)
+            accept = _accept_general(t, g, n_next, check_levels, alive, base)
+        found, lo, top = None, base, bound.floor + 1
+        while found is None and lo < top:
+            hi = min(lo + _CHUNK, top)
+            if base + len(alive) < hi:
+                alive += b"\x01" * _CHUNK
+            found = next((m for m in compress(range(lo, hi),
+                                              alive[lo - base:hi - base])
+                          if accept(m)), None)
+            lo = hi
         if found is None or not bound.admits(found):
             raise error(f"no admissible candidate <= {bound.floor} for term "
                         f"{n_next} (h={h}, g={g}); {hint}")
+        start = 1 if check_levels and g > 1 else rec.terms[-1] + 1
         _commit(rec, t, term=found,
                 scan_length=_sequential_scan_length(t.elements, start, found),
                 bound_floor=bound.floor, elapsed=time.perf_counter() - t0,
                 on_step=on_step)
+        alive[found - base] = 0
+        live = alive.find(1)
+        live = len(alive) if live < 0 else live
+        del alive[:live]
+        base += live
     return rec
 
 

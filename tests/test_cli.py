@@ -1,6 +1,10 @@
 """End-to-end CLI tests (in-process, asserting exit codes and output)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from bhgreedy.cli import (
 )
 from bhgreedy.errors import FitError
 
+ROOT = Path(__file__).resolve().parent.parent
 MIAN_CHOWLA_10 = [1, 2, 4, 8, 13, 21, 31, 45, 66, 81]
 
 
@@ -88,6 +93,21 @@ def test_generate_scan_cap_env_var(capsys, monkeypatch):
     code, _, _ = run(capsys, "generate", "--h", "2", "--g", "1", "--n", "10",
                      "--algo", "classic")
     assert code == EXIT_GUARD
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_scan_cap_below_one_is_usage_error(capsys, monkeypatch, command, cap):
+    argv = [command, "--h", "2", "--g", "1", "--n", "5"]
+    if command == "generate":
+        argv += ["--algo", "classic"]
+    code, _, err = run(capsys, *argv, f"--scan-cap={cap}")
+    assert code == EXIT_USAGE
+    assert f"--scan-cap must be >= 1, got {cap}" in err
+    monkeypatch.setenv("BHG_SCAN_CAP", cap)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert f"BHG_SCAN_CAP must be >= 1, got {cap}" in err
 
 
 def test_generate_memory_cap_guard(capsys):
@@ -281,3 +301,15 @@ def test_fit_growth_function_directly():
         fit_growth([1, 2, 3])
     with pytest.raises(FitError):
         fit_growth([0] * 10)
+
+
+def test_python_m_bhgreedy_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bhgreedy", "generate", "--h", "2", "--g", "1",
+         "--n", "10", "--format", "bfile"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == "".join(f"{n} {a}\n" for n, a in enumerate(MIAN_CHOWLA_10, 1))

@@ -172,19 +172,51 @@ def test_level_verdicts_match_from_scratch_oracle():
     assert "level" in check_verdicts_against_oracle(prefix, 3, 3)
 
 
+def check_fused_against_contract_op(prefix, h, g):
+    """The fused accept closure agrees with is_strong_candidate on every
+    non-member m in [1, 2*max(prefix)+9], and marks m dead exactly when the
+    verdict is a B_h[g] break; returns the verdict reasons seen."""
+    n = len(prefix)
+    t = build(h, prefix)
+    profile = t.rep_histogram(g)
+    hi = 2 * max(prefix) + 10
+    alive = bytearray(b"\x01") * hi
+    fused = (_accept_g1(t, alive, 1) if g == 1
+             else _accept_general(t, g, n + 1, True, alive, 1))
+    reasons = set()
+    for m in range(1, hi):
+        if m in t:
+            continue
+        expect = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
+        assert fused(m) == expect.accepted, (n, m)
+        assert (alive[m - 1] == 0) == (expect.reason == "bhg"), (n, m)
+        reasons.add(expect.reason)
+    return reasons
+
+
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 3), (3, 1), (3, 2)])
 def test_fused_scan_paths_match_contract_op(h, g):
     rec = strong_greedy(Params(h, g, 7))
     for n in range(1, len(rec.terms)):
-        prefix = rec.terms[:n]
-        t = build(h, prefix)
-        profile = t.rep_histogram(g)
-        fused = _accept_g1(t) if g == 1 else _accept_general(t, g, n + 1, True)
-        for m in range(1, 2 * max(prefix) + 10):
-            if m in t:
-                continue
-            expect = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
-            assert fused(m) == expect.accepted, (n, m)
+        check_fused_against_contract_op(rec.terms[:n], h, g)
+
+
+def test_fused_scan_leaves_level_rejections_alive():
+    # The 19-term (3, 3) prefix rejects 770 on a level ceiling only.
+    prefix = strong_greedy(Params(3, 3, 19)).terms
+    assert "level" in check_fused_against_contract_op(prefix, 3, 3)
+
+
+def test_level_rejected_candidate_is_retested():
+    # 935 breaks only a level ceiling after the 59-term (2, 3) prefix; a
+    # scan that took it for dead would miss it as the 61st term.
+    prefix = strong_greedy(Params(2, 3, 59)).terms
+    t = build(2, prefix)
+    verdict = is_strong_candidate(t, t.candidate_delta(935), 60, 2, 3)
+    assert verdict.reason == "level"
+    terms = strong_greedy(Params(2, 3, 61)).terms
+    assert terms == naive_strong_greedy(2, 3, 61)
+    assert terms[60] == 935
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +301,36 @@ def test_determinism():
     assert a.terms == b.terms
     assert [(m.n, m.term, m.scan_length, m.bound_floor) for m in a.per_step] == \
            [(m.n, m.term, m.scan_length, m.bound_floor) for m in b.per_step]
+
+
+def scan_lengths_from_terms(terms, restart):
+    """scan_length from the terms alone: the non-members in [1, term] when
+    the scan restarts at 1, otherwise term - previous term."""
+    out = [0]
+    for i in range(1, len(terms)):
+        if restart:
+            out.append(terms[i] - sum(1 for a in terms[:i] if a < terms[i]))
+        else:
+            out.append(terms[i] - terms[i - 1])
+    return out
+
+
+@pytest.mark.parametrize("h,g", [
+    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+])
+def test_scan_chunk_boundaries_change_nothing(monkeypatch, h, g):
+    generators = (strong_greedy, classic_greedy)
+    default = [gen(Params(h, g, 20)) for gen in generators]
+    monkeypatch.setattr("bhgreedy.greedy._CHUNK", 7)
+    small = [gen(Params(h, g, 20)) for gen in generators]
+    for rec, ref in zip(small, default):
+        assert rec.terms == ref.terms
+        lengths = [m.scan_length for m in rec.per_step]
+        assert lengths == [m.scan_length for m in ref.per_step]
+        restart = rec.algorithm == "strong" and g > 1
+        assert lengths == scan_lengths_from_terms(rec.terms, restart)
+    with pytest.raises(ScanExceededConfiguredLimit):
+        classic_greedy(Params(h, g, 10), scan_cap=3)
 
 
 def test_classic_scan_cap_is_enforced():
