@@ -21,9 +21,10 @@ Exit codes
 
 Guard defaults honour the environment variables BHG_MEMORY_CAP,
 BHG_ENUM_CAP, BHG_SCAN_CAP, and BHG_WINDOW_CAP; command-line flags override
-them.  All runs are deterministic: there is no randomness anywhere, and
-written files are byte-identical across repeated runs with equal options
-(timings are emitted only with --timings, in a separate JSON block).
+them, and every cap must be >= 1.  All runs are deterministic: there is no
+randomness anywhere, and written files are byte-identical across repeated
+runs with equal options (timings are emitted only with --timings, in a
+separate JSON block).
 """
 
 from __future__ import annotations
@@ -196,21 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand handlers
 
 
-def _caps(args):
-    memory_cap = args.memory_cap if getattr(args, "memory_cap", None) is not None \
-        else _env_int(ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
-    enum_cap = args.enum_cap if getattr(args, "enum_cap", None) is not None \
-        else _env_int(ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION)
-    return memory_cap, enum_cap
-
-
-def _scan_cap(args) -> Optional[int]:
-    cap, source = args.scan_cap, "--scan-cap"
+def _cap(args, attr: str, env: str, default: Optional[int]) -> Optional[int]:
+    """A guard value: its flag, else the environment variable env, else
+    default.  A value below 1 is a usage error naming where it came from."""
+    cap, source = getattr(args, attr), "--" + attr.replace("_", "-")
     if cap is None:
-        cap, source = _env_int(ENV_SCAN_CAP, None), f"environment variable {ENV_SCAN_CAP}"
+        cap, source = _env_int(env, default), f"environment variable {env}"
     if cap is not None and cap < 1:
         raise ValueError(f"{source} must be >= 1, got {cap}")
     return cap
+
+
+def _caps(args):
+    return (_cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES),
+            _cap(args, "enum_cap", ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION))
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -224,12 +224,14 @@ def _write_out(text: str, out: Optional[str]) -> None:
 def _cmd_generate(args) -> int:
     params = Params(args.h, args.g, args.n)
     memory_cap, _ = _caps(args)
+    if args.algo == ALGORITHM_STRONG and args.scan_cap is not None:
+        raise ValueError("--scan-cap applies only to --algo classic")
+    scan_cap = _cap(args, "scan_cap", ENV_SCAN_CAP, None)
     if args.algo == ALGORITHM_STRONG:
         rec = strong_greedy(params, max_entries=memory_cap)
         bound_ok = verify_mod.strong_bound_check(rec).ok
     else:
-        rec = classic_greedy(params, scan_cap=_scan_cap(args),
-                             max_entries=memory_cap)
+        rec = classic_greedy(params, scan_cap=scan_cap, max_entries=memory_cap)
         bound_ok = verify_mod.classic_bound_check(rec).ok if params.g == 1 else None
     text = render_terms(rec, args.format, bound_ok=bound_ok,
                         include_timings=args.timings)
@@ -313,8 +315,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     memory_cap, enum_cap = _caps(args)
-    window_cap = args.window_cap if args.window_cap is not None \
-        else _env_int(ENV_WINDOW_CAP, verify_mod.DEFAULT_MAX_WINDOW)
+    window_cap = _cap(args, "window_cap", ENV_WINDOW_CAP, verify_mod.DEFAULT_MAX_WINDOW)
     h, g = args.h, args.g
     if args.input is not None:
         terms = read_terms(args.input)
@@ -377,7 +378,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_compare(args) -> int:
     params = Params(args.h, args.g, args.n)
     memory_cap, _ = _caps(args)
-    classic = classic_greedy(params, scan_cap=_scan_cap(args), max_entries=memory_cap)
+    classic = classic_greedy(params, scan_cap=_cap(args, "scan_cap", ENV_SCAN_CAP, None),
+                             max_entries=memory_cap)
     strong = strong_greedy(params, max_entries=memory_cap)
     width = max(len(str(t)) for t in classic.terms + strong.terms)
     print(f"{'n':>4}  {'classic':>{width}}  {'strong':>{width}}")

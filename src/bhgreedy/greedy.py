@@ -254,10 +254,15 @@ def _accept_g1(t: SumTableSet, alive: bytearray, base: int) -> Callable[[int], b
     for g = 1 the strong rule coincides with the plain B_h condition and
     every rejection is a permanent B_h break.  A rejected m is marked dead
     by clearing alive[m - base].
+
+    The test reads the tables in place; they do not change during a scan.
+    In a scan most candidates never reach it: _screen_g1 has already
+    cleared those with m + y in S_h for some y in S_{h-1}, and this test
+    decides the survivors exactly.
     """
     h = t.h
-    old = set(t.tables[h])
-    lowers = [(k, list(t.tables[h - k])) for k in range(1, h + 1)]
+    old = t.tables[h]
+    lowers = [(k, t.tables[h - k]) for k in range(1, h + 1)]
 
     def accept(m: int) -> bool:
         seen = set()
@@ -319,8 +324,44 @@ def _sequential_scan_length(elements: list[int], start: int, found: int) -> int:
     return found - start + 1 - skipped
 
 
-#: Candidates per scan slice, and the step by which the alive window grows.
+#: Largest scan slice, and the step by which the alive window grows.
 _CHUNK = 1 << 16
+
+#: Width of the first slice of a scan; each further slice doubles it, up to
+#: _CHUNK.  Most g = 1 scans end within a few thousand candidates, and the
+#: g = 1 screen costs the same for every candidate of a slice.
+_FIRST_SLICE = 1 << 10
+
+
+def _mark_sums(ind: bytearray, t: SumTableSet, term: int) -> None:
+    """Set ind[x] for the h-fold sums x of t that use term, growing ind to
+    the top of S_h.  Call it right after term joins t."""
+    h = t.h
+    top = h * t.elements[-1] + 1
+    if len(ind) < top:
+        ind += bytes(top - len(ind))
+    for y in t.tables[h - 1]:
+        ind[term + y] = 1
+
+
+def _screen_g1(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
+               lo: int, hi: int) -> None:
+    """Clear alive[m - base] for every m in [lo, hi) with m + y in S_h for
+    some y in S_{h-1}, where ind is the 0/1 indicator of S_h.
+
+    For a non-member m such a sum has two representations in the set plus
+    m, so the hit is a permanent B_h break.  Each y costs one slice of ind
+    read as a little-endian integer, which holds byte m - lo as bit 8(m-lo):
+    OR-ing these gives the hits of the whole slice, in C.  Slices past the
+    top of S_h come out short, which reads as zeros.
+    """
+    hits = 0
+    with memoryview(ind) as view:
+        for y in t.tables[t.h - 1]:
+            hits |= int.from_bytes(view[lo + y:hi + y], "little")
+    if hits:
+        block = int.from_bytes(alive[lo - base:hi - base], "little") & ~hits
+        alive[lo - base:hi - base] = block.to_bytes(hi - lo, "little")
 
 
 @dataclass(frozen=True)
@@ -355,13 +396,21 @@ def _greedy(
     for "not a member and not known to break B_h[g]".  The accept closures
     clear the candidates that break it, each commit clears the new term,
     and the window then drops its leading zeros, so base is the smallest
-    live candidate.  The scan walks [base, ceiling] one _CHUNK at a time,
-    and compress skips cleared entries without running Python code for
-    them.  Only a level ceiling can reject a candidate that a later step
-    admits, and for g = 1 none rejects (see _accept_g1); so without
-    check_levels, or with g = 1, every non-member below the last term is
-    dead and base is the last term + 1.  scan_length counts from 1 for
-    strong g > 1 and from the last term + 1 otherwise.
+    live candidate.  The scan walks [base, ceiling] in slices of
+    _FIRST_SLICE candidates, doubling up to _CHUNK, and compress skips
+    cleared entries without running Python code for them.  Only a level
+    ceiling can reject a candidate that a later step admits, and for g = 1
+    none rejects (see _accept_g1); so without check_levels, or with g = 1,
+    every non-member below the last term is dead and base is the last
+    term + 1.  scan_length counts from 1 for strong g > 1 and from the last
+    term + 1 otherwise.
+
+    For g = 1 the loop also keeps ind, the 0/1 indicator of the h-fold
+    sums S_h over [0, top of S_h], set in place after each commit by
+    _mark_sums; before a slice is scanned, _screen_g1 clears in alive every
+    m with m + y in S_h for some y in S_{h-1}, a whole slice at a time.
+    These are B_h breaks, so the map keeps its meaning, and _accept_g1
+    still decides every candidate the screen leaves.
     """
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=max_entries)
@@ -369,6 +418,9 @@ def _greedy(
     _commit(rec, t, term=1, scan_length=0, bound_floor=ceiling(1).floor,
             elapsed=0.0, on_step=on_step)
     alive, base = bytearray(), 2
+    ind = bytearray()
+    if g == 1:
+        _mark_sums(ind, t, 1)
     while len(rec.terms) < params.n_terms:
         t0 = time.perf_counter()
         n_next = len(t) + 1
@@ -378,14 +430,17 @@ def _greedy(
         else:
             accept = _accept_general(t, g, n_next, check_levels, alive, base)
         found, lo, top = None, base, bound.floor + 1
+        width = min(_FIRST_SLICE, _CHUNK)
         while found is None and lo < top:
-            hi = min(lo + _CHUNK, top)
+            hi = min(lo + width, top)
             if base + len(alive) < hi:
                 alive += b"\x01" * _CHUNK
+            if g == 1:
+                _screen_g1(t, ind, alive, base, lo, hi)
             found = next((m for m in compress(range(lo, hi),
                                               alive[lo - base:hi - base])
                           if accept(m)), None)
-            lo = hi
+            lo, width = hi, min(2 * width, _CHUNK)
         if found is None or not bound.admits(found):
             raise error(f"no admissible candidate <= {bound.floor} for term "
                         f"{n_next} (h={h}, g={g}); {hint}")
@@ -394,6 +449,8 @@ def _greedy(
                 scan_length=_sequential_scan_length(t.elements, start, found),
                 bound_floor=bound.floor, elapsed=time.perf_counter() - t0,
                 on_step=on_step)
+        if g == 1:
+            _mark_sums(ind, t, found)
         alive[found - base] = 0
         live = alive.find(1)
         live = len(alive) if live < 0 else live

@@ -110,6 +110,49 @@ def test_scan_cap_below_one_is_usage_error(capsys, monkeypatch, command, cap):
     assert f"BHG_SCAN_CAP must be >= 1, got {cap}" in err
 
 
+@pytest.mark.parametrize("argv,flag,env", [
+    (["generate", "--h", "2", "--g", "1", "--n", "5"], "--memory-cap", "BHG_MEMORY_CAP"),
+    (["compare", "--h", "2", "--g", "1", "--n", "5"], "--memory-cap", "BHG_MEMORY_CAP"),
+    (["verify", "--h", "2", "--g", "1"], "--enum-cap", "BHG_ENUM_CAP"),
+    (["diagnose", "--h", "2", "--g", "1", "--n", "4"], "--enum-cap", "BHG_ENUM_CAP"),
+    (["diagnose", "--h", "2", "--g", "1", "--n", "4"], "--window-cap", "BHG_WINDOW_CAP"),
+])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_guard_below_one_is_usage_error(capsys, monkeypatch, tmp_path,
+                                        argv, flag, env, cap):
+    if argv[0] == "verify":
+        f = tmp_path / "mc.bfile"
+        f.write_text("1 1\n2 2\n3 4\n")
+        argv = argv + [str(f)]
+    code, _, err = run(capsys, *argv, f"{flag}={cap}")
+    assert code == EXIT_USAGE
+    assert f"{flag} must be >= 1, got {cap}" in err
+    monkeypatch.setenv(env, cap)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert f"{env} must be >= 1, got {cap}" in err
+
+
+def test_generate_strong_takes_no_scan_cap(capsys, monkeypatch):
+    argv = ["generate", "--algo", "strong", "--h", "2", "--g", "1", "--n", "5",
+            "--format", "csv"]
+    for cap in ("-7", "50"):
+        code, _, err = run(capsys, *argv, f"--scan-cap={cap}")
+        assert code == EXIT_USAGE
+        assert "--scan-cap applies only to --algo classic" in err
+    code, plain, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    monkeypatch.setenv("BHG_SCAN_CAP", "-7")
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "BHG_SCAN_CAP must be >= 1, got -7" in err
+    # A valid cap in the environment is ignored by strong runs.
+    monkeypatch.setenv("BHG_SCAN_CAP", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == plain
+
+
 def test_generate_memory_cap_guard(capsys):
     code, _, err = run(capsys, "generate", "--h", "2", "--g", "1", "--n", "30",
                        "--memory-cap", "20")

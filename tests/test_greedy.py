@@ -16,7 +16,7 @@ from bhgreedy import (
     theorem_bound,
     threshold_leq,
 )
-from bhgreedy.greedy import _accept_g1, _accept_general
+from bhgreedy.greedy import _accept_g1, _accept_general, _mark_sums, _screen_g1
 from oracles import (
     first_failed_level,
     is_bhg,
@@ -315,14 +315,22 @@ def scan_lengths_from_terms(terms, restart):
     return out
 
 
+def shrink_scan_slices(monkeypatch):
+    """Slices of 3, 6, then 7 candidates, so that scans cross many slice
+    and window boundaries."""
+    monkeypatch.setattr("bhgreedy.greedy._FIRST_SLICE", 3)
+    monkeypatch.setattr("bhgreedy.greedy._CHUNK", 7)
+
+
 @pytest.mark.parametrize("h,g", [
-    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1),
 ])
 def test_scan_chunk_boundaries_change_nothing(monkeypatch, h, g):
+    n = 12 if h == 4 else 20
     generators = (strong_greedy, classic_greedy)
-    default = [gen(Params(h, g, 20)) for gen in generators]
-    monkeypatch.setattr("bhgreedy.greedy._CHUNK", 7)
-    small = [gen(Params(h, g, 20)) for gen in generators]
+    default = [gen(Params(h, g, n)) for gen in generators]
+    shrink_scan_slices(monkeypatch)
+    small = [gen(Params(h, g, n)) for gen in generators]
     for rec, ref in zip(small, default):
         assert rec.terms == ref.terms
         lengths = [m.scan_length for m in rec.per_step]
@@ -331,6 +339,43 @@ def test_scan_chunk_boundaries_change_nothing(monkeypatch, h, g):
         assert lengths == scan_lengths_from_terms(rec.terms, restart)
     with pytest.raises(ScanExceededConfiguredLimit):
         classic_greedy(Params(h, g, 10), scan_cap=3)
+
+
+@pytest.mark.parametrize("h,n", [(2, 40), (3, 12), (4, 10)])
+def test_g1_screen_with_tiny_slices_matches_naive_oracles(monkeypatch, h, n):
+    shrink_scan_slices(monkeypatch)
+    assert strong_greedy(Params(h, 1, n)).terms == naive_strong_greedy(h, 1, n)
+    assert classic_greedy(Params(h, 1, n)).terms == naive_classic_greedy(h, 1, n)
+
+
+@pytest.mark.parametrize("h,n", [(2, 12), (3, 9), (4, 7)])
+def test_g1_screen_clears_only_bh_breaks(h, n):
+    # After each prefix, screen the slice [lo, hi) that starts below the
+    # last member and runs past the top of S_h.  The screen must clear
+    # exactly the non-members m with m + y in S_h for some y in S_{h-1}
+    # (sums from enumeration), each a B_h break, and touch nothing else.
+    terms = strong_greedy(Params(h, 1, n)).terms
+    t, ind = SumTableSet(h), bytearray()
+    for i, a in enumerate(terms[:-1]):
+        t.add_element(a)
+        _mark_sums(ind, t, a)
+        prefix = terms[:i + 1]
+        sums = multiset_sum_histogram(prefix, h)
+        lower = multiset_sum_histogram(prefix, h - 1)
+        assert ind == bytes(x in sums for x in range(h * max(prefix) + 1))
+        lo, hi = a // 2 + 1, len(ind) + 5
+        alive = bytearray(m not in t for m in range(1, hi))
+        before = bytes(alive)
+        _screen_g1(t, ind, alive, 1, lo, hi)
+        assert alive[:lo - 1] == before[:lo - 1]
+        cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
+        assert cleared == [m for m in range(lo, hi) if m not in t
+                           and any(m + y in sums for y in lower)]
+        assert cleared or i == 0
+        for m in cleared:
+            # A "bhg" verdict also means m is not an admissible candidate.
+            verdict = is_strong_candidate(t, t.candidate_delta(m), i + 2, h, 1)
+            assert verdict.reason == "bhg", (prefix, m)
 
 
 def test_classic_scan_cap_is_enforced():
