@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="diagnose this sequence file instead of generating")
     dia.add_argument("--sample-budget", type=int,
                      default=verify_mod.DEFAULT_SAMPLE_BUDGET,
-                     help="profile_growth samples per step and level")
+                     help="sample every max(1, window // N)-th candidate "
+                          "for profile_growth, at most 2N per step "
+                          "(N >= 1, default %(default)s)")
     dia.add_argument("--window-cap", type=int, default=None,
                      help=f"window-scan size cap (env {ENV_WINDOW_CAP})")
     dia.add_argument("--out", default=None, help="write the JSON ledger here")
@@ -316,6 +318,8 @@ def _cmd_verify(args) -> int:
 def _cmd_diagnose(args) -> int:
     memory_cap, enum_cap = _caps(args)
     window_cap = _cap(args, "window_cap", ENV_WINDOW_CAP, verify_mod.DEFAULT_MAX_WINDOW)
+    if args.sample_budget < 1:
+        raise ValueError(f"--sample-budget must be >= 1, got {args.sample_budget}")
     h, g = args.h, args.g
     if args.input is not None:
         terms = read_terms(args.input)

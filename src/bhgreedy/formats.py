@@ -20,6 +20,7 @@ JSON
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from .errors import InputFormatError
@@ -28,6 +29,10 @@ from .greedy import SequenceRecord
 SEQUENCE_SCHEMA = "bhg-sequence/1"
 
 FORMATS = ("json", "csv", "bfile")
+
+#: A b-file or CSV field: an optional sign and ASCII digits, nothing else
+#: that int() would take (underscores, non-ASCII digits).
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def render_bfile(terms) -> str:
@@ -122,7 +127,8 @@ def _parse_json(text: str) -> list[int]:
         terms = doc["terms"]
     else:
         raise InputFormatError("JSON input must be an array or carry a 'terms' array")
-    if not isinstance(terms, list) or not all(isinstance(t, int) for t in terms):
+    # bool is a subclass of int, so JSON true and false need their own check.
+    if not isinstance(terms, list) or not all(type(t) is int for t in terms):
         raise InputFormatError("'terms' must be an array of integers")
     if not terms:
         raise InputFormatError("empty term list")
@@ -138,14 +144,13 @@ def _parse_rows(text: str, sep, allow_header: bool) -> list[int]:
             continue
         if allow_header and expected == 1 and line.lower().replace(" ", "") == "n,a_n":
             continue
-        parts = line.split(sep)
+        parts = [part.strip() for part in line.split(sep)]
         if len(parts) != 2:
             raise InputFormatError(
                 f"expected 'n{sep or ' '}a_n', got {line!r}", line=lineno)
-        try:
-            n, a = int(parts[0]), int(parts[1])
-        except ValueError:
+        if not all(_INT_FIELD.fullmatch(part) for part in parts):
             raise InputFormatError(f"non-integer field in {line!r}", line=lineno)
+        n, a = int(parts[0]), int(parts[1])
         if n != expected:
             raise InputFormatError(
                 f"index {n} out of order (expected {expected})", line=lineno)

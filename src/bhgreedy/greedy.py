@@ -244,46 +244,11 @@ def is_strong_candidate(
     return CandidateVerdict(True)
 
 
-def _accept_g1(t: SumTableSet, alive: bytearray, base: int) -> Callable[[int], bool]:
-    """Candidate test specialized to g = 1.
-
-    In a B_h[1] set every multiset sum is unique, so every table below h
-    also has all-1 counts, and a candidate is admissible iff the sums it
-    creates are fresh and pairwise distinct.  The level-1 ceiling n^h can
-    never reject: there are at most C(n+h-1, h) <= n^h distinct sums, so
-    for g = 1 the strong rule coincides with the plain B_h condition and
-    every rejection is a permanent B_h break.  A rejected m is marked dead
-    by clearing alive[m - base].
-
-    The test reads the tables in place; they do not change during a scan.
-    In a scan most candidates never reach it: _screen_g1 has already
-    cleared those with m + y in S_h for some y in S_{h-1}, and this test
-    decides the survivors exactly.
-    """
-    h = t.h
-    old = t.tables[h]
-    lowers = [(k, t.tables[h - k]) for k in range(1, h + 1)]
-
-    def accept(m: int) -> bool:
-        seen = set()
-        for k, keys in lowers:
-            km = k * m
-            for y in keys:
-                x = km + y
-                if x in old or x in seen:
-                    alive[m - base] = 0
-                    return False
-                seen.add(x)
-        return True
-
-    return accept
-
-
 def _accept_general(
     t: SumTableSet, g: int, n_next: int, check_levels: bool,
     alive: bytearray, base: int,
 ) -> Callable[[int], bool]:
-    """Candidate test for general g, fused for the scan hot path.
+    """Candidate test, fused for the scan hot path.
 
     Builds the added counts with an early abort on the first sum pushed
     past g, where most rejected candidates fail; with check_levels the
@@ -293,6 +258,10 @@ def _accept_general(
     CandidateDelta per candidate.  The early abort is a B_h[g] break, which
     no later step can undo, so it marks m dead by clearing alive[m - base];
     a level rejection leaves m alive for later steps to test again.
+
+    The test reads the tables in place; they do not change during a scan.
+    In a scan most candidates never reach it: _screen has already cleared
+    those with m + y in Sat for some y in S_{h-1}.
     """
     h = t.h
     th = t.tables[h]
@@ -328,32 +297,36 @@ def _sequential_scan_length(elements: list[int], start: int, found: int) -> int:
 _CHUNK = 1 << 16
 
 #: Width of the first slice of a scan; each further slice doubles it, up to
-#: _CHUNK.  Most g = 1 scans end within a few thousand candidates, and the
-#: g = 1 screen costs the same for every candidate of a slice.
+#: _CHUNK.  Most scans end within a few thousand candidates of where they
+#: start, and the screen costs the same for every candidate of a slice.
 _FIRST_SLICE = 1 << 10
 
 
-def _mark_sums(ind: bytearray, t: SumTableSet, term: int) -> None:
-    """Set ind[x] for the h-fold sums x of t that use term, growing ind to
-    the top of S_h.  Call it right after term joins t."""
+def _mark_sums(ind: bytearray, t: SumTableSet, g: int, term: int) -> None:
+    """Set ind[x] for the h-fold sums x of t that use term and have at
+    least g representations, growing ind to the top of S_h.  Call it right
+    after term joins t; the other sums keep their counts."""
     h = t.h
+    th = t.tables[h]
     top = h * t.elements[-1] + 1
     if len(ind) < top:
         ind += bytes(top - len(ind))
     for y in t.tables[h - 1]:
-        ind[term + y] = 1
+        if th[term + y] >= g:
+            ind[term + y] = 1
 
 
-def _screen_g1(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
-               lo: int, hi: int) -> None:
-    """Clear alive[m - base] for every m in [lo, hi) with m + y in S_h for
-    some y in S_{h-1}, where ind is the 0/1 indicator of S_h.
+def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
+            lo: int, hi: int) -> None:
+    """Clear alive[m - base] for every m in [lo, hi) with m + y in Sat for
+    some y in S_{h-1}, where ind is the 0/1 indicator of the saturated sums
+    Sat = {x : r(x) >= g}.
 
-    For a non-member m such a sum has two representations in the set plus
-    m, so the hit is a permanent B_h break.  Each y costs one slice of ind
-    read as a little-endian integer, which holds byte m - lo as bit 8(m-lo):
-    OR-ing these gives the hits of the whole slice, in C.  Slices past the
-    top of S_h come out short, which reads as zeros.
+    For a non-member m such a sum has at least g + 1 representations in
+    the set plus m, so the hit is a permanent B_h[g] break.  Each y costs
+    one slice of ind read as a little-endian integer, which holds byte
+    m - lo as bit 8(m-lo): OR-ing these gives the hits of the whole slice,
+    in C.  Slices past the top of S_h come out short, which reads as zeros.
     """
     hits = 0
     with memoryview(ind) as view:
@@ -393,50 +366,43 @@ def _greedy(
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests such a candidate twice.  The
     bytearray alive is a window over [base, base + len(alive)) holding 1
-    for "not a member and not known to break B_h[g]".  The accept closures
-    clear the candidates that break it, each commit clears the new term,
-    and the window then drops its leading zeros, so base is the smallest
-    live candidate.  The scan walks [base, ceiling] in slices of
+    for "not a member and not known to break B_h[g]".  The screen and the
+    accept closure clear the candidates that break it, each commit clears
+    the new term, and the window then drops its leading zeros, so base is
+    the smallest live candidate.  The scan walks [base, ceiling] in slices of
     _FIRST_SLICE candidates, doubling up to _CHUNK, and compress skips
     cleared entries without running Python code for them.  Only a level
-    ceiling can reject a candidate that a later step admits, and for g = 1
-    none rejects (see _accept_g1); so without check_levels, or with g = 1,
-    every non-member below the last term is dead and base is the last
-    term + 1.  scan_length counts from 1 for strong g > 1 and from the last
-    term + 1 otherwise.
+    ceiling can reject a candidate that a later step admits, so without
+    check_levels every non-member below the last term is dead, base is the
+    last term + 1, and scan_length counts from there; with check_levels it
+    counts from 1.
 
-    For g = 1 the loop also keeps ind, the 0/1 indicator of the h-fold
-    sums S_h over [0, top of S_h], set in place after each commit by
-    _mark_sums; before a slice is scanned, _screen_g1 clears in alive every
-    m with m + y in S_h for some y in S_{h-1}, a whole slice at a time.
-    These are B_h breaks, so the map keeps its meaning, and _accept_g1
-    still decides every candidate the screen leaves.
+    The loop also keeps ind, the 0/1 indicator of the saturated sums
+    Sat = {x : r(x) >= g} over [0, top of S_h], set in place after each
+    commit by _mark_sums.  Before a slice is scanned, _screen clears in
+    alive every m with m + y in Sat for some y in S_{h-1}, a whole slice at
+    a time.  These are B_h[g] breaks, so the map keeps its meaning, and
+    _accept_general still decides every candidate the screen leaves.
     """
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=max_entries)
     rec = SequenceRecord(params, algorithm)
+    alive, base, ind = bytearray(), 2, bytearray()
     _commit(rec, t, term=1, scan_length=0, bound_floor=ceiling(1).floor,
             elapsed=0.0, on_step=on_step)
-    alive, base = bytearray(), 2
-    ind = bytearray()
-    if g == 1:
-        _mark_sums(ind, t, 1)
+    _mark_sums(ind, t, g, 1)
     while len(rec.terms) < params.n_terms:
         t0 = time.perf_counter()
         n_next = len(t) + 1
         bound = ceiling(n_next)
-        if g == 1:
-            accept = _accept_g1(t, alive, base)
-        else:
-            accept = _accept_general(t, g, n_next, check_levels, alive, base)
+        accept = _accept_general(t, g, n_next, check_levels, alive, base)
         found, lo, top = None, base, bound.floor + 1
         width = min(_FIRST_SLICE, _CHUNK)
         while found is None and lo < top:
             hi = min(lo + width, top)
             if base + len(alive) < hi:
                 alive += b"\x01" * _CHUNK
-            if g == 1:
-                _screen_g1(t, ind, alive, base, lo, hi)
+            _screen(t, ind, alive, base, lo, hi)
             found = next((m for m in compress(range(lo, hi),
                                               alive[lo - base:hi - base])
                           if accept(m)), None)
@@ -444,13 +410,12 @@ def _greedy(
         if found is None or not bound.admits(found):
             raise error(f"no admissible candidate <= {bound.floor} for term "
                         f"{n_next} (h={h}, g={g}); {hint}")
-        start = 1 if check_levels and g > 1 else rec.terms[-1] + 1
+        start = 1 if check_levels else rec.terms[-1] + 1
         _commit(rec, t, term=found,
                 scan_length=_sequential_scan_length(t.elements, start, found),
                 bound_floor=bound.floor, elapsed=time.perf_counter() - t0,
                 on_step=on_step)
-        if g == 1:
-            _mark_sums(ind, t, found)
+        _mark_sums(ind, t, g, found)
         alive[found - base] = 0
         live = alive.find(1)
         live = len(alive) if live < 0 else live
@@ -471,13 +436,15 @@ def strong_greedy(
     the set strong.  The scan for the term of index n stops at
     floor(2g * n^(h+(h-1)/g)); finding no candidate there would contradict
     the proven ceiling, so it raises ScanExceededBound rather than scanning
-    further.
+    further.  Level ceilings are checked only for g > 1: a set of size n
+    has at most C(n+h-1, h) <= n^h distinct h-fold sums, so the level-1
+    ceiling never rejects.
 
     on_step, when given, is called with each StepMeta as it is committed.
     """
     h, g = params.h, params.g
     return _greedy(params, ALGORITHM_STRONG, lambda n: theorem_bound(n, h, g),
-                   check_levels=True, error=ScanExceededBound,
+                   check_levels=g > 1, error=ScanExceededBound,
                    hint="this contradicts the proven ceiling",
                    on_step=on_step, max_entries=max_entries)
 

@@ -66,7 +66,7 @@ from .sumrep import DEFAULT_MAX_ENUMERATION, SumTableSet
 #: Cap on the size of a candidate window a single scan may classify.
 DEFAULT_MAX_WINDOW = 2_000_000
 
-#: Default number of profile_growth samples recorded per step and level.
+#: Default stride divisor of the profile_growth sample (see proof_diagnostics).
 DEFAULT_SAMPLE_BUDGET = 32
 
 
@@ -435,9 +435,12 @@ def proof_diagnostics(rec: SequenceRecord, *,
     classified from brute-force fold histograms of A_n, level-s breakers
     collect their promotion_witness instances, the windowed sum of
     t_count feeds promotion_total, and profile_growth instances are
-    recorded for a deterministic sample of candidates (every next accepted
-    term plus an even stride across the window, at most sample_budget per
-    step and level).
+    recorded, one per level s >= 2, for a deterministic sample of
+    candidates: the next accepted term and every non-member in 1, 1 + d,
+    1 + 2d, ... up to the window's top, with stride
+    d = max(1, window // sample_budget).  That is at most
+    2 * sample_budget candidates per step, and the whole window when it
+    is shorter than 2 * sample_budget.
 
     Prefix validity (both strong-set conditions) is checked for every
     prefix as well, so a corrupted record names its failure here.

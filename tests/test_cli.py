@@ -276,6 +276,15 @@ def test_diagnose_window_cap_guard(capsys):
     assert code == EXIT_GUARD
 
 
+@pytest.mark.parametrize("budget", ["0", "-4"])
+def test_diagnose_sample_budget_below_one_is_usage_error(capsys, budget):
+    code, out, err = run(capsys, "diagnose", "--h", "2", "--g", "2", "--n", "4",
+                         f"--sample-budget={budget}")
+    assert code == EXIT_USAGE
+    assert f"--sample-budget must be >= 1, got {budget}" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # compare
 

@@ -36,6 +36,7 @@ def test_csv_round_trip():
     assert parse_terms(text, "csv") == TERMS
     assert parse_terms(text) == TERMS
     assert parse_terms("n,a_n\n" + text) == TERMS  # header tolerated
+    assert parse_terms("1, 1\n2,+2\n", "csv") == [1, 2]  # spaces, a sign
 
 
 def test_json_round_trip():
@@ -95,6 +96,28 @@ def test_parse_errors_carry_line_numbers():
         parse_terms('{"no_terms": 1}', "json")
     with pytest.raises(InputFormatError):
         parse_terms('{"terms": [1, "x"]}', "json")
+
+
+@pytest.mark.parametrize("text", [
+    "[true, 2, 4]",
+    "[1, false]",
+    '{"terms": [1, true]}',
+])
+def test_json_booleans_are_not_terms(text):
+    with pytest.raises(InputFormatError):
+        parse_terms(text, "json")
+
+
+@pytest.mark.parametrize("text,fmt", [
+    ("1 1\n2 2_0\n", "bfile"),
+    ("1 1\n2 \u0662\n", "bfile"),  # ARABIC-INDIC DIGIT TWO
+    ("1,1\n2,1_6\n", "csv"),
+    ("1,1\n\uff12,4\n", "csv"),  # FULLWIDTH DIGIT TWO
+])
+def test_row_fields_are_ascii_integers_only(text, fmt):
+    with pytest.raises(InputFormatError) as exc:
+        parse_terms(text, fmt)
+    assert exc.value.line == 2
 
 
 def test_render_terms_dispatch():

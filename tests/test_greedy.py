@@ -16,7 +16,7 @@ from bhgreedy import (
     theorem_bound,
     threshold_leq,
 )
-from bhgreedy.greedy import _accept_g1, _accept_general, _mark_sums, _screen_g1
+from bhgreedy.greedy import _accept_general, _mark_sums, _screen
 from oracles import (
     first_failed_level,
     is_bhg,
@@ -173,16 +173,16 @@ def test_level_verdicts_match_from_scratch_oracle():
 
 
 def check_fused_against_contract_op(prefix, h, g):
-    """The fused accept closure agrees with is_strong_candidate on every
-    non-member m in [1, 2*max(prefix)+9], and marks m dead exactly when the
-    verdict is a B_h[g] break; returns the verdict reasons seen."""
+    """The fused accept closure, with level checks as the strong scan runs
+    it, agrees with is_strong_candidate on every non-member m in
+    [1, 2*max(prefix)+9], and marks m dead exactly when the verdict is a
+    B_h[g] break; returns the verdict reasons seen."""
     n = len(prefix)
     t = build(h, prefix)
     profile = t.rep_histogram(g)
     hi = 2 * max(prefix) + 10
     alive = bytearray(b"\x01") * hi
-    fused = (_accept_g1(t, alive, 1) if g == 1
-             else _accept_general(t, g, n + 1, True, alive, 1))
+    fused = _accept_general(t, g, n + 1, g > 1, alive, 1)
     reasons = set()
     for m in range(1, hi):
         if m in t:
@@ -341,41 +341,53 @@ def test_scan_chunk_boundaries_change_nothing(monkeypatch, h, g):
         classic_greedy(Params(h, g, 10), scan_cap=3)
 
 
-@pytest.mark.parametrize("h,n", [(2, 40), (3, 12), (4, 10)])
-def test_g1_screen_with_tiny_slices_matches_naive_oracles(monkeypatch, h, n):
+@pytest.mark.parametrize("h,g,n", [
+    (2, 1, 40), (3, 1, 12), (4, 1, 10), (2, 2, 30), (2, 3, 30), (3, 2, 14),
+    (3, 3, 14),
+])
+def test_screen_with_tiny_slices_matches_naive_oracles(monkeypatch, h, g, n):
     shrink_scan_slices(monkeypatch)
-    assert strong_greedy(Params(h, 1, n)).terms == naive_strong_greedy(h, 1, n)
-    assert classic_greedy(Params(h, 1, n)).terms == naive_classic_greedy(h, 1, n)
+    assert strong_greedy(Params(h, g, n)).terms == naive_strong_greedy(h, g, n)
+    assert classic_greedy(Params(h, g, n)).terms == naive_classic_greedy(h, g, n)
 
 
-@pytest.mark.parametrize("h,n", [(2, 12), (3, 9), (4, 7)])
-def test_g1_screen_clears_only_bh_breaks(h, n):
-    # After each prefix, screen the slice [lo, hi) that starts below the
-    # last member and runs past the top of S_h.  The screen must clear
-    # exactly the non-members m with m + y in S_h for some y in S_{h-1}
-    # (sums from enumeration), each a B_h break, and touch nothing else.
-    terms = strong_greedy(Params(h, 1, n)).terms
+@pytest.mark.parametrize("h,g,n", [
+    (2, 1, 12), (3, 1, 9), (4, 1, 7), (2, 2, 12), (3, 2, 9), (2, 3, 12),
+    (3, 3, 9),
+])
+def test_screen_clears_only_bhg_breaks(h, g, n):
+    # After each prefix, the indicator must hold exactly the saturated sums
+    # Sat = {x : r(x) >= g}.  Screen the slice [lo, hi) that starts below
+    # the last member and runs past the top of S_h: it must clear exactly
+    # the non-members m with m + y in Sat for some y in S_{h-1} (sums from
+    # enumeration), each a B_h[g] break, and touch nothing else.
+    terms = strong_greedy(Params(h, g, n)).terms
     t, ind = SumTableSet(h), bytearray()
+    screened = 0
     for i, a in enumerate(terms[:-1]):
         t.add_element(a)
-        _mark_sums(ind, t, a)
+        _mark_sums(ind, t, g, a)
         prefix = terms[:i + 1]
-        sums = multiset_sum_histogram(prefix, h)
+        hist = multiset_sum_histogram(prefix, h)
         lower = multiset_sum_histogram(prefix, h - 1)
-        assert ind == bytes(x in sums for x in range(h * max(prefix) + 1))
+        assert ind == bytes(hist[x] >= g for x in range(h * max(prefix) + 1))
         lo, hi = a // 2 + 1, len(ind) + 5
         alive = bytearray(m not in t for m in range(1, hi))
         before = bytes(alive)
-        _screen_g1(t, ind, alive, 1, lo, hi)
+        _screen(t, ind, alive, 1, lo, hi)
         assert alive[:lo - 1] == before[:lo - 1]
         cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
         assert cleared == [m for m in range(lo, hi) if m not in t
-                           and any(m + y in sums for y in lower)]
-        assert cleared or i == 0
+                           and any(hist[m + y] >= g for y in lower)]
+        # For g > 1 the first few prefixes may clear nothing; the run
+        # as a whole must.
+        assert cleared or i == 0 or g > 1
         for m in cleared:
             # A "bhg" verdict also means m is not an admissible candidate.
-            verdict = is_strong_candidate(t, t.candidate_delta(m), i + 2, h, 1)
+            verdict = is_strong_candidate(t, t.candidate_delta(m), i + 2, h, g)
             assert verdict.reason == "bhg", (prefix, m)
+        screened += len(cleared)
+    assert screened
 
 
 def test_classic_scan_cap_is_enforced():
