@@ -37,7 +37,6 @@ from .greedy import (
     is_strong_candidate,
     strong_greedy,
     theorem_bound,
-    threshold_leq,
 )
 from .sumrep import (
     DEFAULT_MAX_ENTRIES,
@@ -105,7 +104,6 @@ __all__ = [
     "strong_greedy",
     "t_count",
     "theorem_bound",
-    "threshold_leq",
     "verify_bhg",
     "verify_strong_prefixes",
 ]

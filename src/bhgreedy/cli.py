@@ -21,10 +21,12 @@ Exit codes
 
 Guard defaults honour the environment variables BHG_MEMORY_CAP,
 BHG_ENUM_CAP, BHG_SCAN_CAP, and BHG_WINDOW_CAP; command-line flags override
-them, and every cap must be >= 1.  All runs are deterministic: there is no
-randomness anywhere, and written files are byte-identical across repeated
-runs with equal options (timings are emitted only with --timings, in a
-separate JSON block).
+them, and every cap must be >= 1.  Each subcommand takes, and checks, only
+the caps it reads: generate and compare the memory and scan caps, verify
+the enumeration cap, and diagnose the memory, enumeration and window caps.
+All runs are deterministic: there is no randomness anywhere, and written
+files are byte-identical across repeated runs with equal options (timings
+are emitted only with --timings, in a separate JSON block).
 """
 
 from __future__ import annotations
@@ -127,15 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
         if need_n:
             p.add_argument("--n", type=int, required=True, help="number of terms")
 
-    def add_guards(p):
-        p.add_argument("--memory-cap", type=int, default=None,
-                       help=f"sum-table entry cap (env {ENV_MEMORY_CAP})")
-        p.add_argument("--enum-cap", type=int, default=None,
-                       help=f"brute-force enumeration cap (env {ENV_ENUM_CAP})")
-
-    def add_scan_cap(p):
-        p.add_argument("--scan-cap", type=int, default=None,
-                       help=f"classic-greedy scan ceiling (env {ENV_SCAN_CAP})")
+    def add_caps(p, *caps):
+        helps = {
+            "memory": f"sum-table entry cap (env {ENV_MEMORY_CAP})",
+            "enum": f"brute-force enumeration cap (env {ENV_ENUM_CAP})",
+            "scan": f"classic-greedy scan ceiling (env {ENV_SCAN_CAP})",
+            "window": f"window-scan size cap (env {ENV_WINDOW_CAP})",
+        }
+        for cap in caps:
+            p.add_argument(f"--{cap}-cap", type=int, default=None, help=helps[cap])
 
     gen = sub.add_parser("generate", help="generate a sequence")
     add_params(gen)
@@ -143,10 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=ALGORITHM_STRONG)
     gen.add_argument("--format", choices=FORMATS, default="json")
     gen.add_argument("--out", default=None, help="output path (default stdout)")
-    add_scan_cap(gen)
     gen.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in JSON output")
-    add_guards(gen)
+    add_caps(gen, "memory", "scan")
     gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="re-check a sequence file from scratch")
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="theorem",
                      help="which term-size ceiling to check (default theorem)")
     ver.add_argument("--report", default=None, help="write a JSON report here")
-    add_guards(ver)
+    add_caps(ver, "enum")
     ver.set_defaults(func=_cmd_verify)
 
     dia = sub.add_parser("diagnose",
@@ -174,16 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sample every max(1, window // N)-th candidate "
                           "for profile_growth, at most 2N per step "
                           "(N >= 1, default %(default)s)")
-    dia.add_argument("--window-cap", type=int, default=None,
-                     help=f"window-scan size cap (env {ENV_WINDOW_CAP})")
     dia.add_argument("--out", default=None, help="write the JSON ledger here")
-    add_guards(dia)
+    add_caps(dia, "memory", "enum", "window")
     dia.set_defaults(func=_cmd_diagnose)
 
     cmp_ = sub.add_parser("compare", help="classic vs strong, side by side")
     add_params(cmp_)
-    add_guards(cmp_)
-    add_scan_cap(cmp_)
+    add_caps(cmp_, "memory", "scan")
     cmp_.set_defaults(func=_cmd_compare)
 
     fit = sub.add_parser("fit", help="growth-exponent fit of a sequence file")
@@ -210,11 +208,6 @@ def _cap(args, attr: str, env: str, default: Optional[int]) -> Optional[int]:
     return cap
 
 
-def _caps(args):
-    return (_cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES),
-            _cap(args, "enum_cap", ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION))
-
-
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -225,7 +218,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def _cmd_generate(args) -> int:
     params = Params(args.h, args.g, args.n)
-    memory_cap, _ = _caps(args)
+    memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
     if args.algo == ALGORITHM_STRONG and args.scan_cap is not None:
         raise ValueError("--scan-cap applies only to --algo classic")
     scan_cap = _cap(args, "scan_cap", ENV_SCAN_CAP, None)
@@ -248,7 +241,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _, enum_cap = _caps(args)
+    enum_cap = _cap(args, "enum_cap", ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION)
     terms = read_terms(args.input, args.format)
     h, g = args.h, args.g
     if h < 2 or g < 1:
@@ -316,7 +309,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    memory_cap, enum_cap = _caps(args)
+    memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
+    enum_cap = _cap(args, "enum_cap", ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION)
     window_cap = _cap(args, "window_cap", ENV_WINDOW_CAP, verify_mod.DEFAULT_MAX_WINDOW)
     if args.sample_budget < 1:
         raise ValueError(f"--sample-budget must be >= 1, got {args.sample_budget}")
@@ -381,7 +375,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = Params(args.h, args.g, args.n)
-    memory_cap, _ = _caps(args)
+    memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
     classic = classic_greedy(params, scan_cap=_cap(args, "scan_cap", ENV_SCAN_CAP, None),
                              max_entries=memory_cap)
     strong = strong_greedy(params, max_entries=memory_cap)

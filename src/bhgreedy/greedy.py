@@ -127,22 +127,14 @@ class Threshold:
         return cls(n, h * g + (1 - s) * (h - 1), g)
 
     def admits(self, count: int) -> bool:
+        """Exact test of count <= n^(e_num/g), as count^g <= n^e_num; a
+        count exactly on the ceiling is admitted."""
         return count ** self.g <= self.n ** self.e_num
 
     @property
     def floor(self) -> int:
         """Largest integer admitted by the ceiling."""
         return int_nth_root(self.n ** self.e_num, self.g)
-
-
-def threshold_leq(count: int, n: int, h: int, g: int, s: int) -> bool:
-    """Exact test of count <= n^(h + (1-s)(h-1)/g).
-
-    Raising both sides to the g-th power leaves only integer exponents:
-    count^g <= n^(h*g + (1-s)(h-1)).  The comparison is inclusive, so a
-    count exactly on the ceiling is admitted.
-    """
-    return Threshold.for_level(n, h, g, s).admits(count)
 
 
 @dataclass(frozen=True)
@@ -193,16 +185,16 @@ def classify_candidate(
     g: int,
     base: tuple[int, ...],
     thresholds: list[Threshold],
-) -> tuple[Optional[int], tuple[int, ...]]:
+) -> tuple[Optional[int], Optional[int]]:
     """Classify a candidate m by the representations it would add.
 
     th is the h-fold table of the current set, added the candidate's
     CandidateDelta.added, base the level counts R_1..R_g of the current set
     and thresholds the level ceilings at the enlarged size.  Returns the
     first sum in added that m pushes past g (None when the enlarged set
-    stays B_h[g]) and the levels s, in increasing order, whose count R_s
-    would exceed its ceiling.  A sum x enters level s exactly when
-    r(x) < s <= r(x) + added[x].
+    stays B_h[g]) and the smallest level s whose count R_s would exceed its
+    ceiling (None when every level holds).  A sum x enters level s exactly
+    when r(x) < s <= r(x) + added[x].
     """
     witness = None
     gains = [0] * (g + 1)
@@ -212,8 +204,8 @@ def classify_candidate(
             witness = x
         for s in range(lo + 1, min(lo + add, g) + 1):
             gains[s] += 1
-    failed = tuple(s for s in range(1, g + 1)
-                   if not thresholds[s - 1].admits(base[s - 1] + gains[s]))
+    failed = next((s for s in range(1, g + 1)
+                   if not thresholds[s - 1].admits(base[s - 1] + gains[s])), None)
     return witness, failed
 
 
@@ -239,8 +231,8 @@ def is_strong_candidate(
                                    thresholds)
     if x is not None:
         return CandidateVerdict(False, reason="bhg", x=x)
-    if failed:
-        return CandidateVerdict(False, reason="level", s=failed[0])
+    if failed is not None:
+        return CandidateVerdict(False, reason="level", s=failed)
     return CandidateVerdict(True)
 
 
@@ -281,7 +273,8 @@ def _accept_general(
                     alive[m - base] = 0
                     return False
                 added[x] = nc
-        return not (check_levels and classify_candidate(th, added, g, counts, thresholds)[1])
+        return not check_levels or classify_candidate(
+            th, added, g, counts, thresholds)[1] is None
 
     return accept
 

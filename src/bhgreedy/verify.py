@@ -2,13 +2,12 @@
 counting that underlies the strong greedy's ceiling.
 
 Everything here recomputes what it checks from its own inputs.  Histograms
-come from explicit multiset enumeration (``verify_bhg``,
-``verify_strong_prefixes``, ``proof_diagnostics``), never from a generator's
-cached state, and every fractional-exponent comparison is decided exactly in
-integer arithmetic.
+come from explicit multiset enumeration, never from a generator's sum tables
+or its candidate classifier, and every fractional-exponent comparison is
+decided exactly in integer arithmetic.
 
-Window scans classify each candidate m in [1, floor(2g*(n+1)^(h+(h-1)/g))]
-for a set A of size n:
+One window scan classifies each candidate m in
+[1, floor(2g*(n+1)^(h+(h-1)/g))] for a set A of size n:
 
   member          m is already in A
   bhg break       A + {m} is no longer a B_h[g] set
@@ -16,9 +15,9 @@ for a set A of size n:
 
 The strong greedy picks the smallest candidate in none of these classes, so
 the forbidden classes can never fill the window; ``forbidden_set_sizes``
-reports the class sizes and checks exactly that.  ``proof_diagnostics``
-additionally records, per step, the inequality instances that make the
-counting argument checkable:
+reports the class sizes for one set.  ``proof_diagnostics`` runs the same
+scan after every prefix of a run and also records, per step, the inequality
+instances that make the counting argument checkable:
 
   window_union        union of forbidden classes  <=  window size - 1
   first_level_empty   no candidate can break level 1 (R_1 <= (n+1)^h always)
@@ -53,15 +52,8 @@ from math import comb
 from typing import Optional
 
 from .errors import GuardExceeded
-from .greedy import (
-    SequenceRecord,
-    Threshold,
-    classify_candidate,
-    int_nth_root,
-    theorem_bound,
-    threshold_leq,
-)
-from .sumrep import DEFAULT_MAX_ENUMERATION, SumTableSet
+from .greedy import SequenceRecord, Threshold, int_nth_root, theorem_bound
+from .sumrep import DEFAULT_MAX_ENUMERATION
 
 #: Cap on the size of a candidate window a single scan may classify.
 DEFAULT_MAX_WINDOW = 2_000_000
@@ -255,6 +247,15 @@ def _level_count(hist: Counter, s: int) -> int:
     return sum(1 for c in hist.values() if c >= s)
 
 
+def _bhg_check(hist: Counter, g: int) -> BhgCheck:
+    """B_h[g] verdict of an h-fold histogram: ok, or the smallest sum whose
+    multiplicity exceeds g."""
+    x = min((x for x, c in hist.items() if c > g), default=None)
+    if x is None:
+        return BhgCheck(True)
+    return BhgCheck(False, x=x, count=hist[x])
+
+
 # ---------------------------------------------------------------------------
 # Membership and prefix checks
 
@@ -264,12 +265,7 @@ def verify_bhg(A, h: int, g: int, *,
     """Enumerate every size-h multiset of A and report the smallest sum
     whose multiplicity exceeds g, if any.  Never touches SumTableSet."""
     elems = _check_distinct_positive(A)
-    hist = _histogram(elems, h, max_enumeration)
-    bad = [x for x, c in hist.items() if c > g]
-    if not bad:
-        return BhgCheck(True)
-    x = min(bad)
-    return BhgCheck(False, x=x, count=hist[x])
+    return _bhg_check(_histogram(elems, h, max_enumeration), g)
 
 
 def verify_strong_prefixes(terms, h: int, g: int, *,
@@ -288,19 +284,14 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
     for n in range(1, len(terms) + 1):
         prefix = sorted(terms[:n])
         hist = _histogram(prefix, h, max_enumeration)
-        bad = [x for x, c in hist.items() if c > g]
-        if bad:
-            x = min(bad)
-            bhg = BhgCheck(False, x=x, count=hist[x])
-        else:
-            bhg = BhgCheck(True)
         level_ok, failed_s, level_count = True, None, None
         for s in range(1, g + 1):
             r_s = _level_count(hist, s)
-            if not threshold_leq(r_s, n, h, g, s):
+            if not Threshold.for_level(n, h, g, s).admits(r_s):
                 level_ok, failed_s, level_count = False, s, r_s
                 break
-        out.append(PrefixCheck(n, bhg, level_ok, failed_s, level_count))
+        out.append(PrefixCheck(n, _bhg_check(hist, g), level_ok, failed_s,
+                               level_count))
     return out
 
 
@@ -342,6 +333,112 @@ def classic_bound_check(rec: SequenceRecord) -> BoundReport:
 # Window scans
 
 
+def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
+                 instances: list[InequalityInstance], max_window: int,
+                 max_enumeration: int) -> ForbiddenSetReport:
+    """Classify every candidate in the scan window of the sorted prefix.
+
+    Each candidate m is classified from brute-force fold histograms of the
+    prefix: the representations it adds are the sums x = k*m + y, y an
+    (h-k)-fold sum, k = 1..h.  Appended to instances, in this order: a
+    promotion_witness for each level-s breaker (s >= 2), profile_growth
+    for each m in sample, one per level s >= 2, and then the step's
+    window_union, first_level_empty, bhg_break_bound, and per level
+    s >= 2 level_break_bound and promotion_total.  The window guard fires
+    before anything is enumerated.
+    """
+    n = len(prefix)
+    win = theorem_bound(n + 1, h, g).floor
+    if win > max_window:
+        raise GuardExceeded(f"scan window 1..{win} exceeds cap {max_window}")
+    members = set(prefix)
+    folds = _fold_histograms(prefix, h, max_enumeration)
+    hist = folds[h]
+    base = [_level_count(hist, s) for s in range(g + 1)]  # base[s], base[0] unused
+    thresholds = [Threshold.for_level(n + 1, h, g, s) for s in range(1, g + 1)]
+    # Ceiling 2n^(h+(h-1)/g) shared by the break-count bounds.
+    break_cap = int_nth_root(2 ** g * n ** (h * g + h - 1), g)
+
+    bhg_breaks = 0
+    level_breaks = [0] * (g + 1)
+    union = 0
+    member_count = 0
+    first_admissible = None
+    t_sums = [0] * (g + 1)
+    for m in range(1, win + 1):
+        if m in members:
+            member_count += 1
+            union += 1
+            continue
+        added: dict[int, int] = {}
+        for k in range(1, h + 1):
+            km = k * m
+            for y, c in folds[h - k].items():
+                x = km + y
+                added[x] = added.get(x, 0) + c
+        breaks_bhg = False
+        gains = [0] * (g + 2)
+        for x, add in added.items():
+            lo = hist.get(x, 0)
+            if lo + add > g:
+                breaks_bhg = True
+            for s in range(lo + 1, min(lo + add, g) + 1):
+                gains[s] += 1
+        t_vals = [0] * (g + 1)
+        for s in range(2, g + 1):
+            t_vals[s] = sum(
+                1 for x in added if hist.get(x, 0) >= s - 1
+            )
+            t_sums[s] += t_vals[s]
+        forbidden = breaks_bhg
+        if breaks_bhg:
+            bhg_breaks += 1
+        for s in range(1, g + 1):
+            if not thresholds[s - 1].admits(base[s] + gains[s]):
+                level_breaks[s] += 1
+                forbidden = True
+                if s >= 2:
+                    # Strict witness bound behind the break-count cap.
+                    instances.append(InequalityInstance(
+                        "promotion_witness", n,
+                        lhs=t_vals[s],
+                        rhs=int_nth_root(
+                            n ** ((h - 1) * g + (1 - s) * (h - 1)), g),
+                        relation=">", s=s, m=m))
+        if forbidden:
+            union += 1
+        elif first_admissible is None:
+            first_admissible = m
+        if m in sample:
+            for s in range(2, g + 1):
+                instances.append(InequalityInstance(
+                    "profile_growth", n,
+                    lhs=base[s] + gains[s],
+                    rhs=base[s] + t_vals[s],
+                    s=s, m=m))
+
+    instances.append(InequalityInstance(
+        "window_union", n, lhs=union, rhs=win - 1))
+    instances.append(InequalityInstance(
+        "first_level_empty", n, lhs=level_breaks[1], rhs=0))
+    instances.append(InequalityInstance(
+        "bhg_break_bound", n, lhs=bhg_breaks, rhs=break_cap))
+    for s in range(2, g + 1):
+        instances.append(InequalityInstance(
+            "level_break_bound", n, lhs=level_breaks[s], rhs=break_cap, s=s))
+        geometric = sum(n ** i for i in range(h))
+        instances.append(InequalityInstance(
+            "promotion_total", n, lhs=t_sums[s],
+            rhs=geometric * base[s - 1], s=s))
+    return ForbiddenSetReport(
+        h=h, g=g, n=n, window_hi=win,
+        members=member_count, bhg_breaks=bhg_breaks,
+        level_breaks=tuple(level_breaks[1:]),
+        union_size=union, union_cap=win - 1,
+        first_admissible=first_admissible,
+    )
+
+
 def forbidden_set_sizes(A, h: int, g: int, *,
                         max_window: int = DEFAULT_MAX_WINDOW,
                         ) -> ForbiddenSetReport:
@@ -352,51 +449,12 @@ def forbidden_set_sizes(A, h: int, g: int, *,
     exceeds its ceiling at size n+1.  A candidate can fall into several
     classes; union_size counts candidates in at least one.
 
-    Each candidate is classified by the generators' classify_candidate,
-    from candidate_delta of a table set built freshly from A here; the
-    brute-force route lives in proof_diagnostics, and the test suite
-    cross-checks the two on shared windows.
+    This is the enumeration scan of proof_diagnostics run on A alone, with
+    no instances kept; the test suite checks it against a brute-force
+    classification that rebuilds the histogram of A + {m} per candidate.
     """
-    elems = _check_distinct_positive(A)
-    n = len(elems)
-    bound = theorem_bound(n + 1, h, g)
-    if bound.floor > max_window:
-        raise GuardExceeded(
-            f"scan window 1..{bound.floor} exceeds cap {max_window}"
-        )
-    t = SumTableSet(h)
-    for a in elems:
-        t.add_element(a)
-    base = t.rep_histogram(g).counts
-    thresholds = [Threshold.for_level(n + 1, h, g, s) for s in range(1, g + 1)]
-
-    members = 0
-    bhg_breaks = 0
-    level_breaks = [0] * g
-    union = 0
-    first_admissible = None
-    for m in range(1, bound.floor + 1):
-        if m in t:
-            members += 1
-            union += 1
-            continue
-        witness, failed = classify_candidate(
-            t.tables[h], t.candidate_delta(m).added, g, base, thresholds)
-        if witness is not None:
-            bhg_breaks += 1
-        for s in failed:
-            level_breaks[s - 1] += 1
-        if witness is not None or failed:
-            union += 1
-        elif first_admissible is None:
-            first_admissible = m
-    return ForbiddenSetReport(
-        h=h, g=g, n=n, window_hi=bound.floor,
-        members=members, bhg_breaks=bhg_breaks,
-        level_breaks=tuple(level_breaks),
-        union_size=union, union_cap=bound.floor - 1,
-        first_admissible=first_admissible,
-    )
+    return _scan_window(_check_distinct_positive(A), h, g, set(), [],
+                        max_window, DEFAULT_MAX_ENUMERATION)
 
 
 def t_count(A, m: int, s: int, h: int, *,
@@ -440,11 +498,14 @@ def proof_diagnostics(rec: SequenceRecord, *,
     1 + 2d, ... up to the window's top, with stride
     d = max(1, window // sample_budget).  That is at most
     2 * sample_budget candidates per step, and the whole window when it
-    is shorter than 2 * sample_budget.
+    is shorter than 2 * sample_budget.  A sample_budget below 1 is a
+    ValueError.
 
     Prefix validity (both strong-set conditions) is checked for every
     prefix as well, so a corrupted record names its failure here.
     """
+    if sample_budget < 1:
+        raise ValueError(f"sample_budget must be >= 1, got {sample_budget}")
     h, g = rec.params.h, rec.params.g
     terms = list(rec.terms)
     diag = ProofDiagnostics(h, g, terms)
@@ -452,102 +513,11 @@ def proof_diagnostics(rec: SequenceRecord, *,
         terms, h, g, max_enumeration=max_enumeration)
 
     for n in range(2, len(terms) + 1):
-        prefix = sorted(terms[:n])
-        members = set(prefix)
-        bound = theorem_bound(n + 1, h, g)
-        win = bound.floor
-        if win > max_window:
-            raise GuardExceeded(f"scan window 1..{win} exceeds cap {max_window}")
-        folds = _fold_histograms(prefix, h, max_enumeration)
-        hist = folds[h]
-        base = [_level_count(hist, s) for s in range(g + 1)]  # base[s], base[0] unused
-        thresholds = [Threshold.for_level(n + 1, h, g, s) for s in range(1, g + 1)]
-        # Ceiling 2n^(h+(h-1)/g) shared by the break-count bounds.
-        break_cap = int_nth_root(2 ** g * n ** (h * g + h - 1), g)
-
-        next_term = terms[n] if n < len(terms) else None
-        stride = max(1, win // max(1, sample_budget))
-        sample = set(range(1, win + 1, stride))
-        if next_term is not None and next_term <= win:
-            sample.add(next_term)
-
-        bhg_breaks = 0
-        level_breaks = [0] * (g + 1)
-        union = 0
-        member_count = 0
-        first_admissible = None
-        t_sums = [0] * (g + 1)
-        for m in range(1, win + 1):
-            if m in members:
-                member_count += 1
-                union += 1
-                continue
-            added: dict[int, int] = {}
-            for k in range(1, h + 1):
-                km = k * m
-                for y, c in folds[h - k].items():
-                    x = km + y
-                    added[x] = added.get(x, 0) + c
-            breaks_bhg = False
-            gains = [0] * (g + 2)
-            for x, add in added.items():
-                lo = hist.get(x, 0)
-                if lo + add > g:
-                    breaks_bhg = True
-                for s in range(lo + 1, min(lo + add, g) + 1):
-                    gains[s] += 1
-            t_vals = [0] * (g + 1)
-            for s in range(2, g + 1):
-                t_vals[s] = sum(
-                    1 for x in added if hist.get(x, 0) >= s - 1
-                )
-                t_sums[s] += t_vals[s]
-            forbidden = breaks_bhg
-            if breaks_bhg:
-                bhg_breaks += 1
-            for s in range(1, g + 1):
-                if not thresholds[s - 1].admits(base[s] + gains[s]):
-                    level_breaks[s] += 1
-                    forbidden = True
-                    if s >= 2:
-                        # Strict witness bound behind the break-count cap.
-                        diag.instances.append(InequalityInstance(
-                            "promotion_witness", n,
-                            lhs=t_vals[s],
-                            rhs=int_nth_root(
-                                n ** ((h - 1) * g + (1 - s) * (h - 1)), g),
-                            relation=">", s=s, m=m))
-            if forbidden:
-                union += 1
-            elif first_admissible is None:
-                first_admissible = m
-            if m in sample:
-                for s in range(2, g + 1):
-                    diag.instances.append(InequalityInstance(
-                        "profile_growth", n,
-                        lhs=base[s] + gains[s],
-                        rhs=base[s] + t_vals[s],
-                        s=s, m=m))
-
-        diag.reports.append(ForbiddenSetReport(
-            h=h, g=g, n=n, window_hi=win,
-            members=member_count, bhg_breaks=bhg_breaks,
-            level_breaks=tuple(level_breaks[1:]),
-            union_size=union, union_cap=win - 1,
-            first_admissible=first_admissible,
-        ))
-        diag.instances.append(InequalityInstance(
-            "window_union", n, lhs=union, rhs=win - 1))
-        diag.instances.append(InequalityInstance(
-            "first_level_empty", n, lhs=level_breaks[1], rhs=0))
-        diag.instances.append(InequalityInstance(
-            "bhg_break_bound", n, lhs=bhg_breaks, rhs=break_cap))
-        for s in range(2, g + 1):
-            diag.instances.append(InequalityInstance(
-                "level_break_bound", n, lhs=level_breaks[s], rhs=break_cap,
-                s=s))
-            geometric = sum(n ** i for i in range(h))
-            diag.instances.append(InequalityInstance(
-                "promotion_total", n, lhs=t_sums[s],
-                rhs=geometric * base[s - 1], s=s))
+        win = theorem_bound(n + 1, h, g).floor
+        sample = set(range(1, win + 1, max(1, win // sample_budget)))
+        if n < len(terms) and terms[n] <= win:
+            sample.add(terms[n])
+        diag.reports.append(_scan_window(
+            sorted(terms[:n]), h, g, sample, diag.instances, max_window,
+            max_enumeration))
     return diag

@@ -133,6 +133,28 @@ def test_guard_below_one_is_usage_error(capsys, monkeypatch, tmp_path,
     assert f"{env} must be >= 1, got {cap}" in err
 
 
+@pytest.mark.parametrize("argv,flag,env", [
+    (["generate", "--h", "2", "--g", "1", "--n", "3", "--format", "csv"],
+     "--enum-cap", "BHG_ENUM_CAP"),
+    (["compare", "--h", "2", "--g", "1", "--n", "3"], "--enum-cap", "BHG_ENUM_CAP"),
+    (["verify", "--h", "2", "--g", "1"], "--memory-cap", "BHG_MEMORY_CAP"),
+])
+def test_unread_guard_is_not_a_flag_and_its_variable_is_ignored(
+        capsys, monkeypatch, tmp_path, argv, flag, env):
+    if argv[0] == "verify":
+        f = tmp_path / "mc.bfile"
+        f.write_text("1 1\n2 2\n3 4\n")
+        argv = argv + [str(f)]
+    code, out, err = run(capsys, *argv, flag, "1")
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 1" in err
+    assert out == ""
+    monkeypatch.setenv(env, "0")
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert err == ""
+
+
 def test_generate_strong_takes_no_scan_cap(capsys, monkeypatch):
     argv = ["generate", "--algo", "strong", "--h", "2", "--g", "1", "--n", "5",
             "--format", "csv"]

@@ -14,7 +14,6 @@ from bhgreedy import (
     is_strong_candidate,
     strong_greedy,
     theorem_bound,
-    threshold_leq,
 )
 from bhgreedy.greedy import _accept_general, _mark_sums, _screen
 from oracles import (
@@ -63,16 +62,18 @@ def test_int_nth_root_is_exact_floor(x, k):
 
 def test_threshold_leq_examples():
     # integer exponent, boundary inclusive
-    assert threshold_leq(100, 10, 2, 1, 1)
-    assert not threshold_leq(101, 10, 2, 1, 1)
+    assert Threshold.for_level(10, 2, 1, 1).admits(100)
+    assert not Threshold.for_level(10, 2, 1, 1).admits(101)
     # fractional exponent 3/2: 4^2 = 16 <= 27 = 3^3, 6^2 = 36 > 27
-    assert threshold_leq(4, 3, 2, 2, 2)
-    assert not threshold_leq(6, 3, 2, 2, 2)
+    assert Threshold.for_level(3, 2, 2, 2).admits(4)
+    assert not Threshold.for_level(3, 2, 2, 2).admits(6)
 
 
 def test_threshold_leq_rejects_bad_level():
     with pytest.raises(ValueError):
-        threshold_leq(1, 2, 2, 1, 2)
+        Threshold.for_level(2, 2, 1, 2)
+    with pytest.raises(ValueError):
+        Threshold.for_level(2, 2, 1, 0)
 
 
 @given(n=st.integers(1, 50), h=st.integers(2, 5), g=st.integers(1, 5),
@@ -81,8 +82,7 @@ def test_threshold_leq_rejects_bad_level():
 def test_threshold_routes_agree(n, h, g, count):
     for s in range(1, g + 1):
         th = Threshold.for_level(n, h, g, s)
-        assert th.e_num >= h + g - 1 >= 2
-        assert th.admits(count) == threshold_leq(count, n, h, g, s)
+        assert th.e_num == h * g + (1 - s) * (h - 1) >= h + g - 1 >= 2
         # deciding via the integer floor of the ceiling is equivalent
         assert th.admits(count) == (count <= th.floor)
 

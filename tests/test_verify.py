@@ -1,5 +1,8 @@
 """Tests for the from-scratch verification and window-scan diagnostics."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from bhgreedy import (
@@ -173,7 +176,8 @@ def brute_forbidden_report(A, h, g):
     return members, bhg, tuple(level), union, first
 
 
-@pytest.mark.parametrize("h,g,n", [(2, 1, 5), (2, 2, 6), (3, 2, 4)])
+@pytest.mark.parametrize("h,g,n", [(2, 1, 5), (2, 2, 6), (3, 2, 4), (2, 3, 6),
+                                   (3, 3, 4)])
 def test_forbidden_report_matches_brute_force(h, g, n):
     prefix = strong_greedy(Params(h, g, n)).terms
     report = forbidden_set_sizes(prefix, h, g)
@@ -251,16 +255,22 @@ def test_diagnostics_g1_has_no_level_instances():
     assert names == {"window_union", "first_level_empty", "bhg_break_bound"}
 
 
-def test_diagnostics_reports_match_forbidden_set_sizes():
+def test_diagnostics_reports_match_brute_force():
     rec = strong_greedy(Params(3, 2, 6))
     diag = proof_diagnostics(rec)
+    assert [r.n for r in diag.reports] == [2, 3, 4, 5, 6]
     for report in diag.reports:
-        direct = forbidden_set_sizes(rec.terms[:report.n], 3, 2)
+        assert report.window_hi == theorem_bound(report.n + 1, 3, 2).floor
         assert (report.members, report.bhg_breaks, report.level_breaks,
-                report.union_size, report.first_admissible,
-                report.window_hi) == \
-            (direct.members, direct.bhg_breaks, direct.level_breaks,
-             direct.union_size, direct.first_admissible, direct.window_hi)
+                report.union_size, report.first_admissible) == \
+            brute_forbidden_report(sorted(rec.terms[:report.n]), 3, 2)
+
+
+@pytest.mark.parametrize("budget", [0, -4])
+def test_diagnostics_reject_sample_budget_below_one(budget):
+    rec = strong_greedy(Params(2, 2, 6))
+    with pytest.raises(ValueError, match=f"sample_budget must be >= 1, got {budget}"):
+        proof_diagnostics(rec, sample_budget=budget)
 
 
 def test_diagnostics_profile_growth_violation_is_reported_faithfully():
@@ -314,3 +324,28 @@ def test_inequality_instance_describe():
     diag = proof_diagnostics(rec)
     line = diag.instances[0].describe()
     assert "step=2" in line and "window_union" in line and "ok" in line
+
+
+# ---------------------------------------------------------------------------
+# independence of the enumeration route
+
+
+def test_verify_imports_nothing_of_the_generator_route():
+    """verify.py may take shared arithmetic and records from greedy and the
+    enumeration cap from sumrep, but no sum table or candidate classifier."""
+    source = Path(__file__).resolve().parent.parent / "src" / "bhgreedy" / "verify.py"
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("bhgreedy"):
+                    imported.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("bhgreedy"):
+                imported.setdefault(module.removeprefix("bhgreedy."), set()).update(
+                    alias.name for alias in node.names)
+    assert set(imported) <= {"errors", "greedy", "sumrep"}
+    assert imported.get("greedy", set()) <= {
+        "SequenceRecord", "Threshold", "int_nth_root", "theorem_bound"}
+    assert imported.get("sumrep", set()) <= {"DEFAULT_MAX_ENUMERATION"}
