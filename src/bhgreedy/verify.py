@@ -10,14 +10,17 @@ One window scan classifies each candidate m in
 [1, floor(2g*(n+1)^(h+(h-1)/g))] for a set A of size n:
 
   member          m is already in A
-  bhg break       A + {m} is no longer a B_h[g] set
+  bhg break       A + {m} is not a B_h[g] set
   level-s break   R_s(A + {m}) exceeds (n+1)^(h+(1-s)(h-1)/g)
 
 The strong greedy picks the smallest candidate in none of these classes, so
 the forbidden classes can never fill the window; ``forbidden_set_sizes``
-reports the class sizes for one set.  ``proof_diagnostics`` runs the same
-scan after every prefix of a run and also records, per step, the inequality
-instances that make the counting argument checkable:
+reports the class sizes for one set.  Candidate m adds the sums k*m + y, y
+an (h-k)-fold sum of A; when these are pairwise distinct and new to A, its
+verdict depends on the fold multiplicities alone, so the scan shares it and
+works sum by sum only where sums collide.  ``proof_diagnostics`` runs the
+same scan after every prefix of a run and also records, per step, the
+inequality instances that make the counting argument checkable:
 
   window_union        union of forbidden classes  <=  window size - 1
   first_level_empty   no candidate can break level 1 (R_1 <= (n+1)^h always)
@@ -235,12 +238,11 @@ def _histogram(elems: list[int], h: int, cap: int) -> Counter:
 
 
 def _fold_histograms(elems: list[int], h: int, cap: int) -> list[Counter]:
-    """Multiset-sum histograms for every fold 0..h, by enumeration."""
-    out = []
-    for j in range(h + 1):
-        _guard_enumeration(len(elems), j, cap)
-        out.append(Counter(sum(c) for c in combinations_with_replacement(elems, j)))
-    return out
+    """Multiset-sum histograms for every fold 0..h, by enumeration.  The
+    h-fold count bounds every lower one, so it alone is guarded."""
+    _guard_enumeration(len(elems), h, cap)
+    return [Counter(sum(c) for c in combinations_with_replacement(elems, j))
+            for j in range(h + 1)]
 
 
 def _level_count(hist: Counter, s: int) -> int:
@@ -273,25 +275,34 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
                            ) -> list[PrefixCheck]:
     """Check both strong-set conditions on every prefix of terms.
 
-    Condition (i), the B_h[g] property, is checked by full enumeration;
+    Condition (i), the B_h[g] property, is checked by enumeration;
     condition (ii) compares every level count of the prefix against
     n^(h+(1-s)(h-1)/g) exactly.  Entirely independent of any generator
-    state: each prefix is re-enumerated from the bare term list.
+    state: one pass over the bare term list, in input order, counts
+    a + sum(c) for each term a and each (h-1)-multiset c of the prefix
+    that a ends, a included, so every h-multiset of the whole list is
+    enumerated exactly once.
     """
     terms = list(terms)
     _check_distinct_positive(terms)
+    hist: dict[int, int] = {}
+    levels = [0] * (g + 1)  # levels[s] = #{x : r(x) >= s}, s <= g
+    worst = None  # smallest sum over g; counts only rise, so it only falls
     out = []
-    for n in range(1, len(terms) + 1):
-        prefix = sorted(terms[:n])
-        hist = _histogram(prefix, h, max_enumeration)
-        level_ok, failed_s, level_count = True, None, None
-        for s in range(1, g + 1):
-            r_s = _level_count(hist, s)
-            if not Threshold.for_level(n, h, g, s).admits(r_s):
-                level_ok, failed_s, level_count = False, s, r_s
-                break
-        out.append(PrefixCheck(n, _bhg_check(hist, g), level_ok, failed_s,
-                               level_count))
+    for n, a in enumerate(terms, 1):
+        _guard_enumeration(n, h, max_enumeration)
+        for c in combinations_with_replacement(terms[:n], h - 1):
+            x = a + sum(c)
+            r = hist[x] = hist.get(x, 0) + 1
+            if r <= g:
+                levels[r] += 1
+            elif worst is None or x < worst:
+                worst = x
+        bhg = BhgCheck(True) if worst is None else BhgCheck(False, worst, hist[worst])
+        failed_s = next((s for s in range(1, g + 1) if not Threshold.for_level(
+            n, h, g, s).admits(levels[s])), None)
+        out.append(PrefixCheck(n, bhg, failed_s is None, failed_s,
+                               None if failed_s is None else levels[failed_s]))
     return out
 
 
@@ -340,11 +351,12 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
 
     Each candidate m is classified from brute-force fold histograms of the
     prefix: the representations it adds are the sums x = k*m + y, y an
-    (h-k)-fold sum, k = 1..h.  Appended to instances, in this order: a
-    promotion_witness for each level-s breaker (s >= 2), profile_growth
-    for each m in sample, one per level s >= 2, and then the step's
-    window_union, first_level_empty, bhg_break_bound, and per level
-    s >= 2 level_break_bound and promotion_total.  The window guard fires
+    (h-k)-fold sum, k = 1..h.  Candidates are visited in increasing order,
+    and appended to instances, in this order: a promotion_witness for each
+    level-s breaker (s >= 2), profile_growth for each m in sample, one per
+    level s >= 2, and then the step's window_union, first_level_empty,
+    bhg_break_bound, and per level s >= 2 level_break_bound and
+    promotion_total.  The window guard fires
     before anything is enumerated.
     """
     n = len(prefix)
@@ -359,6 +371,49 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
     # Ceiling 2n^(h+(h-1)/g) shared by the break-count bounds.
     break_cap = int_nth_root(2 ** g * n ** (h * g + h - 1), g)
 
+    # Candidate m adds c representations of k*m + y for each pair (k, y, c),
+    # y an (h-k)-fold sum of multiplicity c.  A generic m, whose sums
+    # k*m + y are pairwise distinct and outside S_h, gets one fresh sum per
+    # pair, so all generic candidates share one verdict.  Only the special
+    # ones, m = (x-y)/k with x in S_h and m = (y1-y2)/(k2-k1) where two
+    # pairs collide, are worked out sum by sum, on the pairs involved.
+    pairs = [(k, y, c) for k in range(1, h + 1) for y, c in folds[h - k].items()]
+    special: dict[int, set] = {}
+    for i, p in enumerate(pairs):
+        k, y, _ = p
+        for x in hist:
+            if x > y and (x - y) % k == 0:
+                special.setdefault((x - y) // k, set()).add(p)
+        for q in pairs[:i]:  # pairs run in increasing k
+            d = q[1] - y
+            if q[0] < k and d > 0 and d % (k - q[0]) == 0:
+                special.setdefault(d // (k - q[0]), set()).update((p, q))
+    generic_gains = [sum(1 for *_, c in pairs if c >= s) for s in range(g + 1)]
+    # Sums over g: a pair's own c > g, or a sum of A already over g, which
+    # leaves A + {m} not B_h[g] whatever m is.
+    over = sum(1 for *_, c in pairs if c > g) + sum(1 for c in hist.values() if c > g)
+
+    def verdict(m: int, involved) -> tuple:
+        """Swap the generic share of the involved pairs for their merged sums."""
+        gains, over_left, added = generic_gains[:], over, {}
+        for k, y, c in involved:
+            added[k * m + y] = added.get(k * m + y, 0) + c
+            over_left -= c > g
+            for s in range(1, min(c, g) + 1):
+                gains[s] -= 1
+        breaks, t_vals = over_left > 0, [0] * (g + 1)
+        for x, add in added.items():
+            lo = hist.get(x, 0)
+            breaks = breaks or lo + add > g
+            for s in range(lo + 1, min(lo + add, g) + 1):
+                gains[s] += 1
+            for s in range(2, min(lo + 1, g) + 1):
+                t_vals[s] += 1
+        fails = [s for s in range(1, g + 1)
+                 if not thresholds[s - 1].admits(base[s] + gains[s])]
+        return breaks, gains, t_vals, fails
+
+    generic = verdict(0, ())
     bhg_breaks = 0
     level_breaks = [0] * (g + 1)
     union = 0
@@ -370,42 +425,22 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
             member_count += 1
             union += 1
             continue
-        added: dict[int, int] = {}
-        for k in range(1, h + 1):
-            km = k * m
-            for y, c in folds[h - k].items():
-                x = km + y
-                added[x] = added.get(x, 0) + c
-        breaks_bhg = False
-        gains = [0] * (g + 2)
-        for x, add in added.items():
-            lo = hist.get(x, 0)
-            if lo + add > g:
-                breaks_bhg = True
-            for s in range(lo + 1, min(lo + add, g) + 1):
-                gains[s] += 1
-        t_vals = [0] * (g + 1)
+        breaks_bhg, gains, t_vals, fails = (
+            verdict(m, special[m]) if m in special else generic)
         for s in range(2, g + 1):
-            t_vals[s] = sum(
-                1 for x in added if hist.get(x, 0) >= s - 1
-            )
             t_sums[s] += t_vals[s]
-        forbidden = breaks_bhg
-        if breaks_bhg:
-            bhg_breaks += 1
-        for s in range(1, g + 1):
-            if not thresholds[s - 1].admits(base[s] + gains[s]):
-                level_breaks[s] += 1
-                forbidden = True
-                if s >= 2:
-                    # Strict witness bound behind the break-count cap.
-                    instances.append(InequalityInstance(
-                        "promotion_witness", n,
-                        lhs=t_vals[s],
-                        rhs=int_nth_root(
-                            n ** ((h - 1) * g + (1 - s) * (h - 1)), g),
-                        relation=">", s=s, m=m))
-        if forbidden:
+        bhg_breaks += breaks_bhg
+        for s in fails:
+            level_breaks[s] += 1
+            if s >= 2:
+                # Strict witness bound behind the break-count cap.
+                instances.append(InequalityInstance(
+                    "promotion_witness", n,
+                    lhs=t_vals[s],
+                    rhs=int_nth_root(
+                        n ** ((h - 1) * g + (1 - s) * (h - 1)), g),
+                    relation=">", s=s, m=m))
+        if breaks_bhg or fails:
             union += 1
         elif first_admissible is None:
             first_admissible = m
@@ -444,13 +479,14 @@ def forbidden_set_sizes(A, h: int, g: int, *,
                         ) -> ForbiddenSetReport:
     """Classify every candidate in the next step's scan window.
 
-    Classification is by direct evaluation of the definitions: membership,
-    whether A + {m} stays B_h[g], and whether any level count of A + {m}
-    exceeds its ceiling at size n+1.  A candidate can fall into several
-    classes; union_size counts candidates in at least one.
+    The classes are membership, whether A + {m} is B_h[g], and whether any
+    level count of A + {m} exceeds its ceiling at size n+1.  A candidate
+    can fall into several classes; union_size counts candidates in at
+    least one.
 
     This is the enumeration scan of proof_diagnostics run on A alone, with
-    no instances kept; the test suite checks it against a brute-force
+    no instances kept.  It merges sums only for the candidates whose sums
+    collide, so the test suite checks it against a brute-force
     classification that rebuilds the histogram of A + {m} per candidate.
     """
     return _scan_window(_check_distinct_positive(A), h, g, set(), [],
@@ -468,8 +504,8 @@ def t_count(A, m: int, s: int, h: int, *,
     if s < 2:
         raise ValueError(f"defined for levels s >= 2, got {s}")
     elems = _check_distinct_positive(A)
-    hist = _histogram(elems, h, max_enumeration)
-    folds = _fold_histograms(elems, h - 1, max_enumeration)
+    folds = _fold_histograms(elems, h, max_enumeration)
+    hist = folds[h]
     xs = set()
     for k in range(1, h + 1):
         km = k * m

@@ -244,6 +244,16 @@ def test_verify_writes_json_report(capsys, tmp_path):
     assert doc["bound"]["ok"] is True
 
 
+def test_verify_enum_cap_fires_at_first_prefix_over_it(capsys):
+    # The 8-term prefix is the first with more than 100 3-multisets: C(10, 3).
+    mian_chowla = ROOT / "bench" / "pinned" / "verify-diagnose-n198.bfile"
+    code, stdout, err = run(capsys, "verify", "--h", "3", "--g", "1",
+                            "--enum-cap", "100", str(mian_chowla))
+    assert code == EXIT_GUARD
+    assert stdout == ""
+    assert "enumeration of 120 multisets exceeds cap 100" in err
+
+
 def test_verify_classic_bound_choice(capsys, tmp_path):
     f = tmp_path / "seq.bfile"
     run(capsys, "generate", "--h", "3", "--g", "1", "--n", "8", "--algo",

@@ -1,6 +1,9 @@
 """Tests for the from-scratch verification and window-scan diagnostics."""
 
 import ast
+import random
+from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from bhgreedy import (
 )
 from oracles import (
     added_histogram,
+    first_failed_level,
     is_strong,
     multiset_sum_histogram,
     naive_t_count,
@@ -64,6 +68,23 @@ def test_verify_strong_prefixes_on_generated_run():
     assert all(c.ok for c in verify_strong_prefixes(rec.terms, 2, 2))
 
 
+def oracle_prefix_fields(terms, h, g):
+    """Every PrefixCheck field, each prefix enumerated from scratch."""
+    rows = []
+    for n in range(1, len(terms) + 1):
+        hist = multiset_sum_histogram(terms[:n], h)
+        x = min((x for x, c in hist.items() if c > g), default=None)
+        s = first_failed_level(hist, n, h, g)
+        level_count = None if s is None else sum(1 for c in hist.values() if c >= s)
+        rows.append((x is None, x, hist.get(x), s is None, s, level_count))
+    return rows
+
+
+def prefix_fields(checks):
+    return [(c.bhg.ok, c.bhg.x, c.bhg.count, c.level_ok, c.failed_s, c.level_count)
+            for c in checks]
+
+
 def test_verify_strong_prefixes_flags_level_failure():
     # {1,..,19, 770} is B_3[3] but breaks the level-3 ceiling at n = 20.
     prefix = strong_greedy(Params(3, 3, 19)).terms
@@ -71,6 +92,47 @@ def test_verify_strong_prefixes_flags_level_failure():
     last = checks[-1]
     assert last.bhg.ok and not last.level_ok
     assert last.failed_s == 3
+    assert prefix_fields(checks) == oracle_prefix_fields(prefix + [770], 3, 3)
+
+
+def test_one_pass_prefixes_match_oracle_on_grid(grid_strong_30):
+    for (h, g), rec in grid_strong_30.items():
+        terms = list(rec.terms)
+        assert prefix_fields(verify_strong_prefixes(terms, h, g)) == \
+            oracle_prefix_fields(terms, h, g)
+        random.Random(10 * h + g).shuffle(terms)
+        assert prefix_fields(verify_strong_prefixes(terms, h, g)) == \
+            oracle_prefix_fields(terms, h, g)
+
+
+def test_one_pass_prefixes_follow_a_rising_break():
+    # 20 = 10+10 = 1+19 breaks B_2 at n = 3; 3+17 lifts it to 3 at n = 5.
+    terms = [10, 1, 19, 3, 17]
+    checks = verify_strong_prefixes(terms, 2, 1)
+    assert [(c.bhg.x, c.bhg.count) for c in checks] == \
+        [(None, None), (None, None), (20, 2), (20, 2), (20, 3)]
+    assert prefix_fields(checks) == oracle_prefix_fields(terms, 2, 1)
+
+
+@pytest.mark.parametrize("h,g", [(h, g) for h in (2, 3, 4) for g in (1, 2, 3)])
+def test_one_pass_prefixes_match_oracle_on_arbitrary_sets(h, g):
+    rng = random.Random(100 * h + g)
+    for _ in range(12):
+        terms = rng.sample(range(1, rng.choice([15, 40, 300]) + 1), rng.randint(1, 14))
+        assert prefix_fields(verify_strong_prefixes(terms, h, g)) == \
+            oracle_prefix_fields(terms, h, g)
+
+
+@pytest.mark.parametrize("cap", [1, 9, 10, 11, 119, 120, 121, 5000])
+def test_prefix_guard_fires_at_first_prefix_over_cap(cap):
+    terms = strong_greedy(Params(2, 1, 30)).terms
+    over = [n for n in range(1, 31) if comb(n + 2, 3) > cap]
+    if not over:
+        assert len(verify_strong_prefixes(terms, 3, 1, max_enumeration=cap)) == 30
+        return
+    message = f"^enumeration of {comb(over[0] + 2, 3)} multisets exceeds cap {cap}$"
+    with pytest.raises(GuardExceeded, match=message):
+        verify_strong_prefixes(terms, 3, 1, max_enumeration=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +246,57 @@ def test_forbidden_report_matches_brute_force(h, g, n):
     assert (report.members, report.bhg_breaks, report.level_breaks,
             report.union_size, report.first_admissible) == \
         brute_forbidden_report(sorted(prefix), h, g)
+
+
+def arbitrary_small_sets(count=20, max_window=4000):
+    """Seeded random (h, g, terms), B_h[g] or not, whose diagnostics scan at
+    most max_window candidates in all."""
+    rng = random.Random(7)
+    cases = []
+    while len(cases) < count:
+        h, g, n = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 4)
+        terms = rng.sample(range(1, rng.choice([8, 20, 60]) + 1), n)
+        if sum(theorem_bound(k + 1, h, g).floor for k in range(2, n + 1)) <= max_window:
+            cases.append((h, g, terms))
+    return cases
+
+
+@pytest.mark.parametrize("h,g,terms", arbitrary_small_sets())
+def test_window_scan_matches_brute_force_on_arbitrary_sets(h, g, terms):
+    """The collision shortcut on sets the generator never makes: every
+    report, and every profile_growth and promotion_witness instance with
+    each candidate sampled, against enumeration from scratch."""
+    rec = SequenceRecord(Params(h, g, len(terms)), "strong", terms, [])
+    diag = proof_diagnostics(rec, sample_budget=10 ** 9)
+    for report in diag.reports:
+        assert (report.members, report.bhg_breaks, report.level_breaks,
+                report.union_size, report.first_admissible) == \
+            brute_forbidden_report(sorted(terms[:report.n]), h, g)
+
+    def level(hist, s):
+        return sum(1 for c in hist.values() if c >= s)
+
+    witnesses = Counter()
+    growth = Counter()
+    for inst in diag.instances:
+        if inst.name not in ("profile_growth", "promotion_witness"):
+            continue
+        A, n, s = terms[:inst.step], inst.step, inst.s
+        merged = multiset_sum_histogram(A + [inst.m], h)
+        t = naive_t_count(A, inst.m, s, h)
+        if inst.name == "promotion_witness":
+            witnesses[n, s] += 1
+            assert inst.lhs == t
+            assert level(merged, s) ** g > (n + 1) ** (h * g + (1 - s) * (h - 1))
+        else:
+            growth[n] += 1
+            assert (inst.lhs, inst.rhs) == \
+                (level(merged, s), level(multiset_sum_histogram(A, h), s) + t)
+    for report in diag.reports:
+        n = report.n
+        for s in range(2, g + 1):
+            assert witnesses[n, s] == report.level_breaks[s - 1]
+        assert growth[n] == (g - 1) * (report.window_hi - report.members)
 
 
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (3, 2)])
