@@ -49,7 +49,7 @@ from .errors import (
     InputFormatError,
     ScanExceededBound,
 )
-from .formats import FORMATS, read_terms, render_terms
+from .formats import FORMATS, INT_FIELD, read_terms, render_terms
 from .greedy import (
     ALGORITHM_CLASSIC,
     ALGORITHM_STRONG,
@@ -76,10 +76,9 @@ def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
-    try:
-        return int(raw)
-    except ValueError:
+    if not INT_FIELD.fullmatch(raw.strip()):
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -221,6 +220,8 @@ def _cmd_generate(args) -> int:
     memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
     if args.algo == ALGORITHM_STRONG and args.scan_cap is not None:
         raise ValueError("--scan-cap applies only to --algo classic")
+    if args.timings and args.format != "json":
+        raise ValueError("--timings applies only to --format json")
     scan_cap = _cap(args, "scan_cap", ENV_SCAN_CAP, None)
     if args.algo == ALGORITHM_STRONG:
         rec = strong_greedy(params, max_entries=memory_cap)

@@ -30,9 +30,9 @@ SEQUENCE_SCHEMA = "bhg-sequence/1"
 
 FORMATS = ("json", "csv", "bfile")
 
-#: A b-file or CSV field: an optional sign and ASCII digits, nothing else
-#: that int() would take (underscores, non-ASCII digits).
-_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+#: A b-file or CSV field, or a guard variable: an optional sign and ASCII
+#: digits, nothing else that int() would take (underscores, non-ASCII digits).
+INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def render_bfile(terms) -> str:
@@ -148,7 +148,7 @@ def _parse_rows(text: str, sep, allow_header: bool) -> list[int]:
         if len(parts) != 2:
             raise InputFormatError(
                 f"expected 'n{sep or ' '}a_n', got {line!r}", line=lineno)
-        if not all(_INT_FIELD.fullmatch(part) for part in parts):
+        if not all(INT_FIELD.fullmatch(part) for part in parts):
             raise InputFormatError(f"non-integer field in {line!r}", line=lineno)
         n, a = int(parts[0]), int(parts[1])
         if n != expected:

@@ -291,43 +291,70 @@ _CHUNK = 1 << 16
 
 #: Width of the first slice of a scan; each further slice doubles it, up to
 #: _CHUNK.  Most scans end within a few thousand candidates of where they
-#: start, and the screen costs the same for every candidate of a slice.
+#: start, and the screen of a wide slice reads wide indicator slices until
+#: it has settled the slice.
 _FIRST_SLICE = 1 << 10
+
+#: Values of S_{h-1} the screen ORs into a slice's hits between two counts
+#: of the candidates left.
+_SCREEN_BATCH = 32
+
+#: The screen stops once at most this many live candidates of its slice
+#: are left; _accept_general decides them.
+_SCREEN_LEFT = 4
+
+#: alive bytes (0/1) to binary digits, and back.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _mark_sums(ind: bytearray, t: SumTableSet, g: int, term: int) -> None:
-    """Set ind[x] for the h-fold sums x of t that use term and have at
-    least g representations, growing ind to the top of S_h.  Call it right
-    after term joins t; the other sums keep their counts."""
+    """Set bit x & 7 of ind[x >> 3] for the h-fold sums x of t that use term
+    and have at least g representations, growing ind to cover the top of
+    S_h plus one spare byte.  Call it right after term joins t; the other
+    sums keep their counts."""
     h = t.h
     th = t.tables[h]
-    top = h * t.elements[-1] + 1
+    top = (h * t.elements[-1] + 7) // 8 + 1
     if len(ind) < top:
         ind += bytes(top - len(ind))
     for y in t.tables[h - 1]:
-        if th[term + y] >= g:
-            ind[term + y] = 1
+        x = term + y
+        if th[x] >= g:
+            ind[x >> 3] |= 1 << (x & 7)
 
 
 def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
             lo: int, hi: int) -> None:
-    """Clear alive[m - base] for every m in [lo, hi) with m + y in Sat for
-    some y in S_{h-1}, where ind is the 0/1 indicator of the saturated sums
-    Sat = {x : r(x) >= g}.
+    """Clear alive[m - base] for m in [lo, hi) with m + y in Sat for some y
+    in S_{h-1}, where ind packs the indicator of the saturated sums
+    Sat = {x : r(x) >= g} one bit per sum; stop once at most _SCREEN_LEFT
+    live candidates of the slice are left.
 
     For a non-member m such a sum has at least g + 1 representations in
-    the set plus m, so the hit is a permanent B_h[g] break.  Each y costs
-    one slice of ind read as a little-endian integer, which holds byte
-    m - lo as bit 8(m-lo): OR-ing these gives the hits of the whole slice,
-    in C.  Slices past the top of S_h come out short, which reads as zeros.
+    the set plus m, so each cleared m is a permanent B_h[g] break.  The
+    live candidates are read once as a bitmask, bit i for m = lo + i.  Each
+    y costs one slice of ind read as a little-endian integer and shifted
+    to start at bit lo + y: OR-ing these gives the hits of the slice, in C.
+    Every _SCREEN_BATCH values of y the screen counts the live candidates
+    it has not hit.  Slices past the top of S_h come out short, which reads
+    as zeros.
     """
+    live = int(alive[lo - base:hi - base][::-1].translate(_TO_DIGITS), 2)
+    ys = list(t.tables[t.h - 1])
+    nb = (hi - lo + 7) // 8 + 1
     hits = 0
     with memoryview(ind) as view:
-        for y in t.tables[t.h - 1]:
-            hits |= int.from_bytes(view[lo + y:hi + y], "little")
-    if hits:
-        block = int.from_bytes(alive[lo - base:hi - base], "little") & ~hits
-        alive[lo - base:hi - base] = block.to_bytes(hi - lo, "little")
+        for i in range(0, len(ys), _SCREEN_BATCH):
+            if (live & ~hits).bit_count() <= _SCREEN_LEFT:
+                break
+            for y in ys[i:i + _SCREEN_BATCH]:
+                s = lo + y
+                j = s >> 3
+                hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
+    if live & hits:
+        left = format(live & ~hits, f"0{hi - lo}b")[::-1]
+        alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -370,12 +397,14 @@ def _greedy(
     last term + 1, and scan_length counts from there; with check_levels it
     counts from 1.
 
-    The loop also keeps ind, the 0/1 indicator of the saturated sums
-    Sat = {x : r(x) >= g} over [0, top of S_h], set in place after each
-    commit by _mark_sums.  Before a slice is scanned, _screen clears in
-    alive every m with m + y in Sat for some y in S_{h-1}, a whole slice at
-    a time.  These are B_h[g] breaks, so the map keeps its meaning, and
-    _accept_general still decides every candidate the screen leaves.
+    The loop also keeps ind, the indicator of the saturated sums
+    Sat = {x : r(x) >= g} over [0, top of S_h], packed one bit per sum and
+    set in place after each commit by _mark_sums.  Before a slice is
+    scanned, _screen clears in alive the m with m + y in Sat for some y in
+    S_{h-1}, a whole slice at a time, until at most _SCREEN_LEFT live
+    candidates of the slice are left.  These are B_h[g] breaks, so the map
+    keeps its meaning, and _accept_general still decides every candidate
+    the screen leaves.
     """
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=max_entries)

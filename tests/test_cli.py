@@ -133,6 +133,52 @@ def test_guard_below_one_is_usage_error(capsys, monkeypatch, tmp_path,
     assert f"{env} must be >= 1, got {cap}" in err
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["generate", "--h", "2", "--g", "1", "--n", "5"], "BHG_MEMORY_CAP"),
+    (["generate", "--algo", "classic", "--h", "2", "--g", "1", "--n", "5"],
+     "BHG_SCAN_CAP"),
+    (["compare", "--h", "2", "--g", "1", "--n", "5"], "BHG_SCAN_CAP"),
+    (["verify", "--h", "2", "--g", "1"], "BHG_ENUM_CAP"),
+    (["diagnose", "--h", "2", "--g", "1", "--n", "4"], "BHG_MEMORY_CAP"),
+    (["diagnose", "--h", "2", "--g", "1", "--n", "4"], "BHG_WINDOW_CAP"),
+])
+@pytest.mark.parametrize("raw", [" \uff15", "1_000", "\u0663", "5.0", "+"])
+def test_guard_variable_takes_only_sign_and_ascii_digits(
+        capsys, monkeypatch, tmp_path, argv, env, raw):
+    # int() would take the full-width 5, the underscore and the Arabic-Indic
+    # 3; like b-file and CSV fields, a guard variable refuses them.
+    if argv[0] == "verify":
+        f = tmp_path / "mc.bfile"
+        f.write_text("1 1\n2 2\n3 4\n")
+        argv = argv + [str(f)]
+    monkeypatch.setenv(env, raw)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert f"environment variable {env} must be an integer, got {raw!r}" in err
+    assert out == ""
+
+
+def test_guard_variable_allows_sign_and_surrounding_spaces(capsys, monkeypatch):
+    monkeypatch.setenv("BHG_SCAN_CAP", " +3 ")
+    code, _, _ = run(capsys, "generate", "--algo", "classic", "--h", "2",
+                     "--g", "1", "--n", "10")
+    assert code == EXIT_GUARD
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bfile"])
+def test_generate_timings_need_json(capsys, tmp_path, fmt):
+    out = tmp_path / "seq.txt"
+    code, stdout, err = run(capsys, "generate", "--h", "2", "--g", "1", "--n", "5",
+                            "--format", fmt, "--timings", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "--timings applies only to --format json" in err
+    assert stdout == "" and not out.exists()
+    code, stdout, _ = run(capsys, "generate", "--h", "2", "--g", "1", "--n", "5",
+                          "--timings")
+    assert code == EXIT_OK
+    assert "timings" in json.loads(stdout)
+
+
 @pytest.mark.parametrize("argv,flag,env", [
     (["generate", "--h", "2", "--g", "1", "--n", "3", "--format", "csv"],
      "--enum-cap", "BHG_ENUM_CAP"),

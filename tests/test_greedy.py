@@ -15,7 +15,7 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import _accept_general, _mark_sums, _screen
+from bhgreedy.greedy import _SCREEN_LEFT, _accept_general, _mark_sums, _screen
 from oracles import (
     first_failed_level,
     is_bhg,
@@ -317,9 +317,11 @@ def scan_lengths_from_terms(terms, restart):
 
 def shrink_scan_slices(monkeypatch):
     """Slices of 3, 6, then 7 candidates, so that scans cross many slice
-    and window boundaries."""
+    and window boundaries and start at every residue mod 8, and a screen
+    that may stop after every single y."""
     monkeypatch.setattr("bhgreedy.greedy._FIRST_SLICE", 3)
     monkeypatch.setattr("bhgreedy.greedy._CHUNK", 7)
+    monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", 1)
 
 
 @pytest.mark.parametrize("h,g", [
@@ -351,27 +353,42 @@ def test_screen_with_tiny_slices_matches_naive_oracles(monkeypatch, h, g, n):
     assert classic_greedy(Params(h, g, n)).terms == naive_classic_greedy(h, g, n)
 
 
-@pytest.mark.parametrize("h,g,n", [
+SCREEN_PREFIXES = [
     (2, 1, 12), (3, 1, 9), (4, 1, 7), (2, 2, 12), (3, 2, 9), (2, 3, 12),
     (3, 3, 9),
-])
-def test_screen_clears_only_bhg_breaks(h, g, n):
-    # After each prefix, the indicator must hold exactly the saturated sums
-    # Sat = {x : r(x) >= g}.  Screen the slice [lo, hi) that starts below
-    # the last member and runs past the top of S_h: it must clear exactly
-    # the non-members m with m + y in Sat for some y in S_{h-1} (sums from
-    # enumeration), each a B_h[g] break, and touch nothing else.
+]
+
+
+def screened_prefixes(h, g, n):
+    """For each proper prefix of the strong (h, g, n) run: its table, the
+    packed indicator _mark_sums keeps for it, the h- and (h-1)-fold sum
+    histograms from enumeration, and the slice [lo, hi) that starts below
+    the last member and runs past the top of S_h."""
     terms = strong_greedy(Params(h, g, n)).terms
     t, ind = SumTableSet(h), bytearray()
-    screened = 0
     for i, a in enumerate(terms[:-1]):
         t.add_element(a)
         _mark_sums(ind, t, g, a)
         prefix = terms[:i + 1]
         hist = multiset_sum_histogram(prefix, h)
         lower = multiset_sum_histogram(prefix, h - 1)
-        assert ind == bytes(hist[x] >= g for x in range(h * max(prefix) + 1))
-        lo, hi = a // 2 + 1, len(ind) + 5
+        yield i, t, ind, hist, lower, a // 2 + 1, 8 * len(ind) + 5
+
+
+@pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
+def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
+    # After each prefix, bit x of the indicator must be set exactly for the
+    # saturated sums Sat = {x : r(x) >= g}.  With no candidates left to
+    # the accept closure, the screen must clear exactly the non-members m
+    # of its slice with m + y in Sat for some y in S_{h-1} (sums from
+    # enumeration), each a B_h[g] break, and touch nothing else.
+    monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
+    screened = 0
+    for i, t, ind, hist, lower, lo, hi in screened_prefixes(h, g, n):
+        top = h * t.elements[-1]
+        assert len(ind) == (top + 7) // 8 + 1
+        assert int.from_bytes(ind, "little") == sum(
+            1 << x for x in range(top + 1) if hist[x] >= g)
         alive = bytearray(m not in t for m in range(1, hi))
         before = bytes(alive)
         _screen(t, ind, alive, 1, lo, hi)
@@ -385,9 +402,47 @@ def test_screen_clears_only_bhg_breaks(h, g, n):
         for m in cleared:
             # A "bhg" verdict also means m is not an admissible candidate.
             verdict = is_strong_candidate(t, t.candidate_delta(m), i + 2, h, g)
-            assert verdict.reason == "bhg", (prefix, m)
+            assert verdict.reason == "bhg", (t.elements, m)
         screened += len(cleared)
     assert screened
+
+
+@pytest.mark.parametrize("batch", [None, 1])
+@pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
+def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
+                                                        batch):
+    # Screen [lo, hi) in slices of 13, which start at every residue mod 8.
+    # The screen may stop while some breakers of a slice are still live,
+    # but only once at most _SCREEN_LEFT live candidates are left.  The
+    # accept closure then marks the rest dead, so after both every
+    # non-member of [lo, hi) that breaks B_h[g] is dead, and no other.
+    if batch is not None:
+        monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
+    stopped_early = 0
+    for i, t, ind, hist, lower, lo, hi in screened_prefixes(h, g, n):
+        breaks = {m for m in range(lo, hi) if m not in t and is_strong_candidate(
+            t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
+        alive = bytearray(m not in t for m in range(1, hi + 9))
+        start = bytes(alive)
+        accept = _accept_general(t, g, i + 2, False, alive, 1)
+        for a in range(lo, hi, 13):
+            b = min(a + 13, hi)
+            exact = {m for m in range(a, b) if m not in t
+                     and any(hist[m + y] >= g for y in lower)}
+            before = bytes(alive)
+            _screen(t, ind, alive, 1, a, b)
+            assert alive[:a - 1] == before[:a - 1]
+            assert alive[b - 1:] == before[b - 1:]
+            cleared = {m for m in range(a, b) if before[m - 1] and not alive[m - 1]}
+            assert cleared <= exact
+            survivors = [m for m in range(a, b) if alive[m - 1]]
+            assert cleared == exact or len(survivors) <= _SCREEN_LEFT
+            stopped_early += cleared != exact
+            for m in survivors:
+                assert accept(m) == (m not in breaks), (t.elements, m)
+        dead = {m for m in range(lo, hi) if start[m - 1] and not alive[m - 1]}
+        assert dead == breaks, t.elements
+    assert stopped_early or batch is None
 
 
 def test_classic_scan_cap_is_enforced():
