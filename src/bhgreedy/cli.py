@@ -72,13 +72,23 @@ ENV_SCAN_CAP = "BHG_SCAN_CAP"
 ENV_WINDOW_CAP = "BHG_WINDOW_CAP"
 
 
+def _integer(raw: str) -> int:
+    """int(raw) for an optional sign and ASCII digits, surrounding spaces
+    allowed, as in bfile and csv fields; int() alone would also take
+    1_000 and non-ASCII digits.  The type of every integer flag."""
+    if not INT_FIELD.fullmatch(raw.strip()):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
-    if not INT_FIELD.fullmatch(raw.strip()):
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-    return int(raw)
+    try:
+        return _integer(raw)
+    except argparse.ArgumentTypeError as e:
+        raise ValueError(f"environment variable {name} {e}") from None
 
 
 @dataclass(frozen=True)
@@ -123,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p, need_n=True):
-        p.add_argument("--h", type=int, required=True, help="order h >= 2")
-        p.add_argument("--g", type=int, required=True, help="multiplicity bound g >= 1")
+        p.add_argument("--h", type=_integer, required=True, help="order h >= 2")
+        p.add_argument("--g", type=_integer, required=True, help="multiplicity bound g >= 1")
         if need_n:
-            p.add_argument("--n", type=int, required=True, help="number of terms")
+            p.add_argument("--n", type=_integer, required=True, help="number of terms")
 
     def add_caps(p, *caps):
         helps = {
@@ -136,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
             "window": f"window-scan size cap (env {ENV_WINDOW_CAP})",
         }
         for cap in caps:
-            p.add_argument(f"--{cap}-cap", type=int, default=None, help=helps[cap])
+            p.add_argument(f"--{cap}-cap", type=_integer, default=None, help=helps[cap])
 
     gen = sub.add_parser("generate", help="generate a sequence")
     add_params(gen)
@@ -165,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     dia = sub.add_parser("diagnose",
                          help="window-scan inequality ledger for a strong run")
     add_params(dia, need_n=False)
-    dia.add_argument("--n", type=int, default=None,
+    dia.add_argument("--n", type=_integer, default=None,
                      help="terms to generate (ignored with --input)")
     dia.add_argument("--input", default=None,
                      help="diagnose this sequence file instead of generating")
-    dia.add_argument("--sample-budget", type=int,
+    dia.add_argument("--sample-budget", type=_integer,
                      default=verify_mod.DEFAULT_SAMPLE_BUDGET,
                      help="sample every max(1, window // N)-th candidate "
                           "for profile_growth, at most 2N per step "

@@ -194,16 +194,23 @@ def classify_candidate(
     first sum in added that m pushes past g (None when the enlarged set
     stays B_h[g]) and the smallest level s whose count R_s would exceed its
     ceiling (None when every level holds).  A sum x enters level s exactly
-    when r(x) < s <= r(x) + added[x].
+    when r(x) < s <= r(x) + added[x].  Most sums are fresh: r(x) = 0 and
+    one added representation, so they enter level 1 only and can be no
+    witness; they are counted in bulk into level 1.
     """
     witness = None
     gains = [0] * (g + 1)
+    fresh = 0
     for x, add in added.items():
         lo = th.get(x, 0)
+        if lo == 0 and add == 1:
+            fresh += 1
+            continue
         if lo + add > g and witness is None:
             witness = x
         for s in range(lo + 1, min(lo + add, g) + 1):
             gains[s] += 1
+    gains[1] += fresh
     failed = next((s for s in range(1, g + 1)
                    if not thresholds[s - 1].admits(base[s - 1] + gains[s])), None)
     return witness, failed

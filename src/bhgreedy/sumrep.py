@@ -28,6 +28,7 @@ directly and deliberately shares nothing with SumTableSet.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -140,13 +141,19 @@ class SumTableSet:
         return self.tables[self.h].get(x, 0)
 
     def rep_histogram(self, s_max: int) -> RepProfile:
-        """Level counts R_1..R_{s_max} of the current set."""
+        """Level counts R_1..R_{s_max} of the current set.
+
+        The h-fold table holds few distinct multiplicities, so one Counter
+        pass over its values (in C) tallies how many sums have each
+        multiplicity c, and each tally is added to levels 1..min(c, s_max).
+        Sums with c > s_max count at every level up to s_max.
+        """
         if s_max < 1:
             raise ValueError(f"s_max must be >= 1, got {s_max}")
         counts = [0] * s_max
-        for c in self.tables[self.h].values():
+        for c, freq in Counter(self.tables[self.h].values()).items():
             for s in range(min(c, s_max)):
-                counts[s] += 1
+                counts[s] += freq
         return RepProfile(tuple(counts))
 
     def candidate_delta(self, m: int) -> CandidateDelta:

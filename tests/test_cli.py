@@ -158,6 +158,23 @@ def test_guard_variable_takes_only_sign_and_ascii_digits(
     assert out == ""
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("generate", "--h"), ("generate", "--g"), ("generate", "--n"),
+    ("generate", "--memory-cap"), ("compare", "--scan-cap"),
+    ("diagnose", "--enum-cap"), ("diagnose", "--window-cap"),
+    ("diagnose", "--sample-budget"),
+])
+@pytest.mark.parametrize("raw", ["\uff12", "1_0", "\u0663", "2.0"])
+def test_integer_flag_takes_only_sign_and_ascii_digits(capsys, command, flag, raw):
+    # int() would take the full-width 2, the underscore and the Arabic-Indic
+    # 3; every integer flag refuses them, as the guard variables do.
+    values = {"--h": "2", "--g": "1", "--n": "3", flag: raw}
+    code, out, err = run(capsys, command, *(f"{k}={v}" for k, v in values.items()))
+    assert code == EXIT_USAGE
+    assert f"argument {flag}: must be an integer, got {raw!r}" in err
+    assert out == ""
+
+
 def test_guard_variable_allows_sign_and_surrounding_spaces(capsys, monkeypatch):
     monkeypatch.setenv("BHG_SCAN_CAP", " +3 ")
     code, _, _ = run(capsys, "generate", "--algo", "classic", "--h", "2",

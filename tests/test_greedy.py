@@ -1,7 +1,7 @@
 """Tests for the generators, the exact threshold arithmetic, and the scan."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bhgreedy import (
@@ -15,8 +15,15 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import _SCREEN_LEFT, _accept_general, _mark_sums, _screen
+from bhgreedy.greedy import (
+    _SCREEN_LEFT,
+    _accept_general,
+    _mark_sums,
+    _screen,
+    classify_candidate,
+)
 from oracles import (
+    added_histogram,
     first_failed_level,
     is_bhg,
     is_strong,
@@ -172,6 +179,31 @@ def test_level_verdicts_match_from_scratch_oracle():
     assert "level" in check_verdicts_against_oracle(prefix, 3, 3)
 
 
+@given(elements=st.sets(st.integers(1, 30), max_size=6), h=st.integers(2, 4),
+       g=st.integers(1, 3), m=st.integers(1, 40),
+       slack=st.lists(st.integers(0, 1), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
+    # Arbitrary sets, so sums may already exceed g.  Each level's ceiling
+    # sits at its count in the enlarged set, or one below it where the
+    # slack is 0, so every level, level 1 included, can fail.
+    assume(m not in elements)
+    before = multiset_sum_histogram(elements, h)
+    after = multiset_sum_histogram(elements | {m}, h)
+    added = dict(added_histogram(elements, m, h))
+
+    def levels(hist):
+        return [sum(1 for c in hist.values() if c >= s) for s in range(1, g + 1)]
+
+    caps = [max(0, r - 1 + d) for r, d in zip(levels(after), slack)]
+    witness, failed = classify_candidate(
+        dict(before), added, g, tuple(levels(before)),
+        [Threshold(cap, 1, 1) for cap in caps])
+    assert witness == next((x for x in added if after[x] > g), None)
+    assert failed == next((s for s, (r, cap) in enumerate(zip(levels(after), caps), 1)
+                           if r > cap), None)
+
+
 def check_fused_against_contract_op(prefix, h, g):
     """The fused accept closure, with level checks as the strong scan runs
     it, agrees with is_strong_candidate on every non-member m in
@@ -194,7 +226,8 @@ def check_fused_against_contract_op(prefix, h, g):
     return reasons
 
 
-@pytest.mark.parametrize("h,g", [(2, 1), (2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                 (4, 2)])
 def test_fused_scan_paths_match_contract_op(h, g):
     rec = strong_greedy(Params(h, g, 7))
     for n in range(1, len(rec.terms)):

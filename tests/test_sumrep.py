@@ -4,7 +4,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhgreedy import GuardExceeded, SumTableSet, brute_force_rep
@@ -204,6 +204,19 @@ def test_profile_is_monotone_and_grows(elements, h, m):
     if m not in elements:
         q = build(h, set(elements) | {m}).rep_histogram(4).counts
         assert all(after >= before for before, after in zip(p, q))
+
+
+@given(elements=st.sets(st.integers(1, 30), max_size=7), h=orders,
+       s_max=st.integers(1, 5))
+@example(elements=set(range(1, 8)), h=3, s_max=2)
+@settings(max_examples=80, deadline=None)
+def test_rep_histogram_matches_enumeration(elements, h, s_max):
+    # Arbitrary sets, not B_h[g]: a sum with multiplicity above s_max
+    # counts at every level up to s_max.
+    hist = multiset_sum_histogram(elements, h)
+    expected = tuple(sum(1 for c in hist.values() if c >= s)
+                     for s in range(1, s_max + 1))
+    assert build(h, elements).rep_histogram(s_max).counts == expected
 
 
 @given(elements=small_sets, h=orders, probe=st.integers(0, 400))
