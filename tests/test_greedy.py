@@ -195,12 +195,13 @@ def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
     def levels(hist):
         return [sum(1 for c in hist.values() if c >= s) for s in range(1, g + 1)]
 
-    caps = [max(0, r - 1 + d) for r, d in zip(levels(after), slack)]
+    grown = levels(after)
+    caps = [max(0, r - 1 + d) for r, d in zip(grown, slack)]
     witness, failed = classify_candidate(
         dict(before), added, g, tuple(levels(before)),
         [Threshold(cap, 1, 1) for cap in caps])
     assert witness == next((x for x in added if after[x] > g), None)
-    assert failed == next((s for s, (r, cap) in enumerate(zip(levels(after), caps), 1)
+    assert failed == next((s for s, (r, cap) in enumerate(zip(grown, caps), 1)
                            if r > cap), None)
 
 
