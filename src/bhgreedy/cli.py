@@ -346,12 +346,14 @@ def _cmd_diagnose(args) -> int:
             print(f"step={c.n} prefix_strong: level {c.failed_s} count "
                   f"{c.level_count} exceeds its ceiling FAIL")
     counts: dict[str, int] = {}
+    failed_counts: dict[str, int] = {}
     for inst in diag.instances:
         counts[inst.name] = counts.get(inst.name, 0) + 1
         if not inst.holds:
+            failed_counts[inst.name] = failed_counts.get(inst.name, 0) + 1
             print(inst.describe())
     for name in sorted(counts):
-        failed = sum(1 for i in diag.instances if i.name == name and not i.holds)
+        failed = failed_counts.get(name, 0)
         status = "ok" if failed == 0 else f"{failed} FAILED"
         print(f"{name}: {counts[name]} instances, {status}")
     print(f"diagnostics: {'ok' if diag.ok else 'FAILED'} "

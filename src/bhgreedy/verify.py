@@ -18,7 +18,10 @@ the forbidden classes can never fill the window; ``forbidden_set_sizes``
 reports the class sizes for one set.  Candidate m adds the sums k*m + y, y
 an (h-k)-fold sum of A; when these are pairwise distinct and new to A, its
 verdict depends on the fold multiplicities alone, so the scan shares it and
-works sum by sum only where sums collide.  ``proof_diagnostics`` runs the
+works sum by sum only where sums collide.  It visits one by one only its
+stops (the members, the candidates whose sums collide and the sampled
+ones) and accounts for each run of generic candidates between two stops in
+one step.  ``proof_diagnostics`` runs the
 same scan after every prefix of a run and also records, per step, the
 inequality instances that make the counting argument checkable:
 
@@ -234,15 +237,20 @@ def _guard_enumeration(n: int, h: int, cap: int) -> None:
 
 def _histogram(elems: list[int], h: int, cap: int) -> Counter:
     _guard_enumeration(len(elems), h, cap)
-    return Counter(sum(c) for c in combinations_with_replacement(elems, h))
+    return Counter(map(sum, combinations_with_replacement(elems, h)))
 
 
 def _fold_histograms(elems: list[int], h: int, cap: int) -> list[Counter]:
     """Multiset-sum histograms for every fold 0..h, by enumeration.  The
     h-fold count bounds every lower one, so it alone is guarded."""
     _guard_enumeration(len(elems), h, cap)
-    return [Counter(sum(c) for c in combinations_with_replacement(elems, j))
+    return [Counter(map(sum, combinations_with_replacement(elems, j)))
             for j in range(h + 1)]
+
+
+def _shifted_sums(a: int, elems: list[int], j: int):
+    """a + sum(c) for each j-multiset c of elems, as a lazy iterator."""
+    return map(a.__add__, map(sum, combinations_with_replacement(elems, j)))
 
 
 def _level_count(hist: Counter, s: int) -> int:
@@ -281,23 +289,32 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
     state: one pass over the bare term list, in input order, counts
     a + sum(c) for each term a and each (h-1)-multiset c of the prefix
     that a ends, a included, so every h-multiset of the whole list is
-    enumerated exactly once.
+    enumerated exactly once.  Each term's batch of new sums is counted in
+    one C pass; when the histogram grows by the whole batch, every new sum
+    is fresh and distinct and only enters level 1.  Otherwise the batch is
+    counted again, and each distinct sum steps up the levels its
+    multiplicity crossed.
     """
     terms = list(terms)
     _check_distinct_positive(terms)
-    hist: dict[int, int] = {}
+    hist: Counter = Counter()
     levels = [0] * (g + 1)  # levels[s] = #{x : r(x) >= s}, s <= g
     worst = None  # smallest sum over g; counts only rise, so it only falls
     out = []
     for n, a in enumerate(terms, 1):
         _guard_enumeration(n, h, max_enumeration)
-        for c in combinations_with_replacement(terms[:n], h - 1):
-            x = a + sum(c)
-            r = hist[x] = hist.get(x, 0) + 1
-            if r <= g:
-                levels[r] += 1
-            elif worst is None or x < worst:
-                worst = x
+        prefix = terms[:n]
+        size, batch = len(hist), comb(n + h - 2, h - 1)
+        hist.update(_shifted_sums(a, prefix, h - 1))
+        if len(hist) == size + batch:
+            levels[1] += batch
+        else:
+            for x, k in Counter(_shifted_sums(a, prefix, h - 1)).items():
+                r = hist[x]
+                for s in range(r - k + 1, min(r, g) + 1):
+                    levels[s] += 1
+                if r > g and (worst is None or x < worst):
+                    worst = x
         bhg = BhgCheck(True) if worst is None else BhgCheck(False, worst, hist[worst])
         failed_s = next((s for s in range(1, g + 1) if not Threshold.for_level(
             n, h, g, s).admits(levels[s])), None)
@@ -351,13 +368,17 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
 
     Each candidate m is classified from brute-force fold histograms of the
     prefix: the representations it adds are the sums x = k*m + y, y an
-    (h-k)-fold sum, k = 1..h.  Candidates are visited in increasing order,
-    and appended to instances, in this order: a promotion_witness for each
-    level-s breaker (s >= 2), profile_growth for each m in sample, one per
-    level s >= 2, and then the step's window_union, first_level_empty,
+    (h-k)-fold sum, k = 1..h.  The stops (members, special candidates and
+    the sample, within the window) are visited one by one in increasing
+    order; a member is never classified further.  The generic candidates
+    between two stops form a run, which shares the generic verdict and is
+    counted in one step.  Instances come out in increasing m all the same:
+    a promotion_witness for each level-s breaker (s >= 2), whether a stop
+    or in a run, profile_growth for each m in sample, one per level
+    s >= 2, and then the step's window_union, first_level_empty,
     bhg_break_bound, and per level s >= 2 level_break_bound and
-    promotion_total.  The window guard fires
-    before anything is enumerated.
+    promotion_total.  The window guard fires before anything is
+    enumerated.
     """
     n = len(prefix)
     win = theorem_bound(n + 1, h, g).floor
@@ -414,13 +435,40 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
         return breaks, gains, t_vals, fails
 
     generic = verdict(0, ())
+    # Strict witness bound behind the break-count cap, per level s >= 2.
+    witness_rhs = {s: int_nth_root(n ** ((h - 1) * g + (1 - s) * (h - 1)), g)
+                   for s in range(2, g + 1)}
     bhg_breaks = 0
     level_breaks = [0] * (g + 1)
     union = 0
     member_count = 0
     first_admissible = None
     t_sums = [0] * (g + 1)
-    for m in range(1, win + 1):
+    # A run, the generic candidates between two stops, is counted in one step.
+    stops = sorted(m for m in members.union(special, sample) if m <= win)
+    run_breaks, _, run_t_vals, run_fails = generic
+    run_witness_levels = [s for s in run_fails if s >= 2]
+    prev = 0
+    for m in stops + [win + 1]:
+        run = m - prev - 1
+        if run:
+            for s in range(2, g + 1):
+                t_sums[s] += run * run_t_vals[s]
+            bhg_breaks += run * run_breaks
+            for s in run_fails:
+                level_breaks[s] += run
+            if run_breaks or run_fails:
+                union += run
+            elif first_admissible is None:
+                first_admissible = prev + 1
+            if run_witness_levels:
+                instances.extend(InequalityInstance(
+                    "promotion_witness", n, lhs=run_t_vals[s], rhs=witness_rhs[s],
+                    relation=">", s=s, m=r)
+                    for r in range(prev + 1, m) for s in run_witness_levels)
+        prev = m
+        if m > win:
+            break
         if m in members:
             member_count += 1
             union += 1
@@ -433,12 +481,8 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
         for s in fails:
             level_breaks[s] += 1
             if s >= 2:
-                # Strict witness bound behind the break-count cap.
                 instances.append(InequalityInstance(
-                    "promotion_witness", n,
-                    lhs=t_vals[s],
-                    rhs=int_nth_root(
-                        n ** ((h - 1) * g + (1 - s) * (h - 1)), g),
+                    "promotion_witness", n, lhs=t_vals[s], rhs=witness_rhs[s],
                     relation=">", s=s, m=m))
         if breaks_bhg or fails:
             union += 1
@@ -485,9 +529,11 @@ def forbidden_set_sizes(A, h: int, g: int, *,
     least one.
 
     This is the enumeration scan of proof_diagnostics run on A alone, with
-    no instances kept.  It merges sums only for the candidates whose sums
-    collide, so the test suite checks it against a brute-force
-    classification that rebuilds the histogram of A + {m} per candidate.
+    no instances kept and no sample, so it visits one by one only the
+    members and the candidates whose sums collide, where it merges sums;
+    the runs of generic candidates between them are counted in bulk.  The
+    test suite checks it against a brute-force classification that
+    rebuilds the histogram of A + {m} per candidate.
     """
     return _scan_window(_check_distinct_positive(A), h, g, set(), [],
                         max_window, DEFAULT_MAX_ENUMERATION)

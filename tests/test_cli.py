@@ -371,6 +371,30 @@ def test_diagnose_window_cap_guard(capsys):
     assert code == EXIT_GUARD
 
 
+def test_verify_and_diagnose_reproduce_the_pinned_benchmark_bytes(
+        capsys, monkeypatch, tmp_path):
+    """The verify-diagnose benchmark commands, run from the repository root
+    so that the echoed input paths match, give the pinned bytes."""
+    monkeypatch.chdir(ROOT)
+    pinned = Path("bench") / "pinned"
+    for n in (198, 199, 200):
+        report = tmp_path / f"n{n}.report.json"
+        code, _, _ = run(capsys, "verify", "--h", "2", "--g", "1",
+                         str(pinned / f"verify-diagnose-n{n}.bfile"),
+                         "--report", str(report))
+        assert code == EXIT_OK
+        assert report.read_bytes() == \
+            (pinned / f"verify-diagnose-n{n}.report.json").read_bytes()
+    ledger = tmp_path / "ledger.json"
+    code, _, _ = run(capsys, "diagnose", "--h", "3", "--g", "2", "--input",
+                     str(pinned / "verify-diagnose-h3g2n7.bfile"),
+                     "--out", str(ledger))
+    assert code == EXIT_VERIFY_FAIL
+    assert ledger.read_bytes() == \
+        (pinned / "verify-diagnose-ledger.json").read_bytes()
+    assert sum(not i["holds"] for i in json.loads(ledger.read_text())["instances"]) == 162
+
+
 @pytest.mark.parametrize("budget", ["0", "-4"])
 def test_diagnose_sample_budget_below_one_is_usage_error(capsys, budget):
     code, out, err = run(capsys, "diagnose", "--h", "2", "--g", "2", "--n", "4",

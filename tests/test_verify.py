@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bhgreedy import (
+    DEFAULT_MAX_ENUMERATION,
     GuardExceeded,
     Params,
     SequenceRecord,
@@ -23,6 +24,7 @@ from bhgreedy import (
     verify_bhg,
     verify_strong_prefixes,
 )
+from bhgreedy.verify import DEFAULT_MAX_WINDOW, _scan_window
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -112,6 +114,39 @@ def test_one_pass_prefixes_follow_a_rising_break():
     assert [(c.bhg.x, c.bhg.count) for c in checks] == \
         [(None, None), (None, None), (20, 2), (20, 2), (20, 3)]
     assert prefix_fields(checks) == oracle_prefix_fields(terms, 2, 1)
+
+
+def last_batch(terms, h):
+    """Histogram of the sums the last term adds, and the histogram of the
+    prefix before it."""
+    before = multiset_sum_histogram(terms[:-1], h)
+    return multiset_sum_histogram(terms, h) - before, before
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_one_pass_prefixes_batch_repeating_a_new_sum(g):
+    # 1 + (10+35) = 1 + (20+25) = 46: the last batch holds 46 twice and hits
+    # no sum of the prefix, yet at g = 1 it moves the smallest over-g sum
+    # from 55 down to 46.
+    terms = [10, 20, 25, 35, 1]
+    batch, before = last_batch(terms, 3)
+    assert batch[46] == 2 and not set(batch) & set(before)
+    checks = verify_strong_prefixes(terms, 3, g)
+    assert prefix_fields(checks) == oracle_prefix_fields(terms, 3, g)
+    if g == 1:
+        assert [(c.bhg.x, c.bhg.count) for c in checks[-2:]] == [(55, 2), (46, 2)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_one_pass_prefixes_batch_hitting_only_existing_sums(g):
+    # Every sum 8 adds (8 + each term, and 16) is already a sum of the prefix.
+    terms = [11, 12, 6, 9, 7, 15, 8]
+    batch, before = last_batch(terms, 2)
+    assert set(batch) <= set(before)
+    checks = verify_strong_prefixes(terms, 2, g)
+    assert prefix_fields(checks) == oracle_prefix_fields(terms, 2, g)
+    if g == 1:
+        assert (checks[-1].bhg.x, checks[-1].bhg.count) == (14, 2)
 
 
 @pytest.mark.parametrize("h,g", [(h, g) for h in (2, 3, 4) for g in (1, 2, 3)])
@@ -297,6 +332,58 @@ def test_window_scan_matches_brute_force_on_arbitrary_sets(h, g, terms):
         for s in range(2, g + 1):
             assert witnesses[n, s] == report.level_breaks[s - 1]
         assert growth[n] == (g - 1) * (report.window_hi - report.members)
+
+
+def unsampled_instances(instances):
+    """The instances that do not depend on the sample, in order."""
+    return [i for i in instances if i.name != "profile_growth"]
+
+
+@pytest.mark.parametrize("h,g,terms", arbitrary_small_sets())
+def test_window_scan_runs_match_every_candidate_sampled(h, g, terms):
+    """A sparse sample leaves runs of generic candidates between the stops;
+    the reports and the instance list (profile_growth aside) must be those
+    of a scan that visits every candidate."""
+    rec = SequenceRecord(Params(h, g, len(terms)), "strong", terms, [])
+    dense = proof_diagnostics(rec, sample_budget=10 ** 9)
+    for budget in (1, 3, 32):
+        diag = proof_diagnostics(rec, sample_budget=budget)
+        assert diag.reports == dense.reports
+        assert unsampled_instances(diag.instances) == \
+            unsampled_instances(dense.instances)
+
+
+class WithoutProfileGrowth(list):
+    """An instance list that drops profile_growth, of which a scan sampling
+    every candidate would otherwise keep hundreds of thousands."""
+
+    def append(self, inst):
+        if inst.name != "profile_growth":
+            super().append(inst)
+
+
+def test_window_scan_emits_run_witnesses_in_order():
+    """At A = {1, .., 16}, (h, g) = (3, 6), the generic verdict breaks
+    level 6, so each run of generic candidates emits its promotion_witness
+    instances in one step.  With an empty or a sparse sample, the report
+    and the instances must equal those of a scan that samples every
+    candidate."""
+    A, h, g = list(range(1, 17)), 3, 6
+    win = theorem_bound(len(A) + 1, h, g).floor
+    dense = WithoutProfileGrowth()
+    expected = _scan_window(A, h, g, set(range(1, win + 1)), dense,
+                            DEFAULT_MAX_WINDOW, DEFAULT_MAX_ENUMERATION)
+    assert (win, expected.level_breaks[5]) == (151_592, 151_563)
+    for sample in (set(), set(range(1, win + 1, 997))):
+        instances = []
+        report = _scan_window(A, h, g, sample, instances,
+                              DEFAULT_MAX_WINDOW, DEFAULT_MAX_ENUMERATION)
+        assert report == expected
+        assert unsampled_instances(instances) == dense
+        # A special candidate is at most max(S_h) = 48, so a witness for an
+        # unsampled m above 48 was emitted for a run.
+        assert any(i.m > 48 and i.m not in sample for i in instances
+                   if i.name == "promotion_witness")
 
 
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (3, 2)])
