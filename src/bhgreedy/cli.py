@@ -257,6 +257,8 @@ def _cmd_verify(args) -> int:
     h, g = args.h, args.g
     if h < 2 or g < 1:
         raise ValueError(f"need h >= 2 and g >= 1, got h={h}, g={g}")
+    if args.bound == "classic" and g != 1 and not args.bhg_only:
+        raise ValueError("classic ceiling is only proven for g = 1")
     report: dict = {"h": h, "g": g, "n_terms": len(terms), "input": args.input}
     ok = True
 

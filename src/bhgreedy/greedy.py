@@ -180,40 +180,48 @@ class CandidateVerdict:
 
 
 def classify_candidate(
-    th: dict[int, int],
-    added: dict[int, int],
+    t: SumTableSet,
+    m: int,
     g: int,
     base: tuple[int, ...],
     thresholds: list[Threshold],
 ) -> tuple[Optional[int], Optional[int]]:
-    """Classify a candidate m by the representations it would add.
+    """Classify the non-member m by the representations it would add to t.
 
-    th is the h-fold table of the current set, added the candidate's
-    CandidateDelta.added, base the level counts R_1..R_g of the current set
-    and thresholds the level ceilings at the enlarged size.  Returns the
-    first sum in added that m pushes past g (None when the enlarged set
-    stays B_h[g]) and the smallest level s whose count R_s would exceed its
-    ceiling (None when every level holds).  A sum x enters level s exactly
-    when r(x) < s <= r(x) + added[x].  Most sums are fresh: r(x) = 0 and
-    one added representation, so they enter level 1 only and can be no
-    witness; they are counted in bulk into level 1.
+    base holds the level counts R_1..R_g of the current set and thresholds
+    the level ceilings at the enlarged size; an empty thresholds checks no
+    level.  Returns (x, None) for the first sum x that m pushes past g, and
+    otherwise (None, s) for the smallest level s whose count R_s would
+    exceed its ceiling, or (None, None) when every level holds.
+
+    One pass over the pairs (k, y, c), y a (h-k)-fold sum of multiplicity
+    c, reads the tables in place: m adds c representations of x = k*m + y.
+    For each x reached, r(x) plus what m has added so far is kept, so a
+    pair raising it from cur to now enters x into levels cur+1..now.  Most
+    sums are fresh, 0 -> 1, and are counted in bulk into level 1.
     """
-    witness = None
+    h = t.h
+    th = t.tables[h]
+    grown: dict[int, int] = {}
     gains = [0] * (g + 1)
     fresh = 0
-    for x, add in added.items():
-        lo = th.get(x, 0)
-        if lo == 0 and add == 1:
-            fresh += 1
-            continue
-        if lo + add > g and witness is None:
-            witness = x
-        for s in range(lo + 1, min(lo + add, g) + 1):
-            gains[s] += 1
+    for k in range(1, h + 1):
+        km = k * m
+        for y, c in t.tables[h - k].items():
+            x = km + y
+            cur = grown.get(x) or th.get(x, 0)
+            now = cur + c
+            if now > g:
+                return x, None
+            grown[x] = now
+            if now == 1:
+                fresh += 1
+            else:
+                for s in range(cur + 1, now + 1):
+                    gains[s] += 1
     gains[1] += fresh
-    failed = next((s for s in range(1, g + 1)
-                   if not thresholds[s - 1].admits(base[s - 1] + gains[s])), None)
-    return witness, failed
+    return None, next((s for s, cap in enumerate(thresholds, 1)
+                       if not cap.admits(base[s - 1] + gains[s])), None)
 
 
 def is_strong_candidate(
@@ -234,8 +242,7 @@ def is_strong_candidate(
     if profile is None:
         profile = t.rep_histogram(g)
     thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
-    x, failed = classify_candidate(t.tables[h], delta.added, g, profile.counts,
-                                   thresholds)
+    x, failed = classify_candidate(t, delta.m, g, profile.counts, thresholds)
     if x is not None:
         return CandidateVerdict(False, reason="bhg", x=x)
     if failed is not None:
@@ -247,41 +254,25 @@ def _accept_general(
     t: SumTableSet, g: int, n_next: int, check_levels: bool,
     alive: bytearray, base: int,
 ) -> Callable[[int], bool]:
-    """Candidate test, fused for the scan hot path.
+    """Candidate test of the scan: classify_candidate against the profile
+    and level ceilings fetched once per step, or against no level with
+    check_levels off.
 
-    Builds the added counts with an early abort on the first sum pushed
-    past g, where most rejected candidates fail; with check_levels the
-    survivors then go through classify_candidate against the cached profile
-    of the current set.  Behaviour is identical to candidate_delta +
-    is_strong_candidate (property-tested), just without materializing a
-    CandidateDelta per candidate.  The early abort is a B_h[g] break, which
-    no later step can undo, so it marks m dead by clearing alive[m - base];
-    a level rejection leaves m alive for later steps to test again.
-
-    The test reads the tables in place; they do not change during a scan.
-    In a scan most candidates never reach it: _screen has already cleared
-    those with m + y in Sat for some y in S_{h-1}.
+    A B_h[g] break, which no later step can undo, marks m dead by clearing
+    alive[m - base]; a level rejection leaves m alive for later steps to
+    test again.  In a scan most candidates never reach the test: _screen
+    has already cleared those with m + y in Sat for some y in S_{h-1}.
     """
-    h = t.h
-    th = t.tables[h]
-    lowers = [(k, t.tables[h - k]) for k in range(1, h + 1)]
+    counts, thresholds = (), []
     if check_levels:
         counts = t.rep_histogram(g).counts
-        thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
+        thresholds = [Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
 
     def accept(m: int) -> bool:
-        added: dict[int, int] = {}
-        for k, tab in lowers:
-            km = k * m
-            for y, c in tab.items():
-                x = km + y
-                nc = added.get(x, 0) + c
-                if th.get(x, 0) + nc > g:
-                    alive[m - base] = 0
-                    return False
-                added[x] = nc
-        return not check_levels or classify_candidate(
-            th, added, g, counts, thresholds)[1] is None
+        x, failed = classify_candidate(t, m, g, counts, thresholds)
+        if x is not None:
+            alive[m - base] = 0
+        return x is None and failed is None
 
     return accept
 
@@ -394,7 +385,7 @@ def _greedy(
     decrease, so the scan never tests such a candidate twice.  The
     bytearray alive is a window over [base, base + len(alive)) holding 1
     for "not a member and not known to break B_h[g]".  The screen and the
-    accept closure clear the candidates that break it, each commit clears
+    accept test clear the candidates that break it, each commit clears
     the new term, and the window then drops its leading zeros, so base is
     the smallest live candidate.  The scan walks [base, ceiling] in slices of
     _FIRST_SLICE candidates, doubling up to _CHUNK, and compress skips
@@ -410,8 +401,10 @@ def _greedy(
     scanned, _screen clears in alive the m with m + y in Sat for some y in
     S_{h-1}, a whole slice at a time, until at most _SCREEN_LEFT live
     candidates of the slice are left.  These are B_h[g] breaks, so the map
-    keeps its meaning, and _accept_general still decides every candidate
-    the screen leaves.
+    keeps its meaning.  Every candidate the screen leaves is decided by
+    _accept_general, which runs classify_candidate, the one pass over a
+    candidate's sums, with the level ceilings of the step when
+    check_levels is set.
     """
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=max_entries)

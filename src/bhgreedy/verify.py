@@ -362,7 +362,7 @@ def classic_bound_check(rec: SequenceRecord) -> BoundReport:
 
 
 def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
-                 instances: list[InequalityInstance], max_window: int,
+                 instances: Optional[list[InequalityInstance]], max_window: int,
                  max_enumeration: int) -> ForbiddenSetReport:
     """Classify every candidate in the scan window of the sorted prefix.
 
@@ -377,8 +377,8 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
     or in a run, profile_growth for each m in sample, one per level
     s >= 2, and then the step's window_union, first_level_empty,
     bhg_break_bound, and per level s >= 2 level_break_bound and
-    promotion_total.  The window guard fires before anything is
-    enumerated.
+    promotion_total.  With instances None no instance is built.  The
+    window guard fires before anything is enumerated.
     """
     n = len(prefix)
     win = theorem_bound(n + 1, h, g).floor
@@ -461,7 +461,7 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
                 union += run
             elif first_admissible is None:
                 first_admissible = prev + 1
-            if run_witness_levels:
+            if run_witness_levels and instances is not None:
                 instances.extend(InequalityInstance(
                     "promotion_witness", n, lhs=run_t_vals[s], rhs=witness_rhs[s],
                     relation=">", s=s, m=r)
@@ -480,7 +480,7 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
         bhg_breaks += breaks_bhg
         for s in fails:
             level_breaks[s] += 1
-            if s >= 2:
+            if s >= 2 and instances is not None:
                 instances.append(InequalityInstance(
                     "promotion_witness", n, lhs=t_vals[s], rhs=witness_rhs[s],
                     relation=">", s=s, m=m))
@@ -488,7 +488,7 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
             union += 1
         elif first_admissible is None:
             first_admissible = m
-        if m in sample:
+        if m in sample and instances is not None:
             for s in range(2, g + 1):
                 instances.append(InequalityInstance(
                     "profile_growth", n,
@@ -496,6 +496,15 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
                     rhs=base[s] + t_vals[s],
                     s=s, m=m))
 
+    report = ForbiddenSetReport(
+        h=h, g=g, n=n, window_hi=win,
+        members=member_count, bhg_breaks=bhg_breaks,
+        level_breaks=tuple(level_breaks[1:]),
+        union_size=union, union_cap=win - 1,
+        first_admissible=first_admissible,
+    )
+    if instances is None:
+        return report
     instances.append(InequalityInstance(
         "window_union", n, lhs=union, rhs=win - 1))
     instances.append(InequalityInstance(
@@ -509,13 +518,7 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
         instances.append(InequalityInstance(
             "promotion_total", n, lhs=t_sums[s],
             rhs=geometric * base[s - 1], s=s))
-    return ForbiddenSetReport(
-        h=h, g=g, n=n, window_hi=win,
-        members=member_count, bhg_breaks=bhg_breaks,
-        level_breaks=tuple(level_breaks[1:]),
-        union_size=union, union_cap=win - 1,
-        first_admissible=first_admissible,
-    )
+    return report
 
 
 def forbidden_set_sizes(A, h: int, g: int, *,
@@ -529,13 +532,13 @@ def forbidden_set_sizes(A, h: int, g: int, *,
     least one.
 
     This is the enumeration scan of proof_diagnostics run on A alone, with
-    no instances kept and no sample, so it visits one by one only the
+    no instances built and no sample, so it visits one by one only the
     members and the candidates whose sums collide, where it merges sums;
     the runs of generic candidates between them are counted in bulk.  The
     test suite checks it against a brute-force classification that
     rebuilds the histogram of A + {m} per candidate.
     """
-    return _scan_window(_check_distinct_positive(A), h, g, set(), [],
+    return _scan_window(_check_distinct_positive(A), h, g, set(), None,
                         max_window, DEFAULT_MAX_ENUMERATION)
 
 

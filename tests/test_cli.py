@@ -327,6 +327,23 @@ def test_verify_classic_bound_choice(capsys, tmp_path):
     assert "classic-ceiling" in stdout
 
 
+def test_verify_classic_bound_needs_g1_before_any_check(capsys, tmp_path,
+                                                         monkeypatch):
+    f = tmp_path / "seq.bfile"
+    run(capsys, "generate", "--h", "2", "--g", "2", "--n", "8", "--algo",
+        "classic", "--format", "bfile", "--out", str(f))
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("prefixes checked")
+
+    monkeypatch.setattr("bhgreedy.verify.verify_strong_prefixes", no_check)
+    code, stdout, err = run(capsys, "verify", "--h", "2", "--g", "2", str(f),
+                            "--bound", "classic")
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "classic ceiling is only proven for g = 1" in err
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 

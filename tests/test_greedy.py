@@ -186,11 +186,13 @@ def test_level_verdicts_match_from_scratch_oracle():
 def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
     # Arbitrary sets, so sums may already exceed g.  Each level's ceiling
     # sits at its count in the enlarged set, or one below it where the
-    # slack is 0, so every level, level 1 included, can fail.
+    # slack is 0, so every level, level 1 included, can fail.  The
+    # classifier stops at the first sum it pushes past g, in the order it
+    # meets the pairs, so any sum of m's over g is a valid witness.
     assume(m not in elements)
     before = multiset_sum_histogram(elements, h)
     after = multiset_sum_histogram(elements | {m}, h)
-    added = dict(added_histogram(elements, m, h))
+    over = {x for x in added_histogram(elements, m, h) if after[x] > g}
 
     def levels(hist):
         return [sum(1 for c in hist.values() if c >= s) for s in range(1, g + 1)]
@@ -198,15 +200,31 @@ def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
     grown = levels(after)
     caps = [max(0, r - 1 + d) for r, d in zip(grown, slack)]
     witness, failed = classify_candidate(
-        dict(before), added, g, tuple(levels(before)),
+        build(h, sorted(elements)), m, g, tuple(levels(before)),
         [Threshold(cap, 1, 1) for cap in caps])
-    assert witness == next((x for x in added if after[x] > g), None)
-    assert failed == next((s for s, (r, cap) in enumerate(zip(grown, caps), 1)
-                           if r > cap), None)
+    assert (witness is None) == (not over)
+    if witness is not None:
+        assert witness in over
+    else:
+        assert failed == next((s for s, (r, cap) in enumerate(zip(grown, caps), 1)
+                               if r > cap), None)
+
+
+def test_classify_candidate_counts_a_sum_that_two_pairs_reach():
+    # m = 3 reaches 7 through two pairs: 1+3+3 (k = 2) and 2+2+3 (k = 1).
+    # With A = {1, 2, 5} also 7 = 1+1+5, so only both pairs together push
+    # r(7) past g = 2.
+    assert classify_candidate(build(3, [1, 2, 5]), 3, 2, (), []) == (7, None)
+    # With A = {1, 2}, r_A(7) = 0.  A has R_1 = 4 (3, 4, 5, 6) and R_2 = 0;
+    # A + {3} has R_1 = 7 and R_2 = 3 (5, 6 and 7), 7's second
+    # representation coming from the second pair.  Level 2 fails against a
+    # ceiling of 2; level 1 holds at 7.
+    assert classify_candidate(build(3, [1, 2]), 3, 2, (4, 0),
+                              [Threshold(7, 1, 1), Threshold(2, 1, 1)]) == (None, 2)
 
 
 def check_fused_against_contract_op(prefix, h, g):
-    """The fused accept closure, with level checks as the strong scan runs
+    """The scan's accept closure, with level checks as the strong scan runs
     it, agrees with is_strong_candidate on every non-member m in
     [1, 2*max(prefix)+9], and marks m dead exactly when the verdict is a
     B_h[g] break; returns the verdict reasons seen."""

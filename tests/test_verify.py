@@ -386,6 +386,23 @@ def test_window_scan_emits_run_witnesses_in_order():
                    if i.name == "promotion_witness")
 
 
+def test_forbidden_set_sizes_builds_no_instance(monkeypatch):
+    """forbidden_set_sizes reads only the report, so it builds none of the
+    151,563 promotion_witness instances a scan keeping them makes at
+    A = {1, .., 16}, (h, g) = (3, 6), and reports the same."""
+    A, h, g = list(range(1, 17)), 3, 6
+    kept = []
+    expected = _scan_window(A, h, g, set(), kept, DEFAULT_MAX_WINDOW,
+                            DEFAULT_MAX_ENUMERATION)
+    assert sum(i.name == "promotion_witness" for i in kept) == 151_563
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("InequalityInstance built")
+
+    monkeypatch.setattr("bhgreedy.verify.InequalityInstance", no_instance)
+    assert forbidden_set_sizes(A, h, g) == expected
+
+
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (3, 2)])
 def test_first_admissible_is_next_greedy_term(h, g):
     rec = strong_greedy(Params(h, g, 8))
