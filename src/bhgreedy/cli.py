@@ -166,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--bhg-only", action="store_true",
                      help="check only the B_h[g] property of the full set")
     ver.add_argument("--bound", choices=("theorem", "classic", "none"),
-                     default="theorem",
-                     help="which term-size ceiling to check (default theorem)")
+                     default=None,
+                     help="which term-size ceiling to check (default theorem; "
+                          "not with --bhg-only, which checks no ceiling)")
     ver.add_argument("--report", default=None, help="write a JSON report here")
     add_caps(ver, "enum")
     ver.set_defaults(func=_cmd_verify)
@@ -257,7 +258,11 @@ def _cmd_verify(args) -> int:
     h, g = args.h, args.g
     if h < 2 or g < 1:
         raise ValueError(f"need h >= 2 and g >= 1, got h={h}, g={g}")
-    if args.bound == "classic" and g != 1 and not args.bhg_only:
+    if args.bhg_only and args.bound is not None:
+        raise ValueError("--bound does not apply with --bhg-only, "
+                         "which checks no ceiling")
+    bound = args.bound or "theorem"
+    if bound == "classic" and g != 1:
         raise ValueError("classic ceiling is only proven for g = 1")
     report: dict = {"h": h, "g": g, "n_terms": len(terms), "input": args.input}
     ok = True
@@ -295,10 +300,10 @@ def _cmd_verify(args) -> int:
         else:
             print(f"ok: all {len(checks)} prefixes satisfy both strong-set conditions")
 
-        if args.bound != "none":
+        if bound != "none":
             params = Params(h, g, len(terms))
             rec = SequenceRecord(params, ALGORITHM_STRONG, list(terms), [])
-            if args.bound == "theorem":
+            if bound == "theorem":
                 bres = verify_mod.strong_bound_check(rec)
             else:
                 bres = verify_mod.classic_bound_check(rec)

@@ -277,6 +277,37 @@ def _accept_general(
     return accept
 
 
+def _accept_g1(
+    t: SumTableSet, ys: list[int], done: int, alive: bytearray, base: int,
+) -> Callable[[int], bool]:
+    """Candidate test of a g = 1 scan for the survivors of one slice, which
+    _screen has cleared of every m with m + y in S_h for y in ys[:done].
+
+    For a nonempty B_h[1] set A, the non-member m keeps A + {m} B_h[1]
+    exactly when no sum k*m + y it adds (k = 1..h, y in S_{h-k}) lies in
+    S_h.  Two equal h-fold sums of A + {m}, stripped of their common
+    elements, leave two disjoint j-multisets of equal sum, and A is
+    B_h[1], so one of them uses m, d >= 1 times, and the other does not.
+    Padding both with h - j copies of one element of A gives
+    d*m + y = z with y in S_{h-d} and z in S_h.  So added sums that
+    collide with each other need no test of their own.  What is left is a
+    C set lookup per k: the k = 1 sums m + y for y in ys[done:], which
+    the screen did not reach, then the few k >= 2 sums.  Every rejection
+    is a B_h[1] break and clears alive[m - base].
+    """
+    h = t.h
+    th = t.tables[h].keys()
+    parts = [(1, ys[done:])] + [(k, t.tables[h - k]) for k in range(2, h + 1)]
+
+    def accept(m: int) -> bool:
+        if all(th.isdisjoint(map((k * m).__add__, part)) for k, part in parts):
+            return True
+        alive[m - base] = 0
+        return False
+
+    return accept
+
+
 def _sequential_scan_length(elements: list[int], start: int, found: int) -> int:
     """Candidates a scan from start without a record of dead candidates
     tests before accepting: the non-members in [start, found]."""
@@ -298,7 +329,7 @@ _FIRST_SLICE = 1 << 10
 _SCREEN_BATCH = 32
 
 #: The screen stops once at most this many live candidates of its slice
-#: are left; _accept_general decides them.
+#: are left; the scan's accept test decides them.
 _SCREEN_LEFT = 4
 
 #: alive bytes (0/1) to binary digits, and back.
@@ -323,11 +354,13 @@ def _mark_sums(ind: bytearray, t: SumTableSet, g: int, term: int) -> None:
 
 
 def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
-            lo: int, hi: int) -> None:
+            lo: int, hi: int) -> tuple[list[int], int]:
     """Clear alive[m - base] for m in [lo, hi) with m + y in Sat for some y
     in S_{h-1}, where ind packs the indicator of the saturated sums
     Sat = {x : r(x) >= g} one bit per sum; stop once at most _SCREEN_LEFT
-    live candidates of the slice are left.
+    live candidates of the slice are left.  Returns the list ys of S_{h-1}
+    it read and the count done of its leading values it ORed: no live
+    candidate of the slice has m + y in Sat for y in ys[:done].
 
     For a non-member m such a sum has at least g + 1 representations in
     the set plus m, so each cleared m is a permanent B_h[g] break.  The
@@ -341,18 +374,18 @@ def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
     live = int(alive[lo - base:hi - base][::-1].translate(_TO_DIGITS), 2)
     ys = list(t.tables[t.h - 1])
     nb = (hi - lo + 7) // 8 + 1
-    hits = 0
+    hits = done = 0
     with memoryview(ind) as view:
-        for i in range(0, len(ys), _SCREEN_BATCH):
-            if (live & ~hits).bit_count() <= _SCREEN_LEFT:
-                break
-            for y in ys[i:i + _SCREEN_BATCH]:
+        while done < len(ys) and (live & ~hits).bit_count() > _SCREEN_LEFT:
+            for y in ys[done:done + _SCREEN_BATCH]:
                 s = lo + y
                 j = s >> 3
                 hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
+            done = min(done + _SCREEN_BATCH, len(ys))
     if live & hits:
         left = format(live & ~hits, f"0{hi - lo}b")[::-1]
         alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
+    return ys, done
 
 
 @dataclass(frozen=True)
@@ -401,10 +434,12 @@ def _greedy(
     scanned, _screen clears in alive the m with m + y in Sat for some y in
     S_{h-1}, a whole slice at a time, until at most _SCREEN_LEFT live
     candidates of the slice are left.  These are B_h[g] breaks, so the map
-    keeps its meaning.  Every candidate the screen leaves is decided by
-    _accept_general, which runs classify_candidate, the one pass over a
-    candidate's sums, with the level ceilings of the step when
-    check_levels is set.
+    keeps its meaning.  For g > 1 every candidate the screen leaves is
+    decided by _accept_general, which runs classify_candidate, the one pass
+    over a candidate's sums, with the level ceilings of the step when
+    check_levels is set.  For g = 1 no level is checked, and _accept_g1
+    takes over from the screen: it looks up only the k = 1 sums of the
+    (h-1)-fold values the screen did not reach, then the k >= 2 sums.
     """
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=max_entries)
@@ -417,14 +452,16 @@ def _greedy(
         t0 = time.perf_counter()
         n_next = len(t) + 1
         bound = ceiling(n_next)
-        accept = _accept_general(t, g, n_next, check_levels, alive, base)
+        general = (_accept_general(t, g, n_next, check_levels, alive, base)
+                   if g > 1 else None)
         found, lo, top = None, base, bound.floor + 1
         width = min(_FIRST_SLICE, _CHUNK)
         while found is None and lo < top:
             hi = min(lo + width, top)
             if base + len(alive) < hi:
                 alive += b"\x01" * _CHUNK
-            _screen(t, ind, alive, base, lo, hi)
+            ys, done = _screen(t, ind, alive, base, lo, hi)
+            accept = general or _accept_g1(t, ys, done, alive, base)
             found = next((m for m in compress(range(lo, hi),
                                               alive[lo - base:hi - base])
                           if accept(m)), None)

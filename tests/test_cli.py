@@ -286,6 +286,23 @@ def test_verify_bhg_only(capsys, tmp_path):
     assert "4" in stdout
 
 
+@pytest.mark.parametrize("bound", ["classic", "theorem", "none"])
+def test_verify_bhg_only_takes_no_bound(capsys, tmp_path, bound):
+    # {1, 2, 3, 4} is B_2[2]; --bhg-only checks no ceiling, so an explicit
+    # --bound would be ignored and is refused instead.
+    f = tmp_path / "set.bfile"
+    f.write_text("1 1\n2 2\n3 3\n4 4\n")
+    code, stdout, err = run(capsys, "verify", "--h", "2", "--g", "2",
+                            "--bhg-only", "--bound", bound, str(f))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--bound does not apply with --bhg-only" in err
+    code, stdout, _ = run(capsys, "verify", "--h", "2", "--g", "2",
+                          "--bhg-only", str(f))
+    assert code == EXIT_OK
+    assert stdout == "ok: all 4 terms form a B_2[2] set\n"
+
+
 def test_verify_empty_file_is_usage_error(capsys, tmp_path):
     f = tmp_path / "empty.bfile"
     f.write_text("")
@@ -410,6 +427,20 @@ def test_verify_and_diagnose_reproduce_the_pinned_benchmark_bytes(
     assert ledger.read_bytes() == \
         (pinned / "verify-diagnose-ledger.json").read_bytes()
     assert sum(not i["holds"] for i in json.loads(ledger.read_text())["instances"]) == 162
+
+
+@pytest.mark.parametrize("algo,h,n,name", [
+    ("strong", 2, 238, "mianchowla-h2g1"),
+    ("classic", 4, 17, "classic-h4g1"),
+])
+def test_generate_reproduces_the_pinned_g1_benchmark_bytes(capsys, algo, h, n,
+                                                          name):
+    """The g = 1 generate benchmark commands give the pinned bytes."""
+    code, stdout, _ = run(capsys, "generate", "--algo", algo, "--h", str(h),
+                          "--g", "1", "--n", str(n))
+    assert code == EXIT_OK
+    assert stdout.encode() == \
+        (ROOT / "bench" / "pinned" / f"{name}-n{n}.json").read_bytes()
 
 
 @pytest.mark.parametrize("budget", ["0", "-4"])

@@ -1,7 +1,7 @@
 """Tests for the generators, the exact threshold arithmetic, and the scan."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bhgreedy import (
@@ -17,6 +17,7 @@ from bhgreedy import (
 )
 from bhgreedy.greedy import (
     _SCREEN_LEFT,
+    _accept_g1,
     _accept_general,
     _mark_sums,
     _screen,
@@ -459,6 +460,63 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
     assert screened
 
 
+def check_g1_accept(elements, h):
+    """For each non-member m of [1, 2*max+10), let f be the index of the
+    first y of S_{h-1}, in the order the screen reads them, with m + y in
+    S_h.  A screen that stopped after done <= f values leaves m alive, and
+    _accept_g1 must then agree with is_strong_candidate and clear
+    alive[m - 1] exactly on a "bhg" verdict, for every such done.  Returns
+    the kinds of candidate seen: "k1" (some m + y in S_h), "high" (no such
+    sum, but rejected) and "accepted"."""
+    t = build(h, sorted(elements))
+    th = t.tables[h]
+    ys = list(t.tables[h - 1])
+    kinds = set()
+    for m in range(1, 2 * max(elements) + 10):
+        if m in t:
+            continue
+        verdict = is_strong_candidate(t, t.candidate_delta(m), len(t) + 1, h, 1)
+        f = next((j for j, y in enumerate(ys) if m + y in th), len(ys))
+        for done in range(f + 1):
+            alive = bytearray(b"\x01") * m
+            accept = _accept_g1(t, ys, done, alive, 1)
+            assert accept(m) == verdict.accepted, (elements, m, done)
+            assert (alive[m - 1] == 0) == (verdict.reason == "bhg"), \
+                (elements, m, done)
+        kinds.add("k1" if f < len(ys) else
+                  "accepted" if verdict.accepted else "high")
+    return kinds
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,n", [(2, 14), (3, 9), (4, 7), (5, 6)])
+def test_g1_accept_resumes_where_the_screen_stopped(generator, h, n):
+    terms = generator(Params(h, 1, n)).terms
+    kinds = set()
+    for i in range(1, len(terms)):
+        kinds |= check_g1_accept(terms[:i], h)
+    assert {"k1", "accepted"} <= kinds
+
+
+@given(drawn=st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True),
+       h=st.integers(2, 5))
+@example(drawn=[1, 3], h=2)
+@example(drawn=[1, 3], h=3)
+@example(drawn=[1, 4], h=4)
+@settings(max_examples=100, deadline=None)
+def test_g1_accept_matches_oracle_on_arbitrary_bh1_sets(drawn, h):
+    # Greedy prefixes leave no candidate that only a k >= 2 sum rejects;
+    # arbitrary nonempty B_h[1] sets, kept from the drawn values in order,
+    # do.  In the examples m = 2, 4 and 5 are such candidates:
+    # 2*2 = 1+3, 2*4 + 1 = 3+3+3 and 3*5 + 1 = 4+4+4+4, while no m + y
+    # with y in S_{h-1} is an h-fold sum.
+    elements = []
+    for a in drawn:
+        if is_bhg(elements + [a], h, 1):
+            elements.append(a)
+    check_g1_accept(elements, h)
+
+
 @pytest.mark.parametrize("batch", [None, 1])
 @pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
 def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
@@ -466,8 +524,10 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
     # Screen [lo, hi) in slices of 13, which start at every residue mod 8.
     # The screen may stop while some breakers of a slice are still live,
     # but only once at most _SCREEN_LEFT live candidates are left.  The
-    # accept closure then marks the rest dead, so after both every
-    # non-member of [lo, hi) that breaks B_h[g] is dead, and no other.
+    # accept test the scan runs for this g (_accept_g1 resuming where the
+    # screen stopped, or _accept_general) then marks the rest dead, so
+    # after both every non-member of [lo, hi) that breaks B_h[g] is dead,
+    # and no other.
     if batch is not None:
         monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
     stopped_early = 0
@@ -476,13 +536,14 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
             t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
         alive = bytearray(m not in t for m in range(1, hi + 9))
         start = bytes(alive)
-        accept = _accept_general(t, g, i + 2, False, alive, 1)
+        general = _accept_general(t, g, i + 2, False, alive, 1) if g > 1 else None
         for a in range(lo, hi, 13):
             b = min(a + 13, hi)
             exact = {m for m in range(a, b) if m not in t
                      and any(hist[m + y] >= g for y in lower)}
             before = bytes(alive)
-            _screen(t, ind, alive, 1, a, b)
+            ys, done = _screen(t, ind, alive, 1, a, b)
+            accept = general or _accept_g1(t, ys, done, alive, 1)
             assert alive[:a - 1] == before[:a - 1]
             assert alive[b - 1:] == before[b - 1:]
             cleared = {m for m in range(a, b) if before[m - 1] and not alive[m - 1]}
