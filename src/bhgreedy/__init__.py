@@ -29,7 +29,6 @@ from .greedy import (
     Params,
     SequenceRecord,
     StepMeta,
-    TheoremBound,
     Threshold,
     classic_greedy,
     default_classic_ceiling,
@@ -42,7 +41,6 @@ from .sumrep import (
     DEFAULT_MAX_ENTRIES,
     DEFAULT_MAX_ENUMERATION,
     CandidateDelta,
-    RepProfile,
     SumTableSet,
     brute_force_rep,
 )
@@ -84,13 +82,11 @@ __all__ = [
     "Params",
     "PrefixCheck",
     "ProofDiagnostics",
-    "RepProfile",
     "ScanExceededBound",
     "ScanExceededConfiguredLimit",
     "SequenceRecord",
     "StepMeta",
     "SumTableSet",
-    "TheoremBound",
     "Threshold",
     "brute_force_rep",
     "classic_bound_check",

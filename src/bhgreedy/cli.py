@@ -15,7 +15,7 @@ Subcommands
 Exit codes
     0  success
     1  verification failure (a check ran and failed)
-    2  usage or input error
+    2  usage or input error, a file that cannot be read or written included
     3  resource guard exceeded
     4  internal-bound contradiction (strong scan exhausted its ceiling)
 
@@ -42,13 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import verify as verify_mod
-from .errors import (
-    BhgError,
-    FitError,
-    GuardExceeded,
-    InputFormatError,
-    ScanExceededBound,
-)
+from .errors import BhgError, FitError, GuardExceeded, ScanExceededBound
 from .formats import FORMATS, INT_FIELD, read_terms, render_terms
 from .greedy import (
     ALGORITHM_CLASSIC,
@@ -226,6 +220,12 @@ def _write_out(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _prefix_failure(c: verify_mod.PrefixCheck) -> dict:
+    """A failed prefix as the JSON object of verify and diagnose files."""
+    return {"n": c.n, "bhg_ok": c.bhg.ok, "x": c.bhg.x, "count": c.bhg.count,
+            "failed_s": c.failed_s, "level_count": c.level_count}
+
+
 def _cmd_generate(args) -> int:
     params = Params(args.h, args.g, args.n)
     memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
@@ -281,12 +281,7 @@ def _cmd_verify(args) -> int:
         bad = [c for c in checks if not c.ok]
         report["prefixes"] = {
             "checked": len(checks),
-            "failures": [
-                {"n": c.n, "bhg_ok": c.bhg.ok, "x": c.bhg.x,
-                 "count": c.bhg.count, "failed_s": c.failed_s,
-                 "level_count": c.level_count}
-                for c in bad
-            ],
+            "failures": [_prefix_failure(c) for c in bad],
         }
         if bad:
             ok = False
@@ -370,11 +365,7 @@ def _cmd_diagnose(args) -> int:
     if args.out:
         doc = {
             "h": h, "g": g, "terms": diag.terms, "ok": diag.ok,
-            "prefix_failures": [
-                {"n": c.n, "bhg_ok": c.bhg.ok, "x": c.bhg.x, "count": c.bhg.count,
-                 "failed_s": c.failed_s, "level_count": c.level_count}
-                for c in diag.failed_prefixes()
-            ],
+            "prefix_failures": [_prefix_failure(c) for c in diag.failed_prefixes()],
             "reports": [
                 {"n": r.n, "window_hi": r.window_hi, "members": r.members,
                  "bhg_breaks": r.bhg_breaks, "level_breaks": list(r.level_breaks),
@@ -444,10 +435,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InputFormatError, FitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ScanExceededBound as e:

@@ -14,7 +14,7 @@ Two generators live here:
     count R_s = |{x : r(x) >= s}| within n^(h+(1-s)(h-1)/g) for s = 1..g,
     where n is the size of the new set.  Sets maintained this way admit the
     proven per-index ceiling a_n <= 2g * n^(h+(h-1)/g), which the generator
-    uses as its scan ceiling and asserts at every step.
+    uses as its scan ceiling, so every term it commits respects it.
 
 Every comparison against a fractional-exponent quantity is decided exactly
 by raising both sides to the g-th power in arbitrary-precision integer
@@ -26,11 +26,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Optional
 
 from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
-from .sumrep import DEFAULT_MAX_ENTRIES, CandidateDelta, RepProfile, SumTableSet
+from .sumrep import DEFAULT_MAX_ENTRIES, CandidateDelta, SumTableSet
 
 ALGORITHM_CLASSIC = "classic"
 ALGORITHM_STRONG = "strong"
@@ -87,12 +88,15 @@ class SequenceRecord:
 
 
 def int_nth_root(x: int, k: int) -> int:
-    """Largest r >= 0 with r**k <= x, in pure integer arithmetic."""
-    if x < 0:
-        raise ValueError("negative radicand")
+    """Largest r with r**k <= x, in pure integer arithmetic; x may be
+    negative only for k = 1, whose root is x itself."""
     if k < 1:
         raise ValueError("root order must be >= 1")
-    if k == 1 or x < 2:
+    if k == 1:
+        return x
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x < 2:
         return x
     # Newton iteration from an over-estimate converges down to the floor.
     r = 1 << -(-x.bit_length() // k)
@@ -110,58 +114,39 @@ def int_nth_root(x: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Threshold:
-    """The level ceiling n^(e_num/g) with integer numerator e_num.
+    """The exact ceiling rhs_pow^(1/g), held as its g-th power rhs_pow.
 
-    For level s of a strong B_h[g] set of size n, e_num = h*g + (1-s)(h-1),
-    which is always >= h + g - 1 >= 2.
+    Every ceiling of the package has this form: the level ceilings
+    n^(h+(1-s)(h-1)/g) (for_level), the term bound 2g * n^(h+(h-1)/g)
+    (theorem_bound) and, with g = 1, plain integer caps.  admits decides
+    value <= ceiling as value^g <= rhs_pow, so a value exactly on the
+    ceiling is admitted.
     """
 
-    n: int
-    e_num: int
+    rhs_pow: int
     g: int
 
     @classmethod
     def for_level(cls, n: int, h: int, g: int, s: int) -> "Threshold":
+        """Level-s ceiling of a strong B_h[g] set of size n."""
         if not 1 <= s <= g:
             raise ValueError(f"level s must satisfy 1 <= s <= g, got s={s}, g={g}")
-        return cls(n, h * g + (1 - s) * (h - 1), g)
-
-    def admits(self, count: int) -> bool:
-        """Exact test of count <= n^(e_num/g), as count^g <= n^e_num; a
-        count exactly on the ceiling is admitted."""
-        return count ** self.g <= self.n ** self.e_num
-
-    @property
-    def floor(self) -> int:
-        """Largest integer admitted by the ceiling."""
-        return int_nth_root(self.n ** self.e_num, self.g)
-
-
-@dataclass(frozen=True)
-class TheoremBound:
-    """The per-index ceiling 2g * n^(h+(h-1)/g) on the n-th strong term.
-
-    rhs_pow is the exact g-th power of the ceiling, (2g)^g * n^(hg+h-1);
-    admits(value) decides value <= ceiling via value^g <= rhs_pow, and
-    floor is the largest admitted integer (used as a scan ceiling).
-    """
-
-    n: int
-    h: int
-    g: int
-    rhs_pow: int
-    floor: int
+        return cls(n ** (h * g + (1 - s) * (h - 1)), g)
 
     def admits(self, value: int) -> bool:
         return value ** self.g <= self.rhs_pow
 
+    @cached_property
+    def floor(self) -> int:
+        """Largest integer admitted, computed on first use."""
+        return int_nth_root(self.rhs_pow, self.g)
 
-def theorem_bound(n: int, h: int, g: int) -> TheoremBound:
-    """Exact ceiling object for the n-th strong-greedy term."""
+
+def theorem_bound(n: int, h: int, g: int) -> Threshold:
+    """The ceiling 2g * n^(h+(h-1)/g) on the n-th strong-greedy term."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rhs_pow = (2 * g) ** g * n ** (h * g + h - 1)
-    return TheoremBound(n, h, g, rhs_pow, int_nth_root(rhs_pow, g))
+    return Threshold((2 * g) ** g * n ** (h * g + h - 1), g)
 
 
 @dataclass(frozen=True)
@@ -230,7 +215,7 @@ def is_strong_candidate(
     n_next: int,
     h: int,
     g: int,
-    profile: Optional[RepProfile] = None,
+    profile: Optional[tuple[int, ...]] = None,
 ) -> CandidateVerdict:
     """Decide whether adding delta.m keeps t's set a strong B_h[g] set of
     size n_next.
@@ -242,7 +227,7 @@ def is_strong_candidate(
     if profile is None:
         profile = t.rep_histogram(g)
     thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
-    x, failed = classify_candidate(t, delta.m, g, profile.counts, thresholds)
+    x, failed = classify_candidate(t, delta.m, g, profile, thresholds)
     if x is not None:
         return CandidateVerdict(False, reason="bhg", x=x)
     if failed is not None:
@@ -265,7 +250,7 @@ def _accept_general(
     """
     counts, thresholds = (), []
     if check_levels:
-        counts = t.rep_histogram(g).counts
+        counts = t.rep_histogram(g)
         thresholds = [Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
 
     def accept(m: int) -> bool:
@@ -388,20 +373,10 @@ def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
     return ys, done
 
 
-@dataclass(frozen=True)
-class _ScanCap:
-    """A plain scan ceiling: admits exactly the integers up to floor."""
-
-    floor: int
-
-    def admits(self, value: int) -> bool:
-        return value <= self.floor
-
-
 def _greedy(
     params: Params,
     algorithm: str,
-    ceiling: Callable[[int], "TheoremBound | _ScanCap"],
+    ceiling: Callable[[int], Threshold],
     check_levels: bool,
     error: type[BhgError],
     hint: str,
@@ -412,7 +387,7 @@ def _greedy(
 
     Term n is the smallest non-member in [1, ceiling(n).floor] that keeps
     the set B_h[g] and, with check_levels, within its level ceilings; if
-    there is none, or ceiling(n) does not admit it, error is raised.
+    there is none, error is raised.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests such a candidate twice.  The
@@ -451,10 +426,10 @@ def _greedy(
     while len(rec.terms) < params.n_terms:
         t0 = time.perf_counter()
         n_next = len(t) + 1
-        bound = ceiling(n_next)
+        floor = ceiling(n_next).floor
         general = (_accept_general(t, g, n_next, check_levels, alive, base)
                    if g > 1 else None)
-        found, lo, top = None, base, bound.floor + 1
+        found, lo, top = None, base, floor + 1
         width = min(_FIRST_SLICE, _CHUNK)
         while found is None and lo < top:
             hi = min(lo + width, top)
@@ -466,13 +441,13 @@ def _greedy(
                                               alive[lo - base:hi - base])
                           if accept(m)), None)
             lo, width = hi, min(2 * width, _CHUNK)
-        if found is None or not bound.admits(found):
-            raise error(f"no admissible candidate <= {bound.floor} for term "
+        if found is None:
+            raise error(f"no admissible candidate <= {floor} for term "
                         f"{n_next} (h={h}, g={g}); {hint}")
         start = 1 if check_levels else rec.terms[-1] + 1
         _commit(rec, t, term=found,
                 scan_length=_sequential_scan_length(t.elements, start, found),
-                bound_floor=bound.floor, elapsed=time.perf_counter() - t0,
+                bound_floor=floor, elapsed=time.perf_counter() - t0,
                 on_step=on_step)
         _mark_sums(ind, t, g, found)
         alive[found - base] = 0
@@ -535,9 +510,9 @@ def classic_greedy(
     """
     h, g = params.h, params.g
 
-    def ceiling(n: int) -> _ScanCap:
-        return _ScanCap(scan_cap if scan_cap is not None
-                        else default_classic_ceiling(n, h, g))
+    def ceiling(n: int) -> Threshold:
+        return Threshold(scan_cap if scan_cap is not None
+                         else default_classic_ceiling(n, h, g), 1)
 
     return _greedy(params, ALGORITHM_CLASSIC, ceiling, check_levels=False,
                    error=ScanExceededConfiguredLimit,

@@ -43,25 +43,6 @@ DEFAULT_MAX_ENUMERATION = 5_000_000
 
 
 @dataclass(frozen=True)
-class RepProfile:
-    """Level counts R_s = |{x : r(x) >= s}| for s = 1..len(counts).
-
-    counts is non-increasing: a sum with multiplicity >= s also has
-    multiplicity >= s-1.
-    """
-
-    counts: tuple[int, ...]
-
-    def level(self, s: int) -> int:
-        if not 1 <= s <= len(self.counts):
-            raise IndexError(f"level {s} outside 1..{len(self.counts)}")
-        return self.counts[s - 1]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
 class CandidateDelta:
     """Representation counts a candidate element m would add.
 
@@ -140,8 +121,9 @@ class SumTableSet:
         """r(x): multiplicity of x as an h-fold multiset sum."""
         return self.tables[self.h].get(x, 0)
 
-    def rep_histogram(self, s_max: int) -> RepProfile:
-        """Level counts R_1..R_{s_max} of the current set.
+    def rep_histogram(self, s_max: int) -> tuple[int, ...]:
+        """Level counts R_s = |{x : r(x) >= s}| of the current set for
+        s = 1..s_max, a non-increasing tuple.
 
         The h-fold table holds few distinct multiplicities, so one Counter
         pass over its values (in C) tallies how many sums have each
@@ -154,7 +136,7 @@ class SumTableSet:
         for c, freq in Counter(self.tables[self.h].values()).items():
             for s in range(min(c, s_max)):
                 counts[s] += freq
-        return RepProfile(tuple(counts))
+        return tuple(counts)
 
     def candidate_delta(self, m: int) -> CandidateDelta:
         """Representation counts that inserting m would add (m not in A)."""

@@ -55,10 +55,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import GuardExceeded
-from .greedy import SequenceRecord, Threshold, int_nth_root, theorem_bound
+from .greedy import SequenceRecord, Threshold, theorem_bound
 from .sumrep import DEFAULT_MAX_ENUMERATION
 
 #: Cap on the size of a candidate window a single scan may classify.
@@ -327,19 +327,23 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
 # Term-size ceilings
 
 
-def strong_bound_check(rec: SequenceRecord) -> BoundReport:
-    """Exact per-index verdict of a_n <= 2g * n^(h+(h-1)/g).
-
-    The comparison is a_n^g <= (2g)^g * n^(hg+h-1); each entry's ratio is
-    the exact fraction lhs/rhs of that integer comparison.
-    """
-    h, g = rec.params.h, rec.params.g
+def _bound_report(kind: str, rec: SequenceRecord,
+                  ceiling: Callable[[int], Threshold]) -> BoundReport:
+    """Per-index verdict of a_n against the Threshold ceiling(n); each
+    entry's ratio is the exact fraction a_n^g / rhs_pow of its comparison."""
     entries = []
     for n, term in enumerate(rec.terms, 1):
-        rhs = theorem_bound(n, h, g).rhs_pow
-        lhs = term ** g
-        entries.append(BoundEntry(n, term, lhs <= rhs, Fraction(lhs, rhs)))
-    return BoundReport("strong-ceiling", h, g, entries)
+        c = ceiling(n)
+        entries.append(BoundEntry(n, term, c.admits(term),
+                                  Fraction(term ** c.g, c.rhs_pow)))
+    return BoundReport(kind, rec.params.h, rec.params.g, entries)
+
+
+def strong_bound_check(rec: SequenceRecord) -> BoundReport:
+    """Exact per-index verdict of a_n <= 2g * n^(h+(h-1)/g), compared as
+    a_n^g <= (2g)^g * n^(hg+h-1)."""
+    h, g = rec.params.h, rec.params.g
+    return _bound_report("strong-ceiling", rec, lambda n: theorem_bound(n, h, g))
 
 
 def classic_bound_check(rec: SequenceRecord) -> BoundReport:
@@ -347,14 +351,11 @@ def classic_bound_check(rec: SequenceRecord) -> BoundReport:
 
     Only g = 1 has a proven ceiling, so other records are rejected.
     """
-    h, g = rec.params.h, rec.params.g
-    if g != 1:
+    h = rec.params.h
+    if rec.params.g != 1:
         raise ValueError("classic ceiling is only proven for g = 1")
-    entries = []
-    for n, term in enumerate(rec.terms, 1):
-        rhs = 2 * n ** (2 * h - 1)
-        entries.append(BoundEntry(n, term, term <= rhs, Fraction(term, rhs)))
-    return BoundReport("classic-ceiling", h, g, entries)
+    return _bound_report("classic-ceiling", rec,
+                         lambda n: Threshold(2 * n ** (2 * h - 1), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,7 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
     base = [_level_count(hist, s) for s in range(g + 1)]  # base[s], base[0] unused
     thresholds = [Threshold.for_level(n + 1, h, g, s) for s in range(1, g + 1)]
     # Ceiling 2n^(h+(h-1)/g) shared by the break-count bounds.
-    break_cap = int_nth_root(2 ** g * n ** (h * g + h - 1), g)
+    break_cap = Threshold(2 ** g * n ** (h * g + h - 1), g).floor
 
     # Candidate m adds c representations of k*m + y for each pair (k, y, c),
     # y an (h-k)-fold sum of multiplicity c.  A generic m, whose sums
@@ -436,7 +437,7 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
 
     generic = verdict(0, ())
     # Strict witness bound behind the break-count cap, per level s >= 2.
-    witness_rhs = {s: int_nth_root(n ** ((h - 1) * g + (1 - s) * (h - 1)), g)
+    witness_rhs = {s: Threshold(n ** ((h - 1) * g + (1 - s) * (h - 1)), g).floor
                    for s in range(2, g + 1)}
     bhg_breaks = 0
     level_breaks = [0] * (g + 1)
@@ -444,28 +445,34 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
     member_count = 0
     first_admissible = None
     t_sums = [0] * (g + 1)
-    # A run, the generic candidates between two stops, is counted in one step.
+
+    def tally(first: int, count: int, v: tuple) -> None:
+        """Count the count candidates first, first + 1, ..., which share
+        the verdict v, with a promotion_witness per candidate and level."""
+        nonlocal bhg_breaks, union, first_admissible
+        breaks, _, t_vals, fails = v
+        for s in range(2, g + 1):
+            t_sums[s] += count * t_vals[s]
+        bhg_breaks += count * breaks
+        for s in fails:
+            level_breaks[s] += count
+        if breaks or fails:
+            union += count
+        elif first_admissible is None:
+            first_admissible = first
+        witness_levels = [s for s in fails if s >= 2]
+        if witness_levels and instances is not None:
+            instances.extend(InequalityInstance(
+                "promotion_witness", n, lhs=t_vals[s], rhs=witness_rhs[s],
+                relation=">", s=s, m=m)
+                for m in range(first, first + count) for s in witness_levels)
+
+    # A run, the generic candidates between two stops, is tallied in one step.
     stops = sorted(m for m in members.union(special, sample) if m <= win)
-    run_breaks, _, run_t_vals, run_fails = generic
-    run_witness_levels = [s for s in run_fails if s >= 2]
     prev = 0
     for m in stops + [win + 1]:
-        run = m - prev - 1
-        if run:
-            for s in range(2, g + 1):
-                t_sums[s] += run * run_t_vals[s]
-            bhg_breaks += run * run_breaks
-            for s in run_fails:
-                level_breaks[s] += run
-            if run_breaks or run_fails:
-                union += run
-            elif first_admissible is None:
-                first_admissible = prev + 1
-            if run_witness_levels and instances is not None:
-                instances.extend(InequalityInstance(
-                    "promotion_witness", n, lhs=run_t_vals[s], rhs=witness_rhs[s],
-                    relation=">", s=s, m=r)
-                    for r in range(prev + 1, m) for s in run_witness_levels)
+        if m > prev + 1:
+            tally(prev + 1, m - prev - 1, generic)
         prev = m
         if m > win:
             break
@@ -473,28 +480,14 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
             member_count += 1
             union += 1
             continue
-        breaks_bhg, gains, t_vals, fails = (
-            verdict(m, special[m]) if m in special else generic)
-        for s in range(2, g + 1):
-            t_sums[s] += t_vals[s]
-        bhg_breaks += breaks_bhg
-        for s in fails:
-            level_breaks[s] += 1
-            if s >= 2 and instances is not None:
-                instances.append(InequalityInstance(
-                    "promotion_witness", n, lhs=t_vals[s], rhs=witness_rhs[s],
-                    relation=">", s=s, m=m))
-        if breaks_bhg or fails:
-            union += 1
-        elif first_admissible is None:
-            first_admissible = m
+        v = verdict(m, special[m]) if m in special else generic
+        tally(m, 1, v)
         if m in sample and instances is not None:
+            _, gains, t_vals, _ = v
             for s in range(2, g + 1):
                 instances.append(InequalityInstance(
-                    "profile_growth", n,
-                    lhs=base[s] + gains[s],
-                    rhs=base[s] + t_vals[s],
-                    s=s, m=m))
+                    "profile_growth", n, lhs=base[s] + gains[s],
+                    rhs=base[s] + t_vals[s], s=s, m=m))
 
     report = ForbiddenSetReport(
         h=h, g=g, n=n, window_hi=win,

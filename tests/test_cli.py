@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bhgreedy import TheoremBound
+from bhgreedy import Threshold
 from bhgreedy.cli import (
     EXIT_BOUND_CONTRADICTION,
     EXIT_GUARD,
@@ -247,7 +247,7 @@ def test_generate_memory_cap_guard(capsys):
 
 def test_bound_contradiction_exit_code(capsys, monkeypatch):
     def broken_bound(n, h, g):
-        return TheoremBound(n, h, g, rhs_pow=0, floor=0)
+        return Threshold(0, g)
 
     monkeypatch.setattr("bhgreedy.greedy.theorem_bound", broken_bound)
     code, _, err = run(capsys, "generate", "--h", "2", "--g", "1", "--n", "5")
@@ -532,3 +532,17 @@ def test_python_m_bhgreedy_runs_the_cli():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == "".join(f"{n} {a}\n" for n, a in enumerate(MIAN_CHOWLA_10, 1))
+
+
+@pytest.mark.parametrize("command", ["verify", "fit", "generate"])
+def test_file_error_is_an_input_error(capsys, tmp_path, command):
+    """A file that cannot be read or written exits 2 with one error line."""
+    argv = {
+        "verify": ["verify", str(tmp_path / "missing.bfile")],
+        "fit": ["fit", str(tmp_path)],
+        "generate": ["generate", "--n", "3", "--out", str(tmp_path / "no" / "x.json")],
+    }[command]
+    code, out, err = run(capsys, *argv, "--h", "2", "--g", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

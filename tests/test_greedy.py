@@ -1,5 +1,7 @@
 """Tests for the generators, the exact threshold arithmetic, and the scan."""
 
+import re
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from bhgreedy import (
     SumTableSet,
     Threshold,
     classic_greedy,
+    default_classic_ceiling,
     int_nth_root,
     is_strong_candidate,
     strong_greedy,
@@ -53,6 +56,7 @@ def test_int_nth_root_edges():
     assert int_nth_root(0, 3) == 0
     assert int_nth_root(1, 7) == 1
     assert int_nth_root(26, 1) == 26
+    assert int_nth_root(-5, 1) == -5  # a scan cap below 1 is its own root
     assert int_nth_root(27, 3) == 3
     assert int_nth_root(26, 3) == 2
     with pytest.raises(ValueError):
@@ -84,13 +88,31 @@ def test_threshold_leq_rejects_bad_level():
         Threshold.for_level(2, 2, 1, 0)
 
 
+def direct_thresholds(g, root):
+    """Thresholds built from rhs_pow itself: 0, the perfect power root^g
+    and the integer one below it, with the floors they must have."""
+    return [(Threshold(0, g), 0), (Threshold(root ** g, g), root),
+            (Threshold(root ** g - 1, g), root - 1)]
+
+
+def check_boundary(c):
+    assert c.admits(c.floor)
+    assert not c.admits(c.floor + 1)
+
+
 @given(n=st.integers(1, 50), h=st.integers(2, 5), g=st.integers(1, 5),
-       count=st.integers(0, 10**6))
+       count=st.integers(0, 10**6), root=st.integers(1, 10**4))
 @settings(max_examples=200)
-def test_threshold_routes_agree(n, h, g, count):
-    for s in range(1, g + 1):
-        th = Threshold.for_level(n, h, g, s)
-        assert th.e_num == h * g + (1 - s) * (h - 1) >= h + g - 1 >= 2
+def test_threshold_routes_agree(n, h, g, count, root):
+    ceilings = [Threshold.for_level(n, h, g, s) for s in range(1, g + 1)]
+    for s, th in enumerate(ceilings, 1):
+        assert th.rhs_pow == n ** (h * g + (1 - s) * (h - 1))
+    ceilings.append(Threshold(default_classic_ceiling(n, h, g), 1))
+    for th, floor in direct_thresholds(g, root):
+        assert th.floor == floor
+        ceilings.append(th)
+    for th in ceilings:
+        check_boundary(th)
         # deciding via the integer floor of the ceiling is equivalent
         assert th.admits(count) == (count <= th.floor)
 
@@ -106,8 +128,11 @@ def test_theorem_bound_examples():
 @settings(max_examples=100)
 def test_theorem_bound_floor_is_boundary(n, h, g):
     b = theorem_bound(n, h, g)
-    assert b.admits(b.floor)
-    assert not b.admits(b.floor + 1)
+    assert b.rhs_pow == (2 * g) ** g * n ** (h * g + h - 1)
+    ceilings = [b, Threshold(default_classic_ceiling(n, h, g), 1)]
+    ceilings += [th for th, _ in direct_thresholds(g, b.floor)]
+    for th in ceilings:
+        check_boundary(th)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +227,7 @@ def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
     caps = [max(0, r - 1 + d) for r, d in zip(grown, slack)]
     witness, failed = classify_candidate(
         build(h, sorted(elements)), m, g, tuple(levels(before)),
-        [Threshold(cap, 1, 1) for cap in caps])
+        [Threshold(cap, 1) for cap in caps])
     assert (witness is None) == (not over)
     if witness is not None:
         assert witness in over
@@ -221,7 +246,7 @@ def test_classify_candidate_counts_a_sum_that_two_pairs_reach():
     # representation coming from the second pair.  Level 2 fails against a
     # ceiling of 2; level 1 holds at 7.
     assert classify_candidate(build(3, [1, 2]), 3, 2, (4, 0),
-                              [Threshold(7, 1, 1), Threshold(2, 1, 1)]) == (None, 2)
+                              [Threshold(7, 1), Threshold(2, 1)]) == (None, 2)
 
 
 def check_fused_against_contract_op(prefix, h, g):
@@ -563,13 +588,19 @@ def test_classic_scan_cap_is_enforced():
         classic_greedy(Params(2, 1, 10), scan_cap=3)
 
 
-def test_exhausted_theorem_ceiling_aborts_loudly(monkeypatch):
-    from bhgreedy import ScanExceededBound, TheoremBound
+@pytest.mark.parametrize("cap", [-5, 0])
+def test_classic_scan_cap_below_one_admits_no_second_term(cap):
+    message = (f"no admissible candidate <= {cap} for term 2 (h=2, g=1); "
+               "raise the scan cap to continue")
+    with pytest.raises(ScanExceededConfiguredLimit, match=f"^{re.escape(message)}$"):
+        classic_greedy(Params(2, 1, 3), scan_cap=cap)
 
-    monkeypatch.setattr(
-        "bhgreedy.greedy.theorem_bound",
-        lambda n, h, g: TheoremBound(n, h, g, rhs_pow=0, floor=0),
-    )
+
+def test_exhausted_theorem_ceiling_aborts_loudly(monkeypatch):
+    from bhgreedy import ScanExceededBound
+
+    monkeypatch.setattr("bhgreedy.greedy.theorem_bound",
+                        lambda n, h, g: Threshold(0, g))
     with pytest.raises(ScanExceededBound):
         strong_greedy(Params(2, 1, 5))
 
