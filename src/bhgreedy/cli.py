@@ -170,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     dia = sub.add_parser("diagnose",
                          help="window-scan inequality ledger for a strong run")
     add_params(dia, need_n=False)
-    dia.add_argument("--n", type=_integer, default=None,
-                     help="terms to generate (ignored with --input)")
-    dia.add_argument("--input", default=None,
-                     help="diagnose this sequence file instead of generating")
+    source = dia.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=_integer, help="terms to generate")
+    source.add_argument("--input",
+                        help="diagnose this sequence file instead of generating")
     dia.add_argument("--sample-budget", type=_integer,
                      default=verify_mod.DEFAULT_SAMPLE_BUDGET,
                      help="sample every max(1, window // N)-th candidate "
@@ -333,8 +333,6 @@ def _cmd_diagnose(args) -> int:
         params = Params(h, g, len(terms))
         rec = SequenceRecord(params, ALGORITHM_STRONG, terms, [])
     else:
-        if args.n is None:
-            raise ValueError("diagnose needs --n or --input")
         rec = strong_greedy(Params(h, g, args.n), max_entries=memory_cap)
     diag = verify_mod.proof_diagnostics(
         rec, sample_budget=args.sample_budget,

@@ -326,7 +326,8 @@ def _mark_sums(ind: bytearray, t: SumTableSet, g: int, term: int) -> None:
     """Set bit x & 7 of ind[x >> 3] for the h-fold sums x of t that use term
     and have at least g representations, growing ind to cover the top of
     S_h plus one spare byte.  Call it right after term joins t; the other
-    sums keep their counts."""
+    sums keep their counts.  For g = 1 every such sum is in S_h, so none
+    is looked up."""
     h = t.h
     th = t.tables[h]
     top = (h * t.elements[-1] + 7) // 8 + 1
@@ -334,18 +335,18 @@ def _mark_sums(ind: bytearray, t: SumTableSet, g: int, term: int) -> None:
         ind += bytes(top - len(ind))
     for y in t.tables[h - 1]:
         x = term + y
-        if th[x] >= g:
+        if g == 1 or th[x] >= g:
             ind[x >> 3] |= 1 << (x & 7)
 
 
-def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
-            lo: int, hi: int) -> tuple[list[int], int]:
+def _screen(ys: list[int], ind: bytearray, alive: bytearray, base: int,
+            lo: int, hi: int) -> int:
     """Clear alive[m - base] for m in [lo, hi) with m + y in Sat for some y
-    in S_{h-1}, where ind packs the indicator of the saturated sums
-    Sat = {x : r(x) >= g} one bit per sum; stop once at most _SCREEN_LEFT
-    live candidates of the slice are left.  Returns the list ys of S_{h-1}
-    it read and the count done of its leading values it ORed: no live
-    candidate of the slice has m + y in Sat for y in ys[:done].
+    in ys, the step's list of S_{h-1}, where ind packs the indicator of the
+    saturated sums Sat = {x : r(x) >= g} one bit per sum; stop once at most
+    _SCREEN_LEFT live candidates of the slice are left.  Returns the count
+    done of the leading values of ys it ORed: no live candidate of the
+    slice has m + y in Sat for y in ys[:done].
 
     For a non-member m such a sum has at least g + 1 representations in
     the set plus m, so each cleared m is a permanent B_h[g] break.  The
@@ -357,7 +358,6 @@ def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
     as zeros.
     """
     live = int(alive[lo - base:hi - base][::-1].translate(_TO_DIGITS), 2)
-    ys = list(t.tables[t.h - 1])
     nb = (hi - lo + 7) // 8 + 1
     hits = done = 0
     with memoryview(ind) as view:
@@ -370,7 +370,7 @@ def _screen(t: SumTableSet, ind: bytearray, alive: bytearray, base: int,
     if live & hits:
         left = format(live & ~hits, f"0{hi - lo}b")[::-1]
         alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
-    return ys, done
+    return done
 
 
 def _greedy(
@@ -405,16 +405,17 @@ def _greedy(
 
     The loop also keeps ind, the indicator of the saturated sums
     Sat = {x : r(x) >= g} over [0, top of S_h], packed one bit per sum and
-    set in place after each commit by _mark_sums.  Before a slice is
-    scanned, _screen clears in alive the m with m + y in Sat for some y in
-    S_{h-1}, a whole slice at a time, until at most _SCREEN_LEFT live
-    candidates of the slice are left.  These are B_h[g] breaks, so the map
-    keeps its meaning.  For g > 1 every candidate the screen leaves is
-    decided by _accept_general, which runs classify_candidate, the one pass
-    over a candidate's sums, with the level ceilings of the step when
-    check_levels is set.  For g = 1 no level is checked, and _accept_g1
-    takes over from the screen: it looks up only the k = 1 sums of the
-    (h-1)-fold values the screen did not reach, then the k >= 2 sums.
+    set in place after each commit by _mark_sums.  Each step lists S_{h-1}
+    once as ys.  Before a slice is scanned, _screen clears in alive the m
+    with m + y in Sat for some y in ys, a whole slice at a time, until at
+    most _SCREEN_LEFT live candidates of the slice are left.  These are
+    B_h[g] breaks, so the map keeps its meaning.  For g > 1 every candidate
+    the screen leaves is decided by _accept_general, which runs
+    classify_candidate, the one pass over a candidate's sums, with the
+    level ceilings of the step when check_levels is set.  For g = 1 no
+    level is checked, and _accept_g1 takes over from the screen: it looks
+    up only the k = 1 sums of the values of ys the screen did not reach,
+    then the k >= 2 sums.
     """
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=max_entries)
@@ -427,6 +428,7 @@ def _greedy(
         t0 = time.perf_counter()
         n_next = len(t) + 1
         floor = ceiling(n_next).floor
+        ys = list(t.tables[h - 1])
         general = (_accept_general(t, g, n_next, check_levels, alive, base)
                    if g > 1 else None)
         found, lo, top = None, base, floor + 1
@@ -435,7 +437,7 @@ def _greedy(
             hi = min(lo + width, top)
             if base + len(alive) < hi:
                 alive += b"\x01" * _CHUNK
-            ys, done = _screen(t, ind, alive, base, lo, hi)
+            done = _screen(ys, ind, alive, base, lo, hi)
             accept = general or _accept_g1(t, ys, done, alive, base)
             found = next((m for m in compress(range(lo, hi),
                                               alive[lo - base:hi - base])

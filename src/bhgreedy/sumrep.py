@@ -60,9 +60,13 @@ class CandidateDelta:
 
 
 class SumTableSet:
-    """Exact j-fold multiset-sum counts of a growing set, j = 0..h."""
+    """Exact j-fold multiset-sum counts of a growing set, j = 0..h.
 
-    __slots__ = ("h", "tables", "elements", "_members", "max_entries", "_entries")
+    The tables are the only record of the set: tables[1] maps each element
+    to 1, and elements lists the same members in order.
+    """
+
+    __slots__ = ("h", "tables", "elements", "max_entries")
 
     def __init__(self, h: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         if h < 2:
@@ -71,15 +75,13 @@ class SumTableSet:
         self.tables: list[dict[int, int]] = [{} for _ in range(h + 1)]
         self.tables[0][0] = 1
         self.elements: list[int] = []
-        self._members: set[int] = set()
         self.max_entries = max_entries
-        self._entries = 1
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, a: int) -> bool:
-        return a in self._members
+        return a in self.tables[1]
 
     def __repr__(self) -> str:
         return f"SumTableSet(h={self.h}, elements={self.elements})"
@@ -92,30 +94,22 @@ class SumTableSet:
         """
         if a < 1:
             raise ValueError(f"elements must be positive, got {a}")
-        if a in self._members:
+        if a in self:
             raise ValueError(f"duplicate element {a}")
         tables = self.tables
         for j in range(self.h, 0, -1):
             tj = tables[j]
-            new_entries = 0
             for k in range(1, j + 1):
                 ka = k * a
                 for y, c in tables[j - k].items():
                     x = y + ka
-                    prev = tj.get(x)
-                    if prev is None:
-                        tj[x] = c
-                        new_entries += 1
-                    else:
-                        tj[x] = prev + c
-            self._entries += new_entries
-            if self._entries > self.max_entries:
+                    tj[x] = tj.get(x, 0) + c
+            if self.entry_count() > self.max_entries:
                 raise GuardExceeded(
                     f"sum-table entry cap {self.max_entries} exceeded while "
                     f"inserting {a}; lower n_terms or h, or raise the cap"
                 )
         insort(self.elements, a)
-        self._members.add(a)
 
     def rep_count(self, x: int) -> int:
         """r(x): multiplicity of x as an h-fold multiset sum."""
@@ -142,7 +136,7 @@ class SumTableSet:
         """Representation counts that inserting m would add (m not in A)."""
         if m < 1:
             raise ValueError(f"candidates must be positive, got {m}")
-        if m in self._members:
+        if m in self:
             raise ValueError(f"{m} is already in the set")
         added: dict[int, int] = {}
         for k in range(1, self.h + 1):
@@ -154,7 +148,7 @@ class SumTableSet:
 
     def entry_count(self) -> int:
         """Total stored (sum, count) entries, the quantity the cap guards."""
-        return self._entries
+        return sum(map(len, self.tables))
 
 
 def brute_force_rep(

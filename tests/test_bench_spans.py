@@ -1,0 +1,50 @@
+"""The benchmark's tracer patches the package from outside (bench/spans.py);
+these tests keep its patch points in step with the package."""
+
+import importlib.util
+from pathlib import Path
+
+from bhgreedy import Params, SumTableSet, cli, strong_greedy, sumrep, verify
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_generate_counts_and_restores(capsys):
+    spans = load_spans()
+    owners = (cli, sumrep.SumTableSet, verify)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        # install looks every patch point up, so a renamed one fails here;
+        # each one it patched wraps the original.
+        patched = {name: (value, old[name])
+                   for owner, old in zip(owners, before)
+                   for name, value in vars(owner).items() if value is not old[name]}
+        assert patched
+        for name, (value, original) in patched.items():
+            assert value.__wrapped__ is original, name
+        code = cli.main(["generate", "--h", "2", "--g", "1", "--n", "30",
+                         "--format", "csv"])
+    finally:
+        restore()
+    assert code == 0
+    terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
+    assert terms == strong_greedy(Params(2, 1, 30)).terms
+    t = SumTableSet(2)
+    for a in terms:
+        t.add_element(a)
+    assert tracer.counts["sumrep.table_entries"] == t.entry_count()
+    assert tracer.counts["sumrep.add_element_calls"] == 30
+    assert tracer.counts["greedy.steps"] == 29
+    assert {"greedy", "sumrep.add_element", "formats.render"} <= {
+        layer for layer, *_ in tracer.spans}
+    assert [dict(vars(owner)) for owner in owners] == before

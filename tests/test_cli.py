@@ -399,6 +399,17 @@ def test_diagnose_needs_n_or_input(capsys):
     assert code == EXIT_USAGE
 
 
+def test_diagnose_takes_n_or_input_not_both(capsys, tmp_path):
+    # --n only sizes a generated run, so with --input it would be ignored.
+    f = tmp_path / "mc.bfile"
+    f.write_text("1 1\n2 2\n3 4\n")
+    code, stdout, err = run(capsys, "diagnose", "--h", "2", "--g", "1",
+                            "--n", "5", "--input", str(f))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "not allowed with" in err
+
+
 def test_diagnose_window_cap_guard(capsys):
     code, _, _ = run(capsys, "diagnose", "--h", "2", "--g", "1", "--n", "12",
                      "--window-cap", "50")

@@ -469,7 +469,7 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
             1 << x for x in range(top + 1) if hist[x] >= g)
         alive = bytearray(m not in t for m in range(1, hi))
         before = bytes(alive)
-        _screen(t, ind, alive, 1, lo, hi)
+        _screen(list(t.tables[h - 1]), ind, alive, 1, lo, hi)
         assert alive[:lo - 1] == before[:lo - 1]
         cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
         assert cleared == [m for m in range(lo, hi) if m not in t
@@ -562,12 +562,13 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
         alive = bytearray(m not in t for m in range(1, hi + 9))
         start = bytes(alive)
         general = _accept_general(t, g, i + 2, False, alive, 1) if g > 1 else None
+        ys = list(t.tables[h - 1])
         for a in range(lo, hi, 13):
             b = min(a + 13, hi)
             exact = {m for m in range(a, b) if m not in t
                      and any(hist[m + y] >= g for y in lower)}
             before = bytes(alive)
-            ys, done = _screen(t, ind, alive, 1, a, b)
+            done = _screen(ys, ind, alive, 1, a, b)
             accept = general or _accept_g1(t, ys, done, alive, 1)
             assert alive[:a - 1] == before[:a - 1]
             assert alive[b - 1:] == before[b - 1:]

@@ -75,6 +75,14 @@ def test_entry_cap_is_a_hard_error():
     t.add_element(2)
     with pytest.raises(GuardExceeded):
         t.add_element(4)
+    # Inserting 4 into {1, 2} reaches 1 + 3 + 6 = 10 entries: a cap of 10
+    # admits it, and a cap of 9 stops it at the last fold.
+    assert build(2, [1, 2, 4], max_entries=10).entry_count() == 10
+    t = build(2, [1, 2], max_entries=9)
+    with pytest.raises(GuardExceeded) as err:
+        t.add_element(4)
+    assert str(err.value) == ("sum-table entry cap 9 exceeded while inserting "
+                              "4; lower n_terms or h, or raise the cap")
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +168,10 @@ def test_multiset_totals(elements, h):
         expected = 1 if j == 0 else comb(len(elements) + j - 1, j)
         assert sum(t.tables[j].values()) == expected
         assert all(c >= 1 for c in t.tables[j].values())
+    assert t.entry_count() == sum(len(tj) for tj in t.tables)
+    assert t.tables[1] == dict.fromkeys(elements, 1)
+    assert t.elements == sorted(t.tables[1])
+    assert [m for m in range(62) if m in t] == t.elements
 
 
 @given(elements=st.lists(st.integers(1, 60), min_size=2, max_size=6, unique=True),
