@@ -23,7 +23,8 @@ Guard defaults honour the environment variables BHG_MEMORY_CAP,
 BHG_ENUM_CAP, BHG_SCAN_CAP, and BHG_WINDOW_CAP; command-line flags override
 them, and every cap must be >= 1.  Each subcommand takes, and checks, only
 the caps it reads: generate and compare the memory and scan caps, verify
-the enumeration cap, and diagnose the memory, enumeration and window caps.
+the enumeration cap, and diagnose the enumeration and window caps, and the
+memory cap with --n.
 All runs are deterministic: there is no randomness anywhere, and written
 files are byte-identical across repeated runs with equal options (timings
 are emitted only with --timings, in a separate JSON block).
@@ -37,6 +38,7 @@ import math
 import os
 import statistics
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -322,7 +324,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
+    if args.input is None:
+        memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
+    elif args.memory_cap is not None:
+        raise ValueError("--memory-cap applies only with --n")
     enum_cap = _cap(args, "enum_cap", ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION)
     window_cap = _cap(args, "window_cap", ENV_WINDOW_CAP, verify_mod.DEFAULT_MAX_WINDOW)
     if args.sample_budget < 1:
@@ -345,16 +350,14 @@ def _cmd_diagnose(args) -> int:
         else:
             print(f"step={c.n} prefix_strong: level {c.failed_s} count "
                   f"{c.level_count} exceeds its ceiling FAIL")
-    counts: dict[str, int] = {}
-    failed_counts: dict[str, int] = {}
+    counts = Counter(inst.name for inst in diag.instances)
+    failed_counts = Counter()
     for inst in diag.instances:
-        counts[inst.name] = counts.get(inst.name, 0) + 1
         if not inst.holds:
-            failed_counts[inst.name] = failed_counts.get(inst.name, 0) + 1
+            failed_counts[inst.name] += 1
             print(inst.describe())
     for name in sorted(counts):
-        failed = failed_counts.get(name, 0)
-        status = "ok" if failed == 0 else f"{failed} FAILED"
+        status = f"{failed_counts[name]} FAILED" if failed_counts[name] else "ok"
         print(f"{name}: {counts[name]} instances, {status}")
     print(f"diagnostics: {'ok' if diag.ok else 'FAILED'} "
           f"({len(diag.instances)} inequality instances, "

@@ -235,71 +235,6 @@ def is_strong_candidate(
     return CandidateVerdict(True)
 
 
-def _accept_general(
-    t: SumTableSet, g: int, n_next: int, check_levels: bool,
-    alive: bytearray, base: int,
-) -> Callable[[int], bool]:
-    """Candidate test of the scan: classify_candidate against the profile
-    and level ceilings fetched once per step, or against no level with
-    check_levels off.
-
-    A B_h[g] break, which no later step can undo, marks m dead by clearing
-    alive[m - base]; a level rejection leaves m alive for later steps to
-    test again.  In a scan most candidates never reach the test: _screen
-    has already cleared those with m + y in Sat for some y in S_{h-1}.
-    """
-    counts, thresholds = (), []
-    if check_levels:
-        counts = t.rep_histogram(g)
-        thresholds = [Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
-
-    def accept(m: int) -> bool:
-        x, failed = classify_candidate(t, m, g, counts, thresholds)
-        if x is not None:
-            alive[m - base] = 0
-        return x is None and failed is None
-
-    return accept
-
-
-def _accept_g1(
-    t: SumTableSet, ys: list[int], done: int, alive: bytearray, base: int,
-) -> Callable[[int], bool]:
-    """Candidate test of a g = 1 scan for the survivors of one slice, which
-    _screen has cleared of every m with m + y in S_h for y in ys[:done].
-
-    For a nonempty B_h[1] set A, the non-member m keeps A + {m} B_h[1]
-    exactly when no sum k*m + y it adds (k = 1..h, y in S_{h-k}) lies in
-    S_h.  Two equal h-fold sums of A + {m}, stripped of their common
-    elements, leave two disjoint j-multisets of equal sum, and A is
-    B_h[1], so one of them uses m, d >= 1 times, and the other does not.
-    Padding both with h - j copies of one element of A gives
-    d*m + y = z with y in S_{h-d} and z in S_h.  So added sums that
-    collide with each other need no test of their own.  What is left is a
-    C set lookup per k: the k = 1 sums m + y for y in ys[done:], which
-    the screen did not reach, then the few k >= 2 sums.  Every rejection
-    is a B_h[1] break and clears alive[m - base].
-    """
-    h = t.h
-    th = t.tables[h].keys()
-    parts = [(1, ys[done:])] + [(k, t.tables[h - k]) for k in range(2, h + 1)]
-
-    def accept(m: int) -> bool:
-        if all(th.isdisjoint(map((k * m).__add__, part)) for k, part in parts):
-            return True
-        alive[m - base] = 0
-        return False
-
-    return accept
-
-
-def _sequential_scan_length(elements: list[int], start: int, found: int) -> int:
-    """Candidates a scan from start without a record of dead candidates
-    tests before accepting: the non-members in [start, found]."""
-    skipped = bisect_right(elements, found) - bisect_left(elements, start)
-    return found - start + 1 - skipped
-
-
 #: Largest scan slice, and the step by which the alive window grows.
 _CHUNK = 1 << 16
 
@@ -322,55 +257,164 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _mark_sums(ind: bytearray, t: SumTableSet, g: int, term: int) -> None:
-    """Set bit x & 7 of ind[x >> 3] for the h-fold sums x of t that use term
-    and have at least g representations, growing ind to cover the top of
-    S_h plus one spare byte.  Call it right after term joins t; the other
-    sums keep their counts.  For g = 1 every such sum is in S_h, so none
-    is looked up."""
-    h = t.h
-    th = t.tables[h]
-    top = (h * t.elements[-1] + 7) // 8 + 1
-    if len(ind) < top:
-        ind += bytes(top - len(ind))
-    for y in t.tables[h - 1]:
-        x = term + y
-        if g == 1 or th[x] >= g:
-            ind[x >> 3] |= 1 << (x & 7)
+class _Scan:
+    """The state of the greedy scan over one growing set: its sum tables t,
+    the live-candidate window alive, the saturated-sum bitmap ind, and ys,
+    the list of S_{h-1} taken at the last commit.
 
+    A B_h[g] break is permanent, because representation counts never
+    decrease, so the scan never tests such a candidate twice.  The
+    bytearray alive is a window over [base, base + len(alive)) holding 1
+    for "not a member and not known to break B_h[g]".  The screen and the
+    accept tests clear the candidates that break it, commit clears the new
+    term, and the window then drops its leading zeros, so base is the
+    smallest live candidate.  Only a level ceiling can reject a candidate
+    that a later step admits, so without level checks every non-member
+    below the last term breaks B_h[g].
 
-def _screen(ys: list[int], ind: bytearray, alive: bytearray, base: int,
-            lo: int, hi: int) -> int:
-    """Clear alive[m - base] for m in [lo, hi) with m + y in Sat for some y
-    in ys, the step's list of S_{h-1}, where ind packs the indicator of the
-    saturated sums Sat = {x : r(x) >= g} one bit per sum; stop once at most
-    _SCREEN_LEFT live candidates of the slice are left.  Returns the count
-    done of the leading values of ys it ORed: no live candidate of the
-    slice has m + y in Sat for y in ys[:done].
-
-    For a non-member m such a sum has at least g + 1 representations in
-    the set plus m, so each cleared m is a permanent B_h[g] break.  The
-    live candidates are read once as a bitmask, bit i for m = lo + i.  Each
-    y costs one slice of ind read as a little-endian integer and shifted
-    to start at bit lo + y: OR-ing these gives the hits of the slice, in C.
-    Every _SCREEN_BATCH values of y the screen counts the live candidates
-    it has not hit.  Slices past the top of S_h come out short, which reads
-    as zeros.
+    ind is the indicator of the saturated sums Sat = {x : r(x) >= g} over
+    [0, top of S_h], packed one bit per sum, plus one spare byte.  For a
+    non-member m, m + y in Sat for some y in S_{h-1} is a sum with at least
+    g + 1 representations in the set plus m, a B_h[g] break; the screen
+    clears these a whole slice at a time, so alive keeps its meaning.
     """
-    live = int(alive[lo - base:hi - base][::-1].translate(_TO_DIGITS), 2)
-    nb = (hi - lo + 7) // 8 + 1
-    hits = done = 0
-    with memoryview(ind) as view:
-        while done < len(ys) and (live & ~hits).bit_count() > _SCREEN_LEFT:
-            for y in ys[done:done + _SCREEN_BATCH]:
-                s = lo + y
-                j = s >> 3
-                hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
-            done = min(done + _SCREEN_BATCH, len(ys))
-    if live & hits:
-        left = format(live & ~hits, f"0{hi - lo}b")[::-1]
-        alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
-    return done
+
+    __slots__ = ("t", "g", "alive", "base", "ind", "ys")
+
+    def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
+        self.t, self.g = SumTableSet(h, max_entries=max_entries), g
+        self.alive, self.base, self.ind, self.ys = bytearray(b"\x01"), 1, bytearray(), []
+
+    def commit(self, term: int) -> None:
+        """Add the non-member term to the set, set the bits of ind for the
+        h-fold sums that use term and have at least g representations, clear
+        term in alive, growing the window to reach it, drop the window's
+        leading zeros, and list S_{h-1} into ys for the next step.  The
+        other sums keep their counts; for g = 1 every sum using term is in
+        S_h, so none is looked up."""
+        t, g, ind, alive = self.t, self.g, self.ind, self.alive
+        t.add_element(term)
+        h, th = t.h, t.tables[t.h]
+        top = (h * t.elements[-1] + 7) // 8 + 1
+        if len(ind) < top:
+            ind += bytes(top - len(ind))
+        for y in t.tables[h - 1]:
+            x = term + y
+            if g == 1 or th[x] >= g:
+                ind[x >> 3] |= 1 << (x & 7)
+        alive += b"\x01" * (term - self.base + 1 - len(alive))
+        alive[term - self.base] = 0
+        self.alive = alive.lstrip(b"\x00")
+        self.base += len(alive) - len(self.alive)
+        self.ys = list(t.tables[h - 1])
+
+    def screen(self, lo: int, hi: int) -> int:
+        """Clear alive[m - base] for m in [lo, hi) with m + y in Sat for some
+        y in ys; stop once at most _SCREEN_LEFT live candidates of the slice
+        are left.  Returns the count done of the leading values of ys it
+        ORed: no live candidate of the slice has m + y in Sat for y in
+        ys[:done].
+
+        The live candidates are read once as a bitmask, bit i for m = lo + i.
+        Each y costs one slice of ind read as a little-endian integer and
+        shifted to start at bit lo + y: OR-ing these gives the hits of the
+        slice, in C.  Every _SCREEN_BATCH values of y the screen counts the
+        live candidates it has not hit.  Slices past the top of S_h come out
+        short, which reads as zeros.
+        """
+        ys, alive, base = self.ys, self.alive, self.base
+        live = int(alive[lo - base:hi - base][::-1].translate(_TO_DIGITS), 2)
+        nb = (hi - lo + 7) // 8 + 1
+        hits = done = 0
+        with memoryview(self.ind) as view:
+            while done < len(ys) and (live & ~hits).bit_count() > _SCREEN_LEFT:
+                for y in ys[done:done + _SCREEN_BATCH]:
+                    s = lo + y
+                    j = s >> 3
+                    hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
+                done = min(done + _SCREEN_BATCH, len(ys))
+        if live & hits:
+            left = format(live & ~hits, f"0{hi - lo}b")[::-1]
+            alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
+        return done
+
+    def accept_general(self, n_next: int, check_levels: bool) -> Callable[[int], bool]:
+        """Candidate test of a step for g > 1: classify_candidate against
+        the profile and level ceilings of a set of size n_next, fetched once
+        per step, or against no level with check_levels off.
+
+        A B_h[g] break marks m dead; a level rejection leaves m alive for
+        later steps to test again.
+        """
+        t, g, alive, base = self.t, self.g, self.alive, self.base
+        counts, thresholds = (), []
+        if check_levels:
+            counts = t.rep_histogram(g)
+            thresholds = [Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
+
+        def accept(m: int) -> bool:
+            x, failed = classify_candidate(t, m, g, counts, thresholds)
+            if x is not None:
+                alive[m - base] = 0
+            return x is None and failed is None
+
+        return accept
+
+    def accept_g1(self, done: int) -> Callable[[int], bool]:
+        """Candidate test of a g = 1 step for the survivors of one slice,
+        which screen has cleared of every m with m + y in S_h for y in
+        ys[:done].
+
+        For a nonempty B_h[1] set A, the non-member m keeps A + {m} B_h[1]
+        exactly when no sum k*m + y it adds (k = 1..h, y in S_{h-k}) lies in
+        S_h.  Two equal h-fold sums of A + {m}, stripped of their common
+        elements, leave two disjoint j-multisets of equal sum, and A is
+        B_h[1], so one of them uses m, d >= 1 times, and the other does not.
+        Padding both with h - j copies of one element of A gives
+        d*m + y = z with y in S_{h-d} and z in S_h.  So added sums that
+        collide with each other need no test of their own.  What is left is
+        a C set lookup per k: the k = 1 sums m + y for y in ys[done:], which
+        the screen did not reach, then the few k >= 2 sums.  Every rejection
+        is a B_h[1] break and marks m dead.
+        """
+        t, alive, base = self.t, self.alive, self.base
+        h = t.h
+        th = t.tables[h].keys()
+        parts = [(1, self.ys[done:])] + [(k, t.tables[h - k]) for k in range(2, h + 1)]
+
+        def accept(m: int) -> bool:
+            if all(th.isdisjoint(map((k * m).__add__, part)) for k, part in parts):
+                return True
+            alive[m - base] = 0
+            return False
+
+        return accept
+
+    def find(self, top: int, n_next: int, check_levels: bool) -> Optional[int]:
+        """The smallest live candidate below top that the step's accept test
+        admits, or None.
+
+        The scan walks [base, top) in slices of _FIRST_SLICE candidates,
+        doubling up to _CHUNK, and grows the window by _CHUNK as it goes.
+        Each slice is screened first, and compress skips the cleared entries
+        without running Python code for them.  For g > 1 accept_general
+        decides every candidate the screen leaves; for g = 1 no level is
+        checked, and accept_g1 takes over where the screen stopped.
+        """
+        alive, base = self.alive, self.base
+        general = self.accept_general(n_next, check_levels) if self.g > 1 else None
+        lo, width = base, _FIRST_SLICE
+        while lo < top:
+            hi = min(lo + width, top)
+            if base + len(alive) < hi:
+                alive += b"\x01" * _CHUNK
+            done = self.screen(lo, hi)
+            accept = general or self.accept_g1(done)
+            for m in compress(range(lo, hi), alive[lo - base:hi - base]):
+                if accept(m):
+                    return m
+            lo, width = hi, min(2 * width, _CHUNK)
+        return None
 
 
 def _greedy(
@@ -387,77 +431,33 @@ def _greedy(
 
     Term n is the smallest non-member in [1, ceiling(n).floor] that keeps
     the set B_h[g] and, with check_levels, within its level ceilings; if
-    there is none, error is raised.
-
-    A B_h[g] break is permanent, because representation counts never
-    decrease, so the scan never tests such a candidate twice.  The
-    bytearray alive is a window over [base, base + len(alive)) holding 1
-    for "not a member and not known to break B_h[g]".  The screen and the
-    accept test clear the candidates that break it, each commit clears
-    the new term, and the window then drops its leading zeros, so base is
-    the smallest live candidate.  The scan walks [base, ceiling] in slices of
-    _FIRST_SLICE candidates, doubling up to _CHUNK, and compress skips
-    cleared entries without running Python code for them.  Only a level
-    ceiling can reject a candidate that a later step admits, so without
-    check_levels every non-member below the last term is dead, base is the
-    last term + 1, and scan_length counts from there; with check_levels it
-    counts from 1.
-
-    The loop also keeps ind, the indicator of the saturated sums
-    Sat = {x : r(x) >= g} over [0, top of S_h], packed one bit per sum and
-    set in place after each commit by _mark_sums.  Each step lists S_{h-1}
-    once as ys.  Before a slice is scanned, _screen clears in alive the m
-    with m + y in Sat for some y in ys, a whole slice at a time, until at
-    most _SCREEN_LEFT live candidates of the slice are left.  These are
-    B_h[g] breaks, so the map keeps its meaning.  For g > 1 every candidate
-    the screen leaves is decided by _accept_general, which runs
-    classify_candidate, the one pass over a candidate's sums, with the
-    level ceilings of the step when check_levels is set.  For g = 1 no
-    level is checked, and _accept_g1 takes over from the screen: it looks
-    up only the k = 1 sums of the values of ys the screen did not reach,
-    then the k >= 2 sums.
+    there is none, error is raised.  A _Scan keeps the state of the scan
+    between steps.
     """
     h, g = params.h, params.g
-    t = SumTableSet(h, max_entries=max_entries)
+    scan = _Scan(h, g, max_entries)
+    members = scan.t.elements
     rec = SequenceRecord(params, algorithm)
-    alive, base, ind = bytearray(), 2, bytearray()
-    _commit(rec, t, term=1, scan_length=0, bound_floor=ceiling(1).floor,
-            elapsed=0.0, on_step=on_step)
-    _mark_sums(ind, t, g, 1)
-    while len(rec.terms) < params.n_terms:
+    meta = StepMeta(1, 1, 0, ceiling(1).floor, 0.0)
+    while True:
+        scan.commit(meta.term)
+        rec.terms.append(meta.term)
+        rec.per_step.append(meta)
+        if on_step is not None:
+            on_step(meta)
+        if meta.n == params.n_terms:
+            return rec
         t0 = time.perf_counter()
-        n_next = len(t) + 1
+        n_next = meta.n + 1
         floor = ceiling(n_next).floor
-        ys = list(t.tables[h - 1])
-        general = (_accept_general(t, g, n_next, check_levels, alive, base)
-                   if g > 1 else None)
-        found, lo, top = None, base, floor + 1
-        width = min(_FIRST_SLICE, _CHUNK)
-        while found is None and lo < top:
-            hi = min(lo + width, top)
-            if base + len(alive) < hi:
-                alive += b"\x01" * _CHUNK
-            done = _screen(ys, ind, alive, base, lo, hi)
-            accept = general or _accept_g1(t, ys, done, alive, base)
-            found = next((m for m in compress(range(lo, hi),
-                                              alive[lo - base:hi - base])
-                          if accept(m)), None)
-            lo, width = hi, min(2 * width, _CHUNK)
+        found = scan.find(floor + 1, n_next, check_levels)
         if found is None:
             raise error(f"no admissible candidate <= {floor} for term "
                         f"{n_next} (h={h}, g={g}); {hint}")
-        start = 1 if check_levels else rec.terms[-1] + 1
-        _commit(rec, t, term=found,
-                scan_length=_sequential_scan_length(t.elements, start, found),
-                bound_floor=floor, elapsed=time.perf_counter() - t0,
-                on_step=on_step)
-        _mark_sums(ind, t, g, found)
-        alive[found - base] = 0
-        live = alive.find(1)
-        live = len(alive) if live < 0 else live
-        del alive[:live]
-        base += live
-    return rec
+        start = 1 if check_levels else meta.term + 1
+        skipped = bisect_right(members, found) - bisect_left(members, start)
+        meta = StepMeta(n_next, found, found - start + 1 - skipped, floor,
+                        time.perf_counter() - t0)
 
 
 def strong_greedy(
@@ -520,12 +520,3 @@ def classic_greedy(
                    error=ScanExceededConfiguredLimit,
                    hint="raise the scan cap to continue",
                    on_step=on_step, max_entries=max_entries)
-
-
-def _commit(rec, t, *, term, scan_length, bound_floor, elapsed, on_step):
-    t.add_element(term)
-    rec.terms.append(term)
-    meta = StepMeta(len(rec.terms), term, scan_length, bound_floor, elapsed)
-    rec.per_step.append(meta)
-    if on_step is not None:
-        on_step(meta)

@@ -410,6 +410,36 @@ def test_diagnose_takes_n_or_input_not_both(capsys, tmp_path):
     assert "not allowed with" in err
 
 
+def test_diagnose_memory_cap_flag_needs_n(capsys, tmp_path):
+    # The memory cap bounds the sum tables of a generated run; --input builds
+    # none, so the flag would be ignored there.
+    f = tmp_path / "mc.bfile"
+    f.write_text("1 1\n2 2\n3 4\n")
+    code, stdout, err = run(capsys, "diagnose", "--h", "2", "--g", "1",
+                            "--input", str(f), "--memory-cap", "1")
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--memory-cap applies only with --n" in err
+    code, _, err = run(capsys, "diagnose", "--h", "2", "--g", "1", "--n", "3",
+                       "--memory-cap", "1")
+    assert code == EXIT_GUARD
+
+
+def test_diagnose_input_does_not_read_the_memory_cap_variable(
+        capsys, monkeypatch, tmp_path):
+    f = tmp_path / "mc.bfile"
+    f.write_text("1 1\n2 2\n3 4\n")
+    monkeypatch.setenv("BHG_MEMORY_CAP", "0")
+    code, stdout, err = run(capsys, "diagnose", "--h", "2", "--g", "1",
+                            "--input", str(f))
+    assert code == EXIT_OK
+    assert "diagnostics: ok" in stdout
+    assert err == ""
+    code, _, err = run(capsys, "diagnose", "--h", "2", "--g", "1", "--n", "3")
+    assert code == EXIT_USAGE
+    assert "environment variable BHG_MEMORY_CAP must be >= 1, got 0" in err
+
+
 def test_diagnose_window_cap_guard(capsys):
     code, _, _ = run(capsys, "diagnose", "--h", "2", "--g", "1", "--n", "12",
                      "--window-cap", "50")

@@ -18,14 +18,7 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import (
-    _SCREEN_LEFT,
-    _accept_g1,
-    _accept_general,
-    _mark_sums,
-    _screen,
-    classify_candidate,
-)
+from bhgreedy.greedy import _SCREEN_LEFT, _Scan, classify_candidate
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -46,6 +39,14 @@ def build(h, elements):
     for a in elements:
         t.add_element(a)
     return t
+
+
+def committed(h, g, terms):
+    """A scan that has committed terms in order."""
+    scan = _Scan(h, g)
+    for a in terms:
+        scan.commit(a)
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +256,19 @@ def check_fused_against_contract_op(prefix, h, g):
     [1, 2*max(prefix)+9], and marks m dead exactly when the verdict is a
     B_h[g] break; returns the verdict reasons seen."""
     n = len(prefix)
-    t = build(h, prefix)
+    scan = committed(h, g, prefix)
+    t = scan.t
     profile = t.rep_histogram(g)
     hi = 2 * max(prefix) + 10
-    alive = bytearray(b"\x01") * hi
-    fused = _accept_general(t, g, n + 1, g > 1, alive, 1)
+    scan.alive, scan.base = bytearray(b"\x01") * hi, 1
+    fused = scan.accept_general(n + 1, g > 1)
     reasons = set()
     for m in range(1, hi):
         if m in t:
             continue
         expect = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
         assert fused(m) == expect.accepted, (n, m)
-        assert (alive[m - 1] == 0) == (expect.reason == "bhg"), (n, m)
+        assert (scan.alive[m - 1] == 0) == (expect.reason == "bhg"), (n, m)
         reasons.add(expect.reason)
     return reasons
 
@@ -438,19 +440,17 @@ SCREEN_PREFIXES = [
 
 
 def screened_prefixes(h, g, n):
-    """For each proper prefix of the strong (h, g, n) run: its table, the
-    packed indicator _mark_sums keeps for it, the h- and (h-1)-fold sum
-    histograms from enumeration, and the slice [lo, hi) that starts below
-    the last member and runs past the top of S_h."""
+    """For each proper prefix of the strong (h, g, n) run: a scan that has
+    committed it, the h- and (h-1)-fold sum histograms from enumeration,
+    and the slice [lo, hi) that starts below the last member and runs past
+    the top of S_h."""
     terms = strong_greedy(Params(h, g, n)).terms
-    t, ind = SumTableSet(h), bytearray()
     for i, a in enumerate(terms[:-1]):
-        t.add_element(a)
-        _mark_sums(ind, t, g, a)
         prefix = terms[:i + 1]
+        scan = committed(h, g, prefix)
         hist = multiset_sum_histogram(prefix, h)
         lower = multiset_sum_histogram(prefix, h - 1)
-        yield i, t, ind, hist, lower, a // 2 + 1, 8 * len(ind) + 5
+        yield i, scan, hist, lower, a // 2 + 1, 8 * len(scan.ind) + 5
 
 
 @pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
@@ -462,14 +462,15 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
     # enumeration), each a B_h[g] break, and touch nothing else.
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
-    for i, t, ind, hist, lower, lo, hi in screened_prefixes(h, g, n):
+    for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
+        t = scan.t
         top = h * t.elements[-1]
-        assert len(ind) == (top + 7) // 8 + 1
-        assert int.from_bytes(ind, "little") == sum(
+        assert len(scan.ind) == (top + 7) // 8 + 1
+        assert int.from_bytes(scan.ind, "little") == sum(
             1 << x for x in range(top + 1) if hist[x] >= g)
-        alive = bytearray(m not in t for m in range(1, hi))
-        before = bytes(alive)
-        _screen(list(t.tables[h - 1]), ind, alive, 1, lo, hi)
+        scan.alive, scan.base = bytearray(m not in t for m in range(1, hi)), 1
+        alive, before = scan.alive, bytes(scan.alive)
+        scan.screen(lo, hi)
         assert alive[:lo - 1] == before[:lo - 1]
         cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
         assert cleared == [m for m in range(lo, hi) if m not in t
@@ -489,13 +490,13 @@ def check_g1_accept(elements, h):
     """For each non-member m of [1, 2*max+10), let f be the index of the
     first y of S_{h-1}, in the order the screen reads them, with m + y in
     S_h.  A screen that stopped after done <= f values leaves m alive, and
-    _accept_g1 must then agree with is_strong_candidate and clear
+    the scan's accept_g1 must then agree with is_strong_candidate and clear
     alive[m - 1] exactly on a "bhg" verdict, for every such done.  Returns
     the kinds of candidate seen: "k1" (some m + y in S_h), "high" (no such
     sum, but rejected) and "accepted"."""
-    t = build(h, sorted(elements))
+    scan = committed(h, 1, sorted(elements))
+    t, ys = scan.t, scan.ys
     th = t.tables[h]
-    ys = list(t.tables[h - 1])
     kinds = set()
     for m in range(1, 2 * max(elements) + 10):
         if m in t:
@@ -503,10 +504,10 @@ def check_g1_accept(elements, h):
         verdict = is_strong_candidate(t, t.candidate_delta(m), len(t) + 1, h, 1)
         f = next((j for j, y in enumerate(ys) if m + y in th), len(ys))
         for done in range(f + 1):
-            alive = bytearray(b"\x01") * m
-            accept = _accept_g1(t, ys, done, alive, 1)
+            scan.alive, scan.base = bytearray(b"\x01") * m, 1
+            accept = scan.accept_g1(done)
             assert accept(m) == verdict.accepted, (elements, m, done)
-            assert (alive[m - 1] == 0) == (verdict.reason == "bhg"), \
+            assert (scan.alive[m - 1] == 0) == (verdict.reason == "bhg"), \
                 (elements, m, done)
         kinds.add("k1" if f < len(ys) else
                   "accepted" if verdict.accepted else "high")
@@ -549,27 +550,27 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
     # Screen [lo, hi) in slices of 13, which start at every residue mod 8.
     # The screen may stop while some breakers of a slice are still live,
     # but only once at most _SCREEN_LEFT live candidates are left.  The
-    # accept test the scan runs for this g (_accept_g1 resuming where the
-    # screen stopped, or _accept_general) then marks the rest dead, so
+    # accept test the scan runs for this g (accept_g1 resuming where the
+    # screen stopped, or accept_general) then marks the rest dead, so
     # after both every non-member of [lo, hi) that breaks B_h[g] is dead,
     # and no other.
     if batch is not None:
         monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
     stopped_early = 0
-    for i, t, ind, hist, lower, lo, hi in screened_prefixes(h, g, n):
+    for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
+        t = scan.t
         breaks = {m for m in range(lo, hi) if m not in t and is_strong_candidate(
             t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
-        alive = bytearray(m not in t for m in range(1, hi + 9))
-        start = bytes(alive)
-        general = _accept_general(t, g, i + 2, False, alive, 1) if g > 1 else None
-        ys = list(t.tables[h - 1])
+        scan.alive, scan.base = bytearray(m not in t for m in range(1, hi + 9)), 1
+        alive, start = scan.alive, bytes(scan.alive)
+        general = scan.accept_general(i + 2, False) if g > 1 else None
         for a in range(lo, hi, 13):
             b = min(a + 13, hi)
             exact = {m for m in range(a, b) if m not in t
                      and any(hist[m + y] >= g for y in lower)}
             before = bytes(alive)
-            done = _screen(ys, ind, alive, 1, a, b)
-            accept = general or _accept_g1(t, ys, done, alive, 1)
+            done = scan.screen(a, b)
+            accept = general or scan.accept_g1(done)
             assert alive[:a - 1] == before[:a - 1]
             assert alive[b - 1:] == before[b - 1:]
             cleared = {m for m in range(a, b) if before[m - 1] and not alive[m - 1]}
@@ -582,6 +583,20 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
         dead = {m for m in range(lo, hi) if start[m - 1] and not alive[m - 1]}
         assert dead == breaks, t.elements
     assert stopped_early or batch is None
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
+def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
+    # A scan rebuilt by committing a prefix starts with every non-member
+    # live, where the run's own scan had marked some dead; its find must
+    # still return the run's next term under the same ceiling.
+    rec = generator(Params(h, g, n))
+    check_levels = rec.algorithm == "strong" and g > 1
+    for i, meta in enumerate(rec.per_step[1:], 1):
+        scan = committed(h, g, rec.terms[:i])
+        assert scan.find(meta.bound_floor + 1, i + 1, check_levels) == meta.term, \
+            (rec.algorithm, rec.terms[:i])
 
 
 def test_classic_scan_cap_is_enforced():
@@ -616,3 +631,4 @@ def test_on_step_observer_sees_every_commit():
     seen = []
     rec = strong_greedy(Params(2, 1, 6), on_step=seen.append)
     assert [m.term for m in seen] == rec.terms
+    assert seen == rec.per_step
