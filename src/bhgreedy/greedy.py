@@ -26,8 +26,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import or_
 from typing import Callable, Optional
 
 from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
@@ -240,12 +241,12 @@ _CHUNK = 1 << 16
 
 #: Width of the first slice of a scan; each further slice doubles it, up to
 #: _CHUNK.  Most scans end within a few thousand candidates of where they
-#: start, and the screen of a wide slice reads wide indicator slices until
+#: start, and the screen of a wide slice reads wide windows of reach until
 #: it has settled the slice.
 _FIRST_SLICE = 1 << 10
 
-#: Values of S_{h-1} the screen ORs into a slice's hits between two counts
-#: of the candidates left.
+#: Elements a the screen ORs into a slice's hits, one window of reach at
+#: lo + a each, between two counts of the candidates left.
 _SCREEN_BATCH = 32
 
 #: The screen stops once at most this many live candidates of its slice
@@ -258,9 +259,9 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _Scan:
-    """The state of the greedy scan over one growing set: its sum tables t,
-    the live-candidate window alive, the saturated-sum bitmap ind, and ys,
-    the list of S_{h-1} taken at the last commit.
+    """The state of the greedy scan over one growing set A: its sum tables
+    t, the live-candidate window alive, the saturated-sum bitmap ind, and
+    the bitmap reach that the screen reads.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests such a candidate twice.  The
@@ -275,23 +276,40 @@ class _Scan:
     ind is the indicator of the saturated sums Sat = {x : r(x) >= g} over
     [0, top of S_h], packed one bit per sum, plus one spare byte.  For a
     non-member m, m + y in Sat for some y in S_{h-1} is a sum with at least
-    g + 1 representations in the set plus m, a B_h[g] break; the screen
-    clears these a whole slice at a time, so alive keeps its meaning.
+    g + 1 representations in the set plus m, a B_h[g] break.  As sets,
+    S_{h-1} = A + S_{h-2}, so that happens exactly when m + a is in
+
+        E = {x >= 0 : x + z in Sat for some z in S_{h-2}}
+
+    for some element a.  reach is E, packed as ind is and of the same
+    length; for h = 2, S_0 = {0} and reach is ind itself.  The screen
+    clears these breakers a whole slice at a time, so alive keeps its
+    meaning, with one window of reach per element: n windows a slice,
+    where Sat read once per y in S_{h-1} would take about n^(h-1)/(h-1)!.
     """
 
-    __slots__ = ("t", "g", "alive", "base", "ind", "ys")
+    __slots__ = ("t", "g", "alive", "base", "ind", "reach")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.t, self.g = SumTableSet(h, max_entries=max_entries), g
-        self.alive, self.base, self.ind, self.ys = bytearray(b"\x01"), 1, bytearray(), []
+        self.alive, self.base = bytearray(b"\x01"), 1
+        self.ind = self.reach = bytearray()
 
     def commit(self, term: int) -> None:
         """Add the non-member term to the set, set the bits of ind for the
         h-fold sums that use term and have at least g representations, clear
         term in alive, growing the window to reach it, drop the window's
-        leading zeros, and list S_{h-1} into ys for the next step.  The
-        other sums keep their counts; for g = 1 every sum using term is in
-        S_h, so none is looked up."""
+        leading zeros, and rebuild reach.  The other sums keep their
+        counts; for g = 1 every sum using term is in S_h, so none is looked
+        up.
+
+        For h > 2, reach starts from Sat and takes h - 2 rounds of
+        E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
+        the packed integer shifted right by every element; after r rounds
+        E holds the x with x + z in Sat for some r-fold sum z of A.
+        Shifting right only drops bits, so reach sets none past the top of
+        ind.
+        """
         t, g, ind, alive = self.t, self.g, self.ind, self.alive
         t.add_element(term)
         h, th = t.h, t.tables[t.h]
@@ -306,33 +324,38 @@ class _Scan:
         alive[term - self.base] = 0
         self.alive = alive.lstrip(b"\x00")
         self.base += len(alive) - len(self.alive)
-        self.ys = list(t.tables[h - 1])
+        if h > 2:
+            e = int.from_bytes(ind, "little")
+            for _ in range(h - 2):
+                e = reduce(or_, map(e.__rshift__, t.elements))
+            self.reach = e.to_bytes(len(ind), "little")
 
     def screen(self, lo: int, hi: int) -> int:
-        """Clear alive[m - base] for m in [lo, hi) with m + y in Sat for some
-        y in ys; stop once at most _SCREEN_LEFT live candidates of the slice
-        are left.  Returns the count done of the leading values of ys it
-        ORed: no live candidate of the slice has m + y in Sat for y in
-        ys[:done].
+        """Clear alive[m - base] for m in [lo, hi) with m + a in E for some
+        element a; stop once at most _SCREEN_LEFT live candidates of the
+        slice are left.  Returns the count done of the leading elements it
+        ORed: no live candidate of the slice has m + a in E, that is m + y
+        in Sat for y in a + S_{h-2}, for a in elements[:done].
 
         The live candidates are read once as a bitmask, bit i for m = lo + i.
-        Each y costs one slice of ind read as a little-endian integer and
-        shifted to start at bit lo + y: OR-ing these gives the hits of the
-        slice, in C.  Every _SCREEN_BATCH values of y the screen counts the
-        live candidates it has not hit.  Slices past the top of S_h come out
-        short, which reads as zeros.
+        Each element a costs one slice of reach read as a little-endian
+        integer and shifted to start at bit lo + a: OR-ing these gives the
+        hits of the slice, in C.  Every _SCREEN_BATCH elements the screen
+        counts the live candidates it has not hit.  Slices past the top of
+        S_h come out short, which reads as zeros.
         """
-        ys, alive, base = self.ys, self.alive, self.base
+        elements, alive, base = self.t.elements, self.alive, self.base
+        n = len(elements)
         live = int(alive[lo - base:hi - base][::-1].translate(_TO_DIGITS), 2)
         nb = (hi - lo + 7) // 8 + 1
         hits = done = 0
-        with memoryview(self.ind) as view:
-            while done < len(ys) and (live & ~hits).bit_count() > _SCREEN_LEFT:
-                for y in ys[done:done + _SCREEN_BATCH]:
-                    s = lo + y
+        with memoryview(self.reach) as view:
+            while done < n and (live & ~hits).bit_count() > _SCREEN_LEFT:
+                for a in elements[done:done + _SCREEN_BATCH]:
+                    s = lo + a
                     j = s >> 3
                     hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
-                done = min(done + _SCREEN_BATCH, len(ys))
+                done = min(done + _SCREEN_BATCH, n)
         if live & hits:
             left = format(live & ~hits, f"0{hi - lo}b")[::-1]
             alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
@@ -362,8 +385,8 @@ class _Scan:
 
     def accept_g1(self, done: int) -> Callable[[int], bool]:
         """Candidate test of a g = 1 step for the survivors of one slice,
-        which screen has cleared of every m with m + y in S_h for y in
-        ys[:done].
+        which screen has cleared of every m with m + a in E for a in
+        elements[:done].
 
         For a nonempty B_h[1] set A, the non-member m keeps A + {m} B_h[1]
         exactly when no sum k*m + y it adds (k = 1..h, y in S_{h-k}) lies in
@@ -372,18 +395,30 @@ class _Scan:
         B_h[1], so one of them uses m, d >= 1 times, and the other does not.
         Padding both with h - j copies of one element of A gives
         d*m + y = z with y in S_{h-d} and z in S_h.  So added sums that
-        collide with each other need no test of their own.  What is left is
-        a C set lookup per k: the k = 1 sums m + y for y in ys[done:], which
-        the screen did not reach, then the few k >= 2 sums.  Every rejection
-        is a B_h[1] break and marks m dead.
+        collide with each other need no test of their own.
+
+        What is left are the k = 1 sums m + y, y in S_{h-1}, then the few
+        k >= 2 sums.  With g = 1, Sat is S_h, and each y is a + z with a an
+        element and z in S_{h-2}, so some m + y lies in S_h exactly when
+        m + a is in E for some a.  The screen has settled that for
+        elements[:done], so the resume reads m + a in reach for a in
+        elements[done:] only, and that is exact.  For h = 2, E is S_2 and
+        these are C set lookups, as are the k >= 2 sums, one per k.  Every
+        rejection is a B_h[1] break and marks m dead.
         """
-        t, alive, base = self.t, self.alive, self.base
+        t, alive, base, reach = self.t, self.alive, self.base, self.reach
         h = t.h
         th = t.tables[h].keys()
-        parts = [(1, self.ys[done:])] + [(k, t.tables[h - k]) for k in range(2, h + 1)]
+        rest, end = t.elements[done:], 8 * len(reach)
+        parts = [(k, t.tables[h - k]) for k in range(2, h + 1)]
+        if h == 2:
+            parts, rest = [(1, rest)] + parts, ()
 
         def accept(m: int) -> bool:
-            if all(th.isdisjoint(map((k * m).__add__, part)) for k, part in parts):
+            near = rest and any(reach[x >> 3] >> (x & 7) & 1
+                                for x in map(m.__add__, rest) if x < end)
+            if not near and all(th.isdisjoint(map((k * m).__add__, part))
+                                for k, part in parts):
                 return True
             alive[m - base] = 0
             return False
@@ -399,7 +434,8 @@ class _Scan:
         Each slice is screened first, and compress skips the cleared entries
         without running Python code for them.  For g > 1 accept_general
         decides every candidate the screen leaves; for g = 1 no level is
-        checked, and accept_g1 takes over where the screen stopped.
+        checked, and accept_g1 takes over at the count of elements the
+        screen has ORed.
         """
         alive, base = self.alive, self.base
         general = self.accept_general(n_next, check_levels) if self.g > 1 else None

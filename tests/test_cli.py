@@ -470,15 +470,16 @@ def test_verify_and_diagnose_reproduce_the_pinned_benchmark_bytes(
     assert sum(not i["holds"] for i in json.loads(ledger.read_text())["instances"]) == 162
 
 
-@pytest.mark.parametrize("algo,h,n,name", [
-    ("strong", 2, 238, "mianchowla-h2g1"),
-    ("classic", 4, 17, "classic-h4g1"),
+@pytest.mark.parametrize("algo,h,g,n,name", [
+    ("strong", 2, 1, 238, "mianchowla-h2g1"),
+    ("classic", 4, 1, 17, "classic-h4g1"),
+    ("strong", 3, 2, 40, "strong-h3g2"),
 ])
-def test_generate_reproduces_the_pinned_g1_benchmark_bytes(capsys, algo, h, n,
-                                                          name):
-    """The g = 1 generate benchmark commands give the pinned bytes."""
+def test_generate_reproduces_the_pinned_benchmark_bytes(capsys, algo, h, g, n,
+                                                        name):
+    """The generate benchmark commands give the pinned bytes."""
     code, stdout, _ = run(capsys, "generate", "--algo", algo, "--h", str(h),
-                          "--g", "1", "--n", str(n))
+                          "--g", str(g), "--n", str(n))
     assert code == EXIT_OK
     assert stdout.encode() == \
         (ROOT / "bench" / "pinned" / f"{name}-n{n}.json").read_bytes()

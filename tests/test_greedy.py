@@ -405,10 +405,12 @@ def shrink_scan_slices(monkeypatch):
 
 
 @pytest.mark.parametrize("h,g", [
-    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1),
+    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
+    (5, 1),
 ])
 def test_scan_chunk_boundaries_change_nothing(monkeypatch, h, g):
-    n = 12 if h == 4 else 20
+    # h = 2..5 runs 0..3 rounds of the shifts that build reach.
+    n = {2: 20, 3: 20, 4: 12, 5: 9}[h]
     generators = (strong_greedy, classic_greedy)
     default = [gen(Params(h, g, n)) for gen in generators]
     shrink_scan_slices(monkeypatch)
@@ -425,7 +427,7 @@ def test_scan_chunk_boundaries_change_nothing(monkeypatch, h, g):
 
 @pytest.mark.parametrize("h,g,n", [
     (2, 1, 40), (3, 1, 12), (4, 1, 10), (2, 2, 30), (2, 3, 30), (3, 2, 14),
-    (3, 3, 14),
+    (3, 3, 14), (4, 2, 10), (4, 3, 10), (5, 1, 7),
 ])
 def test_screen_with_tiny_slices_matches_naive_oracles(monkeypatch, h, g, n):
     shrink_scan_slices(monkeypatch)
@@ -435,8 +437,36 @@ def test_screen_with_tiny_slices_matches_naive_oracles(monkeypatch, h, g, n):
 
 SCREEN_PREFIXES = [
     (2, 1, 12), (3, 1, 9), (4, 1, 7), (2, 2, 12), (3, 2, 9), (2, 3, 12),
-    (3, 3, 9),
+    (3, 3, 9), (4, 2, 7), (5, 1, 6),
 ]
+
+
+def reach_oracle(prefix, h, g):
+    """E = {x >= 0 : x + z in Sat for some z in S_{h-2}}, with Sat the sums
+    of at least g representations, from enumeration."""
+    sat = [x for x, c in multiset_sum_histogram(prefix, h).items() if c >= g]
+    lower = multiset_sum_histogram(prefix, h - 2)
+    return {x - z for x in sat for z in lower if x >= z}
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,g,n", [
+    (h, g, {2: 16, 3: 11, 4: 9, 5: 8}[h]) for h in range(2, 6) for g in (1, 2, 3)
+])
+def test_reach_matches_the_oracle_after_every_commit(generator, h, g, n):
+    # reach is built in h - 2 rounds of shifts; it must hold exactly the
+    # oracle's E, set no bit past the top of S_h, and take the length of
+    # ind, (top + 7) // 8 + 1 bytes.
+    terms = generator(Params(h, g, n)).terms
+    scan = _Scan(h, g)
+    for i, a in enumerate(terms):
+        scan.commit(a)
+        top = h * max(terms[:i + 1])
+        bits = int.from_bytes(scan.reach, "little")
+        assert len(scan.reach) == len(scan.ind) == (top + 7) // 8 + 1
+        assert bits >> (top + 1) == 0
+        assert bits == sum(1 << x for x in reach_oracle(terms[:i + 1], h, g)), \
+            terms[:i + 1]
 
 
 def screened_prefixes(h, g, n):
@@ -470,7 +500,8 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
             1 << x for x in range(top + 1) if hist[x] >= g)
         scan.alive, scan.base = bytearray(m not in t for m in range(1, hi)), 1
         alive, before = scan.alive, bytes(scan.alive)
-        scan.screen(lo, hi)
+        done = scan.screen(lo, hi)
+        assert done == len(t) or not any(alive[lo - 1:hi - 1])
         assert alive[:lo - 1] == before[:lo - 1]
         cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
         assert cleared == [m for m in range(lo, hi) if m not in t
@@ -487,30 +518,36 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
 
 
 def check_g1_accept(elements, h):
-    """For each non-member m of [1, 2*max+10), let f be the index of the
-    first y of S_{h-1}, in the order the screen reads them, with m + y in
-    S_h.  A screen that stopped after done <= f values leaves m alive, and
-    the scan's accept_g1 must then agree with is_strong_candidate and clear
-    alive[m - 1] exactly on a "bhg" verdict, for every such done.  Returns
-    the kinds of candidate seen: "k1" (some m + y in S_h), "high" (no such
-    sum, but rejected) and "accepted"."""
-    scan = committed(h, 1, sorted(elements))
-    t, ys = scan.t, scan.ys
-    th = t.tables[h]
-    kinds = set()
-    for m in range(1, 2 * max(elements) + 10):
+    """For each non-member m of [1, h*max + 2), let f be the index of the
+    first element a, in the order the screen reads them, with m + a in E
+    (the oracle's), that is m + y in S_h for some y in a + S_{h-2}.  A
+    screen that stopped after done <= f elements leaves m alive, and the
+    scan's accept_g1 must then agree with is_strong_candidate and clear
+    alive[m - 1] exactly on a "bhg" verdict, for every such done.  Every
+    done from 0 to the number of elements is taken, since the range runs
+    past every sum.  Returns the kinds of candidate seen: "k1" (some m + a
+    in E), "high" (none, but rejected) and "accepted"."""
+    elements = sorted(elements)
+    scan = committed(h, 1, elements)
+    t = scan.t
+    reach = reach_oracle(elements, h, 1)
+    kinds, dones = set(), set()
+    for m in range(1, h * elements[-1] + 2):
         if m in t:
             continue
         verdict = is_strong_candidate(t, t.candidate_delta(m), len(t) + 1, h, 1)
-        f = next((j for j, y in enumerate(ys) if m + y in th), len(ys))
+        f = next((j for j, a in enumerate(elements) if m + a in reach),
+                 len(elements))
         for done in range(f + 1):
             scan.alive, scan.base = bytearray(b"\x01") * m, 1
             accept = scan.accept_g1(done)
             assert accept(m) == verdict.accepted, (elements, m, done)
             assert (scan.alive[m - 1] == 0) == (verdict.reason == "bhg"), \
                 (elements, m, done)
-        kinds.add("k1" if f < len(ys) else
+        dones.update(range(f + 1))
+        kinds.add("k1" if f < len(elements) else
                   "accepted" if verdict.accepted else "high")
+    assert dones == set(range(len(elements) + 1))
     return kinds
 
 
