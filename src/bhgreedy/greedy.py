@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress
-from operator import or_
+from operator import add, or_
 from typing import Callable, Optional
 
 from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
@@ -171,25 +171,31 @@ def classify_candidate(
     g: int,
     base: tuple[int, ...],
     thresholds: list[Threshold],
-) -> tuple[Optional[int], Optional[int]]:
+) -> tuple[Optional[int], Optional[int], tuple[int, ...], list[int]]:
     """Classify the non-member m by the representations it would add to t.
 
     base holds the level counts R_1..R_g of the current set and thresholds
     the level ceilings at the enlarged size; an empty thresholds checks no
-    level.  Returns (x, None) for the first sum x that m pushes past g, and
-    otherwise (None, s) for the smallest level s whose count R_s would
-    exceed its ceiling, or (None, None) when every level holds.
+    level.  Returns (x, None, (), []) for the first sum x that m pushes
+    past g.  Otherwise returns (None, s, levels, sat): s is the smallest
+    level whose count would exceed its ceiling, or None when every level
+    holds; levels are the counts R_1..R_g of the enlarged set; and sat,
+    for g > 1, lists the sums that m raises to exactly g, the sums it adds
+    to Sat.  An admitted pass, s None, thus holds what _Scan.commit needs
+    to add m.
 
     One pass over the pairs (k, y, c), y a (h-k)-fold sum of multiplicity
     c, reads the tables in place: m adds c representations of x = k*m + y.
     For each x reached, r(x) plus what m has added so far is kept, so a
     pair raising it from cur to now enters x into levels cur+1..now.  Most
-    sums are fresh, 0 -> 1, and are counted in bulk into level 1.
+    sums are fresh, 0 -> 1, and are counted in bulk into level 1; only the
+    others can reach g > 1, so sat is collected on their branch.
     """
     h = t.h
     th = t.tables[h]
     grown: dict[int, int] = {}
     gains = [0] * (g + 1)
+    sat: list[int] = []
     fresh = 0
     for k in range(1, h + 1):
         km = k * m
@@ -198,16 +204,19 @@ def classify_candidate(
             cur = grown.get(x) or th.get(x, 0)
             now = cur + c
             if now > g:
-                return x, None
+                return x, None, (), []
             grown[x] = now
             if now == 1:
                 fresh += 1
             else:
                 for s in range(cur + 1, now + 1):
                     gains[s] += 1
+                if now == g:
+                    sat.append(x)
     gains[1] += fresh
-    return None, next((s for s, cap in enumerate(thresholds, 1)
-                       if not cap.admits(base[s - 1] + gains[s])), None)
+    levels = tuple(map(add, base, gains[1:]))
+    return None, next((s for s, (cap, r) in enumerate(zip(thresholds, levels), 1)
+                       if not cap.admits(r)), None), levels, sat
 
 
 def is_strong_candidate(
@@ -228,7 +237,7 @@ def is_strong_candidate(
     if profile is None:
         profile = t.rep_histogram(g)
     thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
-    x, failed = classify_candidate(t, delta.m, g, profile, thresholds)
+    x, failed, _, _ = classify_candidate(t, delta.m, g, profile, thresholds)
     if x is not None:
         return CandidateVerdict(False, reason="bhg", x=x)
     if failed is not None:
@@ -260,8 +269,13 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 class _Scan:
     """The state of the greedy scan over one growing set A: its sum tables
-    t, the live-candidate window alive, the saturated-sum bitmap ind, and
-    the bitmap reach that the screen reads.
+    t, the level counts levels, the live-candidate window alive, the
+    saturated-sum bitmap ind, and the bitmap reach that the screen reads.
+
+    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|.  For g > 1 each
+    commit takes the enlarged counts from the term's classifier pass,
+    which accept_general reads as its base, so the scan never recounts
+    the h-fold table; for g = 1, R_1 is the size of S_h.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests such a candidate twice.  The
@@ -288,20 +302,29 @@ class _Scan:
     where Sat read once per y in S_{h-1} would take about n^(h-1)/(h-1)!.
     """
 
-    __slots__ = ("t", "g", "alive", "base", "ind", "reach")
+    __slots__ = ("t", "g", "levels", "won", "alive", "base", "ind", "reach")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.t, self.g = SumTableSet(h, max_entries=max_entries), g
+        self.levels, self.won = (0,) * g, None
         self.alive, self.base = bytearray(b"\x01"), 1
         self.ind = self.reach = bytearray()
 
     def commit(self, term: int) -> None:
         """Add the non-member term to the set, set the bits of ind for the
-        h-fold sums that use term and have at least g representations, clear
+        sums that term brings to g representations, update levels, clear
         term in alive, growing the window to reach it, drop the window's
-        leading zeros, and rebuild reach.  The other sums keep their
-        counts; for g = 1 every sum using term is in S_h, so none is looked
-        up.
+        leading zeros, and rebuild reach.
+
+        For g = 1 every sum using term is new to S_h, so each term + y, y
+        in S_{h-1}, is set without a lookup.  For g > 1 the pass of
+        classify_candidate that admitted term hands over the enlarged
+        level counts and the sums it raised to exactly g; won keeps that
+        pass, with the size of the set it read, from the last admission by
+        accept_general, and commit uses it only if it is term's pass on the
+        current set.  Any other term (the first one, a prefix committed by
+        hand) is classified here with no level ceiling, before the tables
+        change, and a term that breaks B_h[g] raises ValueError.
 
         For h > 2, reach starts from Sat and takes h - 2 rounds of
         E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
@@ -311,15 +334,28 @@ class _Scan:
         ind.
         """
         t, g, ind, alive = self.t, self.g, self.ind, self.alive
+        h = t.h
+        won, self.won = self.won, None
+        if g > 1:
+            if won is not None and won[:2] == (term, len(t)):
+                levels, sat = won[2:]
+            elif term in t:
+                raise ValueError(f"{term} is already in the set")
+            else:
+                x, _, levels, sat = classify_candidate(t, term, g, self.levels, [])
+                if x is not None:
+                    raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
+                                     f"have more than {g} representations")
         t.add_element(term)
-        h, th = t.h, t.tables[t.h]
         top = (h * t.elements[-1] + 7) // 8 + 1
         if len(ind) < top:
             ind += bytes(top - len(ind))
-        for y in t.tables[h - 1]:
-            x = term + y
-            if g == 1 or th[x] >= g:
-                ind[x >> 3] |= 1 << (x & 7)
+        if g == 1:
+            sat = map(term.__add__, t.tables[h - 1])
+            levels = (len(t.tables[h]),)
+        for x in sat:
+            ind[x >> 3] |= 1 << (x & 7)
+        self.levels = levels
         alive += b"\x01" * (term - self.base + 1 - len(alive))
         alive[term - self.base] = 0
         self.alive = alive.lstrip(b"\x00")
@@ -363,23 +399,26 @@ class _Scan:
 
     def accept_general(self, n_next: int, check_levels: bool) -> Callable[[int], bool]:
         """Candidate test of a step for g > 1: classify_candidate against
-        the profile and level ceilings of a set of size n_next, fetched once
-        per step, or against no level with check_levels off.
+        the kept levels and the level ceilings of a set of size n_next,
+        fetched once per step, or against no level with check_levels off.
 
         A B_h[g] break marks m dead; a level rejection leaves m alive for
-        later steps to test again.
+        later steps to test again.  An admitted m's pass is kept in won
+        for commit; the test is valid until the next commit.
         """
-        t, g, alive, base = self.t, self.g, self.alive, self.base
-        counts, thresholds = (), []
-        if check_levels:
-            counts = t.rep_histogram(g)
-            thresholds = [Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
+        t, g, alive, base, counts = self.t, self.g, self.alive, self.base, self.levels
+        size = len(t)
+        thresholds = ([Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
+                      if check_levels else [])
 
         def accept(m: int) -> bool:
-            x, failed = classify_candidate(t, m, g, counts, thresholds)
+            x, failed, levels, sat = classify_candidate(t, m, g, counts, thresholds)
             if x is not None:
                 alive[m - base] = 0
-            return x is None and failed is None
+            elif failed is None:
+                self.won = m, size, levels, sat
+                return True
+            return False
 
         return accept
 

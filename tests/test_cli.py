@@ -471,13 +471,18 @@ def test_verify_and_diagnose_reproduce_the_pinned_benchmark_bytes(
 
 
 @pytest.mark.parametrize("algo,h,g,n,name", [
-    ("strong", 2, 1, 238, "mianchowla-h2g1"),
-    ("classic", 4, 1, 17, "classic-h4g1"),
-    ("strong", 3, 2, 40, "strong-h3g2"),
+    (algo, h, g, n, name)
+    for algo, h, g, band, name in [
+        ("strong", 2, 1, (238, 239, 240), "mianchowla-h2g1"),
+        ("classic", 4, 1, (17, 18, 19), "classic-h4g1"),
+        ("strong", 3, 2, (40, 41, 42), "strong-h3g2"),
+    ]
+    for n in band
 ])
 def test_generate_reproduces_the_pinned_benchmark_bytes(capsys, algo, h, g, n,
                                                         name):
-    """The generate benchmark commands give the pinned bytes."""
+    """The generate benchmark commands give the pinned bytes, at every size
+    of each workload's band."""
     code, stdout, _ = run(capsys, "generate", "--algo", algo, "--h", str(h),
                           "--g", str(g), "--n", str(n))
     assert code == EXIT_OK

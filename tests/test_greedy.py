@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bhgreedy import (
+    GuardExceeded,
     Params,
     ScanExceededConfiguredLimit,
     SumTableSet,
@@ -215,7 +216,9 @@ def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
     # sits at its count in the enlarged set, or one below it where the
     # slack is 0, so every level, level 1 included, can fail.  The
     # classifier stops at the first sum it pushes past g, in the order it
-    # meets the pairs, so any sum of m's over g is a valid witness.
+    # meets the pairs, so any sum of m's over g is a valid witness.  A pass
+    # that finds no break also hands back the enlarged set's level counts
+    # and, for g > 1, the sums m raises to exactly g.
     assume(m not in elements)
     before = multiset_sum_histogram(elements, h)
     after = multiset_sum_histogram(elements | {m}, h)
@@ -226,28 +229,36 @@ def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
 
     grown = levels(after)
     caps = [max(0, r - 1 + d) for r, d in zip(grown, slack)]
-    witness, failed = classify_candidate(
+    witness, failed, counts, sat = classify_candidate(
         build(h, sorted(elements)), m, g, tuple(levels(before)),
         [Threshold(cap, 1) for cap in caps])
     assert (witness is None) == (not over)
     if witness is not None:
         assert witness in over
+        assert (counts, sat) == ((), [])
     else:
         assert failed == next((s for s, (r, cap) in enumerate(zip(grown, caps), 1)
                                if r > cap), None)
+        assert counts == tuple(grown)
+        assert sorted(sat) == (sorted(x for x, c in after.items()
+                                      if c == g and before[x] < g) if g > 1 else [])
 
 
 def test_classify_candidate_counts_a_sum_that_two_pairs_reach():
     # m = 3 reaches 7 through two pairs: 1+3+3 (k = 2) and 2+2+3 (k = 1).
     # With A = {1, 2, 5} also 7 = 1+1+5, so only both pairs together push
     # r(7) past g = 2.
-    assert classify_candidate(build(3, [1, 2, 5]), 3, 2, (), []) == (7, None)
+    assert classify_candidate(build(3, [1, 2, 5]), 3, 2, (), []) == (7, None, (), [])
     # With A = {1, 2}, r_A(7) = 0.  A has R_1 = 4 (3, 4, 5, 6) and R_2 = 0;
     # A + {3} has R_1 = 7 and R_2 = 3 (5, 6 and 7), 7's second
     # representation coming from the second pair.  Level 2 fails against a
-    # ceiling of 2; level 1 holds at 7.
-    assert classify_candidate(build(3, [1, 2]), 3, 2, (4, 0),
-                              [Threshold(7, 1), Threshold(2, 1)]) == (None, 2)
+    # ceiling of 2; level 1 holds at 7.  The pass still hands back the
+    # enlarged counts and the three sums m brings to g.
+    x, s, counts, sat = classify_candidate(build(3, [1, 2]), 3, 2, (4, 0),
+                                           [Threshold(7, 1), Threshold(2, 1)])
+    assert (x, s) == (None, 2)
+    assert counts == (7, 3)
+    assert sorted(sat) == [5, 6, 7]
 
 
 def check_fused_against_contract_op(prefix, h, g):
@@ -634,6 +645,110 @@ def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
         scan = committed(h, g, rec.terms[:i])
         assert scan.find(meta.bound_floor + 1, i + 1, check_levels) == meta.term, \
             (rec.algorithm, rec.terms[:i])
+
+
+def check_kept_state(scan, prefix, h, g):
+    """The scan's level counts are the tables' R_1..R_g, and ind is the
+    indicator of Sat = {x : r(x) >= g} from enumeration."""
+    assert scan.levels == scan.t.rep_histogram(g), prefix
+    assert int.from_bytes(scan.ind, "little") == sum(
+        1 << x for x, c in multiset_sum_histogram(prefix, h).items() if c >= g), prefix
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,g,n", [(2, 2, 30), (2, 3, 30), (3, 2, 14), (3, 3, 14),
+                                   (4, 2, 9), (4, 3, 9)])
+def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
+    # Driven as _greedy drives it, each step's find admits the run's next
+    # term and keeps its pass, which commit then uses.  Committed by hand,
+    # every term but the first is classified inside commit.  Either way
+    # the kept state must match the tables and the enumeration.
+    rec = generator(Params(h, g, n))
+    check_levels = rec.algorithm == "strong"
+    scan = _Scan(h, g)
+    scan.commit(1)
+    for i, meta in enumerate(rec.per_step[1:], 1):
+        assert scan.find(meta.bound_floor + 1, i + 1, check_levels) == meta.term
+        assert scan.won[:2] == (meta.term, i)
+        scan.commit(meta.term)
+        check_kept_state(scan, rec.terms[:i + 1], h, g)
+    for i in range(1, n + 1):
+        check_kept_state(committed(h, g, rec.terms[:i]), rec.terms[:i], h, g)
+
+
+@pytest.mark.parametrize("h,g", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_commit_ignores_a_stale_pass(h, g):
+    # Of the candidates a step admits, the last one's pass is kept; the
+    # term committed is the first, so that pass is stale.  An accept test
+    # made before that commit then admits a term against the grown tables
+    # but the old counts; that pass is stale too.
+    prefix = strong_greedy(Params(h, g, 6)).terms
+    scan = committed(h, g, prefix)
+    hi = h * (h * max(prefix) + 1) + 2  # past h * max + 1 after one more term
+    scan.alive, scan.base = bytearray(b"\x01") * hi, 1
+    accept = scan.accept_general(len(prefix) + 1, False)
+    admitted = [m for m in range(1, hi) if m not in scan.t and accept(m)]
+    first, last = admitted[0], admitted[-1]
+    assert scan.won[0] == last != first
+    scan.commit(first)
+    assert scan.won is None
+    grown = prefix + [first]
+    check_kept_state(scan, grown, h, g)
+    later = next(m for m in range(first + 1, hi)
+                 if m not in grown and is_bhg(grown + [m], h, g))
+    assert accept(later)
+    scan.commit(later)
+    check_kept_state(scan, grown + [later], h, g)
+
+
+def test_strong_runs_never_recount_the_levels(monkeypatch):
+    expected = {hgn: strong_greedy(Params(*hgn)).terms for hgn in [(3, 2, 30), (2, 3, 40)]}
+
+    def recount(self, s_max):
+        raise AssertionError("rep_histogram called")
+
+    monkeypatch.setattr(SumTableSet, "rep_histogram", recount)
+    for hgn, terms in expected.items():
+        assert strong_greedy(Params(*hgn)).terms == terms
+
+
+@pytest.mark.parametrize("cap", [10, 200, 1000, 4000])
+def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
+    # The classifier pass that commit takes over adds no entry, so a
+    # capped run stops at the term, and with the message, of inserting the
+    # uncapped run's terms into capped tables.
+    terms = strong_greedy(Params(3, 2, 30)).terms
+    t = SumTableSet(3, max_entries=cap)
+    with pytest.raises(GuardExceeded) as plain:
+        for a in terms:
+            t.add_element(a)
+    steps = []
+    with pytest.raises(GuardExceeded) as run:
+        strong_greedy(Params(3, 2, 30), on_step=steps.append, max_entries=cap)
+    assert str(run.value) == str(plain.value)
+    assert [m.term for m in steps] == t.elements
+
+
+@pytest.mark.parametrize("h,g", [(2, 2), (3, 2), (3, 3)])
+def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
+    # With and without a kept pass of another candidate, a term that breaks
+    # B_h[g] or is already a member is refused before the tables change.
+    prefix = strong_greedy(Params(h, g, 8)).terms
+    scan = committed(h, g, prefix)
+    bad = next(m for m in range(1, 3 * max(prefix))
+               if m not in prefix and not is_bhg(prefix + [m], h, g))
+    good = next(m for m in range(1, 3 * max(prefix))
+                if m not in prefix and is_bhg(prefix + [m], h, g))
+    before = ([dict(d) for d in scan.t.tables], bytes(scan.ind), scan.levels)
+    for kept in (False, True):
+        if kept:
+            assert scan.accept_general(len(prefix) + 1, False)(good)
+        for term in (bad, prefix[-1]):
+            with pytest.raises(ValueError):
+                scan.commit(term)
+            assert (scan.t.tables, bytes(scan.ind), scan.levels) == before
+            assert scan.t.elements == prefix
+    check_kept_state(scan, prefix, h, g)
 
 
 def test_classic_scan_cap_is_enforced():
