@@ -27,7 +27,6 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress
 from operator import add, or_
 from typing import Callable, Optional
 
@@ -270,7 +269,8 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 class _Scan:
     """The state of the greedy scan over one growing set A: its sum tables
     t, the level counts levels, the live-candidate window alive, the
-    saturated-sum bitmap ind, and the bitmap reach that the screen reads.
+    saturated-sum bitmap ind, the bitmap reach that the screen reads, and,
+    for g = 1 and h > 2, the fold bitmaps folds.
 
     levels holds R_1..R_g, R_s = |{x : r(x) >= s}|.  For g > 1 each
     commit takes the enlarged counts from the term's classifier pass,
@@ -282,13 +282,17 @@ class _Scan:
     bytearray alive is a window over [base, base + len(alive)) holding 1
     for "not a member and not known to break B_h[g]".  The screen and the
     accept tests clear the candidates that break it, commit clears the new
-    term, and the window then drops its leading zeros, so base is the
-    smallest live candidate.  Only a level ceiling can reject a candidate
-    that a later step admits, so without level checks every non-member
-    below the last term breaks B_h[g].
+    term, and the window then drops its leading zeros in place, so base is
+    the smallest live candidate.  find visits only the live candidates,
+    each found by a C search for the next 1.  Only a level ceiling can
+    reject a candidate that a later step admits, so without level checks
+    every non-member below the last term breaks B_h[g].
 
     ind is the indicator of the saturated sums Sat = {x : r(x) >= g} over
-    [0, top of S_h], packed one bit per sum, plus one spare byte.  For a
+    [0, top of S_h], packed one bit per sum, plus one spare byte.  For
+    g = 1 and h > 2, folds holds the supports of the j-fold sums as packed
+    integers, folds[j] with bit x set for x in S_j, j = 0..h; Sat is S_h,
+    so ind is folds[h] written out.  Otherwise folds is empty.  For a
     non-member m, m + y in Sat for some y in S_{h-1} is a sum with at least
     g + 1 representations in the set plus m, a B_h[g] break.  As sets,
     S_{h-1} = A + S_{h-2}, so that happens exactly when m + a is in
@@ -302,29 +306,35 @@ class _Scan:
     where Sat read once per y in S_{h-1} would take about n^(h-1)/(h-1)!.
     """
 
-    __slots__ = ("t", "g", "levels", "won", "alive", "base", "ind", "reach")
+    __slots__ = ("t", "g", "levels", "won", "alive", "base", "ind", "reach", "folds")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.t, self.g = SumTableSet(h, max_entries=max_entries), g
         self.levels, self.won = (0,) * g, None
         self.alive, self.base = bytearray(b"\x01"), 1
         self.ind = self.reach = bytearray()
+        self.folds = [1] + [0] * h if g == 1 and h > 2 else []
 
     def commit(self, term: int) -> None:
-        """Add the non-member term to the set, set the bits of ind for the
-        sums that term brings to g representations, update levels, clear
+        """Add the non-member term to the set, update ind and levels, clear
         term in alive, growing the window to reach it, drop the window's
         leading zeros, and rebuild reach.
 
-        For g = 1 every sum using term is new to S_h, so each term + y, y
-        in S_{h-1}, is set without a lookup.  For g > 1 the pass of
-        classify_candidate that admitted term hands over the enlarged
-        level counts and the sums it raised to exactly g; won keeps that
-        pass, with the size of the set it read, from the last admission by
-        accept_general, and commit uses it only if it is term's pass on the
-        current set.  Any other term (the first one, a prefix committed by
-        hand) is classified here with no level ceiling, before the tables
-        change, and a term that breaks B_h[g] raises ValueError.
+        won keeps the last admission of an accept test, with the size of
+        the set it read; commit trusts it only if it is term's admission on
+        the current set.  Any other term (the first one, a prefix committed
+        by hand, a stale pass) is classified here with no level ceiling,
+        before the tables change, and a member or a term that breaks
+        B_h[g] raises ValueError.
+
+        For g > 1 the pass of classify_candidate that admitted term hands
+        over the enlarged level counts and the sums it raised to exactly g,
+        whose bits commit sets in ind.  For g = 1 every sum using term is
+        new to S_h: for h = 2 each term + y, y in S_1, is set without a
+        lookup; for h > 2, S_j becomes the union of S_j and term + S_{j-1},
+        taking j = 1..h in order so that S_{j-1} has already grown: one
+        shift and OR of folds per j, and ind is folds[h] written out, with
+        no bit set one at a time.
 
         For h > 2, reach starts from Sat and takes h - 2 rounds of
         E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
@@ -333,38 +343,47 @@ class _Scan:
         Shifting right only drops bits, so reach sets none past the top of
         ind.
         """
-        t, g, ind, alive = self.t, self.g, self.ind, self.alive
+        t, g, ind, alive, folds = self.t, self.g, self.ind, self.alive, self.folds
         h = t.h
         won, self.won = self.won, None
-        if g > 1:
-            if won is not None and won[:2] == (term, len(t)):
-                levels, sat = won[2:]
-            elif term in t:
-                raise ValueError(f"{term} is already in the set")
-            else:
-                x, _, levels, sat = classify_candidate(t, term, g, self.levels, [])
-                if x is not None:
-                    raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
-                                     f"have more than {g} representations")
+        if won is not None and won[:2] == (term, len(t)):
+            levels, sat = won[2:]
+        elif term in t:
+            raise ValueError(f"{term} is already in the set")
+        else:
+            x, _, levels, sat = classify_candidate(t, term, g, self.levels, [])
+            if x is not None:
+                raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
+                                 f"have more than {g} representations")
         t.add_element(term)
         top = (h * t.elements[-1] + 7) // 8 + 1
-        if len(ind) < top:
-            ind += bytes(top - len(ind))
+        if folds:
+            for j in range(1, h + 1):
+                folds[j] |= folds[j - 1] << term
+            e = folds[h]
+            self.ind = e.to_bytes(top, "little")
+        else:
+            if len(ind) < top:
+                ind += bytes(top - len(ind))
+            if g == 1:
+                sat = map(term.__add__, t.tables[1])
+            for x in sat:
+                ind[x >> 3] |= 1 << (x & 7)
+            if h > 2:
+                e = int.from_bytes(ind, "little")
         if g == 1:
-            sat = map(term.__add__, t.tables[h - 1])
             levels = (len(t.tables[h]),)
-        for x in sat:
-            ind[x >> 3] |= 1 << (x & 7)
         self.levels = levels
         alive += b"\x01" * (term - self.base + 1 - len(alive))
         alive[term - self.base] = 0
-        self.alive = alive.lstrip(b"\x00")
-        self.base += len(alive) - len(self.alive)
+        k = alive.find(1)
+        k = len(alive) if k < 0 else k
+        del alive[:k]
+        self.base += k
         if h > 2:
-            e = int.from_bytes(ind, "little")
             for _ in range(h - 2):
                 e = reduce(or_, map(e.__rshift__, t.elements))
-            self.reach = e.to_bytes(len(ind), "little")
+            self.reach = e.to_bytes(top, "little")
 
     def screen(self, lo: int, hi: int) -> int:
         """Clear alive[m - base] for m in [lo, hi) with m + a in E for some
@@ -443,10 +462,12 @@ class _Scan:
         elements[:done], so the resume reads m + a in reach for a in
         elements[done:] only, and that is exact.  For h = 2, E is S_2 and
         these are C set lookups, as are the k >= 2 sums, one per k.  Every
-        rejection is a B_h[1] break and marks m dead.
+        rejection is a B_h[1] break and marks m dead.  An admitted m is
+        kept in won, so that commit does not test it again; the test is
+        valid until the next commit.
         """
         t, alive, base, reach = self.t, self.alive, self.base, self.reach
-        h = t.h
+        h, size = t.h, len(t)
         th = t.tables[h].keys()
         rest, end = t.elements[done:], 8 * len(reach)
         parts = [(k, t.tables[h - k]) for k in range(2, h + 1)]
@@ -458,6 +479,7 @@ class _Scan:
                                 for x in map(m.__add__, rest) if x < end)
             if not near and all(th.isdisjoint(map((k * m).__add__, part))
                                 for k, part in parts):
+                self.won = m, size, None, None
                 return True
             alive[m - base] = 0
             return False
@@ -470,11 +492,13 @@ class _Scan:
 
         The scan walks [base, top) in slices of _FIRST_SLICE candidates,
         doubling up to _CHUNK, and grows the window by _CHUNK as it goes.
-        Each slice is screened first, and compress skips the cleared entries
-        without running Python code for them.  For g > 1 accept_general
-        decides every candidate the screen leaves; for g = 1 no level is
-        checked, and accept_g1 takes over at the count of elements the
-        screen has ORed.
+        Each slice is screened first; then alive.find, a C search, steps
+        from one live candidate of the slice to the next, so no Python code
+        runs for a cleared entry.  The accept test may clear the entry it
+        is handed, and the search resumes past it.  For g > 1
+        accept_general decides every candidate the screen leaves; for g = 1
+        no level is checked, and accept_g1 takes over at the count of
+        elements the screen has ORed.
         """
         alive, base = self.alive, self.base
         general = self.accept_general(n_next, check_levels) if self.g > 1 else None
@@ -485,9 +509,12 @@ class _Scan:
                 alive += b"\x01" * _CHUNK
             done = self.screen(lo, hi)
             accept = general or self.accept_g1(done)
-            for m in compress(range(lo, hi), alive[lo - base:hi - base]):
-                if accept(m):
-                    return m
+            end = hi - base
+            i = alive.find(1, lo - base, end)
+            while i >= 0:
+                if accept(base + i):
+                    return base + i
+                i = alive.find(1, i + 1, end)
             lo, width = hi, min(2 * width, _CHUNK)
         return None
 

@@ -19,7 +19,7 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import _SCREEN_LEFT, _Scan, classify_candidate
+from bhgreedy.greedy import _CHUNK, _SCREEN_LEFT, _Scan, classify_candidate
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -712,41 +712,178 @@ def test_strong_runs_never_recount_the_levels(monkeypatch):
         assert strong_greedy(Params(*hgn)).terms == terms
 
 
+def fold_bitmaps(prefix, h):
+    """The support of the j-fold sums of prefix, j = 0..h, as packed
+    integers, from enumeration."""
+    return [sum(1 << x for x in multiset_sum_histogram(prefix, j)) for j in range(h + 1)]
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,n", [(3, 11), (4, 9), (5, 8)])
+def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
+    # For g = 1 and h > 2, folds[j] is the bitmap of S_j and ind is
+    # folds[h] written out, whether a term is admitted by find or
+    # committed by hand.
+    rec = generator(Params(h, 1, n))
+    scan = _Scan(h, 1)
+    scan.commit(1)
+    assert scan.folds == fold_bitmaps([1], h)
+    for i, meta in enumerate(rec.per_step[1:], 1):
+        assert scan.find(meta.bound_floor + 1, i + 1, False) == meta.term
+        assert scan.won[:2] == (meta.term, i)
+        scan.commit(meta.term)
+        prefix = rec.terms[:i + 1]
+        assert scan.folds == fold_bitmaps(prefix, h), prefix
+        assert int.from_bytes(scan.ind, "little") == scan.folds[h]
+        assert committed(h, 1, prefix).folds == scan.folds
+    assert _Scan(2, 1).folds == _Scan(h, 2).folds == []
+
+
+class WalkScan(_Scan):
+    """A scan whose screen clears nothing and whose accept test, for every
+    g, records each candidate it is handed, optionally clears its entry,
+    and admits the candidates in admit."""
+
+    __slots__ = ("visits", "admit", "clear")
+
+    def screen(self, lo, hi):
+        return 0
+
+    def accept_general(self, n_next, check_levels):
+        return self.record
+
+    def accept_g1(self, done):
+        return self.record
+
+    def record(self, m):
+        assert m not in self.visits, (m, self.visits)  # also ends a stuck walk
+        self.visits.append(m)
+        if self.clear:
+            self.alive[m - self.base] = 0
+        return m in self.admit
+
+
+# With base 5, the slices of shrink_scan_slices are [5, 8), [8, 14),
+# [14, 21), [21, 28), ...  Each pattern is (window, top): alive starts as
+# window over [5, 5 + len(window)), and find grows it by 7 live entries
+# whenever a slice runs past its end.
+WALK_PATTERNS = {
+    # Live at the first and last index of every slice, and one between.
+    "slice-edges": (bytes(1 if i in (0, 2, 3, 8, 9, 11, 15) else 0 for i in range(16)), 21),
+    # Live at the window's last entry; the slice [14, 21) grows the window
+    # by 7 live entries, and [21, 24) grows it again.
+    "window-growth": (bytes(9) + b"\x01", 24),
+    "none-live": (bytes(16), 21),
+}
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("clear", [False, True])
+@pytest.mark.parametrize("pattern", sorted(WALK_PATTERNS))
+def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g):
+    # find must hand the accept test every live candidate below top, each
+    # once and in increasing order, and return the first one it admits,
+    # also when accept clears the entry it was handed.
+    shrink_scan_slices(monkeypatch)
+    window, top = WALK_PATTERNS[pattern]
+    base = 5
+    live = [m for m in range(base, top)
+            if m - base >= len(window) or window[m - base]]
+    assert bool(live) == (pattern != "none-live")
+    for first in [None] + live:
+        scan = WalkScan(2, g)
+        scan.alive, scan.base = bytearray(window), base
+        scan.visits, scan.clear = [], clear
+        scan.admit = set() if first is None else set(live[live.index(first):])
+        assert scan.find(top, 2, False) == first
+        expected = live if first is None else live[:live.index(first) + 1]
+        assert scan.visits == expected
+        grown = bytearray(window) + b"\x01" * (len(scan.alive) - len(window))
+        for m in scan.visits if clear else ():
+            grown[m - base] = 0
+        assert scan.alive == grown
+
+
+def test_find_walks_across_a_full_chunk():
+    # At the default slice widths, live entries on both sides of index
+    # _CHUNK of the window, inside the slice [64513, 130049).
+    scan = WalkScan(2, 1)
+    scan.alive, scan.base = bytearray(2 * _CHUNK), 1
+    scan.alive[_CHUNK - 1:_CHUNK + 1] = b"\x01\x01"
+    scan.visits, scan.clear, scan.admit = [], False, {_CHUNK + 1}
+    assert scan.find(2 * _CHUNK + 1, 2, False) == _CHUNK + 1
+    assert scan.visits == [_CHUNK, _CHUNK + 1]
+
+
+def capped_runs():
+    """Runs that trip every cap of the entry-cap test: g = 1 runs of both
+    generators at h = 2..4, and a strong g = 2 run."""
+    for h, n in [(2, 90), (3, 28), (4, 16)]:
+        for generator in (strong_greedy, classic_greedy):
+            yield generator, Params(h, 1, n)
+    yield strong_greedy, Params(3, 2, 30)
+
+
 @pytest.mark.parametrize("cap", [10, 200, 1000, 4000])
 def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
-    # The classifier pass that commit takes over adds no entry, so a
-    # capped run stops at the term, and with the message, of inserting the
-    # uncapped run's terms into capped tables.
-    terms = strong_greedy(Params(3, 2, 30)).terms
-    t = SumTableSet(3, max_entries=cap)
-    with pytest.raises(GuardExceeded) as plain:
-        for a in terms:
-            t.add_element(a)
-    steps = []
-    with pytest.raises(GuardExceeded) as run:
-        strong_greedy(Params(3, 2, 30), on_step=steps.append, max_entries=cap)
-    assert str(run.value) == str(plain.value)
-    assert [m.term for m in steps] == t.elements
+    # Neither the admission that commit takes over nor the check of a term
+    # it was not handed adds an entry, so a capped run, g = 1 or not,
+    # stops at the term, and with the message, of inserting the uncapped
+    # run's terms into capped tables.  A commit that trips the cap leaves
+    # ind, levels, folds and alive as they were.
+    for generator, params in capped_runs():
+        rec = generator(params)
+        h, g = params.h, params.g
+        t = SumTableSet(h, max_entries=cap)
+        with pytest.raises(GuardExceeded) as plain:
+            for a in rec.terms:
+                t.add_element(a)
+        steps = []
+        with pytest.raises(GuardExceeded) as run:
+            generator(params, on_step=steps.append, max_entries=cap)
+        assert str(run.value) == str(plain.value), params
+        assert [m.term for m in steps] == t.elements, params
+        check_levels = rec.algorithm == "strong" and g > 1
+        scan = _Scan(h, g, max_entries=cap)
+        for i, meta in enumerate(rec.per_step):
+            if i:
+                assert scan.find(meta.bound_floor + 1, i + 1, check_levels) == meta.term
+            before = (bytes(scan.ind), scan.levels, list(scan.folds), bytes(scan.alive))
+            try:
+                scan.commit(meta.term)
+            except GuardExceeded:
+                break
+        after = (bytes(scan.ind), scan.levels, scan.folds, bytes(scan.alive))
+        assert after == before, params
+        assert i == len(steps)
 
 
-@pytest.mark.parametrize("h,g", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("h,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
 def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
-    # With and without a kept pass of another candidate, a term that breaks
-    # B_h[g] or is already a member is refused before the tables change.
+    # With and without a kept admission of another candidate, a term that
+    # breaks B_h[g] or is already a member is refused before the tables,
+    # the bitmaps or the folds change.
     prefix = strong_greedy(Params(h, g, 8)).terms
     scan = committed(h, g, prefix)
     bad = next(m for m in range(1, 3 * max(prefix))
                if m not in prefix and not is_bhg(prefix + [m], h, g))
     good = next(m for m in range(1, 3 * max(prefix))
                 if m not in prefix and is_bhg(prefix + [m], h, g))
-    before = ([dict(d) for d in scan.t.tables], bytes(scan.ind), scan.levels)
+
+    def state():
+        return ([dict(d) for d in scan.t.tables], bytes(scan.ind), bytes(scan.reach),
+                scan.levels, list(scan.folds), bytes(scan.alive), scan.base)
+
+    before = state()
     for kept in (False, True):
         if kept:
-            assert scan.accept_general(len(prefix) + 1, False)(good)
+            accept = (scan.accept_general(len(prefix) + 1, False) if g > 1
+                      else scan.accept_g1(0))
+            assert accept(good)
         for term in (bad, prefix[-1]):
             with pytest.raises(ValueError):
                 scan.commit(term)
-            assert (scan.t.tables, bytes(scan.ind), scan.levels) == before
+            assert state() == before
             assert scan.t.elements == prefix
     check_kept_state(scan, prefix, h, g)
 
