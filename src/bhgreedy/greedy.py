@@ -272,10 +272,10 @@ class _Scan:
     saturated-sum bitmap ind, the bitmap reach that the screen reads, and,
     for g = 1 and h > 2, the fold bitmaps folds.
 
-    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|.  For g > 1 each
+    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, for g > 1.  Each
     commit takes the enlarged counts from the term's classifier pass,
     which accept_general reads as its base, so the scan never recounts
-    the h-fold table; for g = 1, R_1 is the size of S_h.
+    the h-fold table.  A g = 1 scan checks no level, and levels is empty.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests such a candidate twice.  The
@@ -288,66 +288,65 @@ class _Scan:
     reject a candidate that a later step admits, so without level checks
     every non-member below the last term breaks B_h[g].
 
-    ind is the indicator of the saturated sums Sat = {x : r(x) >= g} over
-    [0, top of S_h], packed one bit per sum, plus one spare byte.  For
-    g = 1 and h > 2, folds holds the supports of the j-fold sums as packed
-    integers, folds[j] with bit x set for x in S_j, j = 0..h; Sat is S_h,
-    so ind is folds[h] written out.  Otherwise folds is empty.  For a
-    non-member m, m + y in Sat for some y in S_{h-1} is a sum with at least
-    g + 1 representations in the set plus m, a B_h[g] break.  As sets,
-    S_{h-1} = A + S_{h-2}, so that happens exactly when m + a is in
+    Sat = {x : r(x) >= g} is the set of saturated sums.  For h = 2 and for
+    g > 1, ind is its indicator over [0, top of S_h], packed one bit per
+    sum, plus one spare byte.  For g = 1 and h > 2, folds holds the
+    supports of the j-fold sums as packed integers, folds[j] with bit x
+    set for x in S_j, j = 0..h; Sat is S_h, that is folds[h], and ind
+    stays empty.  Otherwise folds is empty.  For a non-member m, m + y in
+    Sat for some y in S_{h-1} is a sum with at least g + 1 representations
+    in the set plus m, a B_h[g] break.  As sets, S_{h-1} = A + S_{h-2}, so
+    that happens exactly when m + a is in
 
         E = {x >= 0 : x + z in Sat for some z in S_{h-2}}
 
-    for some element a.  reach is E, packed as ind is and of the same
-    length; for h = 2, S_0 = {0} and reach is ind itself.  The screen
-    clears these breakers a whole slice at a time, so alive keeps its
-    meaning, with one window of reach per element: n windows a slice,
-    where Sat read once per y in S_{h-1} would take about n^(h-1)/(h-1)!.
+    for some element a.  reach is E, packed one bit per sum over
+    [0, top of S_h] plus one spare byte; for h = 2, S_0 = {0} and reach is
+    ind itself.  The screen clears these breakers a whole slice at a time,
+    so alive keeps its meaning, with one window of reach per element: n
+    windows a slice, where Sat read once per y in S_{h-1} would take about
+    n^(h-1)/(h-1)!.
     """
 
-    __slots__ = ("t", "g", "levels", "won", "alive", "base", "ind", "reach", "folds")
+    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach", "folds")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.t, self.g = SumTableSet(h, max_entries=max_entries), g
-        self.levels, self.won = (0,) * g, None
+        self.levels = (0,) * g if g > 1 else ()
         self.alive, self.base = bytearray(b"\x01"), 1
         self.ind = self.reach = bytearray()
         self.folds = [1] + [0] * h if g == 1 and h > 2 else []
 
-    def commit(self, term: int) -> None:
-        """Add the non-member term to the set, update ind and levels, clear
-        term in alive, growing the window to reach it, drop the window's
-        leading zeros, and rebuild reach.
+    def commit(self, term: int, admission: Optional[tuple] = None) -> None:
+        """Add the non-member term to the set, update ind, folds and levels,
+        clear term in alive, growing the window to reach it, drop the
+        window's leading zeros, and rebuild reach.
 
-        won keeps the last admission of an accept test, with the size of
-        the set it read; commit trusts it only if it is term's admission on
-        the current set.  Any other term (the first one, a prefix committed
-        by hand, a stale pass) is classified here with no level ceiling,
-        before the tables change, and a member or a term that breaks
-        B_h[g] raises ValueError.
+        admission is the pass of the accept test that admitted term on the
+        current set, as find returns it.  Without one (the first term, a
+        prefix committed by hand) term is classified here with no level
+        ceiling, before the tables change, and a member or a term that
+        breaks B_h[g] raises ValueError.
 
-        For g > 1 the pass of classify_candidate that admitted term hands
-        over the enlarged level counts and the sums it raised to exactly g,
+        For g > 1 the pass of classify_candidate that admitted term holds
+        the enlarged level counts and the sums it raised to exactly g,
         whose bits commit sets in ind.  For g = 1 every sum using term is
         new to S_h: for h = 2 each term + y, y in S_1, is set without a
         lookup; for h > 2, S_j becomes the union of S_j and term + S_{j-1},
         taking j = 1..h in order so that S_{j-1} has already grown: one
-        shift and OR of folds per j, and ind is folds[h] written out, with
-        no bit set one at a time.
+        shift and OR of folds per j, with no bit set one at a time.
 
         For h > 2, reach starts from Sat and takes h - 2 rounds of
         E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
         the packed integer shifted right by every element; after r rounds
         E holds the x with x + z in Sat for some r-fold sum z of A.
         Shifting right only drops bits, so reach sets none past the top of
-        ind.
+        S_h.
         """
         t, g, ind, alive, folds = self.t, self.g, self.ind, self.alive, self.folds
         h = t.h
-        won, self.won = self.won, None
-        if won is not None and won[:2] == (term, len(t)):
-            levels, sat = won[2:]
+        if admission is not None:
+            levels, sat = admission
         elif term in t:
             raise ValueError(f"{term} is already in the set")
         else:
@@ -361,7 +360,6 @@ class _Scan:
             for j in range(1, h + 1):
                 folds[j] |= folds[j - 1] << term
             e = folds[h]
-            self.ind = e.to_bytes(top, "little")
         else:
             if len(ind) < top:
                 ind += bytes(top - len(ind))
@@ -371,8 +369,6 @@ class _Scan:
                 ind[x >> 3] |= 1 << (x & 7)
             if h > 2:
                 e = int.from_bytes(ind, "little")
-        if g == 1:
-            levels = (len(t.tables[h]),)
         self.levels = levels
         alive += b"\x01" * (term - self.base + 1 - len(alive))
         alive[term - self.base] = 0
@@ -416,32 +412,32 @@ class _Scan:
             alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
         return done
 
-    def accept_general(self, n_next: int, check_levels: bool) -> Callable[[int], bool]:
+    def accept_general(self, n_next: int,
+                       check_levels: bool) -> Callable[[int], Optional[tuple]]:
         """Candidate test of a step for g > 1: classify_candidate against
         the kept levels and the level ceilings of a set of size n_next,
         fetched once per step, or against no level with check_levels off.
 
         A B_h[g] break marks m dead; a level rejection leaves m alive for
-        later steps to test again.  An admitted m's pass is kept in won
-        for commit; the test is valid until the next commit.
+        later steps to test again.  Both return None.  An admitted m
+        returns its pass, (levels, sat), which commit takes over; it holds
+        until the next commit.
         """
         t, g, alive, base, counts = self.t, self.g, self.alive, self.base, self.levels
-        size = len(t)
         thresholds = ([Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
                       if check_levels else [])
 
-        def accept(m: int) -> bool:
+        def accept(m: int) -> Optional[tuple]:
             x, failed, levels, sat = classify_candidate(t, m, g, counts, thresholds)
             if x is not None:
                 alive[m - base] = 0
             elif failed is None:
-                self.won = m, size, levels, sat
-                return True
-            return False
+                return levels, sat
+            return None
 
         return accept
 
-    def accept_g1(self, done: int) -> Callable[[int], bool]:
+    def accept_g1(self, done: int) -> Callable[[int], Optional[tuple]]:
         """Candidate test of a g = 1 step for the survivors of one slice,
         which screen has cleared of every m with m + a in E for a in
         elements[:done].
@@ -461,34 +457,35 @@ class _Scan:
         m + a is in E for some a.  The screen has settled that for
         elements[:done], so the resume reads m + a in reach for a in
         elements[done:] only, and that is exact.  For h = 2, E is S_2 and
-        these are C set lookups, as are the k >= 2 sums, one per k.  Every
-        rejection is a B_h[1] break and marks m dead.  An admitted m is
-        kept in won, so that commit does not test it again; the test is
-        valid until the next commit.
+        these are C set lookups, which measure faster there than the bit
+        reads, as are the k >= 2 sums, one per k.  Every rejection is a
+        B_h[1] break, marks m dead and returns None; an admitted m returns
+        an empty pass, ((), ()), since a g = 1 scan keeps no level and
+        commit derives Sat from the term.
         """
         t, alive, base, reach = self.t, self.alive, self.base, self.reach
-        h, size = t.h, len(t)
+        h = t.h
         th = t.tables[h].keys()
         rest, end = t.elements[done:], 8 * len(reach)
         parts = [(k, t.tables[h - k]) for k in range(2, h + 1)]
         if h == 2:
             parts, rest = [(1, rest)] + parts, ()
 
-        def accept(m: int) -> bool:
+        def accept(m: int) -> Optional[tuple]:
             near = rest and any(reach[x >> 3] >> (x & 7) & 1
                                 for x in map(m.__add__, rest) if x < end)
             if not near and all(th.isdisjoint(map((k * m).__add__, part))
                                 for k, part in parts):
-                self.won = m, size, None, None
-                return True
+                return (), ()
             alive[m - base] = 0
-            return False
+            return None
 
         return accept
 
-    def find(self, top: int, n_next: int, check_levels: bool) -> Optional[int]:
+    def find(self, top: int, n_next: int,
+             check_levels: bool) -> Optional[tuple[int, tuple]]:
         """The smallest live candidate below top that the step's accept test
-        admits, or None.
+        admits, with the pass that admitted it, or None.
 
         The scan walks [base, top) in slices of _FIRST_SLICE candidates,
         doubling up to _CHUNK, and grows the window by _CHUNK as it goes.
@@ -512,8 +509,9 @@ class _Scan:
             end = hi - base
             i = alive.find(1, lo - base, end)
             while i >= 0:
-                if accept(base + i):
-                    return base + i
+                admission = accept(base + i)
+                if admission is not None:
+                    return base + i, admission
                 i = alive.find(1, i + 1, end)
             lo, width = hi, min(2 * width, _CHUNK)
         return None
@@ -534,15 +532,15 @@ def _greedy(
     Term n is the smallest non-member in [1, ceiling(n).floor] that keeps
     the set B_h[g] and, with check_levels, within its level ceilings; if
     there is none, error is raised.  A _Scan keeps the state of the scan
-    between steps.
+    between steps, and commit takes each term find admits with its pass.
     """
     h, g = params.h, params.g
     scan = _Scan(h, g, max_entries)
     members = scan.t.elements
     rec = SequenceRecord(params, algorithm)
-    meta = StepMeta(1, 1, 0, ceiling(1).floor, 0.0)
+    meta, admission = StepMeta(1, 1, 0, ceiling(1).floor, 0.0), None
     while True:
-        scan.commit(meta.term)
+        scan.commit(meta.term, admission)
         rec.terms.append(meta.term)
         rec.per_step.append(meta)
         if on_step is not None:
@@ -556,9 +554,10 @@ def _greedy(
         if found is None:
             raise error(f"no admissible candidate <= {floor} for term "
                         f"{n_next} (h={h}, g={g}); {hint}")
+        term, admission = found
         start = 1 if check_levels else meta.term + 1
-        skipped = bisect_right(members, found) - bisect_left(members, start)
-        meta = StepMeta(n_next, found, found - start + 1 - skipped, floor,
+        skipped = bisect_right(members, term) - bisect_left(members, start)
+        meta = StepMeta(n_next, term, term - start + 1 - skipped, floor,
                         time.perf_counter() - t0)
 
 

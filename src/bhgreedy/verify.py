@@ -218,7 +218,9 @@ class ProofDiagnostics:
 # Enumeration primitives (the from-scratch route)
 
 
-def _check_distinct_positive(A) -> list[int]:
+def _checked_input(A, h: int, g: int) -> list[int]:
+    if h < 2 or g < 1:
+        raise ValueError(f"need h >= 2 and g >= 1, got h={h}, g={g}")
     elems = sorted(A)
     if any(a < 1 for a in elems):
         raise ValueError("elements must be positive integers")
@@ -233,11 +235,6 @@ def _guard_enumeration(n: int, h: int, cap: int) -> None:
         raise GuardExceeded(
             f"enumeration of {total} multisets exceeds cap {cap}"
         )
-
-
-def _histogram(elems: list[int], h: int, cap: int) -> Counter:
-    _guard_enumeration(len(elems), h, cap)
-    return Counter(map(sum, combinations_with_replacement(elems, h)))
 
 
 def _fold_histograms(elems: list[int], h: int, cap: int) -> list[Counter]:
@@ -274,8 +271,8 @@ def verify_bhg(A, h: int, g: int, *,
                max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> BhgCheck:
     """Enumerate every size-h multiset of A and report the smallest sum
     whose multiplicity exceeds g, if any.  Never touches SumTableSet."""
-    elems = _check_distinct_positive(A)
-    return _bhg_check(_histogram(elems, h, max_enumeration), g)
+    elems = _checked_input(A, h, g)
+    return _bhg_check(_fold_histograms(elems, h, max_enumeration)[h], g)
 
 
 def verify_strong_prefixes(terms, h: int, g: int, *,
@@ -296,7 +293,7 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
     multiplicity crossed.
     """
     terms = list(terms)
-    _check_distinct_positive(terms)
+    _checked_input(terms, h, g)
     hist: Counter = Counter()
     levels = [0] * (g + 1)  # levels[s] = #{x : r(x) >= s}, s <= g
     worst = None  # smallest sum over g; counts only rise, so it only falls
@@ -531,7 +528,7 @@ def forbidden_set_sizes(A, h: int, g: int, *,
     test suite checks it against a brute-force classification that
     rebuilds the histogram of A + {m} per candidate.
     """
-    return _scan_window(_check_distinct_positive(A), h, g, set(), None,
+    return _scan_window(_checked_input(A, h, g), h, g, set(), None,
                         max_window, DEFAULT_MAX_ENUMERATION)
 
 
@@ -543,9 +540,11 @@ def t_count(A, m: int, s: int, h: int, *,
     The k = h class reaches only x = h*m.  Counts distinct x, not
     (k, sum) witnesses.  Computed entirely by enumeration.
     """
+    if h < 2:
+        raise ValueError(f"need h >= 2, got h={h}")
     if s < 2:
         raise ValueError(f"defined for levels s >= 2, got {s}")
-    elems = _check_distinct_positive(A)
+    elems = _checked_input(A, h, 1)
     folds = _fold_histograms(elems, h, max_enumeration)
     hist = folds[h]
     xs = set()

@@ -50,6 +50,15 @@ def committed(h, g, terms):
     return scan
 
 
+def sat_bits(scan):
+    """The scan's Sat = {x : r(x) >= g} as a packed integer: folds[h] for
+    g = 1 and h > 2, where ind is never written, else ind."""
+    if scan.folds:
+        assert scan.ind == b""
+        return scan.folds[-1]
+    return int.from_bytes(scan.ind, "little")
+
+
 # ---------------------------------------------------------------------------
 # exact integer arithmetic
 
@@ -278,7 +287,7 @@ def check_fused_against_contract_op(prefix, h, g):
         if m in t:
             continue
         expect = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
-        assert fused(m) == expect.accepted, (n, m)
+        assert (fused(m) is not None) == expect.accepted, (n, m)
         assert (scan.alive[m - 1] == 0) == (expect.reason == "bhg"), (n, m)
         reasons.add(expect.reason)
     return reasons
@@ -466,15 +475,16 @@ def reach_oracle(prefix, h, g):
 ])
 def test_reach_matches_the_oracle_after_every_commit(generator, h, g, n):
     # reach is built in h - 2 rounds of shifts; it must hold exactly the
-    # oracle's E, set no bit past the top of S_h, and take the length of
-    # ind, (top + 7) // 8 + 1 bytes.
+    # oracle's E, set no bit past the top of S_h, and take (top + 7) // 8 + 1
+    # bytes, the length of ind wherever ind is written.
     terms = generator(Params(h, g, n)).terms
     scan = _Scan(h, g)
     for i, a in enumerate(terms):
         scan.commit(a)
         top = h * max(terms[:i + 1])
         bits = int.from_bytes(scan.reach, "little")
-        assert len(scan.reach) == len(scan.ind) == (top + 7) // 8 + 1
+        assert len(scan.reach) == (top + 7) // 8 + 1
+        assert len(scan.ind) == (0 if scan.folds else len(scan.reach))
         assert bits >> (top + 1) == 0
         assert bits == sum(1 << x for x in reach_oracle(terms[:i + 1], h, g)), \
             terms[:i + 1]
@@ -491,24 +501,24 @@ def screened_prefixes(h, g, n):
         scan = committed(h, g, prefix)
         hist = multiset_sum_histogram(prefix, h)
         lower = multiset_sum_histogram(prefix, h - 1)
-        yield i, scan, hist, lower, a // 2 + 1, 8 * len(scan.ind) + 5
+        yield i, scan, hist, lower, a // 2 + 1, 8 * len(scan.reach) + 5
 
 
 @pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
 def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
-    # After each prefix, bit x of the indicator must be set exactly for the
-    # saturated sums Sat = {x : r(x) >= g}.  With no candidates left to
-    # the accept closure, the screen must clear exactly the non-members m
-    # of its slice with m + y in Sat for some y in S_{h-1} (sums from
-    # enumeration), each a B_h[g] break, and touch nothing else.
+    # After each prefix, bit x of Sat (ind, or folds[h] for g = 1 and
+    # h > 2) must be set exactly for the sums with r(x) >= g.  With no
+    # candidates left to the accept closure, the screen must clear exactly
+    # the non-members m of its slice with m + y in Sat for some y in
+    # S_{h-1} (sums from enumeration), each a B_h[g] break, and touch
+    # nothing else.
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
         t = scan.t
         top = h * t.elements[-1]
-        assert len(scan.ind) == (top + 7) // 8 + 1
-        assert int.from_bytes(scan.ind, "little") == sum(
-            1 << x for x in range(top + 1) if hist[x] >= g)
+        assert len(scan.reach) == (top + 7) // 8 + 1
+        assert sat_bits(scan) == sum(1 << x for x in range(top + 1) if hist[x] >= g)
         scan.alive, scan.base = bytearray(m not in t for m in range(1, hi)), 1
         alive, before = scan.alive, bytes(scan.alive)
         done = scan.screen(lo, hi)
@@ -552,7 +562,8 @@ def check_g1_accept(elements, h):
         for done in range(f + 1):
             scan.alive, scan.base = bytearray(b"\x01") * m, 1
             accept = scan.accept_g1(done)
-            assert accept(m) == verdict.accepted, (elements, m, done)
+            assert accept(m) == (((), ()) if verdict.accepted else None), \
+                (elements, m, done)
             assert (scan.alive[m - 1] == 0) == (verdict.reason == "bhg"), \
                 (elements, m, done)
         dones.update(range(f + 1))
@@ -627,7 +638,7 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
             assert cleared == exact or len(survivors) <= _SCREEN_LEFT
             stopped_early += cleared != exact
             for m in survivors:
-                assert accept(m) == (m not in breaks), (t.elements, m)
+                assert (accept(m) is not None) == (m not in breaks), (t.elements, m)
         dead = {m for m in range(lo, hi) if start[m - 1] and not alive[m - 1]}
         assert dead == breaks, t.elements
     assert stopped_early or batch is None
@@ -643,15 +654,15 @@ def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
     check_levels = rec.algorithm == "strong" and g > 1
     for i, meta in enumerate(rec.per_step[1:], 1):
         scan = committed(h, g, rec.terms[:i])
-        assert scan.find(meta.bound_floor + 1, i + 1, check_levels) == meta.term, \
+        assert scan.find(meta.bound_floor + 1, i + 1, check_levels)[0] == meta.term, \
             (rec.algorithm, rec.terms[:i])
 
 
 def check_kept_state(scan, prefix, h, g):
-    """The scan's level counts are the tables' R_1..R_g, and ind is the
-    indicator of Sat = {x : r(x) >= g} from enumeration."""
-    assert scan.levels == scan.t.rep_histogram(g), prefix
-    assert int.from_bytes(scan.ind, "little") == sum(
+    """The scan's level counts are the tables' R_1..R_g for g > 1 and none
+    for g = 1, and its Sat is {x : r(x) >= g} from enumeration."""
+    assert scan.levels == (scan.t.rep_histogram(g) if g > 1 else ()), prefix
+    assert sat_bits(scan) == sum(
         1 << x for x, c in multiset_sum_histogram(prefix, h).items() if c >= g), prefix
 
 
@@ -660,45 +671,22 @@ def check_kept_state(scan, prefix, h, g):
                                    (4, 2, 9), (4, 3, 9)])
 def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
     # Driven as _greedy drives it, each step's find admits the run's next
-    # term and keeps its pass, which commit then uses.  Committed by hand,
-    # every term but the first is classified inside commit.  Either way
-    # the kept state must match the tables and the enumeration.
+    # term with its pass, the one commit would make without ceilings, and
+    # commit takes it over.  Committed by hand, every term is classified
+    # inside commit.  Either way the kept state must match the tables and
+    # the enumeration.
     rec = generator(Params(h, g, n))
     check_levels = rec.algorithm == "strong"
     scan = _Scan(h, g)
     scan.commit(1)
     for i, meta in enumerate(rec.per_step[1:], 1):
-        assert scan.find(meta.bound_floor + 1, i + 1, check_levels) == meta.term
-        assert scan.won[:2] == (meta.term, i)
-        scan.commit(meta.term)
+        term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
+        assert term == meta.term
+        assert admission == tuple(classify_candidate(scan.t, term, g, scan.levels, [])[2:])
+        scan.commit(term, admission)
         check_kept_state(scan, rec.terms[:i + 1], h, g)
     for i in range(1, n + 1):
         check_kept_state(committed(h, g, rec.terms[:i]), rec.terms[:i], h, g)
-
-
-@pytest.mark.parametrize("h,g", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
-def test_commit_ignores_a_stale_pass(h, g):
-    # Of the candidates a step admits, the last one's pass is kept; the
-    # term committed is the first, so that pass is stale.  An accept test
-    # made before that commit then admits a term against the grown tables
-    # but the old counts; that pass is stale too.
-    prefix = strong_greedy(Params(h, g, 6)).terms
-    scan = committed(h, g, prefix)
-    hi = h * (h * max(prefix) + 1) + 2  # past h * max + 1 after one more term
-    scan.alive, scan.base = bytearray(b"\x01") * hi, 1
-    accept = scan.accept_general(len(prefix) + 1, False)
-    admitted = [m for m in range(1, hi) if m not in scan.t and accept(m)]
-    first, last = admitted[0], admitted[-1]
-    assert scan.won[0] == last != first
-    scan.commit(first)
-    assert scan.won is None
-    grown = prefix + [first]
-    check_kept_state(scan, grown, h, g)
-    later = next(m for m in range(first + 1, hi)
-                 if m not in grown and is_bhg(grown + [m], h, g))
-    assert accept(later)
-    scan.commit(later)
-    check_kept_state(scan, grown + [later], h, g)
 
 
 def test_strong_runs_never_recount_the_levels(monkeypatch):
@@ -712,6 +700,39 @@ def test_strong_runs_never_recount_the_levels(monkeypatch):
         assert strong_greedy(Params(*hgn)).terms == terms
 
 
+@pytest.mark.parametrize("generator,h,g,n", [
+    (strong_greedy, 2, 1, 40), (classic_greedy, 3, 1, 14), (strong_greedy, 4, 1, 9),
+    (strong_greedy, 3, 2, 20), (classic_greedy, 2, 3, 25), (strong_greedy, 3, 3, 14),
+])
+def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, generator,
+                                                               h, g, n):
+    # Every term after the first reaches commit with the pass that admitted
+    # it, so a run classifies inside commit once; a lost hand-off would
+    # classify every term twice.
+    expected = generator(Params(h, g, n)).terms
+    commit, classify = _Scan.commit, classify_candidate
+    handed, inside, depth = [], [], []
+
+    def wrapped_commit(self, term, admission=None):
+        handed.append(admission is not None)
+        depth.append(term)
+        try:
+            return commit(self, term, admission)
+        finally:
+            depth.pop()
+
+    def wrapped_classify(t, m, *args):
+        if depth:
+            inside.append(m)
+        return classify(t, m, *args)
+
+    monkeypatch.setattr(_Scan, "commit", wrapped_commit)
+    monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
+    assert generator(Params(h, g, n)).terms == expected
+    assert inside == [1]
+    assert handed == [False] + [True] * (n - 1)
+
+
 def fold_bitmaps(prefix, h):
     """The support of the j-fold sums of prefix, j = 0..h, as packed
     integers, from enumeration."""
@@ -721,20 +742,19 @@ def fold_bitmaps(prefix, h):
 @pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
 @pytest.mark.parametrize("h,n", [(3, 11), (4, 9), (5, 8)])
 def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
-    # For g = 1 and h > 2, folds[j] is the bitmap of S_j and ind is
-    # folds[h] written out, whether a term is admitted by find or
-    # committed by hand.
+    # For g = 1 and h > 2, folds[j] is the bitmap of S_j, whether a term
+    # is admitted by find, with an empty pass, or committed by hand; ind
+    # is never written and no level is kept.
     rec = generator(Params(h, 1, n))
     scan = _Scan(h, 1)
     scan.commit(1)
     assert scan.folds == fold_bitmaps([1], h)
     for i, meta in enumerate(rec.per_step[1:], 1):
-        assert scan.find(meta.bound_floor + 1, i + 1, False) == meta.term
-        assert scan.won[:2] == (meta.term, i)
-        scan.commit(meta.term)
+        assert scan.find(meta.bound_floor + 1, i + 1, False) == (meta.term, ((), ()))
+        scan.commit(meta.term, ((), ()))
         prefix = rec.terms[:i + 1]
         assert scan.folds == fold_bitmaps(prefix, h), prefix
-        assert int.from_bytes(scan.ind, "little") == scan.folds[h]
+        assert scan.ind == b"" and scan.levels == ()
         assert committed(h, 1, prefix).folds == scan.folds
     assert _Scan(2, 1).folds == _Scan(h, 2).folds == []
 
@@ -742,7 +762,7 @@ def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
 class WalkScan(_Scan):
     """A scan whose screen clears nothing and whose accept test, for every
     g, records each candidate it is handed, optionally clears its entry,
-    and admits the candidates in admit."""
+    and admits the candidates in admit with an empty pass."""
 
     __slots__ = ("visits", "admit", "clear")
 
@@ -760,7 +780,7 @@ class WalkScan(_Scan):
         self.visits.append(m)
         if self.clear:
             self.alive[m - self.base] = 0
-        return m in self.admit
+        return ((), ()) if m in self.admit else None
 
 
 # With base 5, the slices of shrink_scan_slices are [5, 8), [8, 14),
@@ -795,7 +815,8 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
         scan.alive, scan.base = bytearray(window), base
         scan.visits, scan.clear = [], clear
         scan.admit = set() if first is None else set(live[live.index(first):])
-        assert scan.find(top, 2, False) == first
+        assert scan.find(top, 2, False) == (None if first is None
+                                            else (first, ((), ())))
         expected = live if first is None else live[:live.index(first) + 1]
         assert scan.visits == expected
         grown = bytearray(window) + b"\x01" * (len(scan.alive) - len(window))
@@ -811,7 +832,7 @@ def test_find_walks_across_a_full_chunk():
     scan.alive, scan.base = bytearray(2 * _CHUNK), 1
     scan.alive[_CHUNK - 1:_CHUNK + 1] = b"\x01\x01"
     scan.visits, scan.clear, scan.admit = [], False, {_CHUNK + 1}
-    assert scan.find(2 * _CHUNK + 1, 2, False) == _CHUNK + 1
+    assert scan.find(2 * _CHUNK + 1, 2, False) == (_CHUNK + 1, ((), ()))
     assert scan.visits == [_CHUNK, _CHUNK + 1]
 
 
@@ -844,13 +865,14 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
         assert str(run.value) == str(plain.value), params
         assert [m.term for m in steps] == t.elements, params
         check_levels = rec.algorithm == "strong" and g > 1
-        scan = _Scan(h, g, max_entries=cap)
+        scan, admission = _Scan(h, g, max_entries=cap), None
         for i, meta in enumerate(rec.per_step):
             if i:
-                assert scan.find(meta.bound_floor + 1, i + 1, check_levels) == meta.term
+                term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
+                assert term == meta.term
             before = (bytes(scan.ind), scan.levels, list(scan.folds), bytes(scan.alive))
             try:
-                scan.commit(meta.term)
+                scan.commit(meta.term, admission)
             except GuardExceeded:
                 break
         after = (bytes(scan.ind), scan.levels, scan.folds, bytes(scan.alive))
@@ -860,9 +882,9 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
 
 @pytest.mark.parametrize("h,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
 def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
-    # With and without a kept admission of another candidate, a term that
-    # breaks B_h[g] or is already a member is refused before the tables,
-    # the bitmaps or the folds change.
+    # Committed without an admission, a term that breaks B_h[g] or is
+    # already a member is refused before the tables, the bitmaps, the
+    # folds or the window change.
     prefix = strong_greedy(Params(h, g, 8)).terms
     scan = committed(h, g, prefix)
     bad = next(m for m in range(1, 3 * max(prefix))
@@ -875,17 +897,14 @@ def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
                 scan.levels, list(scan.folds), bytes(scan.alive), scan.base)
 
     before = state()
-    for kept in (False, True):
-        if kept:
-            accept = (scan.accept_general(len(prefix) + 1, False) if g > 1
-                      else scan.accept_g1(0))
-            assert accept(good)
-        for term in (bad, prefix[-1]):
-            with pytest.raises(ValueError):
-                scan.commit(term)
-            assert state() == before
-            assert scan.t.elements == prefix
+    for term in (bad, prefix[-1]):
+        with pytest.raises(ValueError):
+            scan.commit(term)
+        assert state() == before
+        assert scan.t.elements == prefix
     check_kept_state(scan, prefix, h, g)
+    scan.commit(good)
+    check_kept_state(scan, prefix + [good], h, g)
 
 
 def test_classic_scan_cap_is_enforced():

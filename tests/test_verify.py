@@ -57,6 +57,23 @@ def test_verify_bhg_input_validation():
         verify_bhg([0, 2], 2, 1)
 
 
+@pytest.mark.parametrize("h,g", [(1, 1), (0, 1), (2, 0), (3, -1)])
+def test_entry_points_refuse_out_of_range_orders(h, g):
+    # h < 2 or g < 1 is refused with the CLI's text before any enumeration:
+    # a cap of 0 would trip a guard first.  t_count takes no g and checks
+    # h alone.
+    message = f"^need h >= 2 and g >= 1, got h={h}, g={g}$"
+    with pytest.raises(ValueError, match=message):
+        verify_bhg([1, 2, 4], h, g, max_enumeration=0)
+    with pytest.raises(ValueError, match=message):
+        verify_strong_prefixes([1, 2, 4], h, g, max_enumeration=0)
+    with pytest.raises(ValueError, match=message):
+        forbidden_set_sizes([1, 2, 4], h, g, max_window=0)
+    if h < 2:
+        with pytest.raises(ValueError, match=f"^need h >= 2, got h={h}$"):
+            t_count([1, 2, 4], 3, 2, h, max_enumeration=0)
+
+
 def test_verify_strong_prefixes_examples():
     assert all(c.ok for c in verify_strong_prefixes([1, 2], 2, 1))
     checks = verify_strong_prefixes([1, 2, 3], 2, 1)
