@@ -28,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add, or_
+from sys import maxsize
 from typing import Callable, Optional
 
 from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
@@ -170,6 +171,7 @@ def classify_candidate(
     g: int,
     base: tuple[int, ...],
     thresholds: list[Threshold],
+    limits: Optional[list[int]] = None,
 ) -> tuple[Optional[int], Optional[int], tuple[int, ...], list[int]]:
     """Classify the non-member m by the representations it would add to t.
 
@@ -183,24 +185,54 @@ def classify_candidate(
     to Sat.  An admitted pass, s None, thus holds what _Scan.commit needs
     to add m.
 
-    One pass over the pairs (k, y, c), y a (h-k)-fold sum of multiplicity
-    c, reads the tables in place: m adds c representations of x = k*m + y.
-    For each x reached, r(x) plus what m has added so far is kept, so a
-    pair raising it from cur to now enters x into levels cur+1..now.  Most
-    sums are fresh, 0 -> 1, and are counted in bulk into level 1; only the
-    others can reach g > 1, so sat is collected on their branch.
+    limits, when given, ends the pass early: limits[s] bounds the gain of
+    level s (limits[0] is unused), and the pass returns (None, s, (), []) as soon as the sums m
+    has reached so far lift level s past it.  Gains only rise, so with
+    limits[s] = floor_s - R_s the whole pass would also reject m, for a
+    level or for a B_h[g] break met later; such an exit names the level
+    that tripped, not the smallest failing one.
+
+    The pass reads the pairs (k, y, c), y a (h-k)-fold sum of multiplicity
+    c, from the tables in place: m adds c representations of x = k*m + y.
+    A pair raising r(x), plus what m has added to x so far, from cur to
+    now enters x into levels cur+1..now.  Most sums are fresh, 0 -> 1, and
+    are counted in bulk into level 1; only the others can reach g > 1, so
+    sat is collected on their branch.  The k = 1 pairs come first: their
+    sums m + y are distinct, so each needs r(x) alone.  The k >= 2 pairs
+    follow, k by k; for each x they reach, r(x) plus what m has added so
+    far is kept, the k = 1 share being the multiplicity of x - m in
+    S_{h-1}.
     """
     h = t.h
-    th = t.tables[h]
-    grown: dict[int, int] = {}
+    th = t.tables[h].get
+    # No gain reaches sys.maxsize, which bounds the size of any container.
+    lim = limits or [maxsize] * (g + 1)
     gains = [0] * (g + 1)
     sat: list[int] = []
     fresh = 0
-    for k in range(1, h + 1):
+    t1 = t.tables[h - 1]
+    for y, c in t1.items():
+        x = m + y
+        cur = th(x, 0)
+        now = cur + c
+        if now > g:
+            return x, None, (), []
+        if now == 1:
+            fresh += 1
+        else:
+            for s in range(cur + 1, now + 1):
+                gains[s] += 1
+                if gains[s] > lim[s]:
+                    return None, s, (), []
+            if now == g:
+                sat.append(x)
+    share = t1.get
+    grown: dict[int, int] = {}
+    for k in range(2, h + 1):
         km = k * m
         for y, c in t.tables[h - k].items():
             x = km + y
-            cur = grown.get(x) or th.get(x, 0)
+            cur = grown.get(x) or th(x, 0) + share(x - m, 0)
             now = cur + c
             if now > g:
                 return x, None, (), []
@@ -210,6 +242,8 @@ def classify_candidate(
             else:
                 for s in range(cur + 1, now + 1):
                     gains[s] += 1
+                    if gains[s] > lim[s]:
+                        return None, s, (), []
                 if now == g:
                     sat.append(x)
     gains[1] += fresh
@@ -229,9 +263,11 @@ def is_strong_candidate(
     """Decide whether adding delta.m keeps t's set a strong B_h[g] set of
     size n_next.
 
-    profile, when given, must be t.rep_histogram(g) for the current set;
-    passing it avoids recomputing the histogram for every candidate of a
-    scan.  A B_h[g] break is reported before a level failure.
+    profile, when given, must be t.rep_histogram(g) for the current set,
+    its level counts R_1..R_g; without it they are counted here.  The
+    classifier pass is whole, with no early exit, so a B_h[g] break is
+    reported before a level failure and a level failure names the smallest
+    failing level.
     """
     if profile is None:
         profile = t.rep_histogram(g)
@@ -274,12 +310,15 @@ class _Scan:
 
     levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, for g > 1.  Each
     commit takes the enlarged counts from the term's classifier pass,
-    which accept_general reads as its base, so the scan never recounts
-    the h-fold table.  A g = 1 scan checks no level, and levels is empty.
+    which accept_general reads as its base and as the start of each
+    level's room below its ceiling, so the scan never recounts the h-fold
+    table.  A g = 1 scan checks no level, and levels is empty.
 
     A B_h[g] break is permanent, because representation counts never
-    decrease, so the scan never tests such a candidate twice.  The
-    bytearray alive is a window over [base, base + len(alive)) holding 1
+    decrease, so the scan never tests a candidate again once a test has
+    found its break.  For g > 1 a pass that stops at a level first finds
+    no break, and leaves the candidate for later steps.  The bytearray
+    alive is a window over [base, base + len(alive)) holding 1
     for "not a member and not known to break B_h[g]".  The screen and the
     accept tests clear the candidates that break it, commit clears the new
     term, and the window then drops its leading zeros in place, so base is
@@ -418,17 +457,25 @@ class _Scan:
         the kept levels and the level ceilings of a set of size n_next,
         fetched once per step, or against no level with check_levels off.
 
-        A B_h[g] break marks m dead; a level rejection leaves m alive for
-        later steps to test again.  Both return None.  An admitted m
-        returns its pass, (levels, sat), which commit takes over; it holds
-        until the next commit.
+        With level checks each pass stops as soon as some level s >= 2
+        gains more than limit_s = floor_s - R_s, set once per step; level 1
+        never rejects, since R_1 <= C(n+h-1, h) <= n^h.  A B_h[g] break
+        marks m dead; a level rejection leaves m alive for later steps to
+        test again, a B_h[g] breaker that trips a level first included.
+        Both return None.  An admitted m returns its pass, which is whole,
+        (levels, sat), and commit takes it over; it holds until the next
+        commit.
         """
         t, g, alive, base, counts = self.t, self.g, self.alive, self.base, self.levels
         thresholds = ([Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
                       if check_levels else [])
+        limits = ([maxsize, maxsize] + [c.floor - r for c, r in
+                                        zip(thresholds[1:], counts[1:])]
+                  if check_levels else None)
 
         def accept(m: int) -> Optional[tuple]:
-            x, failed, levels, sat = classify_candidate(t, m, g, counts, thresholds)
+            x, failed, levels, sat = classify_candidate(t, m, g, counts, thresholds,
+                                                        limits)
             if x is not None:
                 alive[m - base] = 0
             elif failed is None:

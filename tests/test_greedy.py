@@ -1,6 +1,7 @@
 """Tests for the generators, the exact threshold arithmetic, and the scan."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -270,11 +271,50 @@ def test_classify_candidate_counts_a_sum_that_two_pairs_reach():
     assert sorted(sat) == [5, 6, 7]
 
 
+def test_classify_candidate_adds_the_k1_share_to_a_k3_sum():
+    # h = 4, A = {1, 3}, m = 4: 13 = 4+4+4+1 (k = 3) = 4+3+3+3 (k = 1), and
+    # r_A(13) = 0, so only the k = 1 share read for the k = 3 pair brings
+    # r(13) to 2.  A has R_1 = 5 (4, 6, 8, 10, 12) and R_2 = 0; A + {4} has
+    # R_2 = 3 (10, 12 and 13), one past a level-2 ceiling of 2.
+    t = build(4, [1, 3])
+    assert classify_candidate(t, 4, 2, (5, 0), []) == (None, None, (12, 3), [10, 12, 13])
+    assert classify_candidate(t, 4, 2, (5, 0), [Threshold(12, 1), Threshold(2, 1)])[:2] \
+        == (None, 2)
+    assert multiset_sum_histogram([1, 3, 4], 4)[13] == 2
+
+
+@pytest.mark.parametrize("h,elements,m,base,gain", [(3, [1, 2], 3, (4, 0), 3),
+                                                    (4, [1, 3], 4, (5, 0), 3)],
+                         ids=["h3", "h4"])
+def test_classify_candidate_limit_admits_a_gain_equal_to_it(h, elements, m, base, gain):
+    # Level 2 gains exactly `gain` sums in the whole pass.  A limit equal to
+    # that gain lets the pass finish and admit m; one below it ends the pass
+    # at the raise that passes it, naming level 2 and nothing more.  Level 1
+    # gets no limit, as in the scan.
+    t = build(h, elements)
+    whole = classify_candidate(t, m, 2, base, [])
+    assert whole[2][1] - base[1] == gain
+    free = [sys.maxsize, sys.maxsize]
+    assert classify_candidate(t, m, 2, base, [], free + [gain]) == whole
+    assert classify_candidate(t, m, 2, base, [], free + [gain - 1]) == (None, 2, (), [])
+
+
+def test_level_limit_is_exclusive_in_whole_runs():
+    # A limit read as inclusive (gains[s] >= limit) rejects candidates that
+    # land exactly on a level ceiling and changes these terms.
+    assert strong_greedy(Params(3, 3, 19)).terms[18] == 599
+    assert strong_greedy(Params(2, 3, 53)).terms[52] == 703
+    assert strong_greedy(Params(2, 2, 60)).terms[59] == 1752
+
+
 def check_fused_against_contract_op(prefix, h, g):
     """The scan's accept closure, with level checks as the strong scan runs
     it, agrees with is_strong_candidate on every non-member m in
-    [1, 2*max(prefix)+9], and marks m dead exactly when the verdict is a
-    B_h[g] break; returns the verdict reasons seen."""
+    [1, 2*max(prefix)+9].  It marks m dead only for a B_h[g] break and
+    never for a level verdict.  Its pass stops at the first level past its
+    floor, so a B_h[g] breaker that trips a level first stays alive; the
+    enlarged set then fails some level s >= 2 as well.  Returns the verdict
+    reasons seen and the count of breakers left alive."""
     n = len(prefix)
     scan = committed(h, g, prefix)
     t = scan.t
@@ -282,15 +322,23 @@ def check_fused_against_contract_op(prefix, h, g):
     hi = 2 * max(prefix) + 10
     scan.alive, scan.base = bytearray(b"\x01") * hi, 1
     fused = scan.accept_general(n + 1, g > 1)
-    reasons = set()
+    reasons, alive_breaks = set(), 0
     for m in range(1, hi):
         if m in t:
             continue
         expect = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
         assert (fused(m) is not None) == expect.accepted, (n, m)
-        assert (scan.alive[m - 1] == 0) == (expect.reason == "bhg"), (n, m)
+        dead = scan.alive[m - 1] == 0
+        if dead:
+            assert expect.reason == "bhg", (n, m)
+        if expect.reason == "level":
+            assert not dead, (n, m)
+        if expect.reason == "bhg" and not dead:
+            hist = multiset_sum_histogram(prefix + [m], h)
+            assert (first_failed_level(hist, n + 1, h, g) or 0) >= 2, (n, m)
+            alive_breaks += 1
         reasons.add(expect.reason)
-    return reasons
+    return reasons, alive_breaks
 
 
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
@@ -302,9 +350,21 @@ def test_fused_scan_paths_match_contract_op(h, g):
 
 
 def test_fused_scan_leaves_level_rejections_alive():
-    # The 19-term (3, 3) prefix rejects 770 on a level ceiling only.
+    # The 19-term (3, 3) prefix rejects 770 on a level ceiling only, and
+    # 159 trips a level before the pass meets its B_3[3] break.
     prefix = strong_greedy(Params(3, 3, 19)).terms
-    assert "level" in check_fused_against_contract_op(prefix, 3, 3)
+    reasons, alive_breaks = check_fused_against_contract_op(prefix, 3, 3)
+    assert "level" in reasons
+    assert alive_breaks > 0
+
+
+def test_fused_scan_leaves_breakers_that_trip_a_level_alive():
+    # After the 59-term (2, 3) prefix, 935 fails a level only, and 12
+    # B_2[3] breakers trip a level first.
+    prefix = strong_greedy(Params(2, 3, 59)).terms
+    reasons, alive_breaks = check_fused_against_contract_op(prefix, 2, 3)
+    assert "level" in reasons
+    assert alive_breaks > 0
 
 
 def test_level_rejected_candidate_is_retested():
