@@ -170,24 +170,25 @@ def classify_candidate(
     m: int,
     g: int,
     base: tuple[int, ...],
-    thresholds: list[Threshold],
     limits: Optional[list[int]] = None,
 ) -> tuple[Optional[int], Optional[int], tuple[int, ...], list[int]]:
     """Classify the non-member m by the representations it would add to t.
 
-    base holds the level counts R_1..R_g of the current set and thresholds
-    the level ceilings at the enlarged size; an empty thresholds checks no
-    level.  Returns (x, None, (), []) for the first sum x that m pushes
-    past g.  Otherwise returns (None, s, levels, sat): s is the smallest
-    level whose count would exceed its ceiling, or None when every level
-    holds; levels are the counts R_1..R_g of the enlarged set; and sat,
-    for g > 1, lists the sums that m raises to exactly g, the sums it adds
-    to Sat.  An admitted pass, s None, thus holds what _Scan.commit needs
-    to add m.
+    base holds the level counts R_1..R_g of the current set.  Returns
+    (x, None, (), []) for the first sum x that m pushes past g, and
+    (None, s, (), []) when level s gains more than its limit (below).
+    Otherwise returns (None, None, levels, sat): levels are the counts
+    R_1..R_g of the enlarged set, and sat, for g > 1, lists the sums that
+    m raises to exactly g, the sums it adds to Sat.  An admitted pass thus
+    holds what _Scan.commit needs to add m.  The pass reads no level
+    ceiling: a caller turns ceilings into limits, or levels into a
+    verdict.  Without limits the pass is whole.
 
-    limits, when given, ends the pass early: limits[s] bounds the gain of
-    level s (limits[0] is unused), and the pass returns (None, s, (), []) as soon as the sums m
-    has reached so far lift level s past it.  Gains only rise, so with
+    limits[s] bounds the gain R_s(enlarged) - R_s of level s (limits[0] is
+    unused).  The pass stops as soon as the sums m has reached so far lift
+    a level past its limit, and checks every level once more at its end,
+    where the fresh sums join level 1; for s >= 2 only a negative limit, a
+    base already past its floor, can trip there.  Gains only rise, so with
     limits[s] = floor_s - R_s the whole pass would also reject m, for a
     level or for a B_h[g] break met later; such an exit names the level
     that tripped, not the smallest failing one.
@@ -247,9 +248,10 @@ def classify_candidate(
                 if now == g:
                     sat.append(x)
     gains[1] += fresh
-    levels = tuple(map(add, base, gains[1:]))
-    return None, next((s for s, (cap, r) in enumerate(zip(thresholds, levels), 1)
-                       if not cap.admits(r)), None), levels, sat
+    failed = next((s for s in range(1, g + 1) if gains[s] > lim[s]), None)
+    if failed is not None:
+        return None, failed, (), []
+    return None, None, tuple(map(add, base, gains[1:])), sat
 
 
 def is_strong_candidate(
@@ -265,16 +267,18 @@ def is_strong_candidate(
 
     profile, when given, must be t.rep_histogram(g) for the current set,
     its level counts R_1..R_g; without it they are counted here.  The
-    classifier pass is whole, with no early exit, so a B_h[g] break is
-    reported before a level failure and a level failure names the smallest
-    failing level.
+    classifier pass is whole, with no limit, so a B_h[g] break is reported
+    before a level failure.  Otherwise the enlarged counts are checked
+    against the level ceilings at size n_next, and a level failure names
+    the smallest failing level.
     """
     if profile is None:
         profile = t.rep_histogram(g)
-    thresholds = [Threshold.for_level(n_next, h, g, s) for s in range(1, g + 1)]
-    x, failed, _, _ = classify_candidate(t, delta.m, g, profile, thresholds)
+    x, _, levels, _ = classify_candidate(t, delta.m, g, profile)
     if x is not None:
         return CandidateVerdict(False, reason="bhg", x=x)
+    failed = next((s for s, r in enumerate(levels, 1)
+                   if not Threshold.for_level(n_next, h, g, s).admits(r)), None)
     if failed is not None:
         return CandidateVerdict(False, reason="level", s=failed)
     return CandidateVerdict(True)
@@ -363,9 +367,9 @@ class _Scan:
 
         admission is the pass of the accept test that admitted term on the
         current set, as find returns it.  Without one (the first term, a
-        prefix committed by hand) term is classified here with no level
-        ceiling, before the tables change, and a member or a term that
-        breaks B_h[g] raises ValueError.
+        prefix committed by hand) term is classified here by a whole pass
+        with no limit, before the tables change, so only a member or a term
+        that breaks B_h[g] raises ValueError; levels may pass a ceiling.
 
         For g > 1 the pass of classify_candidate that admitted term holds
         the enlarged level counts and the sums it raised to exactly g,
@@ -389,7 +393,7 @@ class _Scan:
         elif term in t:
             raise ValueError(f"{term} is already in the set")
         else:
-            x, _, levels, sat = classify_candidate(t, term, g, self.levels, [])
+            x, _, levels, sat = classify_candidate(t, term, g, self.levels)
             if x is not None:
                 raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
                                  f"have more than {g} representations")
@@ -454,12 +458,12 @@ class _Scan:
     def accept_general(self, n_next: int,
                        check_levels: bool) -> Callable[[int], Optional[tuple]]:
         """Candidate test of a step for g > 1: classify_candidate against
-        the kept levels and the level ceilings of a set of size n_next,
-        fetched once per step, or against no level with check_levels off.
+        the kept levels, with the level limits of a set of size n_next set
+        once per step, or with no limit with check_levels off.
 
-        With level checks each pass stops as soon as some level s >= 2
-        gains more than limit_s = floor_s - R_s, set once per step; level 1
-        never rejects, since R_1 <= C(n+h-1, h) <= n^h.  A B_h[g] break
+        The limit of level s >= 2 is its room below the ceiling,
+        floor_s - R_s, and the pass stops as soon as the level gains more;
+        level 1 gets none, since R_1 <= C(n+h-1, h) <= n^h.  A B_h[g] break
         marks m dead; a level rejection leaves m alive for later steps to
         test again, a B_h[g] breaker that trips a level first included.
         Both return None.  An admitted m returns its pass, which is whole,
@@ -467,15 +471,12 @@ class _Scan:
         commit.
         """
         t, g, alive, base, counts = self.t, self.g, self.alive, self.base, self.levels
-        thresholds = ([Threshold.for_level(n_next, t.h, g, s) for s in range(1, g + 1)]
-                      if check_levels else [])
-        limits = ([maxsize, maxsize] + [c.floor - r for c, r in
-                                        zip(thresholds[1:], counts[1:])]
+        limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, t.h, g, s).floor - r
+                                        for s, r in enumerate(counts[1:], 2)]
                   if check_levels else None)
 
         def accept(m: int) -> Optional[tuple]:
-            x, failed, levels, sat = classify_candidate(t, m, g, counts, thresholds,
-                                                        limits)
+            x, failed, levels, sat = classify_candidate(t, m, g, counts, limits)
             if x is not None:
                 alive[m - base] = 0
             elif failed is None:

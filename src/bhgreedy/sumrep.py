@@ -111,10 +111,6 @@ class SumTableSet:
                 )
         insort(self.elements, a)
 
-    def rep_count(self, x: int) -> int:
-        """r(x): multiplicity of x as an h-fold multiset sum."""
-        return self.tables[self.h].get(x, 0)
-
     def rep_histogram(self, s_max: int) -> tuple[int, ...]:
         """Level counts R_s = |{x : r(x) >= s}| of the current set for
         s = 1..s_max, a non-increasing tuple.

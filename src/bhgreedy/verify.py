@@ -272,7 +272,8 @@ def verify_bhg(A, h: int, g: int, *,
     """Enumerate every size-h multiset of A and report the smallest sum
     whose multiplicity exceeds g, if any.  Never touches SumTableSet."""
     elems = _checked_input(A, h, g)
-    return _bhg_check(_fold_histograms(elems, h, max_enumeration)[h], g)
+    _guard_enumeration(len(elems), h, max_enumeration)
+    return _bhg_check(Counter(map(sum, combinations_with_replacement(elems, h))), g)
 
 
 def verify_strong_prefixes(terms, h: int, g: int, *,

@@ -100,7 +100,7 @@ def test_criterion4_oracle_equivalence(grid_strong_30):
                 x = rng.randrange(1, top)
                 if x in hist:
                     continue
-                assert t.rep_count(x) == 0
+                assert t.tables[h].get(x, 0) == 0
                 assert brute_force_rep(prefix, h, x) == 0
                 probes += 1
         checks = verify_strong_prefixes(rec.terms, h, g)

@@ -219,16 +219,22 @@ def test_level_verdicts_match_from_scratch_oracle():
 
 @given(elements=st.sets(st.integers(1, 30), max_size=6), h=st.integers(2, 4),
        g=st.integers(1, 3), m=st.integers(1, 40),
-       slack=st.lists(st.integers(0, 1), min_size=3, max_size=3))
+       slack=st.lists(st.integers(-2, 1), min_size=3, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
-    # Arbitrary sets, so sums may already exceed g.  Each level's ceiling
-    # sits at its count in the enlarged set, or one below it where the
-    # slack is 0, so every level, level 1 included, can fail.  The
-    # classifier stops at the first sum it pushes past g, in the order it
-    # meets the pairs, so any sum of m's over g is a valid witness.  A pass
-    # that finds no break also hands back the enlarged set's level counts
-    # and, for g > 1, the sums m raises to exactly g.
+    # Arbitrary sets, so sums may already exceed g.  Without limits the
+    # pass is whole.  It stops at the first sum it pushes past g, in the
+    # order it meets the pairs, so any sum of m's over g is a valid
+    # witness.  A pass that finds no break hands back the enlarged set's
+    # level counts and, for g > 1, the sums m raises to exactly g.
+    #
+    # With limits, level s >= 2 gets limit cap_s - R_s, R_s its count
+    # before m joins and cap_s its count after, moved by the slack.  A cap
+    # below R_s gives a negative limit, as a base already past its floor
+    # does.  Level 1 gets no limit, as in the scan.  A level exit must name
+    # a level whose enlarged count passes its cap, so with no cap passed the
+    # pass must equal the whole pass; any other pass must equal it too, and
+    # an unbroken m with a cap passed must be rejected.
     assume(m not in elements)
     before = multiset_sum_histogram(elements, h)
     after = multiset_sum_histogram(elements | {m}, h)
@@ -237,49 +243,56 @@ def test_classify_candidate_matches_oracle(elements, h, g, m, slack):
     def levels(hist):
         return [sum(1 for c in hist.values() if c >= s) for s in range(1, g + 1)]
 
-    grown = levels(after)
-    caps = [max(0, r - 1 + d) for r, d in zip(grown, slack)]
-    witness, failed, counts, sat = classify_candidate(
-        build(h, sorted(elements)), m, g, tuple(levels(before)),
-        [Threshold(cap, 1) for cap in caps])
+    t, base, grown = build(h, sorted(elements)), tuple(levels(before)), levels(after)
+    whole = classify_candidate(t, m, g, base)
+    witness, failed, counts, sat = whole
+    assert failed is None
     assert (witness is None) == (not over)
     if witness is not None:
         assert witness in over
         assert (counts, sat) == ((), [])
     else:
-        assert failed == next((s for s, (r, cap) in enumerate(zip(grown, caps), 1)
-                               if r > cap), None)
         assert counts == tuple(grown)
         assert sorted(sat) == (sorted(x for x, c in after.items()
                                       if c == g and before[x] < g) if g > 1 else [])
+
+    caps = [r + d for r, d in zip(grown, slack)]
+    passed = [s for s in range(2, g + 1) if grown[s - 1] > caps[s - 1]]
+    limits = [0, sys.maxsize] + [cap - r for cap, r in zip(caps[1:], base[1:])]
+    limited = classify_candidate(t, m, g, base, limits)
+    if limited[1] is not None:
+        assert limited[1] in passed
+        assert limited == (None, limited[1], (), [])
+    else:
+        assert limited == whole
+        assert not passed or witness is not None
 
 
 def test_classify_candidate_counts_a_sum_that_two_pairs_reach():
     # m = 3 reaches 7 through two pairs: 1+3+3 (k = 2) and 2+2+3 (k = 1).
     # With A = {1, 2, 5} also 7 = 1+1+5, so only both pairs together push
     # r(7) past g = 2.
-    assert classify_candidate(build(3, [1, 2, 5]), 3, 2, (), []) == (7, None, (), [])
+    assert classify_candidate(build(3, [1, 2, 5]), 3, 2, ()) == (7, None, (), [])
     # With A = {1, 2}, r_A(7) = 0.  A has R_1 = 4 (3, 4, 5, 6) and R_2 = 0;
     # A + {3} has R_1 = 7 and R_2 = 3 (5, 6 and 7), 7's second
-    # representation coming from the second pair.  Level 2 fails against a
-    # ceiling of 2; level 1 holds at 7.  The pass still hands back the
-    # enlarged counts and the three sums m brings to g.
-    x, s, counts, sat = classify_candidate(build(3, [1, 2]), 3, 2, (4, 0),
-                                           [Threshold(7, 1), Threshold(2, 1)])
-    assert (x, s) == (None, 2)
-    assert counts == (7, 3)
+    # representation coming from the second pair.  The whole pass hands
+    # back the enlarged counts and the three sums m brings to g.  A level-2
+    # ceiling of 2, a limit of 2 - R_2 = 2, rejects m at level 2.
+    t = build(3, [1, 2])
+    x, s, counts, sat = classify_candidate(t, 3, 2, (4, 0))
+    assert (x, s, counts) == (None, None, (7, 3))
     assert sorted(sat) == [5, 6, 7]
+    assert classify_candidate(t, 3, 2, (4, 0), [0, sys.maxsize, 2]) == (None, 2, (), [])
 
 
 def test_classify_candidate_adds_the_k1_share_to_a_k3_sum():
     # h = 4, A = {1, 3}, m = 4: 13 = 4+4+4+1 (k = 3) = 4+3+3+3 (k = 1), and
     # r_A(13) = 0, so only the k = 1 share read for the k = 3 pair brings
     # r(13) to 2.  A has R_1 = 5 (4, 6, 8, 10, 12) and R_2 = 0; A + {4} has
-    # R_2 = 3 (10, 12 and 13), one past a level-2 ceiling of 2.
+    # R_2 = 3 (10, 12 and 13), one past a level-2 limit of 2.
     t = build(4, [1, 3])
-    assert classify_candidate(t, 4, 2, (5, 0), []) == (None, None, (12, 3), [10, 12, 13])
-    assert classify_candidate(t, 4, 2, (5, 0), [Threshold(12, 1), Threshold(2, 1)])[:2] \
-        == (None, 2)
+    assert classify_candidate(t, 4, 2, (5, 0)) == (None, None, (12, 3), [10, 12, 13])
+    assert classify_candidate(t, 4, 2, (5, 0), [0, sys.maxsize, 2]) == (None, 2, (), [])
     assert multiset_sum_histogram([1, 3, 4], 4)[13] == 2
 
 
@@ -292,11 +305,25 @@ def test_classify_candidate_limit_admits_a_gain_equal_to_it(h, elements, m, base
     # at the raise that passes it, naming level 2 and nothing more.  Level 1
     # gets no limit, as in the scan.
     t = build(h, elements)
-    whole = classify_candidate(t, m, 2, base, [])
+    whole = classify_candidate(t, m, 2, base)
     assert whole[2][1] - base[1] == gain
     free = [sys.maxsize, sys.maxsize]
-    assert classify_candidate(t, m, 2, base, [], free + [gain]) == whole
-    assert classify_candidate(t, m, 2, base, [], free + [gain - 1]) == (None, 2, (), [])
+    assert classify_candidate(t, m, 2, base, free + [gain]) == whole
+    assert classify_candidate(t, m, 2, base, free + [gain - 1]) == (None, 2, (), [])
+
+
+def test_classify_candidate_negative_limit_rejects_a_candidate_adding_no_sum_there():
+    # A = {1, 2, 3} has R_2 = 1 (4 = 1+3 = 2+2).  m = 10 adds only fresh
+    # sums (11, 12, 13, 20), so level 2 gains nothing and the whole pass
+    # admits it.  A base already past its floor, which a prefix committed
+    # by hand can hold, gives a negative limit: a level-2 floor of 0 gives
+    # 0 - 1 = -1.  No raise meets that limit, so only the check at the end
+    # of the pass can reject m, as a level-2 ceiling would.
+    t = build(2, [1, 2, 3])
+    whole = classify_candidate(t, 10, 2, (5, 1))
+    assert whole == (None, None, (9, 1), [])
+    assert classify_candidate(t, 10, 2, (5, 1), [0, sys.maxsize, -1]) == (None, 2, (), [])
+    assert classify_candidate(t, 10, 2, (5, 1), [0, sys.maxsize, 0]) == whole
 
 
 def test_level_limit_is_exclusive_in_whole_runs():
@@ -742,7 +769,7 @@ def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
     for i, meta in enumerate(rec.per_step[1:], 1):
         term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
         assert term == meta.term
-        assert admission == tuple(classify_candidate(scan.t, term, g, scan.levels, [])[2:])
+        assert admission == tuple(classify_candidate(scan.t, term, g, scan.levels)[2:])
         scan.commit(term, admission)
         check_kept_state(scan, rec.terms[:i + 1], h, g)
     for i in range(1, n + 1):

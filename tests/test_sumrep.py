@@ -39,7 +39,7 @@ def test_new_table_set_rejects_small_order():
 
 def test_empty_set_has_no_representations():
     t = SumTableSet(3)
-    assert all(t.rep_count(x) == 0 for x in (0, 1, 3, 10, 99))
+    assert all(t.tables[3].get(x, 0) == 0 for x in (0, 1, 3, 10, 99))
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +86,15 @@ def test_entry_cap_is_a_hard_error():
 
 
 # ---------------------------------------------------------------------------
-# rep_count / rep_histogram
+# r(x), read from the h-fold table, and rep_histogram
 
 
-def test_rep_count_examples():
+def test_h_fold_table_examples():
     t = build(2, [1, 2])
-    assert t.rep_count(3) == 1
-    assert t.rep_count(7) == 0
+    assert t.tables[2].get(3, 0) == 1
+    assert t.tables[2].get(7, 0) == 0
     t = build(2, [1, 2, 4, 8, 13])
-    assert t.rep_count(14) == 1
+    assert t.tables[2].get(14, 0) == 1
 
 
 def test_rep_histogram_examples():
@@ -226,6 +226,6 @@ def test_rep_histogram_matches_enumeration(elements, h, s_max):
 
 @given(elements=small_sets, h=orders, probe=st.integers(0, 400))
 @settings(max_examples=60, deadline=None)
-def test_rep_count_matches_brute_force(elements, h, probe):
+def test_h_fold_table_matches_brute_force(elements, h, probe):
     t = build(h, elements)
-    assert t.rep_count(probe) == brute_force_rep(elements, h, probe)
+    assert t.tables[h].get(probe, 0) == brute_force_rep(elements, h, probe)
