@@ -309,8 +309,9 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 class _Scan:
     """The state of the greedy scan over one growing set A: its sum tables
     t, the level counts levels, the live-candidate window alive, the
-    saturated-sum bitmap ind, the bitmap reach that the screen reads, and,
-    for g = 1 and h > 2, the fold bitmaps folds.
+    saturated-sum bitmap ind, the bitmap reach that the screen reads, for
+    g = 1 and h > 2 the fold bitmaps folds, and for h = 2 and g = 1 the
+    difference bitmaps back, diffs and above.
 
     levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, for g > 1.  Each
     commit takes the enlarged counts from the term's classifier pass,
@@ -331,15 +332,15 @@ class _Scan:
     reject a candidate that a later step admits, so without level checks
     every non-member below the last term breaks B_h[g].
 
-    Sat = {x : r(x) >= g} is the set of saturated sums.  For h = 2 and for
-    g > 1, ind is its indicator over [0, top of S_h], packed one bit per
-    sum, plus one spare byte.  For g = 1 and h > 2, folds holds the
-    supports of the j-fold sums as packed integers, folds[j] with bit x
-    set for x in S_j, j = 0..h; Sat is S_h, that is folds[h], and ind
-    stays empty.  Otherwise folds is empty.  For a non-member m, m + y in
-    Sat for some y in S_{h-1} is a sum with at least g + 1 representations
-    in the set plus m, a B_h[g] break.  As sets, S_{h-1} = A + S_{h-2}, so
-    that happens exactly when m + a is in
+    Sat = {x : r(x) >= g} is the set of saturated sums.  For g > 1, ind is
+    its indicator over [0, top of S_h], packed one bit per sum, plus one
+    spare byte.  For g = 1 and h > 2, folds holds the supports of the
+    j-fold sums as packed integers, folds[j] with bit x set for x in S_j,
+    j = 0..h; Sat is S_h, that is folds[h], and ind stays empty.
+    Otherwise folds is empty.  For a non-member m, m + y in Sat for some y
+    in S_{h-1} is a sum with at least g + 1 representations in the set
+    plus m, a B_h[g] break.  As sets, S_{h-1} = A + S_{h-2}, so that
+    happens exactly when m + a is in
 
         E = {x >= 0 : x + z in Sat for some z in S_{h-2}}
 
@@ -349,21 +350,35 @@ class _Scan:
     so alive keeps its meaning, with one window of reach per element: n
     windows a slice, where Sat read once per y in S_{h-1} would take about
     n^(h-1)/(h-1)!.
+
+    For h = 2 and g = 1, the Mian-Chowla case, the scan keeps neither Sat
+    nor E.  Let M be the largest element.  A non-member m > M breaks
+    B_2[1] exactly when m + a is in S_2 for some element a, since its
+    other new sum, 2m, exceeds 2M, the largest sum of A.  So the scan
+    keeps that set above M, next to what it takes to grow it, as three
+    packed integers: back, with bit M - a - 1 for each element a < M;
+    diffs, with bit b - a - 1 for elements a < b; and above, with bit i
+    set iff M + 1 + i + a is in S_2 for some element a.  The next term
+    above M is then M + 1 + i, i the lowest clear bit of above.  Here
+    alive ends at M: it holds only the live candidates below M, which a
+    greedy run never leaves and a prefix committed by hand may.
     """
 
-    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach", "folds")
+    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach", "folds",
+                 "back", "diffs", "above")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.t, self.g = SumTableSet(h, max_entries=max_entries), g
         self.levels = (0,) * g if g > 1 else ()
-        self.alive, self.base = bytearray(b"\x01"), 1
+        self.alive, self.base = bytearray(), 1
         self.ind = self.reach = bytearray()
         self.folds = [1] + [0] * h if g == 1 and h > 2 else []
+        self.back = self.diffs = self.above = 0
 
     def commit(self, term: int, admission: Optional[tuple] = None) -> None:
-        """Add the non-member term to the set, update ind, folds and levels,
-        clear term in alive, growing the window to reach it, drop the
-        window's leading zeros, and rebuild reach.
+        """Add the non-member term to the set, update ind, folds, levels and
+        the difference bitmaps, clear term in alive, growing the window to
+        reach it, drop the window's leading zeros, and rebuild reach.
 
         admission is the pass of the accept test that admitted term on the
         current set, as find returns it.  Without one (the first term, a
@@ -373,11 +388,32 @@ class _Scan:
 
         For g > 1 the pass of classify_candidate that admitted term holds
         the enlarged level counts and the sums it raised to exactly g,
-        whose bits commit sets in ind.  For g = 1 every sum using term is
-        new to S_h: for h = 2 each term + y, y in S_1, is set without a
-        lookup; for h > 2, S_j becomes the union of S_j and term + S_{j-1},
-        taking j = 1..h in order so that S_{j-1} has already grown: one
-        shift and OR of folds per j, with no bit set one at a time.
+        whose bits commit sets in ind.  For g = 1 and h > 2 every sum using
+        term is new to S_h, and S_j becomes the union of S_j and
+        term + S_{j-1}, taking j = 1..h in order so that S_{j-1} has
+        already grown: one shift and OR of folds per j, with no bit set one
+        at a time.
+
+        For h = 2 and g = 1 a term t > M takes two shifts and three ORs,
+        with no loop over the elements, d = t - M:
+
+            back <- (back << d) | (1 << (d - 1)),  diffs <- diffs | back,
+            above <- (above >> d) | diffs,
+
+        the last with the grown diffs.  This is exact.  Take m > t with
+        m + a = b + c, all three in the grown set.  If neither b nor c is
+        t, then neither is a, as b + c - t < t, so m was above before and
+        its bit moves down by d.  Otherwise say b = t: then m = t + c - a,
+        which exceeds t iff a < c, that is iff c - a - 1 is a bit of the
+        grown diffs, and that is the bit of m in the grown above.  The
+        entries of (M, t) join alive live unless above had their bit; a
+        greedy term is the lowest clear bit, so there the window stays
+        empty and base becomes t + 1.  The first term, and a term below M
+        committed by hand, rebuild the three from the sorted elements in
+        O(n) shifts: back as the OR of its bits, diffs as the OR of
+        back >> (M - b) over the elements b, and above as the OR of
+        diffs << c over the elements c, shifted down by M.  A refused
+        commit, by the entry cap included, changes none of them.
 
         For h > 2, reach starts from Sat and takes h - 2 rounds of
         E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
@@ -399,15 +435,15 @@ class _Scan:
                                  f"have more than {g} representations")
         t.add_element(term)
         top = (h * t.elements[-1] + 7) // 8 + 1
-        if folds:
+        if h == 2 and g == 1:
+            alive += self.shift_pairs(term)
+        elif folds:
             for j in range(1, h + 1):
                 folds[j] |= folds[j - 1] << term
             e = folds[h]
         else:
             if len(ind) < top:
                 ind += bytes(top - len(ind))
-            if g == 1:
-                sat = map(term.__add__, t.tables[1])
             for x in sat:
                 ind[x >> 3] |= 1 << (x & 7)
             if h > 2:
@@ -423,6 +459,33 @@ class _Scan:
             for _ in range(h - 2):
                 e = reduce(or_, map(e.__rshift__, t.elements))
             self.reach = e.to_bytes(top, "little")
+
+    def shift_pairs(self, term: int) -> bytes:
+        """Update back, diffs and above, for h = 2 and g = 1, once term has
+        joined the set, and return the entries of alive for (M, term], M
+        the largest element before it: 1 where above did not have the bit,
+        else 0.  Nothing is returned for a first term or a term below M.
+        """
+        elements = self.t.elements
+        if len(elements) < 2 or term < elements[-1]:
+            top = elements[-1]
+            self.back = reduce(or_, (1 << top - a - 1 for a in elements[:-1]), 0)
+            self.diffs = reduce(or_, (self.back >> top - b for b in elements))
+            self.above = reduce(or_, map(self.diffs.__lshift__, elements)) >> top
+            return b""
+        d = term - elements[-2]
+        mask = (1 << d - 1) - 1
+        live = self.above & mask ^ mask
+        # One step a statement, so that at most one stale copy of a bitmap,
+        # as many bits as the largest term, is alive at a time.
+        self.back <<= d
+        self.back |= 1 << d - 1
+        self.diffs |= self.back
+        self.above >>= d
+        self.above |= self.diffs
+        if not live:
+            return bytes(d)
+        return bin(live | 1 << d)[:2:-1].encode().translate(_FROM_DIGITS)
 
     def screen(self, lo: int, hi: int) -> int:
         """Clear alive[m - base] for m in [lo, hi) with m + a in E for some
@@ -486,9 +549,9 @@ class _Scan:
         return accept
 
     def accept_g1(self, done: int) -> Callable[[int], Optional[tuple]]:
-        """Candidate test of a g = 1 step for the survivors of one slice,
-        which screen has cleared of every m with m + a in E for a in
-        elements[:done].
+        """Candidate test of a g = 1 step with h > 2 for the survivors of
+        one slice, which screen has cleared of every m with m + a in E for
+        a in elements[:done].  For h = 2 find needs no candidate test.
 
         For a nonempty B_h[1] set A, the non-member m keeps A + {m} B_h[1]
         exactly when no sum k*m + y it adds (k = 1..h, y in S_{h-k}) lies in
@@ -504,24 +567,21 @@ class _Scan:
         element and z in S_{h-2}, so some m + y lies in S_h exactly when
         m + a is in E for some a.  The screen has settled that for
         elements[:done], so the resume reads m + a in reach for a in
-        elements[done:] only, and that is exact.  For h = 2, E is S_2 and
-        these are C set lookups, which measure faster there than the bit
-        reads, as are the k >= 2 sums, one per k.  Every rejection is a
-        B_h[1] break, marks m dead and returns None; an admitted m returns
-        an empty pass, ((), ()), since a g = 1 scan keeps no level and
-        commit derives Sat from the term.
+        elements[done:] only, and that is exact.  The k >= 2 sums are C set
+        lookups in S_h, one per k.  Every rejection is a B_h[1] break,
+        marks m dead and returns None; an admitted m returns an empty
+        pass, ((), ()), since a g = 1 scan keeps no level and commit
+        derives Sat from the term.
         """
         t, alive, base, reach = self.t, self.alive, self.base, self.reach
         h = t.h
         th = t.tables[h].keys()
         rest, end = t.elements[done:], 8 * len(reach)
         parts = [(k, t.tables[h - k]) for k in range(2, h + 1)]
-        if h == 2:
-            parts, rest = [(1, rest)] + parts, ()
 
         def accept(m: int) -> Optional[tuple]:
-            near = rest and any(reach[x >> 3] >> (x & 7) & 1
-                                for x in map(m.__add__, rest) if x < end)
+            near = any(reach[x >> 3] >> (x & 7) & 1
+                       for x in map(m.__add__, rest) if x < end)
             if not near and all(th.isdisjoint(map((k * m).__add__, part))
                                 for k, part in parts):
                 return (), ()
@@ -544,8 +604,31 @@ class _Scan:
         accept_general decides every candidate the screen leaves; for g = 1
         no level is checked, and accept_g1 takes over at the count of
         elements the screen has ORed.
+
+        For h = 2 and g = 1 no slice is screened and no candidate above M
+        is tested.  The live candidates below M, which only a prefix
+        committed by hand leaves, are decided first, each by a whole
+        classify_candidate pass that clears it on a break.  Past them, a
+        non-member m > M breaks B_2[1] exactly when its bit is in above
+        (see _Scan), so the next term is M + 1 + i, i the lowest clear bit
+        of above, if that is below top.  The bit is sought in the low
+        _FIRST_SLICE bits of above, then in four times as many, and so on,
+        since a term lies far closer to M than the top of above does.
         """
         alive, base = self.alive, self.base
+        if self.t.h == 2 and self.g == 1:
+            end = max(0, min(len(alive), top - base))
+            i = alive.find(1, 0, end)
+            while i >= 0:
+                if classify_candidate(self.t, base + i, 1, ())[0] is None:
+                    return base + i, ((), ())
+                alive[i] = 0
+                i = alive.find(1, i + 1, end)
+            width = _FIRST_SLICE
+            while (low := self.above & (1 << width) - 1).bit_count() == width:
+                width *= 4
+            m = self.t.elements[-1] + (low ^ low + 1).bit_length()
+            return (m, ((), ())) if m < top else None
         general = self.accept_general(n_next, check_levels) if self.g > 1 else None
         lo, width = base, _FIRST_SLICE
         while lo < top:

@@ -1,5 +1,6 @@
 """Tests for the generators, the exact threshold arithmetic, and the scan."""
 
+import random
 import re
 import sys
 
@@ -53,11 +54,33 @@ def committed(h, g, terms):
 
 def sat_bits(scan):
     """The scan's Sat = {x : r(x) >= g} as a packed integer: folds[h] for
-    g = 1 and h > 2, where ind is never written, else ind."""
+    g = 1 and h > 2, where ind is never written, else ind.  A scan at
+    h = 2 and g = 1 keeps no Sat."""
+    assert (scan.t.h, scan.g) != (2, 1)
     if scan.folds:
         assert scan.ind == b""
         return scan.folds[-1]
     return int.from_bytes(scan.ind, "little")
+
+
+def packed(bits):
+    return sum(1 << i for i in set(bits))
+
+
+def check_pairs(scan, prefix):
+    """For h = 2 and g = 1: back, diffs and above match their definitions
+    over the elements, enumerated pair by pair with no shift, the scan
+    keeps no Sat, E, fold or level, and its window ends at the largest
+    element.  Returns above as the set of breakers m > M."""
+    top = max(prefix)
+    sums = {a + b for a in prefix for b in prefix}
+    above = {x - a for x in sums for a in prefix if x - a > top}
+    assert scan.back == packed(top - a - 1 for a in prefix if a < top), prefix
+    assert scan.diffs == packed(b - a - 1 for a in prefix for b in prefix if a < b), prefix
+    assert scan.above == packed(m - top - 1 for m in above), prefix
+    assert scan.ind == scan.reach == b"" and scan.folds == [] and scan.levels == ()
+    assert scan.base + len(scan.alive) == top + 1
+    return above
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +586,15 @@ def reach_oracle(prefix, h, g):
 def test_reach_matches_the_oracle_after_every_commit(generator, h, g, n):
     # reach is built in h - 2 rounds of shifts; it must hold exactly the
     # oracle's E, set no bit past the top of S_h, and take (top + 7) // 8 + 1
-    # bytes, the length of ind wherever ind is written.
+    # bytes, the length of ind wherever ind is written.  At h = 2 and g = 1
+    # no E is kept, and the bitmaps kept in its place must match theirs.
     terms = generator(Params(h, g, n)).terms
     scan = _Scan(h, g)
     for i, a in enumerate(terms):
         scan.commit(a)
+        if (h, g) == (2, 1):
+            check_pairs(scan, terms[:i + 1])
+            continue
         top = h * max(terms[:i + 1])
         bits = int.from_bytes(scan.reach, "little")
         assert len(scan.reach) == (top + 7) // 8 + 1
@@ -581,14 +608,14 @@ def screened_prefixes(h, g, n):
     """For each proper prefix of the strong (h, g, n) run: a scan that has
     committed it, the h- and (h-1)-fold sum histograms from enumeration,
     and the slice [lo, hi) that starts below the last member and runs past
-    the top of S_h."""
+    the top of S_h, 5 past the end of reach wherever reach is kept."""
     terms = strong_greedy(Params(h, g, n)).terms
     for i, a in enumerate(terms[:-1]):
         prefix = terms[:i + 1]
         scan = committed(h, g, prefix)
         hist = multiset_sum_histogram(prefix, h)
         lower = multiset_sum_histogram(prefix, h - 1)
-        yield i, scan, hist, lower, a // 2 + 1, 8 * len(scan.reach) + 5
+        yield i, scan, hist, lower, a // 2 + 1, 8 * ((h * a + 7) // 8 + 1) + 5
 
 
 @pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
@@ -598,22 +625,31 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
     # candidates left to the accept closure, the screen must clear exactly
     # the non-members m of its slice with m + y in Sat for some y in
     # S_{h-1} (sums from enumeration), each a B_h[g] break, and touch
-    # nothing else.
+    # nothing else.  At h = 2 and g = 1 no screen runs (h = 3 keeps the
+    # g = 1 one): above must hold exactly these breakers past the largest
+    # element, and a greedy prefix leaves no live candidate below it.
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
         t = scan.t
         top = h * t.elements[-1]
-        assert len(scan.reach) == (top + 7) // 8 + 1
-        assert sat_bits(scan) == sum(1 << x for x in range(top + 1) if hist[x] >= g)
-        scan.alive, scan.base = bytearray(m not in t for m in range(1, hi)), 1
-        alive, before = scan.alive, bytes(scan.alive)
-        done = scan.screen(lo, hi)
-        assert done == len(t) or not any(alive[lo - 1:hi - 1])
-        assert alive[:lo - 1] == before[:lo - 1]
-        cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
-        assert cleared == [m for m in range(lo, hi) if m not in t
-                           and any(hist[m + y] >= g for y in lower)]
+        breaks = [m for m in range(lo, hi)
+                  if m not in t and any(hist[m + y] >= g for y in lower)]
+        if (h, g) == (2, 1):
+            last = t.elements[-1]
+            assert scan.base == last + 1 and not scan.alive
+            cleared = sorted(m for m in check_pairs(scan, t.elements) if m < hi)
+            breaks = [m for m in breaks if m > last]
+        else:
+            assert len(scan.reach) == (top + 7) // 8 + 1
+            assert sat_bits(scan) == sum(1 << x for x in range(top + 1) if hist[x] >= g)
+            scan.alive, scan.base = bytearray(m not in t for m in range(1, hi)), 1
+            alive, before = scan.alive, bytes(scan.alive)
+            done = scan.screen(lo, hi)
+            assert done == len(t) or not any(alive[lo - 1:hi - 1])
+            assert alive[:lo - 1] == before[:lo - 1]
+            cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
+        assert cleared == breaks
         # For g > 1 the first few prefixes may clear nothing; the run
         # as a whole must.
         assert cleared or i == 0 or g > 1
@@ -634,11 +670,33 @@ def check_g1_accept(elements, h):
     alive[m - 1] exactly on a "bhg" verdict, for every such done.  Every
     done from 0 to the number of elements is taken, since the range runs
     past every sum.  Returns the kinds of candidate seen: "k1" (some m + a
-    in E), "high" (none, but rejected) and "accepted"."""
+    in E), "high" (none, but rejected) and "accepted".
+
+    At h = 2, where the scan keeps above in place of E and runs no
+    accept_g1 (h >= 3 keeps that path), each m past the largest element
+    must instead be in above exactly on a "bhg" verdict, and find must
+    return the smallest accepted m, with the candidates below the largest
+    element, which the sorted commits leave live, decided inside it."""
     elements = sorted(elements)
     scan = committed(h, 1, elements)
     t = scan.t
     reach = reach_oracle(elements, h, 1)
+    if h == 2:
+        above = check_pairs(scan, elements)
+        kinds, first = set(), None
+        for m in range(1, 2 * elements[-1] + 2):
+            if m in t:
+                continue
+            verdict = is_strong_candidate(t, t.candidate_delta(m), len(t) + 1, 2, 1)
+            if m > elements[-1]:
+                assert (m in above) == (verdict.reason == "bhg"), (elements, m)
+            if verdict.accepted and first is None:
+                first = m
+            kinds.add("k1" if any(m + a in reach for a in elements) else
+                      "accepted" if verdict.accepted else "high")
+        assert scan.find(first, len(t) + 1, False) is None
+        assert scan.find(first + 1, len(t) + 1, False) == (first, ((), ()))
+        return kinds
     kinds, dones = set(), set()
     for m in range(1, h * elements[-1] + 2):
         if m in t:
@@ -699,9 +757,21 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
     # accept test the scan runs for this g (accept_g1 resuming where the
     # screen stopped, or accept_general) then marks the rest dead, so
     # after both every non-member of [lo, hi) that breaks B_h[g] is dead,
-    # and no other.
+    # and no other.  At h = 2 and g = 1 neither runs (h = 3 keeps both for
+    # g = 1): every breaker lies below base or in above, and no other
+    # non-member does.
     if batch is not None:
         monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
+    if (h, g) == (2, 1):
+        for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
+            t = scan.t
+            above = check_pairs(scan, t.elements)
+            for m in range(lo, hi):
+                if m not in t:
+                    verdict = is_strong_candidate(t, t.candidate_delta(m), i + 2, h, g)
+                    assert (verdict.reason == "bhg") == (m < scan.base or m in above), \
+                        (t.elements, m)
+        return
     stopped_early = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
         t = scan.t
@@ -747,7 +817,11 @@ def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
 
 def check_kept_state(scan, prefix, h, g):
     """The scan's level counts are the tables' R_1..R_g for g > 1 and none
-    for g = 1, and its Sat is {x : r(x) >= g} from enumeration."""
+    for g = 1, and its Sat is {x : r(x) >= g} from enumeration; at h = 2
+    and g = 1, which keeps no Sat, its difference bitmaps match theirs."""
+    if (h, g) == (2, 1):
+        check_pairs(scan, prefix)
+        return
     assert scan.levels == (scan.t.rep_histogram(g) if g > 1 else ()), prefix
     assert sat_bits(scan) == sum(
         1 << x for x, c in multiset_sum_histogram(prefix, h).items() if c >= g), prefix
@@ -898,7 +972,7 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
             if m - base >= len(window) or window[m - base]]
     assert bool(live) == (pattern != "none-live")
     for first in [None] + live:
-        scan = WalkScan(2, g)
+        scan = WalkScan(3 if g == 1 else 2, g)  # (2, 1) walks no slice
         scan.alive, scan.base = bytearray(window), base
         scan.visits, scan.clear = [], clear
         scan.admit = set() if first is None else set(live[live.index(first):])
@@ -915,12 +989,76 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
 def test_find_walks_across_a_full_chunk():
     # At the default slice widths, live entries on both sides of index
     # _CHUNK of the window, inside the slice [64513, 130049).
-    scan = WalkScan(2, 1)
+    scan = WalkScan(3, 1)  # (2, 1) walks no slice
     scan.alive, scan.base = bytearray(2 * _CHUNK), 1
     scan.alive[_CHUNK - 1:_CHUNK + 1] = b"\x01\x01"
     scan.visits, scan.clear, scan.admit = [], False, {_CHUNK + 1}
     assert scan.find(2 * _CHUNK + 1, 2, False) == (_CHUNK + 1, ((), ()))
     assert scan.visits == [_CHUNK, _CHUNK + 1]
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+def test_pair_bitmaps_match_enumeration_after_every_commit(generator):
+    # At h = 2 and g = 1 each commit shifts back, diffs and above with no
+    # loop over the elements.  After every commit of a 60-term run they
+    # must match enumeration, and find must return the next term of the
+    # naive greedy, and None when top is at or below it, with no screen
+    # and no accept test: the walk's accept test would record a visit.
+    expected = naive_classic_greedy(2, 1, 60)
+    rec = generator(Params(2, 1, 60))
+    assert rec.terms == expected
+    scan = WalkScan(2, 1)
+    scan.visits, scan.clear, scan.admit = [], False, set()
+    scan.commit(1)
+    for i, term in enumerate(expected[1:], 1):
+        check_pairs(scan, expected[:i])
+        assert scan.find(term, i + 1, False) is None
+        found = scan.find(term + 1, i + 1, False)
+        assert found == (term, ((), ()))
+        scan.commit(*found)
+        assert not scan.alive and scan.base == term + 1
+    check_pairs(scan, expected)
+    assert scan.visits == []
+
+
+def test_pair_bitmaps_stay_exact_under_shuffled_commits():
+    # Sidon sets committed by hand in shuffled order put terms below the
+    # largest element, which rebuilds the bitmaps, and leave live
+    # candidates below it.  The bitmaps must match enumeration after every
+    # commit, and find must return the smallest positive non-member that
+    # keeps the set B_2[1], and None when top is at or below it.
+    rebuilt = found_below = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        elements = []
+        for a in rng.sample(range(1, 120), 60):
+            if len(elements) < 10 and is_bhg(elements + [a], 2, 1):
+                elements.append(a)
+        rng.shuffle(elements)
+        scan = _Scan(2, 1)
+        for i, a in enumerate(elements):
+            rebuilt += i > 0 and a < max(elements[:i])
+            scan.commit(a)
+            prefix = elements[:i + 1]
+            check_pairs(scan, prefix)
+            term = next(m for m in range(1, 2 * max(prefix) + 2)
+                        if m not in prefix and is_bhg(prefix + [m], 2, 1))
+            found_below += term < max(prefix)
+            assert scan.find(term, i + 2, False) is None, (seed, prefix)
+            assert scan.find(term + 1, i + 2, False) == (term, ((), ())), (seed, prefix)
+    assert rebuilt and found_below
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pair_scan_cap_trips_just_below_a_term(n):
+    # A scan cap one below the n-th Mian-Chowla term stops the run there,
+    # and a cap at the term lets it through.
+    term = MIAN_CHOWLA_10[n - 1]
+    message = (f"no admissible candidate <= {term - 1} for term {n} (h=2, g=1); "
+               "raise the scan cap to continue")
+    with pytest.raises(ScanExceededConfiguredLimit, match=f"^{re.escape(message)}$"):
+        classic_greedy(Params(2, 1, n), scan_cap=term - 1)
+    assert classic_greedy(Params(2, 1, n), scan_cap=term).terms == MIAN_CHOWLA_10[:n]
 
 
 def capped_runs():
@@ -938,7 +1076,7 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
     # it was not handed adds an entry, so a capped run, g = 1 or not,
     # stops at the term, and with the message, of inserting the uncapped
     # run's terms into capped tables.  A commit that trips the cap leaves
-    # ind, levels, folds and alive as they were.
+    # ind, levels, folds, the difference bitmaps and alive as they were.
     for generator, params in capped_runs():
         rec = generator(params)
         h, g = params.h, params.g
@@ -957,12 +1095,14 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
             if i:
                 term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
                 assert term == meta.term
-            before = (bytes(scan.ind), scan.levels, list(scan.folds), bytes(scan.alive))
+            before = (bytes(scan.ind), scan.levels, list(scan.folds), bytes(scan.alive),
+                      scan.back, scan.diffs, scan.above)
             try:
                 scan.commit(meta.term, admission)
             except GuardExceeded:
                 break
-        after = (bytes(scan.ind), scan.levels, scan.folds, bytes(scan.alive))
+        after = (bytes(scan.ind), scan.levels, scan.folds, bytes(scan.alive),
+                 scan.back, scan.diffs, scan.above)
         assert after == before, params
         assert i == len(steps)
 
@@ -971,7 +1111,7 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
 def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
     # Committed without an admission, a term that breaks B_h[g] or is
     # already a member is refused before the tables, the bitmaps, the
-    # folds or the window change.
+    # folds, the difference bitmaps or the window change.
     prefix = strong_greedy(Params(h, g, 8)).terms
     scan = committed(h, g, prefix)
     bad = next(m for m in range(1, 3 * max(prefix))
@@ -981,7 +1121,8 @@ def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
 
     def state():
         return ([dict(d) for d in scan.t.tables], bytes(scan.ind), bytes(scan.reach),
-                scan.levels, list(scan.folds), bytes(scan.alive), scan.base)
+                scan.levels, list(scan.folds), bytes(scan.alive), scan.base,
+                scan.back, scan.diffs, scan.above)
 
     before = state()
     for term in (bad, prefix[-1]):
