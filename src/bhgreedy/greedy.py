@@ -24,14 +24,15 @@ arithmetic.  No floating point is used anywhere in generation.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add, or_
 from sys import maxsize
 from typing import Callable, Optional
 
-from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
+from .errors import (BhgError, GuardExceeded, ScanExceededBound,
+                     ScanExceededConfiguredLimit)
 from .sumrep import DEFAULT_MAX_ENTRIES, CandidateDelta, SumTableSet
 
 ALGORITHM_CLASSIC = "classic"
@@ -306,12 +307,53 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+class _SidonSet:
+    """The elements of the B_2[1] set of an h = 2, g = 1 scan, with the part
+    of the SumTableSet surface that _Scan reads, and no sum table.
+
+    Every pairwise sum of a B_2[1] set is distinct, so the tables of its n
+    elements would hold exactly 1 + n + n(n+1)/2 entries.  add_element
+    counts that closed form against the entry cap, and so stops a capped
+    run at the term, and with the message, of SumTableSet; it refuses
+    before anything changes.  Only a term that keeps the set B_2[1] may be
+    added.
+    """
+
+    __slots__ = ("elements", "members", "max_entries")
+
+    h = 2
+
+    def __init__(self, max_entries: int):
+        self.elements: list[int] = []
+        self.members: set[int] = set()
+        self.max_entries = max_entries
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __contains__(self, a: int) -> bool:
+        return a in self.members
+
+    def add_element(self, a: int) -> None:
+        if a < 1:
+            raise ValueError(f"elements must be positive, got {a}")
+        n = len(self.elements) + 1
+        if 1 + n + n * (n + 1) // 2 > self.max_entries:
+            raise GuardExceeded(
+                f"sum-table entry cap {self.max_entries} exceeded while "
+                f"inserting {a}; lower n_terms or h, or raise the cap"
+            )
+        insort(self.elements, a)
+        self.members.add(a)
+
+
 class _Scan:
     """The state of the greedy scan over one growing set A: its sum tables
-    t, the level counts levels, the live-candidate window alive, the
-    saturated-sum bitmap ind, the bitmap reach that the screen reads, for
-    g = 1 and h > 2 the fold bitmaps folds, and for h = 2 and g = 1 the
-    difference bitmaps back, diffs and above.
+    t (for h = 2 and g = 1 a _SidonSet, its elements alone), the level
+    counts levels, the live-candidate window alive, the saturated-sum
+    bitmap ind, the bitmap reach that the screen reads, for g = 1 and
+    h > 2 the fold bitmaps folds, and for h = 2 and g = 1 the difference
+    bitmaps back, diffs and above.
 
     levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, for g > 1.  Each
     commit takes the enlarged counts from the term's classifier pass,
@@ -351,9 +393,9 @@ class _Scan:
     windows a slice, where Sat read once per y in S_{h-1} would take about
     n^(h-1)/(h-1)!.
 
-    For h = 2 and g = 1, the Mian-Chowla case, the scan keeps neither Sat
-    nor E.  Let M be the largest element.  A non-member m > M breaks
-    B_2[1] exactly when m + a is in S_2 for some element a, since its
+    For h = 2 and g = 1, the Mian-Chowla case, the scan keeps no sum
+    table, Sat or E.  Let M be the largest element.  A non-member m > M
+    breaks B_2[1] exactly when m + a is in S_2 for some element a, since its
     other new sum, 2m, exceeds 2M, the largest sum of A.  So the scan
     keeps that set above M, next to what it takes to grow it, as three
     packed integers: back, with bit M - a - 1 for each element a < M;
@@ -362,13 +404,17 @@ class _Scan:
     above M is then M + 1 + i, i the lowest clear bit of above.  Here
     alive ends at M: it holds only the live candidates below M, which a
     greedy run never leaves and a prefix committed by hand may.
+    pair_break decides these, and a term committed by hand, from the three
+    integers and the elements.
     """
 
     __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach", "folds",
                  "back", "diffs", "above")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self.t, self.g = SumTableSet(h, max_entries=max_entries), g
+        self.t = (_SidonSet(max_entries) if h == 2 and g == 1
+                  else SumTableSet(h, max_entries=max_entries))
+        self.g = g
         self.levels = (0,) * g if g > 1 else ()
         self.alive, self.base = bytearray(), 1
         self.ind = self.reach = bytearray()
@@ -385,6 +431,8 @@ class _Scan:
         prefix committed by hand) term is classified here by a whole pass
         with no limit, before the tables change, so only a member or a term
         that breaks B_h[g] raises ValueError; levels may pass a ceiling.
+        For h = 2 and g = 1 pair_break is that test, and the ValueError
+        names the sum it finds with two representations.
 
         For g > 1 the pass of classify_candidate that admitted term holds
         the enlarged level counts and the sums it raised to exactly g,
@@ -413,7 +461,9 @@ class _Scan:
         O(n) shifts: back as the OR of its bits, diffs as the OR of
         back >> (M - b) over the elements b, and above as the OR of
         diffs << c over the elements c, shifted down by M.  A refused
-        commit, by the entry cap included, changes none of them.
+        commit, by the entry cap included, changes none of them.  The cap
+        counts the 1 + n + n(n+1)/2 entries that the sum tables of a B_2[1]
+        set of n elements hold, with no table built (_SidonSet).
 
         For h > 2, reach starts from Sat and takes h - 2 rounds of
         E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
@@ -429,7 +479,10 @@ class _Scan:
         elif term in t:
             raise ValueError(f"{term} is already in the set")
         else:
-            x, _, levels, sat = classify_candidate(t, term, g, self.levels)
+            if h == 2 and g == 1:
+                x, levels, sat = self.pair_break(term), (), ()
+            else:
+                x, _, levels, sat = classify_candidate(t, term, g, self.levels)
             if x is not None:
                 raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
                                  f"have more than {g} representations")
@@ -486,6 +539,33 @@ class _Scan:
         if not live:
             return bytes(d)
         return bin(live | 1 << d)[:2:-1].encode().translate(_FROM_DIGITS)
+
+    def pair_break(self, m: int) -> Optional[int]:
+        """For h = 2 and g = 1: a sum with two representations in A + {m},
+        for the non-member m, or None when A + {m} is B_2[1].
+
+        A non-member m > M breaks B_2[1] exactly when bit m - M - 1 of
+        above is set (see _Scan).  Any non-member m breaks it exactly when
+        m + a = b + c or 2m = b + c for elements a, b, c.  In the first
+        case c - a = m - b, which is not 0, so bit |m - b| - 1 of diffs is
+        set; in the second, 2m - b is an element.  Conversely, that bit
+        gives elements a < c with c - a = |m - b|, and then m + a = b + c
+        when m > b, and m + c = b + a when m < b.  So the witness is
+        m + a for the element a with m + a - b an element.  The test shifts
+        diffs once per element, so for m above M it runs only once above
+        has m's bit, to name the witness.
+        """
+        elements, members, diffs = self.t.elements, self.t.members, self.diffs
+        if not elements:
+            return None
+        if m > elements[-1] and not self.above >> m - elements[-1] - 1 & 1:
+            return None
+        for b in elements:
+            if 2 * m - b in members:
+                return 2 * m
+            if diffs >> abs(m - b) - 1 & 1:
+                return m + next(a for a in elements if m + a - b in members)
+        return None
 
     def screen(self, lo: int, hi: int) -> int:
         """Clear alive[m - base] for m in [lo, hi) with m + a in E for some
@@ -605,14 +685,14 @@ class _Scan:
         no level is checked, and accept_g1 takes over at the count of
         elements the screen has ORed.
 
-        For h = 2 and g = 1 no slice is screened and no candidate above M
-        is tested.  The live candidates below M, which only a prefix
-        committed by hand leaves, are decided first, each by a whole
-        classify_candidate pass that clears it on a break.  Past them, a
-        non-member m > M breaks B_2[1] exactly when its bit is in above
-        (see _Scan), so the next term is M + 1 + i, i the lowest clear bit
-        of above, if that is below top.  The bit is sought in the low
-        _FIRST_SLICE bits of above, then in four times as many, and so on,
+        For h = 2 and g = 1 no slice is screened, no candidate above M is
+        tested, and classify_candidate is never called.  The live
+        candidates below M, which only a prefix committed by hand leaves,
+        are decided first, each by pair_break, which clears it on a break.
+        Past them, a non-member m > M breaks B_2[1] exactly when its bit is
+        in above (see _Scan), so the next term is M + 1 + i, i the lowest
+        clear bit of above, if that is below top.  The bit is sought in the
+        low _FIRST_SLICE bits of above, then in four times as many, and so on,
         since a term lies far closer to M than the top of above does.
         """
         alive, base = self.alive, self.base
@@ -620,7 +700,7 @@ class _Scan:
             end = max(0, min(len(alive), top - base))
             i = alive.find(1, 0, end)
             while i >= 0:
-                if classify_candidate(self.t, base + i, 1, ())[0] is None:
+                if self.pair_break(base + i) is None:
                     return base + i, ((), ())
                 alive[i] = 0
                 i = alive.find(1, i + 1, end)

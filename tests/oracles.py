@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 
 def multiset_sum_histogram(A, h):
-    return Counter(sum(c) for c in combinations_with_replacement(sorted(A), h))
+    return Counter(map(sum, combinations_with_replacement(sorted(A), h)))
 
 
 def added_histogram(A, m, h):

@@ -18,6 +18,8 @@ def load_spans():
 
 
 def test_traced_generate_counts_and_restores(capsys):
+    # A (3, 1) run inserts into SumTableSet, whose add_element the tracer
+    # wraps; an h = 2, g = 1 run keeps no sum table (below).
     spans = load_spans()
     owners = (cli, sumrep.SumTableSet, verify)
     before = [dict(vars(owner)) for owner in owners]
@@ -32,6 +34,31 @@ def test_traced_generate_counts_and_restores(capsys):
         assert patched
         for name, (value, original) in patched.items():
             assert value.__wrapped__ is original, name
+        code = cli.main(["generate", "--h", "3", "--g", "1", "--n", "12",
+                         "--format", "csv"])
+    finally:
+        restore()
+    assert code == 0
+    terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
+    assert terms == strong_greedy(Params(3, 1, 12)).terms
+    t = SumTableSet(3)
+    for a in terms:
+        t.add_element(a)
+    assert tracer.counts["sumrep.table_entries"] == t.entry_count()
+    assert tracer.counts["sumrep.add_element_calls"] == 12
+    assert tracer.counts["greedy.steps"] == 11
+    assert {"greedy", "sumrep.add_element", "formats.render"} <= {
+        layer for layer, *_ in tracer.spans}
+    assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_traced_pair_run_adds_no_table_element(capsys):
+    # An h = 2, g = 1 scan builds no SumTableSet, so a traced run records
+    # no add_element call and no table entry, and still finds its terms.
+    spans = load_spans()
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
         code = cli.main(["generate", "--h", "2", "--g", "1", "--n", "30",
                          "--format", "csv"])
     finally:
@@ -39,12 +66,6 @@ def test_traced_generate_counts_and_restores(capsys):
     assert code == 0
     terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
     assert terms == strong_greedy(Params(2, 1, 30)).terms
-    t = SumTableSet(2)
-    for a in terms:
-        t.add_element(a)
-    assert tracer.counts["sumrep.table_entries"] == t.entry_count()
-    assert tracer.counts["sumrep.add_element_calls"] == 30
+    assert tracer.counts["sumrep.add_element_calls"] == 0
+    assert tracer.counts["sumrep.table_entries"] == 0
     assert tracer.counts["greedy.steps"] == 29
-    assert {"greedy", "sumrep.add_element", "formats.render"} <= {
-        layer for layer, *_ in tracer.spans}
-    assert [dict(vars(owner)) for owner in owners] == before

@@ -1,5 +1,6 @@
 """Tests for the generators, the exact threshold arithmetic, and the scan."""
 
+import hashlib
 import random
 import re
 import sys
@@ -81,6 +82,54 @@ def check_pairs(scan, prefix):
     assert scan.ind == scan.reach == b"" and scan.folds == [] and scan.levels == ()
     assert scan.base + len(scan.alive) == top + 1
     return above
+
+
+def pair_state(scan):
+    """What an h = 2, g = 1 scan keeps: its elements, its difference bitmaps
+    and its window."""
+    return (list(scan.t.elements), scan.back, scan.diffs, scan.above,
+            bytes(scan.alive), scan.base)
+
+
+def check_pair_break(scan, prefix):
+    """For h = 2 and g = 1, after committing prefix: for every non-member m
+    in [1, 2M + 9], M the largest element, pair_break keeps the set B_2[1]
+    exactly when the naive is_bhg(prefix + [m], 2, 1) does.  A commit of a
+    breaker with no admission raises a ValueError that names a sum with two
+    representations in prefix + [m], and changes none of the elements, the
+    bitmaps or the window.  Returns the breakers, each with its witness."""
+    members, before, witnesses = set(prefix), pair_state(scan), {}
+    for m in range(1, 2 * max(prefix) + 10):
+        if m in members:
+            continue
+        keeps = is_bhg(prefix + [m], 2, 1)
+        assert (scan.pair_break(m) is None) == keeps, (prefix, m)
+        if keeps:
+            continue
+        with pytest.raises(ValueError) as refused:
+            scan.commit(m)
+        words = str(refused.value).split()
+        assert words[:5] == [str(m), "breaks", "B_2[1]:", "the", "sum"], words
+        x = int(words[5])
+        enlarged = members | {m}
+        reps = sum(1 for a in enlarged if a <= x - a and x - a in enlarged)
+        assert reps >= 2, (prefix, m, x)
+        assert pair_state(scan) == before, (prefix, m)
+        witnesses[m] = x
+    return witnesses
+
+
+def shuffled_sidon_sets(count):
+    """count seeded Sidon sets of up to 10 elements below 120, each in the
+    shuffled order in which a test commits it by hand."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        elements = []
+        for a in rng.sample(range(1, 120), 60):
+            if len(elements) < 10 and is_bhg(elements + [a], 2, 1):
+                elements.append(a)
+        rng.shuffle(elements)
+        yield seed, elements
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +443,14 @@ def check_fused_against_contract_op(prefix, h, g):
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
                                  (4, 2)])
 def test_fused_scan_paths_match_contract_op(h, g):
+    # No h = 2, g = 1 scan calls accept_general or keeps the tables it
+    # reads; its break test, pair_break, is checked on the same prefixes.
     rec = strong_greedy(Params(h, g, 7))
     for n in range(1, len(rec.terms)):
-        check_fused_against_contract_op(rec.terms[:n], h, g)
+        if (h, g) == (2, 1):
+            check_pair_break(committed(2, 1, rec.terms[:n]), rec.terms[:n])
+        else:
+            check_fused_against_contract_op(rec.terms[:n], h, g)
 
 
 def test_fused_scan_leaves_level_rejections_alive():
@@ -631,7 +685,7 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
-        t = scan.t
+        t = build(h, scan.t.elements)
         top = h * t.elements[-1]
         breaks = [m for m in range(lo, hi)
                   if m not in t and any(hist[m + y] >= g for y in lower)]
@@ -679,7 +733,7 @@ def check_g1_accept(elements, h):
     element, which the sorted commits leave live, decided inside it."""
     elements = sorted(elements)
     scan = committed(h, 1, elements)
-    t = scan.t
+    t = build(h, elements)
     reach = reach_oracle(elements, h, 1)
     if h == 2:
         above = check_pairs(scan, elements)
@@ -764,7 +818,7 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
         monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
     if (h, g) == (2, 1):
         for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
-            t = scan.t
+            t = build(h, scan.t.elements)
             above = check_pairs(scan, t.elements)
             for m in range(lo, hi):
                 if m not in t:
@@ -869,10 +923,11 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
                                                                h, g, n):
     # Every term after the first reaches commit with the pass that admitted
     # it, so a run classifies inside commit once; a lost hand-off would
-    # classify every term twice.
+    # classify every term twice.  An h = 2, g = 1 run calls no
+    # classify_candidate at all: its first term is checked by pair_break.
     expected = generator(Params(h, g, n)).terms
     commit, classify = _Scan.commit, classify_candidate
-    handed, inside, depth = [], [], []
+    handed, inside, depth, calls = [], [], [], []
 
     def wrapped_commit(self, term, admission=None):
         handed.append(admission is not None)
@@ -883,6 +938,7 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
             depth.pop()
 
     def wrapped_classify(t, m, *args):
+        calls.append(m)
         if depth:
             inside.append(m)
         return classify(t, m, *args)
@@ -890,7 +946,10 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
     monkeypatch.setattr(_Scan, "commit", wrapped_commit)
     monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
     assert generator(Params(h, g, n)).terms == expected
-    assert inside == [1]
+    if (h, g) == (2, 1):
+        assert calls == []
+    else:
+        assert inside == [1]
     assert handed == [False] + [True] * (n - 1)
 
 
@@ -1028,13 +1087,7 @@ def test_pair_bitmaps_stay_exact_under_shuffled_commits():
     # commit, and find must return the smallest positive non-member that
     # keeps the set B_2[1], and None when top is at or below it.
     rebuilt = found_below = 0
-    for seed in range(20):
-        rng = random.Random(seed)
-        elements = []
-        for a in rng.sample(range(1, 120), 60):
-            if len(elements) < 10 and is_bhg(elements + [a], 2, 1):
-                elements.append(a)
-        rng.shuffle(elements)
+    for seed, elements in shuffled_sidon_sets(20):
         scan = _Scan(2, 1)
         for i, a in enumerate(elements):
             rebuilt += i > 0 and a < max(elements[:i])
@@ -1047,6 +1100,61 @@ def test_pair_bitmaps_stay_exact_under_shuffled_commits():
             assert scan.find(term, i + 2, False) is None, (seed, prefix)
             assert scan.find(term + 1, i + 2, False) == (term, ((), ())), (seed, prefix)
     assert rebuilt and found_below
+
+
+def test_pair_break_matches_the_naive_oracle():
+    # The break test of a term committed by hand, and of a live candidate
+    # below the largest element M, against the naive oracle: on 30 seeded
+    # Sidon sets after every commit, in shuffled order, and on the prefixes
+    # of the (2, 1, 40) run, which the strong and the classic greedy share.
+    # Both kinds of break must occur below M: m + a = b + c, read off
+    # diffs, and 2m = b + c.
+    below = set()
+    for seed, elements in shuffled_sidon_sets(30):
+        scan = _Scan(2, 1)
+        for i, a in enumerate(elements):
+            scan.commit(a)
+            top = max(elements[:i + 1])
+            for m, x in check_pair_break(scan, elements[:i + 1]).items():
+                if m < top:
+                    below.add("double" if x == 2 * m else "pair")
+    assert below == {"double", "pair"}
+    terms = strong_greedy(Params(2, 1, 40)).terms
+    assert classic_greedy(Params(2, 1, 40)).terms == terms
+    scan = _Scan(2, 1)
+    for i, a in enumerate(terms):
+        scan.commit(a)
+        assert check_pair_break(scan, terms[:i + 1]) or i < 2
+
+
+def test_pair_scan_builds_no_sum_table(monkeypatch):
+    # For h = 2 and g = 1 the scan keeps no SumTableSet, and the entry cap
+    # counts the closed form: a stub that refuses to be built changes
+    # neither generator's terms.
+    generators = (strong_greedy, classic_greedy)
+    expected = {gen: gen(Params(2, 1, 80)).terms for gen in generators}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SumTableSet built")
+
+    monkeypatch.setattr("bhgreedy.greedy.SumTableSet", refuse)
+    for gen, terms in expected.items():
+        assert gen(Params(2, 1, 80)).terms == terms
+    assert committed(2, 1, MIAN_CHOWLA_10).t.elements == MIAN_CHOWLA_10
+
+
+@pytest.mark.parametrize("generator,n,digest", [
+    (strong_greedy, 600, "c9ed07e61ef64afcb2bba417cb640e03d88683ed736d1541efe307a09993d3a0"),
+    (classic_greedy, 300, "b939e6a0fa0dd00b7311165dda3aa2c065ea4326b999dd01bc3d7fc338db8030"),
+])
+def test_mian_chowla_runs_match_their_golden_digest(generator, n, digest):
+    # The sha256 of one "n,term,scan_length,bound_floor" line per step,
+    # taken when the scan still kept sum tables.  The benchmark's pins
+    # stop at n = 240, and the bitmaps keep growing well past it.
+    rec = generator(Params(2, 1, n))
+    text = "".join(f"{m.n},{m.term},{m.scan_length},{m.bound_floor}\n"
+                   for m in rec.per_step)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -1070,6 +1178,48 @@ def capped_runs():
     yield strong_greedy, Params(3, 2, 30)
 
 
+def guard_message(run):
+    """The message of the GuardExceeded that run() raises, or None."""
+    try:
+        run()
+    except GuardExceeded as e:
+        return str(e)
+    return None
+
+
+def check_capped_run(generator, rec, cap):
+    """A run of rec's parameters under the entry cap stops at the term, and
+    with the message, of inserting rec's terms into capped tables, or ends
+    as rec does where they hold every term.  Driven step by step, a commit
+    that trips the cap leaves ind, levels, folds, the difference bitmaps,
+    alive and the elements as they were.  Returns the message, or None."""
+    params = rec.params
+    h, g = params.h, params.g
+    t = SumTableSet(h, max_entries=cap)
+    plain = guard_message(lambda: [t.add_element(a) for a in rec.terms])
+    steps = []
+    assert guard_message(lambda: generator(params, on_step=steps.append,
+                                           max_entries=cap)) == plain, (params, cap)
+    assert [m.term for m in steps] == t.elements, (params, cap)
+    check_levels = rec.algorithm == "strong" and g > 1
+    scan, admission = _Scan(h, g, max_entries=cap), None
+    for i, meta in enumerate(rec.per_step):
+        if i:
+            term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
+            assert term == meta.term
+        before = (bytes(scan.ind), scan.levels, list(scan.folds), bytes(scan.alive),
+                  scan.back, scan.diffs, scan.above, list(scan.t.elements))
+        tripped = guard_message(lambda: scan.commit(meta.term, admission))
+        if tripped is not None:
+            assert tripped == plain, (params, cap)
+            after = (bytes(scan.ind), scan.levels, scan.folds, bytes(scan.alive),
+                     scan.back, scan.diffs, scan.above, scan.t.elements)
+            assert after == before, (params, cap)
+            break
+    assert i + (tripped is None) == len(steps), (params, cap)
+    return plain
+
+
 @pytest.mark.parametrize("cap", [10, 200, 1000, 4000])
 def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
     # Neither the admission that commit takes over nor the check of a term
@@ -1078,40 +1228,26 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
     # run's terms into capped tables.  A commit that trips the cap leaves
     # ind, levels, folds, the difference bitmaps and alive as they were.
     for generator, params in capped_runs():
-        rec = generator(params)
-        h, g = params.h, params.g
-        t = SumTableSet(h, max_entries=cap)
-        with pytest.raises(GuardExceeded) as plain:
-            for a in rec.terms:
-                t.add_element(a)
-        steps = []
-        with pytest.raises(GuardExceeded) as run:
-            generator(params, on_step=steps.append, max_entries=cap)
-        assert str(run.value) == str(plain.value), params
-        assert [m.term for m in steps] == t.elements, params
-        check_levels = rec.algorithm == "strong" and g > 1
-        scan, admission = _Scan(h, g, max_entries=cap), None
-        for i, meta in enumerate(rec.per_step):
-            if i:
-                term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
-                assert term == meta.term
-            before = (bytes(scan.ind), scan.levels, list(scan.folds), bytes(scan.alive),
-                      scan.back, scan.diffs, scan.above)
-            try:
-                scan.commit(meta.term, admission)
-            except GuardExceeded:
-                break
-        after = (bytes(scan.ind), scan.levels, scan.folds, bytes(scan.alive),
-                 scan.back, scan.diffs, scan.above)
-        assert after == before, params
-        assert i == len(steps)
+        assert check_capped_run(generator, generator(params), cap) is not None, params
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+def test_pair_run_hits_the_entry_cap_at_every_cap(generator):
+    # An h = 2, g = 1 scan builds no table and counts the 1 + n + n(n+1)/2
+    # entries of n elements in its place.  At every cap up to the 861 of
+    # 40 terms, the run stops where capped tables do, with their message,
+    # and at 861 it ends as the uncapped run does.
+    rec = generator(Params(2, 1, 40))
+    messages = [check_capped_run(generator, rec, cap) for cap in range(1, 862)]
+    assert None not in messages[:-1] and messages[-1] is None
 
 
 @pytest.mark.parametrize("h,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
 def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
     # Committed without an admission, a term that breaks B_h[g] or is
     # already a member is refused before the tables, the bitmaps, the
-    # folds, the difference bitmaps or the window change.
+    # folds, the difference bitmaps or the window change.  An h = 2, g = 1
+    # scan keeps no tables: its elements, bitmaps and window stay put.
     prefix = strong_greedy(Params(h, g, 8)).terms
     scan = committed(h, g, prefix)
     bad = next(m for m in range(1, 3 * max(prefix))
@@ -1120,16 +1256,21 @@ def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
                 if m not in prefix and is_bhg(prefix + [m], h, g))
 
     def state():
+        if (h, g) == (2, 1):
+            return pair_state(scan)
         return ([dict(d) for d in scan.t.tables], bytes(scan.ind), bytes(scan.reach),
                 scan.levels, list(scan.folds), bytes(scan.alive), scan.base,
                 scan.back, scan.diffs, scan.above)
 
     before = state()
     for term in (bad, prefix[-1]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             scan.commit(term)
         assert state() == before
         assert scan.t.elements == prefix
+        if term == bad:  # the refusal names a sum that bad pushes past g
+            x = int(str(refused.value).split()[5])
+            assert multiset_sum_histogram(prefix + [bad], h)[x] > g
     check_kept_state(scan, prefix, h, g)
     scan.commit(good)
     check_kept_state(scan, prefix + [good], h, g)
