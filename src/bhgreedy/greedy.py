@@ -27,9 +27,11 @@ import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import takewhile
+from math import comb
 from operator import add, or_
 from sys import maxsize
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import (BhgError, GuardExceeded, ScanExceededBound,
                      ScanExceededConfiguredLimit)
@@ -288,10 +290,11 @@ def is_strong_candidate(
 #: Largest scan slice, and the step by which the alive window grows.
 _CHUNK = 1 << 16
 
-#: Width of the first slice of a scan; each further slice doubles it, up to
-#: _CHUNK.  Most scans end within a few thousand candidates of where they
-#: start, and the screen of a wide slice reads wide windows of reach until
-#: it has settled the slice.
+#: Width of the first slice of a g > 1 scan; each further slice doubles it,
+#: up to _CHUNK.  Most scans end within a few thousand candidates of where
+#: they start, and the screen of a wide slice reads wide windows of reach
+#: until it has settled the slice.  A g = 1 scan reads its bitmaps above the
+#: top term in windows of this width, then four times as many, and so on.
 _FIRST_SLICE = 1 << 10
 
 #: Elements a the screen ORs into a slice's hits, one window of reach at
@@ -308,28 +311,25 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _SidonSet:
-    """The elements of the B_2[1] set of an h = 2, g = 1 scan, with the part
-    of the SumTableSet surface that _Scan reads, and no sum table.
+    """The elements of the B_h[1] set of a g = 1 scan, with the part of the
+    SumTableSet surface that _Scan reads, and no sum table.
 
-    Every pairwise sum of a B_2[1] set is distinct, so the tables of its n
-    elements would hold exactly 1 + n + n(n+1)/2 entries.  add_element
-    counts that closed form against the entry cap, and so stops a capped
-    run at the term, and with the message, of SumTableSet; it refuses
-    before anything changes.  Only a term that keeps the set B_2[1] may be
-    added.
+    Two equal j-fold sums of a B_h[1] set, j <= h, padded with h - j copies
+    of one element, would be two equal h-fold sums, so its n elements have
+    exactly C(n+j-1, j) distinct j-fold sums, and its tables would hold
+    the sum of these over j = 0..h, C(n+h, h) entries.  add_element counts
+    that closed form against the entry cap, and so stops a capped run at
+    the term, and with the message, of SumTableSet; it refuses before
+    anything changes.  Only a term that keeps the set B_h[1] may be added.
     """
 
-    __slots__ = ("elements", "members", "max_entries")
+    __slots__ = ("h", "elements", "members", "max_entries")
 
-    h = 2
-
-    def __init__(self, max_entries: int):
+    def __init__(self, h: int, max_entries: int):
+        self.h = h
         self.elements: list[int] = []
         self.members: set[int] = set()
         self.max_entries = max_entries
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def __contains__(self, a: int) -> bool:
         return a in self.members
@@ -337,8 +337,7 @@ class _SidonSet:
     def add_element(self, a: int) -> None:
         if a < 1:
             raise ValueError(f"elements must be positive, got {a}")
-        n = len(self.elements) + 1
-        if 1 + n + n * (n + 1) // 2 > self.max_entries:
+        if comb(len(self.elements) + 1 + self.h, self.h) > self.max_entries:
             raise GuardExceeded(
                 f"sum-table entry cap {self.max_entries} exceeded while "
                 f"inserting {a}; lower n_terms or h, or raise the cap"
@@ -348,102 +347,149 @@ class _SidonSet:
 
 
 class _Scan:
-    """The state of the greedy scan over one growing set A: its sum tables
-    t (for h = 2 and g = 1 a _SidonSet, its elements alone), the level
-    counts levels, the live-candidate window alive, the saturated-sum
-    bitmap ind, the bitmap reach that the screen reads, for g = 1 and
-    h > 2 the fold bitmaps folds, and for h = 2 and g = 1 the difference
-    bitmaps back, diffs and above.
-
-    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, for g > 1.  Each
-    commit takes the enlarged counts from the term's classifier pass,
-    which accept_general reads as its base and as the start of each
-    level's room below its ceiling, so the scan never recounts the h-fold
-    table.  A g = 1 scan checks no level, and levels is empty.
+    """The state of the greedy scan over one growing set A: t, its sum
+    tables (for g = 1 a _SidonSet, its elements alone), the live-candidate
+    window alive and, for g > 1, the level counts levels and the bitmaps
+    ind and reach, or for g = 1 difference bitmaps: back, diffs and above
+    for h = 2, diff_sets for h > 2.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests a candidate again once a test has
-    found its break.  For g > 1 a pass that stops at a level first finds
-    no break, and leaves the candidate for later steps.  The bytearray
-    alive is a window over [base, base + len(alive)) holding 1
-    for "not a member and not known to break B_h[g]".  The screen and the
-    accept tests clear the candidates that break it, commit clears the new
-    term, and the window then drops its leading zeros in place, so base is
-    the smallest live candidate.  find visits only the live candidates,
-    each found by a C search for the next 1.  Only a level ceiling can
-    reject a candidate that a later step admits, so without level checks
-    every non-member below the last term breaks B_h[g].
+    found its break; for g > 1 a pass that stops at a level first finds no
+    break, and leaves the candidate for later steps.  The bytearray alive
+    is a window over [base, base + len(alive)) holding 1 for "not a member
+    and not known to break B_h[g]".  The tests clear the candidates that
+    break it, commit clears the new term, and the window then drops its
+    leading zeros in place, so base is the smallest live candidate.  find
+    visits only the live candidates, each found by a C search for the next
+    1.  Only a level ceiling can reject a candidate that a later step
+    admits, so without level checks every non-member below the last term
+    breaks B_h[g].
 
-    Sat = {x : r(x) >= g} is the set of saturated sums.  For g > 1, ind is
-    its indicator over [0, top of S_h], packed one bit per sum, plus one
-    spare byte.  For g = 1 and h > 2, folds holds the supports of the
-    j-fold sums as packed integers, folds[j] with bit x set for x in S_j,
-    j = 0..h; Sat is S_h, that is folds[h], and ind stays empty.
-    Otherwise folds is empty.  For a non-member m, m + y in Sat for some y
-    in S_{h-1} is a sum with at least g + 1 representations in the set
-    plus m, a B_h[g] break.  As sets, S_{h-1} = A + S_{h-2}, so that
-    happens exactly when m + a is in
+    For g > 1, levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at
+    each commit from the term's classifier pass, so the scan never
+    recounts the h-fold table.  ind is the indicator of the saturated sums
+    Sat = {x : r(x) >= g} over [0, top of S_h], one bit per sum, plus one
+    spare byte.  A non-member m with m + y in Sat for some y in S_{h-1}
+    breaks B_h[g].  As S_{h-1} = A + S_{h-2}, that happens exactly when
+    m + a is in E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some
+    element a.  reach is E, packed like ind (for h = 2 ind itself), and
+    the screen clears these breakers a whole slice at a time with one
+    window of reach per element: n windows a slice, where Sat read once
+    per y in S_{h-1} would take about n^(h-1)/(h-1)!.
 
-        E = {x >= 0 : x + z in Sat for some z in S_{h-2}}
+    For g = 1 the scan keeps no sum table, level, Sat or E, and alive ends
+    at the largest element M: it holds the live candidates below M, which
+    a greedy run never leaves and a prefix committed by hand may.  Two
+    equal h-fold sums of A + {m}, A a nonempty B_h[1] set, stripped of
+    their common elements, leave two disjoint j-multisets of equal sum,
+    one using m, d >= 1 times, and one not; padded with h - j copies of
+    one element they give d*m + y = z, y in S_{h-d} and z in S_h, and
+    conversely such y and z give two sums.  So the non-member m breaks
+    B_h[1] exactly when k*m is in D_{h,h-k} = S_h - S_{h-k} for some
+    k = 1..h, and m > M, as h*m exceeds every sum of A, for some k < h.
 
-    for some element a.  reach is E, packed one bit per sum over
-    [0, top of S_h] plus one spare byte; for h = 2, S_0 = {0} and reach is
-    ind itself.  The screen clears these breakers a whole slice at a time,
-    so alive keeps its meaning, with one window of reach per element: n
-    windows a slice, where Sat read once per y in S_{h-1} would take about
-    n^(h-1)/(h-1)!.
-
-    For h = 2 and g = 1, the Mian-Chowla case, the scan keeps no sum
-    table, Sat or E.  Let M be the largest element.  A non-member m > M
-    breaks B_2[1] exactly when m + a is in S_2 for some element a, since its
-    other new sum, 2m, exceeds 2M, the largest sum of A.  So the scan
-    keeps that set above M, next to what it takes to grow it, as three
-    packed integers: back, with bit M - a - 1 for each element a < M;
-    diffs, with bit b - a - 1 for elements a < b; and above, with bit i
-    set iff M + 1 + i + a is in S_2 for some element a.  The next term
-    above M is then M + 1 + i, i the lowest clear bit of above.  Here
-    alive ends at M: it holds only the live candidates below M, which a
-    greedy run never leaves and a prefix committed by hand may.
-    pair_break decides these, and a term committed by hand, from the three
-    integers and the elements.
+    For h = 2 (Mian-Chowla) that leaves m + a in S_2 for an element a, and
+    the scan keeps these m above M, with what it takes to grow them, as
+    three packed integers: back, with bit M - a - 1 for each element
+    a < M; diffs, with bit b - a - 1 for elements a < b; and above, with
+    bit i set iff M + 1 + i + a is in S_2 for some element a.  For h > 2,
+    diff_sets[i][j] holds D_{i,j} = S_i - S_j, i = 0..h, j = 0..h-1,
+    S_0 = {0}, with bit v + j*M for each value v, so that every index is
+    non-negative; column 0 is S_i.  Bit h*M + 1 + i of D_{h,h-1} is the
+    k = 1 test of M + 1 + i, as bit i of above is for h = 2.
     """
 
-    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach", "folds",
-                 "back", "diffs", "above")
+    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach",
+                 "back", "diffs", "above", "diff_sets")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self.t = (_SidonSet(max_entries) if h == 2 and g == 1
+        self.t = (_SidonSet(h, max_entries) if g == 1
                   else SumTableSet(h, max_entries=max_entries))
         self.g = g
         self.levels = (0,) * g if g > 1 else ()
         self.alive, self.base = bytearray(), 1
         self.ind = self.reach = bytearray()
-        self.folds = [1] + [0] * h if g == 1 and h > 2 else []
         self.back = self.diffs = self.above = 0
+        self.diff_sets = ([[1] + [0] * (h - 1)] + [[0] * h for _ in range(h)]
+                          if g == 1 and h > 2 else [])
 
     def commit(self, term: int, admission: Optional[tuple] = None) -> None:
-        """Add the non-member term to the set, update ind, folds, levels and
-        the difference bitmaps, clear term in alive, growing the window to
-        reach it, drop the window's leading zeros, and rebuild reach.
+        """Add the non-member term to the set, update levels and the
+        bitmaps, clear term in alive, growing the window to reach it, and
+        drop the window's leading zeros.
 
-        admission is the pass of the accept test that admitted term on the
-        current set, as find returns it.  Without one (the first term, a
-        prefix committed by hand) term is classified here by a whole pass
-        with no limit, before the tables change, so only a member or a term
-        that breaks B_h[g] raises ValueError; levels may pass a ceiling.
-        For h = 2 and g = 1 pair_break is that test, and the ValueError
-        names the sum it finds with two representations.
+        admission is the pass that admitted term on the current set, as
+        find returns it.  Without one (the first term, a prefix committed
+        by hand) term is checked here, before anything changes, by g1_break
+        or, for g > 1, a whole classifier pass with no limit: only a member
+        or a B_h[g] breaker raises ValueError, which names a sum term would
+        push past g; levels may pass a ceiling.  A refused commit, by the
+        entry cap included, changes nothing.
 
-        For g > 1 the pass of classify_candidate that admitted term holds
-        the enlarged level counts and the sums it raised to exactly g,
-        whose bits commit sets in ind.  For g = 1 and h > 2 every sum using
-        term is new to S_h, and S_j becomes the union of S_j and
-        term + S_{j-1}, taking j = 1..h in order so that S_{j-1} has
-        already grown: one shift and OR of folds per j, with no bit set one
-        at a time.
+        For g > 1 the admitting pass holds the enlarged level counts and
+        the sums it raised to exactly g, whose bits commit sets in ind.  For
+        h > 2, reach then starts from Sat and takes h - 2 rounds of
+        E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
+        the packed integer shifted right by every element.  Shifting right
+        only drops bits, so reach sets none past the top of S_h.
 
-        For h = 2 and g = 1 a term t > M takes two shifts and three ORs,
-        with no loop over the elements, d = t - M:
+        For g = 1 the window gains an entry for each m in (M, term], M the
+        largest element before: 1 where m keeps the set B_h[1], so all 0
+        for a term that find admitted above M, the lowest such m.
+        shift_pairs or shift_diffs then grows the difference bitmaps.
+        """
+        t, g, alive = self.t, self.g, self.alive
+        h = t.h
+        if admission is not None:
+            levels, sat = admission
+        elif term in t:
+            raise ValueError(f"{term} is already in the set")
+        else:
+            if g == 1:
+                x, levels, sat = self.g1_break(term), (), ()
+            else:
+                x, _, levels, sat = classify_candidate(t, term, g, self.levels)
+            if x is not None:
+                raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
+                                 f"have more than {g} representations")
+        fresh = bytearray()
+        if g == 1 and t.elements and term > t.elements[-1]:
+            last = t.elements[-1]
+            fresh = bytearray(term - last)
+            if admission is None:
+                for m in takewhile(term.__gt__, self.admissible_above()):
+                    fresh[m - last - 1] = 1
+        t.add_element(term)
+        if g == 1:
+            alive += fresh
+            (self.shift_pairs if h == 2 else self.shift_diffs)(term)
+        else:
+            ind = self.ind
+            top = (h * t.elements[-1] + 7) // 8 + 1
+            if len(ind) < top:
+                ind += bytes(top - len(ind))
+            for x in sat:
+                ind[x >> 3] |= 1 << (x & 7)
+            if h > 2:
+                e = int.from_bytes(ind, "little")
+                for _ in range(h - 2):
+                    e = reduce(or_, map(e.__rshift__, t.elements))
+                self.reach = e.to_bytes(top, "little")
+        self.levels = levels
+        alive += b"\x01" * (term - self.base + 1 - len(alive))
+        alive[term - self.base] = 0
+        k = alive.find(1)
+        k = len(alive) if k < 0 else k
+        del alive[:k]
+        self.base += k
+
+    def shift_pairs(self, term: int) -> None:
+        """Update back, diffs and above, for h = 2 and g = 1, once term has
+        joined the set.
+
+        A term t above M takes two shifts and three ORs, with no loop over
+        the elements, d = t - M:
 
             back <- (back << d) | (1 << (d - 1)),  diffs <- diffs | back,
             above <- (above >> d) | diffs,
@@ -454,70 +500,11 @@ class _Scan:
         its bit moves down by d.  Otherwise say b = t: then m = t + c - a,
         which exceeds t iff a < c, that is iff c - a - 1 is a bit of the
         grown diffs, and that is the bit of m in the grown above.  The
-        entries of (M, t) join alive live unless above had their bit; a
-        greedy term is the lowest clear bit, so there the window stays
-        empty and base becomes t + 1.  The first term, and a term below M
-        committed by hand, rebuild the three from the sorted elements in
-        O(n) shifts: back as the OR of its bits, diffs as the OR of
-        back >> (M - b) over the elements b, and above as the OR of
-        diffs << c over the elements c, shifted down by M.  A refused
-        commit, by the entry cap included, changes none of them.  The cap
-        counts the 1 + n + n(n+1)/2 entries that the sum tables of a B_2[1]
-        set of n elements hold, with no table built (_SidonSet).
-
-        For h > 2, reach starts from Sat and takes h - 2 rounds of
-        E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
-        the packed integer shifted right by every element; after r rounds
-        E holds the x with x + z in Sat for some r-fold sum z of A.
-        Shifting right only drops bits, so reach sets none past the top of
-        S_h.
-        """
-        t, g, ind, alive, folds = self.t, self.g, self.ind, self.alive, self.folds
-        h = t.h
-        if admission is not None:
-            levels, sat = admission
-        elif term in t:
-            raise ValueError(f"{term} is already in the set")
-        else:
-            if h == 2 and g == 1:
-                x, levels, sat = self.pair_break(term), (), ()
-            else:
-                x, _, levels, sat = classify_candidate(t, term, g, self.levels)
-            if x is not None:
-                raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
-                                 f"have more than {g} representations")
-        t.add_element(term)
-        top = (h * t.elements[-1] + 7) // 8 + 1
-        if h == 2 and g == 1:
-            alive += self.shift_pairs(term)
-        elif folds:
-            for j in range(1, h + 1):
-                folds[j] |= folds[j - 1] << term
-            e = folds[h]
-        else:
-            if len(ind) < top:
-                ind += bytes(top - len(ind))
-            for x in sat:
-                ind[x >> 3] |= 1 << (x & 7)
-            if h > 2:
-                e = int.from_bytes(ind, "little")
-        self.levels = levels
-        alive += b"\x01" * (term - self.base + 1 - len(alive))
-        alive[term - self.base] = 0
-        k = alive.find(1)
-        k = len(alive) if k < 0 else k
-        del alive[:k]
-        self.base += k
-        if h > 2:
-            for _ in range(h - 2):
-                e = reduce(or_, map(e.__rshift__, t.elements))
-            self.reach = e.to_bytes(top, "little")
-
-    def shift_pairs(self, term: int) -> bytes:
-        """Update back, diffs and above, for h = 2 and g = 1, once term has
-        joined the set, and return the entries of alive for (M, term], M
-        the largest element before it: 1 where above did not have the bit,
-        else 0.  Nothing is returned for a first term or a term below M.
+        first term, and a term below M committed by hand, rebuild the
+        three from the sorted elements in O(n) shifts: back as the OR of
+        its bits, diffs as the OR of back >> (M - b) over the elements b,
+        and above as the OR of diffs << c over the elements c, shifted
+        down by M.
         """
         elements = self.t.elements
         if len(elements) < 2 or term < elements[-1]:
@@ -525,10 +512,8 @@ class _Scan:
             self.back = reduce(or_, (1 << top - a - 1 for a in elements[:-1]), 0)
             self.diffs = reduce(or_, (self.back >> top - b for b in elements))
             self.above = reduce(or_, map(self.diffs.__lshift__, elements)) >> top
-            return b""
+            return
         d = term - elements[-2]
-        mask = (1 << d - 1) - 1
-        live = self.above & mask ^ mask
         # One step a statement, so that at most one stale copy of a bitmap,
         # as many bits as the largest term, is alive at a time.
         self.back <<= d
@@ -536,29 +521,63 @@ class _Scan:
         self.diffs |= self.back
         self.above >>= d
         self.above |= self.diffs
-        if not live:
-            return bytes(d)
-        return bin(live | 1 << d)[:2:-1].encode().translate(_FROM_DIGITS)
 
-    def pair_break(self, m: int) -> Optional[int]:
-        """For h = 2 and g = 1: a sum with two representations in A + {m},
-        for the non-member m, or None when A + {m} is B_2[1].
+    def shift_diffs(self, term: int) -> None:
+        """Update diff_sets, for h > 2 and g = 1, once term t has joined the
+        set.  As S'_i = S_i | (t + S'_{i-1}), splitting u in S'_i and v in
+        S'_j by whether they use t gives, exactly,
 
-        A non-member m > M breaks B_2[1] exactly when bit m - M - 1 of
-        above is set (see _Scan).  Any non-member m breaks it exactly when
-        m + a = b + c or 2m = b + c for elements a, b, c.  In the first
-        case c - a = m - b, which is not 0, so bit |m - b| - 1 of diffs is
-        set; in the second, 2m - b is an element.  Conversely, that bit
-        gives elements a < c with c - a = |m - b|, and then m + a = b + c
-        when m > b, and m + c = b + a when m < b.  So the witness is
-        m + a for the element a with m + a - b an element.  The test shifts
-        diffs once per element, so for m above M it runs only once above
-        has m's bit, to name the witness.
+            D'_{i,j} = D_{i,j} | (D'_{i,j-1} - t) | (D'_{i-1,j} + t),
+
+        the second part for j >= 1 and the third for i >= 1; a difference
+        of two sums that both use t lies in the second.  Taken with i and j
+        upward, each new set reads only sets already updated: h(h+1) shifts
+        and ORs, with no factor n.  When M grows to M' = t, each integer
+        first shifts left by j*(M' - M), to its new offset; then "- t" is a
+        left shift by M' - t and "+ t" one by t.
         """
-        elements, members, diffs = self.t.elements, self.t.members, self.diffs
+        elements, rows, h = self.t.elements, self.diff_sets, self.t.h
+        top = elements[-1]
+        grow = top - (elements[-2] if len(elements) > 1 else 0) if term == top else 0
+        for i, row in enumerate(rows):
+            for j in range(h):
+                d = row[j] << j * grow
+                if j:
+                    d |= row[j - 1] << top - term
+                if i:
+                    d |= rows[i - 1][j] << term
+                row[j] = d
+
+    def g1_break(self, m: int) -> Optional[int]:
+        """For g = 1: a sum with two representations in A + {m}, for the
+        non-member m, or None when A + {m} is B_h[1].
+
+        For h > 2 the test reads bit k*m of D_{h,h-k} for k = 1..h (see
+        _Scan); the witness is k*m + y for the least y in S_{h-k} with the
+        sum in S_h, the lowest bit of S_h >> k*m & S_{h-k}.
+
+        For h = 2, m > M breaks B_2[1] exactly when bit m - M - 1 of above
+        is set.  Any m breaks it exactly when m + a = b + c or 2m = b + c
+        for elements a, b, c: then bit |m - b| - 1 of diffs is set, as
+        c - a = m - b is not 0, or 2m - b is an element.  Conversely, that
+        bit gives elements a < c with c - a = |m - b|, and m + a = b + c
+        when m > b, m + c = b + a when m < b, so the witness is m + a for
+        the element a with m + a - b an element.  For m above M this loop
+        over the elements runs only once above has m's bit.
+        """
+        elements, h = self.t.elements, self.t.h
         if not elements:
             return None
-        if m > elements[-1] and not self.above >> m - elements[-1] - 1 & 1:
+        top = elements[-1]
+        if h > 2:
+            row = self.diff_sets[h]
+            for k in range(1, h + 1):
+                if row[h - k] >> k * m + (h - k) * top & 1:
+                    y = row[0] >> k * m & self.diff_sets[h - k][0]
+                    return k * m + (y & -y).bit_length() - 1
+            return None
+        members, diffs = self.t.members, self.diffs
+        if m > top and not self.above >> m - top - 1 & 1:
             return None
         for b in elements:
             if 2 * m - b in members:
@@ -567,12 +586,31 @@ class _Scan:
                 return m + next(a for a in elements if m + a - b in members)
         return None
 
-    def screen(self, lo: int, hi: int) -> int:
-        """Clear alive[m - base] for m in [lo, hi) with m + a in E for some
-        element a; stop once at most _SCREEN_LEFT live candidates of the
-        slice are left.  Returns the count done of the leading elements it
-        ORed: no live candidate of the slice has m + a in E, that is m + y
-        in Sat for y in a + S_{h-2}, for a in elements[:done].
+    def admissible_above(self) -> Iterator[int]:
+        """For g = 1: the candidates above the largest element M that keep
+        the set B_h[1], lowest first and without end: M + 1 + i for each
+        clear bit i of the k = 1 breakers (above, or D_{h,h-1} shifted down
+        by h*M + 1), checked by g1_break for the other k when h > 2.  The
+        bits are read in a window of _FIRST_SLICE bits, then four times as
+        many, and so on, as a term lies far closer to M than the top of the
+        bitmap does; a mask cuts each window, so above is never copied."""
+        top, h = self.t.elements[-1], self.t.h
+        breakers = self.above if h == 2 else self.diff_sets[h][h - 1] >> h * top + 1
+        lo, width = 0, _FIRST_SLICE
+        while True:
+            free = (breakers & (1 << lo + width) - 1) >> lo ^ (1 << width) - 1
+            while free:
+                low = free & -free
+                free ^= low
+                m = top + lo + low.bit_length()
+                if h == 2 or self.g1_break(m) is None:
+                    yield m
+            lo, width = lo + width, 4 * width
+
+    def screen(self, lo: int, hi: int) -> None:
+        """For g > 1: clear alive[m - base] for m in [lo, hi) with m + a in
+        E for some element a; stop once at most _SCREEN_LEFT live
+        candidates of the slice are left.
 
         The live candidates are read once as a bitmask, bit i for m = lo + i.
         Each element a costs one slice of reach read as a little-endian
@@ -592,11 +630,10 @@ class _Scan:
                     s = lo + a
                     j = s >> 3
                     hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
-                done = min(done + _SCREEN_BATCH, n)
+                done += _SCREEN_BATCH
         if live & hits:
             left = format(live & ~hits, f"0{hi - lo}b")[::-1]
             alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
-        return done
 
     def accept_general(self, n_next: int,
                        check_levels: bool) -> Callable[[int], Optional[tuple]]:
@@ -628,95 +665,43 @@ class _Scan:
 
         return accept
 
-    def accept_g1(self, done: int) -> Callable[[int], Optional[tuple]]:
-        """Candidate test of a g = 1 step with h > 2 for the survivors of
-        one slice, which screen has cleared of every m with m + a in E for
-        a in elements[:done].  For h = 2 find needs no candidate test.
-
-        For a nonempty B_h[1] set A, the non-member m keeps A + {m} B_h[1]
-        exactly when no sum k*m + y it adds (k = 1..h, y in S_{h-k}) lies in
-        S_h.  Two equal h-fold sums of A + {m}, stripped of their common
-        elements, leave two disjoint j-multisets of equal sum, and A is
-        B_h[1], so one of them uses m, d >= 1 times, and the other does not.
-        Padding both with h - j copies of one element of A gives
-        d*m + y = z with y in S_{h-d} and z in S_h.  So added sums that
-        collide with each other need no test of their own.
-
-        What is left are the k = 1 sums m + y, y in S_{h-1}, then the few
-        k >= 2 sums.  With g = 1, Sat is S_h, and each y is a + z with a an
-        element and z in S_{h-2}, so some m + y lies in S_h exactly when
-        m + a is in E for some a.  The screen has settled that for
-        elements[:done], so the resume reads m + a in reach for a in
-        elements[done:] only, and that is exact.  The k >= 2 sums are C set
-        lookups in S_h, one per k.  Every rejection is a B_h[1] break,
-        marks m dead and returns None; an admitted m returns an empty
-        pass, ((), ()), since a g = 1 scan keeps no level and commit
-        derives Sat from the term.
-        """
-        t, alive, base, reach = self.t, self.alive, self.base, self.reach
-        h = t.h
-        th = t.tables[h].keys()
-        rest, end = t.elements[done:], 8 * len(reach)
-        parts = [(k, t.tables[h - k]) for k in range(2, h + 1)]
-
-        def accept(m: int) -> Optional[tuple]:
-            near = any(reach[x >> 3] >> (x & 7) & 1
-                       for x in map(m.__add__, rest) if x < end)
-            if not near and all(th.isdisjoint(map((k * m).__add__, part))
-                                for k, part in parts):
-                return (), ()
-            alive[m - base] = 0
-            return None
-
-        return accept
-
     def find(self, top: int, n_next: int,
              check_levels: bool) -> Optional[tuple[int, tuple]]:
-        """The smallest live candidate below top that the step's accept test
+        """The smallest live candidate below top that the step's test
         admits, with the pass that admitted it, or None.
 
-        The scan walks [base, top) in slices of _FIRST_SLICE candidates,
-        doubling up to _CHUNK, and grows the window by _CHUNK as it goes.
-        Each slice is screened first; then alive.find, a C search, steps
-        from one live candidate of the slice to the next, so no Python code
-        runs for a cleared entry.  The accept test may clear the entry it
-        is handed, and the search resumes past it.  For g > 1
-        accept_general decides every candidate the screen leaves; for g = 1
-        no level is checked, and accept_g1 takes over at the count of
-        elements the screen has ORed.
+        For g = 1 no slice is screened and no classifier pass runs.  The
+        live candidates below M, which only a prefix committed by hand
+        leaves, are decided first by g1_break, which clears each on a
+        break; past them the next term is the first of admissible_above,
+        if it is below top.  Either comes with an empty pass, ((), ()).
 
-        For h = 2 and g = 1 no slice is screened, no candidate above M is
-        tested, and classify_candidate is never called.  The live
-        candidates below M, which only a prefix committed by hand leaves,
-        are decided first, each by pair_break, which clears it on a break.
-        Past them, a non-member m > M breaks B_2[1] exactly when its bit is
-        in above (see _Scan), so the next term is M + 1 + i, i the lowest
-        clear bit of above, if that is below top.  The bit is sought in the
-        low _FIRST_SLICE bits of above, then in four times as many, and so on,
-        since a term lies far closer to M than the top of above does.
+        For g > 1 the scan walks [base, top) in slices of _FIRST_SLICE
+        candidates, doubling up to _CHUNK, and grows the window by _CHUNK
+        as it goes.  Each slice is screened first; then alive.find, a C
+        search, steps from one live candidate of the slice to the next, so
+        no Python code runs for a cleared entry.  accept_general decides
+        each, and may clear the entry it is handed; the search resumes
+        past it.
         """
         alive, base = self.alive, self.base
-        if self.t.h == 2 and self.g == 1:
+        if self.g == 1:
             end = max(0, min(len(alive), top - base))
             i = alive.find(1, 0, end)
             while i >= 0:
-                if self.pair_break(base + i) is None:
+                if self.g1_break(base + i) is None:
                     return base + i, ((), ())
                 alive[i] = 0
                 i = alive.find(1, i + 1, end)
-            width = _FIRST_SLICE
-            while (low := self.above & (1 << width) - 1).bit_count() == width:
-                width *= 4
-            m = self.t.elements[-1] + (low ^ low + 1).bit_length()
+            m = next(self.admissible_above())
             return (m, ((), ())) if m < top else None
-        general = self.accept_general(n_next, check_levels) if self.g > 1 else None
+        accept = self.accept_general(n_next, check_levels)
         lo, width = base, _FIRST_SLICE
         while lo < top:
             hi = min(lo + width, top)
             if base + len(alive) < hi:
                 alive += b"\x01" * _CHUNK
-            done = self.screen(lo, hi)
-            accept = general or self.accept_g1(done)
+            self.screen(lo, hi)
             end = hi - base
             i = alive.find(1, lo - base, end)
             while i >= 0:

@@ -18,8 +18,8 @@ def load_spans():
 
 
 def test_traced_generate_counts_and_restores(capsys):
-    # A (3, 1) run inserts into SumTableSet, whose add_element the tracer
-    # wraps; an h = 2, g = 1 run keeps no sum table (below).
+    # A (3, 2) run inserts into SumTableSet, whose add_element the tracer
+    # wraps; a g = 1 run keeps no sum table (below).
     spans = load_spans()
     owners = (cli, sumrep.SumTableSet, verify)
     before = [dict(vars(owner)) for owner in owners]
@@ -34,13 +34,13 @@ def test_traced_generate_counts_and_restores(capsys):
         assert patched
         for name, (value, original) in patched.items():
             assert value.__wrapped__ is original, name
-        code = cli.main(["generate", "--h", "3", "--g", "1", "--n", "12",
+        code = cli.main(["generate", "--h", "3", "--g", "2", "--n", "12",
                          "--format", "csv"])
     finally:
         restore()
     assert code == 0
     terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
-    assert terms == strong_greedy(Params(3, 1, 12)).terms
+    assert terms == strong_greedy(Params(3, 2, 12)).terms
     t = SumTableSet(3)
     for a in terms:
         t.add_element(a)
@@ -53,19 +53,21 @@ def test_traced_generate_counts_and_restores(capsys):
 
 
 def test_traced_pair_run_adds_no_table_element(capsys):
-    # An h = 2, g = 1 scan builds no SumTableSet, so a traced run records
-    # no add_element call and no table entry, and still finds its terms.
+    # A g = 1 scan builds no SumTableSet, at h = 2 or 3, so a traced run
+    # records no add_element call and no table entry, and still finds its
+    # terms.
     spans = load_spans()
-    tracer = spans.Tracer()
-    restore = spans.install(tracer)
-    try:
-        code = cli.main(["generate", "--h", "2", "--g", "1", "--n", "30",
-                         "--format", "csv"])
-    finally:
-        restore()
-    assert code == 0
-    terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
-    assert terms == strong_greedy(Params(2, 1, 30)).terms
-    assert tracer.counts["sumrep.add_element_calls"] == 0
-    assert tracer.counts["sumrep.table_entries"] == 0
-    assert tracer.counts["greedy.steps"] == 29
+    for h, n in [(2, 30), (3, 20)]:
+        tracer = spans.Tracer()
+        restore = spans.install(tracer)
+        try:
+            code = cli.main(["generate", "--h", str(h), "--g", "1", "--n", str(n),
+                             "--format", "csv"])
+        finally:
+            restore()
+        assert code == 0
+        terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
+        assert terms == strong_greedy(Params(h, 1, n)).terms
+        assert tracer.counts["sumrep.add_element_calls"] == 0
+        assert tracer.counts["sumrep.table_entries"] == 0
+        assert tracer.counts["greedy.steps"] == n - 1

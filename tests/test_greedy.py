@@ -4,6 +4,9 @@ import hashlib
 import random
 import re
 import sys
+from functools import reduce
+from math import comb
+from operator import or_
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -54,13 +57,9 @@ def committed(h, g, terms):
 
 
 def sat_bits(scan):
-    """The scan's Sat = {x : r(x) >= g} as a packed integer: folds[h] for
-    g = 1 and h > 2, where ind is never written, else ind.  A scan at
-    h = 2 and g = 1 keeps no Sat."""
-    assert (scan.t.h, scan.g) != (2, 1)
-    if scan.folds:
-        assert scan.ind == b""
-        return scan.folds[-1]
+    """The scan's Sat = {x : r(x) >= g} as a packed integer, for g > 1;
+    a g = 1 scan keeps no Sat."""
+    assert scan.g > 1 and scan.diff_sets == []
     return int.from_bytes(scan.ind, "little")
 
 
@@ -68,65 +67,93 @@ def packed(bits):
     return sum(1 << i for i in set(bits))
 
 
-def check_pairs(scan, prefix):
-    """For h = 2 and g = 1: back, diffs and above match their definitions
-    over the elements, enumerated pair by pair with no shift, the scan
-    keeps no Sat, E, fold or level, and its window ends at the largest
-    element.  Returns above as the set of breakers m > M."""
-    top = max(prefix)
-    sums = {a + b for a in prefix for b in prefix}
-    above = {x - a for x in sums for a in prefix if x - a > top}
-    assert scan.back == packed(top - a - 1 for a in prefix if a < top), prefix
-    assert scan.diffs == packed(b - a - 1 for a in prefix for b in prefix if a < b), prefix
-    assert scan.above == packed(m - top - 1 for m in above), prefix
-    assert scan.ind == scan.reach == b"" and scan.folds == [] and scan.levels == ()
+def fold_sets(prefix, h):
+    """The j-fold sums S_j of prefix, j = 0..h, from enumeration."""
+    return [set(multiset_sum_histogram(prefix, j)) for j in range(h + 1)]
+
+
+def diff_sets_oracle(prefix, h):
+    """D_{i,j} = S_i - S_j for i = 0..h and j = 0..h-1, each packed with bit
+    u - v + j*M for u in S_i and v in S_j, M the largest element: S_i
+    shifted once per v, with no recurrence."""
+    top, folds = max(prefix), fold_sets(prefix, h)
+    return [[reduce(or_, (bits << j * top - v for v in folds[j]), 0) for j in range(h)]
+            for bits in map(packed, folds)]
+
+
+def check_g1_bitmaps(scan, prefix):
+    """For g = 1: the scan's difference bitmaps match their definitions
+    over the elements, enumerated with no recurrence (back, diffs and
+    above for h = 2, diff_sets for h > 2), the scan keeps no Sat, E or
+    level, and its window ends at the largest element M.  Returns the
+    k = 1 breakers above M, {m > M : m + y in S_h for some y in S_{h-1}}."""
+    h, top = scan.t.h, max(prefix)
+    folds = fold_sets(prefix, h)
+    sums = packed(folds[h])
+    hits = bin(reduce(or_, (sums >> y for y in folds[h - 1])) >> top + 1)
+    above = {top + 1 + i for i, bit in enumerate(hits[:1:-1]) if bit == "1"}
+    if h == 2:
+        assert scan.back == packed(top - a - 1 for a in prefix if a < top), prefix
+        assert scan.diffs == packed(b - a - 1 for a in prefix for b in prefix if a < b), prefix
+        assert scan.above == packed(m - top - 1 for m in above), prefix
+        assert scan.diff_sets == []
+    else:
+        assert scan.diff_sets == diff_sets_oracle(prefix, h), prefix
+        assert scan.back == scan.diffs == scan.above == 0
+    assert scan.ind == scan.reach == b"" and scan.levels == ()
     assert scan.base + len(scan.alive) == top + 1
     return above
 
 
-def pair_state(scan):
-    """What an h = 2, g = 1 scan keeps: its elements, its difference bitmaps
-    and its window."""
+def g1_state(scan):
+    """What a g = 1 scan keeps: its elements, its difference bitmaps and
+    its window."""
     return (list(scan.t.elements), scan.back, scan.diffs, scan.above,
-            bytes(scan.alive), scan.base)
+            [list(row) for row in scan.diff_sets], bytes(scan.alive), scan.base)
 
 
-def check_pair_break(scan, prefix):
-    """For h = 2 and g = 1, after committing prefix: for every non-member m
-    in [1, 2M + 9], M the largest element, pair_break keeps the set B_2[1]
-    exactly when the naive is_bhg(prefix + [m], 2, 1) does.  A commit of a
-    breaker with no admission raises a ValueError that names a sum with two
-    representations in prefix + [m], and changes none of the elements, the
-    bitmaps or the window.  Returns the breakers, each with its witness."""
-    members, before, witnesses = set(prefix), pair_state(scan), {}
-    for m in range(1, 2 * max(prefix) + 10):
+def keeps_bh1(hist, prefix, m, h):
+    """Whether prefix + [m] is B_h[1], from the h-fold histogram hist of
+    the B_h[1] set prefix and the sums that m adds, both enumerated."""
+    return all(c + hist[x] <= 1 for x, c in added_histogram(prefix, m, h).items())
+
+
+def check_g1_break(scan, prefix):
+    """For g = 1, after committing prefix: for every non-member m in
+    [1, h*M + 9], M the largest element, g1_break keeps the set B_h[1]
+    exactly when enumeration does.  A commit of a breaker with no admission
+    raises a ValueError that names a sum with two representations in
+    prefix + [m], and changes none of the elements, the bitmaps or the
+    window.  Returns the breakers, each with its witness."""
+    h = scan.t.h
+    members, before, witnesses = set(prefix), g1_state(scan), {}
+    hist = multiset_sum_histogram(prefix, h)
+    for m in range(1, h * max(prefix) + 10):
         if m in members:
             continue
-        keeps = is_bhg(prefix + [m], 2, 1)
-        assert (scan.pair_break(m) is None) == keeps, (prefix, m)
+        keeps = keeps_bh1(hist, prefix, m, h)
+        assert (scan.g1_break(m) is None) == keeps, (prefix, m)
         if keeps:
             continue
         with pytest.raises(ValueError) as refused:
             scan.commit(m)
         words = str(refused.value).split()
-        assert words[:5] == [str(m), "breaks", "B_2[1]:", "the", "sum"], words
+        assert words[:5] == [str(m), "breaks", f"B_{h}[1]:", "the", "sum"], words
         x = int(words[5])
-        enlarged = members | {m}
-        reps = sum(1 for a in enlarged if a <= x - a and x - a in enlarged)
-        assert reps >= 2, (prefix, m, x)
-        assert pair_state(scan) == before, (prefix, m)
+        assert multiset_sum_histogram(prefix + [m], h)[x] >= 2, (prefix, m, x)
+        assert g1_state(scan) == before, (prefix, m)
         witnesses[m] = x
     return witnesses
 
 
-def shuffled_sidon_sets(count):
-    """count seeded Sidon sets of up to 10 elements below 120, each in the
+def shuffled_sidon_sets(count, h=2):
+    """count seeded B_h[1] sets of up to 10 elements below 120, each in the
     shuffled order in which a test commits it by hand."""
     for seed in range(count):
         rng = random.Random(seed)
         elements = []
         for a in rng.sample(range(1, 120), 60):
-            if len(elements) < 10 and is_bhg(elements + [a], 2, 1):
+            if len(elements) < 10 and is_bhg(elements + [a], h, 1):
                 elements.append(a)
         rng.shuffle(elements)
         yield seed, elements
@@ -443,12 +470,12 @@ def check_fused_against_contract_op(prefix, h, g):
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
                                  (4, 2)])
 def test_fused_scan_paths_match_contract_op(h, g):
-    # No h = 2, g = 1 scan calls accept_general or keeps the tables it
-    # reads; its break test, pair_break, is checked on the same prefixes.
+    # No g = 1 scan calls accept_general or keeps the tables it reads;
+    # its break test, g1_break, is checked on the same prefixes.
     rec = strong_greedy(Params(h, g, 7))
     for n in range(1, len(rec.terms)):
-        if (h, g) == (2, 1):
-            check_pair_break(committed(2, 1, rec.terms[:n]), rec.terms[:n])
+        if g == 1:
+            check_g1_break(committed(h, 1, rec.terms[:n]), rec.terms[:n])
         else:
             check_fused_against_contract_op(rec.terms[:n], h, g)
 
@@ -640,19 +667,18 @@ def reach_oracle(prefix, h, g):
 def test_reach_matches_the_oracle_after_every_commit(generator, h, g, n):
     # reach is built in h - 2 rounds of shifts; it must hold exactly the
     # oracle's E, set no bit past the top of S_h, and take (top + 7) // 8 + 1
-    # bytes, the length of ind wherever ind is written.  At h = 2 and g = 1
-    # no E is kept, and the bitmaps kept in its place must match theirs.
+    # bytes, the length of ind.  At g = 1 no E is kept, and the difference
+    # bitmaps kept in its place must match theirs.
     terms = generator(Params(h, g, n)).terms
     scan = _Scan(h, g)
     for i, a in enumerate(terms):
         scan.commit(a)
-        if (h, g) == (2, 1):
-            check_pairs(scan, terms[:i + 1])
+        if g == 1:
+            check_g1_bitmaps(scan, terms[:i + 1])
             continue
         top = h * max(terms[:i + 1])
         bits = int.from_bytes(scan.reach, "little")
-        assert len(scan.reach) == (top + 7) // 8 + 1
-        assert len(scan.ind) == (0 if scan.folds else len(scan.reach))
+        assert len(scan.reach) == len(scan.ind) == (top + 7) // 8 + 1
         assert bits >> (top + 1) == 0
         assert bits == sum(1 << x for x in reach_oracle(terms[:i + 1], h, g)), \
             terms[:i + 1]
@@ -674,14 +700,14 @@ def screened_prefixes(h, g, n):
 
 @pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
 def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
-    # After each prefix, bit x of Sat (ind, or folds[h] for g = 1 and
-    # h > 2) must be set exactly for the sums with r(x) >= g.  With no
-    # candidates left to the accept closure, the screen must clear exactly
-    # the non-members m of its slice with m + y in Sat for some y in
-    # S_{h-1} (sums from enumeration), each a B_h[g] break, and touch
-    # nothing else.  At h = 2 and g = 1 no screen runs (h = 3 keeps the
-    # g = 1 one): above must hold exactly these breakers past the largest
-    # element, and a greedy prefix leaves no live candidate below it.
+    # After each prefix, bit x of Sat (ind) must be set exactly for the
+    # sums with r(x) >= g.  With no candidates left to the accept closure,
+    # the screen must clear exactly the non-members m of its slice with
+    # m + y in Sat for some y in S_{h-1} (sums from enumeration), each a
+    # B_h[g] break, and touch nothing else.  At g = 1 no screen runs: the
+    # k = 1 breakers of the bitmaps (above, or D_{h,h-1}) must be exactly
+    # these breakers past the largest element, and a greedy prefix leaves
+    # no live candidate below it.
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
@@ -689,18 +715,17 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
         top = h * t.elements[-1]
         breaks = [m for m in range(lo, hi)
                   if m not in t and any(hist[m + y] >= g for y in lower)]
-        if (h, g) == (2, 1):
+        if g == 1:
             last = t.elements[-1]
             assert scan.base == last + 1 and not scan.alive
-            cleared = sorted(m for m in check_pairs(scan, t.elements) if m < hi)
+            cleared = sorted(m for m in check_g1_bitmaps(scan, t.elements) if m < hi)
             breaks = [m for m in breaks if m > last]
         else:
             assert len(scan.reach) == (top + 7) // 8 + 1
             assert sat_bits(scan) == sum(1 << x for x in range(top + 1) if hist[x] >= g)
             scan.alive, scan.base = bytearray(m not in t for m in range(1, hi)), 1
             alive, before = scan.alive, bytes(scan.alive)
-            done = scan.screen(lo, hi)
-            assert done == len(t) or not any(alive[lo - 1:hi - 1])
+            scan.screen(lo, hi)
             assert alive[:lo - 1] == before[:lo - 1]
             cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
         assert cleared == breaks
@@ -716,59 +741,35 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
 
 
 def check_g1_accept(elements, h):
-    """For each non-member m of [1, h*max + 2), let f be the index of the
-    first element a, in the order the screen reads them, with m + a in E
-    (the oracle's), that is m + y in S_h for some y in a + S_{h-2}.  A
-    screen that stopped after done <= f elements leaves m alive, and the
-    scan's accept_g1 must then agree with is_strong_candidate and clear
-    alive[m - 1] exactly on a "bhg" verdict, for every such done.  Every
-    done from 0 to the number of elements is taken, since the range runs
-    past every sum.  Returns the kinds of candidate seen: "k1" (some m + a
-    in E), "high" (none, but rejected) and "accepted".
-
-    At h = 2, where the scan keeps above in place of E and runs no
-    accept_g1 (h >= 3 keeps that path), each m past the largest element
-    must instead be in above exactly on a "bhg" verdict, and find must
-    return the smallest accepted m, with the candidates below the largest
-    element, which the sorted commits leave live, decided inside it."""
+    """Commit the B_h[1] set elements in increasing order.  For each
+    non-member m of [1, h*M + 2), M the largest element, g1_break must
+    agree with is_strong_candidate, and m > M may be a k = 1 breaker of
+    the bitmaps only on a "bhg" verdict.  find must return the smallest
+    accepted m, with the live candidates below it, which the sorted
+    commits leave below M, decided inside it and cleared, as each breaks
+    B_h[1].  Returns the kinds of candidate seen: "k1" (m + y in S_h for
+    some y in S_{h-1}), "high" (none, but rejected) and "accepted"."""
     elements = sorted(elements)
     scan = committed(h, 1, elements)
     t = build(h, elements)
+    top = elements[-1]
+    above = check_g1_bitmaps(scan, elements)
     reach = reach_oracle(elements, h, 1)
-    if h == 2:
-        above = check_pairs(scan, elements)
-        kinds, first = set(), None
-        for m in range(1, 2 * elements[-1] + 2):
-            if m in t:
-                continue
-            verdict = is_strong_candidate(t, t.candidate_delta(m), len(t) + 1, 2, 1)
-            if m > elements[-1]:
-                assert (m in above) == (verdict.reason == "bhg"), (elements, m)
-            if verdict.accepted and first is None:
-                first = m
-            kinds.add("k1" if any(m + a in reach for a in elements) else
-                      "accepted" if verdict.accepted else "high")
-        assert scan.find(first, len(t) + 1, False) is None
-        assert scan.find(first + 1, len(t) + 1, False) == (first, ((), ()))
-        return kinds
-    kinds, dones = set(), set()
-    for m in range(1, h * elements[-1] + 2):
+    kinds, first = set(), None
+    for m in range(1, h * top + 2):
         if m in t:
             continue
         verdict = is_strong_candidate(t, t.candidate_delta(m), len(t) + 1, h, 1)
-        f = next((j for j, a in enumerate(elements) if m + a in reach),
-                 len(elements))
-        for done in range(f + 1):
-            scan.alive, scan.base = bytearray(b"\x01") * m, 1
-            accept = scan.accept_g1(done)
-            assert accept(m) == (((), ()) if verdict.accepted else None), \
-                (elements, m, done)
-            assert (scan.alive[m - 1] == 0) == (verdict.reason == "bhg"), \
-                (elements, m, done)
-        dones.update(range(f + 1))
-        kinds.add("k1" if f < len(elements) else
+        assert (scan.g1_break(m) is None) == verdict.accepted, (elements, m)
+        assert m not in above or verdict.reason == "bhg", (elements, m)
+        if verdict.accepted and first is None:
+            first = m
+        kinds.add("k1" if any(m + a in reach for a in elements) else
                   "accepted" if verdict.accepted else "high")
-    assert dones == set(range(len(elements) + 1))
+    live, k = bytes(scan.alive), max(0, first - scan.base)
+    assert scan.find(first, len(t) + 1, False) is None
+    assert scan.find(first + 1, len(t) + 1, False) == (first, ((), ()))
+    assert not any(scan.alive[:k]) and scan.alive[k:] == live[k:], elements
     return kinds
 
 
@@ -807,23 +808,23 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
                                                         batch):
     # Screen [lo, hi) in slices of 13, which start at every residue mod 8.
     # The screen may stop while some breakers of a slice are still live,
-    # but only once at most _SCREEN_LEFT live candidates are left.  The
-    # accept test the scan runs for this g (accept_g1 resuming where the
-    # screen stopped, or accept_general) then marks the rest dead, so
-    # after both every non-member of [lo, hi) that breaks B_h[g] is dead,
-    # and no other.  At h = 2 and g = 1 neither runs (h = 3 keeps both for
-    # g = 1): every breaker lies below base or in above, and no other
+    # but only once at most _SCREEN_LEFT live candidates are left.
+    # accept_general then marks the rest dead, so after both every
+    # non-member of [lo, hi) that breaks B_h[g] is dead, and no other.  At
+    # g = 1 neither runs: every breaker lies below base, among the k = 1
+    # breakers of the bitmaps or where g1_break finds a break, and no other
     # non-member does.
     if batch is not None:
         monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
-    if (h, g) == (2, 1):
+    if g == 1:
         for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
             t = build(h, scan.t.elements)
-            above = check_pairs(scan, t.elements)
+            above = check_g1_bitmaps(scan, t.elements)
             for m in range(lo, hi):
                 if m not in t:
                     verdict = is_strong_candidate(t, t.candidate_delta(m), i + 2, h, g)
-                    assert (verdict.reason == "bhg") == (m < scan.base or m in above), \
+                    assert (verdict.reason == "bhg") == (
+                        m < scan.base or m in above or scan.g1_break(m) is not None), \
                         (t.elements, m)
         return
     stopped_early = 0
@@ -833,14 +834,13 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
             t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
         scan.alive, scan.base = bytearray(m not in t for m in range(1, hi + 9)), 1
         alive, start = scan.alive, bytes(scan.alive)
-        general = scan.accept_general(i + 2, False) if g > 1 else None
+        accept = scan.accept_general(i + 2, False)
         for a in range(lo, hi, 13):
             b = min(a + 13, hi)
             exact = {m for m in range(a, b) if m not in t
                      and any(hist[m + y] >= g for y in lower)}
             before = bytes(alive)
-            done = scan.screen(a, b)
-            accept = general or scan.accept_g1(done)
+            scan.screen(a, b)
             assert alive[:a - 1] == before[:a - 1]
             assert alive[b - 1:] == before[b - 1:]
             cleared = {m for m in range(a, b) if before[m - 1] and not alive[m - 1]}
@@ -870,13 +870,13 @@ def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
 
 
 def check_kept_state(scan, prefix, h, g):
-    """The scan's level counts are the tables' R_1..R_g for g > 1 and none
-    for g = 1, and its Sat is {x : r(x) >= g} from enumeration; at h = 2
-    and g = 1, which keeps no Sat, its difference bitmaps match theirs."""
-    if (h, g) == (2, 1):
-        check_pairs(scan, prefix)
+    """For g > 1 the scan's level counts are the tables' R_1..R_g and its
+    Sat is {x : r(x) >= g} from enumeration; at g = 1, which keeps no
+    level or Sat, its difference bitmaps match theirs."""
+    if g == 1:
+        check_g1_bitmaps(scan, prefix)
         return
-    assert scan.levels == (scan.t.rep_histogram(g) if g > 1 else ()), prefix
+    assert scan.levels == scan.t.rep_histogram(g), prefix
     assert sat_bits(scan) == sum(
         1 << x for x, c in multiset_sum_histogram(prefix, h).items() if c >= g), prefix
 
@@ -923,11 +923,12 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
                                                                h, g, n):
     # Every term after the first reaches commit with the pass that admitted
     # it, so a run classifies inside commit once; a lost hand-off would
-    # classify every term twice.  An h = 2, g = 1 run calls no
-    # classify_candidate at all: its first term is checked by pair_break.
+    # classify every term twice.  A g = 1 run, (3, 1) and (4, 1) as well
+    # as (2, 1), calls no classify_candidate and screens no slice at all:
+    # its first term is checked by g1_break.
     expected = generator(Params(h, g, n)).terms
-    commit, classify = _Scan.commit, classify_candidate
-    handed, inside, depth, calls = [], [], [], []
+    commit, classify, screen = _Scan.commit, classify_candidate, _Scan.screen
+    handed, inside, depth, calls, screens = [], [], [], [], []
 
     def wrapped_commit(self, term, admission=None):
         handed.append(admission is not None)
@@ -943,46 +944,47 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
             inside.append(m)
         return classify(t, m, *args)
 
+    def wrapped_screen(self, lo, hi):
+        screens.append(lo)
+        return screen(self, lo, hi)
+
     monkeypatch.setattr(_Scan, "commit", wrapped_commit)
+    monkeypatch.setattr(_Scan, "screen", wrapped_screen)
     monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
     assert generator(Params(h, g, n)).terms == expected
-    if (h, g) == (2, 1):
-        assert calls == []
+    if g == 1:
+        assert calls == screens == []
     else:
-        assert inside == [1]
+        assert inside == [1] and screens
     assert handed == [False] + [True] * (n - 1)
-
-
-def fold_bitmaps(prefix, h):
-    """The support of the j-fold sums of prefix, j = 0..h, as packed
-    integers, from enumeration."""
-    return [sum(1 << x for x in multiset_sum_histogram(prefix, j)) for j in range(h + 1)]
 
 
 @pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
 @pytest.mark.parametrize("h,n", [(3, 11), (4, 9), (5, 8)])
 def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
-    # For g = 1 and h > 2, folds[j] is the bitmap of S_j, whether a term
-    # is admitted by find, with an empty pass, or committed by hand; ind
-    # is never written and no level is kept.
+    # For g = 1 and h > 2, diff_sets[i][j] is D_{i,j} = S_i - S_j, and its
+    # column j = 0 the bitmap of S_i, whether a term is admitted by find,
+    # with an empty pass, or committed by hand: each must match the
+    # difference set from enumeration after every commit.  ind is never
+    # written, no level is kept, and a greedy run leaves no live candidate.
     rec = generator(Params(h, 1, n))
     scan = _Scan(h, 1)
     scan.commit(1)
-    assert scan.folds == fold_bitmaps([1], h)
+    check_g1_bitmaps(scan, [1])
     for i, meta in enumerate(rec.per_step[1:], 1):
         assert scan.find(meta.bound_floor + 1, i + 1, False) == (meta.term, ((), ()))
         scan.commit(meta.term, ((), ()))
         prefix = rec.terms[:i + 1]
-        assert scan.folds == fold_bitmaps(prefix, h), prefix
-        assert scan.ind == b"" and scan.levels == ()
-        assert committed(h, 1, prefix).folds == scan.folds
-    assert _Scan(2, 1).folds == _Scan(h, 2).folds == []
+        check_g1_bitmaps(scan, prefix)
+        assert not scan.alive and scan.base == meta.term + 1
+        assert committed(h, 1, prefix).diff_sets == scan.diff_sets
+    assert _Scan(2, 1).diff_sets == _Scan(h, 2).diff_sets == []
 
 
 class WalkScan(_Scan):
-    """A scan whose screen clears nothing and whose accept test, for every
-    g, records each candidate it is handed, optionally clears its entry,
-    and admits the candidates in admit with an empty pass."""
+    """A scan whose screen clears nothing and whose g > 1 accept test
+    records each candidate it is handed, optionally clears its entry, and
+    admits the candidates in admit with an empty pass."""
 
     __slots__ = ("visits", "admit", "clear")
 
@@ -990,9 +992,6 @@ class WalkScan(_Scan):
         return 0
 
     def accept_general(self, n_next, check_levels):
-        return self.record
-
-    def accept_g1(self, done):
         return self.record
 
     def record(self, m):
@@ -1017,7 +1016,7 @@ WALK_PATTERNS = {
 }
 
 
-@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("g", [2, 3])
 @pytest.mark.parametrize("clear", [False, True])
 @pytest.mark.parametrize("pattern", sorted(WALK_PATTERNS))
 def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g):
@@ -1031,7 +1030,7 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
             if m - base >= len(window) or window[m - base]]
     assert bool(live) == (pattern != "none-live")
     for first in [None] + live:
-        scan = WalkScan(3 if g == 1 else 2, g)  # (2, 1) walks no slice
+        scan = WalkScan(2, g)  # no g = 1 scan walks a slice
         scan.alive, scan.base = bytearray(window), base
         scan.visits, scan.clear = [], clear
         scan.admit = set() if first is None else set(live[live.index(first):])
@@ -1048,7 +1047,7 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
 def test_find_walks_across_a_full_chunk():
     # At the default slice widths, live entries on both sides of index
     # _CHUNK of the window, inside the slice [64513, 130049).
-    scan = WalkScan(3, 1)  # (2, 1) walks no slice
+    scan = WalkScan(3, 2)  # no g = 1 scan walks a slice
     scan.alive, scan.base = bytearray(2 * _CHUNK), 1
     scan.alive[_CHUNK - 1:_CHUNK + 1] = b"\x01\x01"
     scan.visits, scan.clear, scan.admit = [], False, {_CHUNK + 1}
@@ -1070,36 +1069,50 @@ def test_pair_bitmaps_match_enumeration_after_every_commit(generator):
     scan.visits, scan.clear, scan.admit = [], False, set()
     scan.commit(1)
     for i, term in enumerate(expected[1:], 1):
-        check_pairs(scan, expected[:i])
+        check_g1_bitmaps(scan, expected[:i])
         assert scan.find(term, i + 1, False) is None
         found = scan.find(term + 1, i + 1, False)
         assert found == (term, ((), ()))
         scan.commit(*found)
         assert not scan.alive and scan.base == term + 1
-    check_pairs(scan, expected)
+    check_g1_bitmaps(scan, expected)
     assert scan.visits == []
 
 
-def test_pair_bitmaps_stay_exact_under_shuffled_commits():
-    # Sidon sets committed by hand in shuffled order put terms below the
-    # largest element, which rebuilds the bitmaps, and leave live
-    # candidates below it.  The bitmaps must match enumeration after every
-    # commit, and find must return the smallest positive non-member that
-    # keeps the set B_2[1], and None when top is at or below it.
-    rebuilt = found_below = 0
-    for seed, elements in shuffled_sidon_sets(20):
-        scan = _Scan(2, 1)
+def check_shuffled_commits(h, count):
+    """Commit count seeded B_h[1] sets by hand, each in shuffled order,
+    which puts terms below the largest element M and leaves live
+    candidates below it.  The bitmaps must match enumeration after every
+    commit, and find must return the smallest positive non-member that
+    keeps the set B_h[1], and None when top is at or below it.  Returns
+    the number of commits below M and of next terms found below M."""
+    below = found_below = 0
+    for seed, elements in shuffled_sidon_sets(count, h):
+        scan = _Scan(h, 1)
         for i, a in enumerate(elements):
-            rebuilt += i > 0 and a < max(elements[:i])
+            below += i > 0 and a < max(elements[:i])
             scan.commit(a)
             prefix = elements[:i + 1]
-            check_pairs(scan, prefix)
-            term = next(m for m in range(1, 2 * max(prefix) + 2)
-                        if m not in prefix and is_bhg(prefix + [m], 2, 1))
+            check_g1_bitmaps(scan, prefix)
+            hist = multiset_sum_histogram(prefix, h)
+            term = next(m for m in range(1, h * max(prefix) + 2)
+                        if m not in prefix and keeps_bh1(hist, prefix, m, h))
             found_below += term < max(prefix)
             assert scan.find(term, i + 2, False) is None, (seed, prefix)
             assert scan.find(term + 1, i + 2, False) == (term, ((), ())), (seed, prefix)
-    assert rebuilt and found_below
+    return below, found_below
+
+
+def test_pair_bitmaps_stay_exact_under_shuffled_commits():
+    # At h = 2 a commit below M rebuilds back, diffs and above.
+    assert all(check_shuffled_commits(2, 20))
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_diff_sets_stay_exact_under_shuffled_commits(h):
+    # For h > 2 the recurrence of shift_diffs also takes a term below M,
+    # with no growth of the offsets.
+    assert all(check_shuffled_commits(h, 20))
 
 
 def test_pair_break_matches_the_naive_oracle():
@@ -1115,7 +1128,7 @@ def test_pair_break_matches_the_naive_oracle():
         for i, a in enumerate(elements):
             scan.commit(a)
             top = max(elements[:i + 1])
-            for m, x in check_pair_break(scan, elements[:i + 1]).items():
+            for m, x in check_g1_break(scan, elements[:i + 1]).items():
                 if m < top:
                     below.add("double" if x == 2 * m else "pair")
     assert below == {"double", "pair"}
@@ -1124,22 +1137,44 @@ def test_pair_break_matches_the_naive_oracle():
     scan = _Scan(2, 1)
     for i, a in enumerate(terms):
         scan.commit(a)
-        assert check_pair_break(scan, terms[:i + 1]) or i < 2
+        assert check_g1_break(scan, terms[:i + 1]) or i < 2
+
+
+@pytest.mark.parametrize("h,n,seeds", [(3, 8, 6), (4, 6, 3), (5, 5, 2)])
+def test_diff_break_matches_the_naive_oracle(h, n, seeds):
+    # For h > 2 the break test reads bit k*m of D_{h,h-k}, k = 1..h.
+    # Against the naive oracle, after every commit of seeded B_h[1] sets in
+    # shuffled order and of the strong (h, 1, n) prefixes, for every
+    # non-member in [1, h*M + 9].  Below M both a k = 1 break (m + y in S_h
+    # for some y in S_{h-1}) and a break by k >= 2 copies of m alone must
+    # occur; above M, where h*m is past every sum, the k < h ones.
+    below, above = set(), set()
+    runs = [elements for _, elements in shuffled_sidon_sets(seeds, h)]
+    for elements in runs + [strong_greedy(Params(h, 1, n)).terms]:
+        scan = _Scan(h, 1)
+        for i, a in enumerate(elements):
+            scan.commit(a)
+            prefix = elements[:i + 1]
+            folds = fold_sets(prefix, h)
+            for m, x in check_g1_break(scan, prefix).items():
+                kind = "k1" if any(m + y in folds[h] for y in folds[h - 1]) else "high"
+                (below if m < max(prefix) else above).add(kind)
+    assert below == above == {"k1", "high"}
 
 
 def test_pair_scan_builds_no_sum_table(monkeypatch):
-    # For h = 2 and g = 1 the scan keeps no SumTableSet, and the entry cap
-    # counts the closed form: a stub that refuses to be built changes
-    # neither generator's terms.
-    generators = (strong_greedy, classic_greedy)
-    expected = {gen: gen(Params(2, 1, 80)).terms for gen in generators}
+    # For g = 1, at h = 2, 3 and 4, the scan keeps no SumTableSet, and the
+    # entry cap counts the closed form: a stub that refuses to be built
+    # changes neither generator's terms.
+    runs = [(gen, Params(h, 1, n)) for h, n in [(2, 80), (3, 30), (4, 16)]
+            for gen in (strong_greedy, classic_greedy)]
+    expected = [gen(params).terms for gen, params in runs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("SumTableSet built")
 
     monkeypatch.setattr("bhgreedy.greedy.SumTableSet", refuse)
-    for gen, terms in expected.items():
-        assert gen(Params(2, 1, 80)).terms == terms
+    assert [gen(params).terms for gen, params in runs] == expected
     assert committed(2, 1, MIAN_CHOWLA_10).t.elements == MIAN_CHOWLA_10
 
 
@@ -1152,6 +1187,19 @@ def test_mian_chowla_runs_match_their_golden_digest(generator, n, digest):
     # taken when the scan still kept sum tables.  The benchmark's pins
     # stop at n = 240, and the bitmaps keep growing well past it.
     rec = generator(Params(2, 1, n))
+    text = "".join(f"{m.n},{m.term},{m.scan_length},{m.bound_floor}\n"
+                   for m in rec.per_step)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("generator,h,n,digest", [
+    (classic_greedy, 4, 30, "d1d67fee5b3e305447657ebec0738814e3b0259ece9462e859bb15a708d6d983"),
+    (strong_greedy, 3, 60, "bb352f10205ef47f4aa6869dd11c10dc17600a17eb261f9874cc7c537efe1bbf"),
+])
+def test_diff_set_runs_match_their_golden_digest(generator, h, n, digest):
+    # The same digest for g = 1 runs with h > 2, taken when these scans
+    # still kept sum tables, screened slices and rebuilt E every commit.
+    rec = generator(Params(h, 1, n))
     text = "".join(f"{m.n},{m.term},{m.scan_length},{m.bound_floor}\n"
                    for m in rec.per_step)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -1191,8 +1239,8 @@ def check_capped_run(generator, rec, cap):
     """A run of rec's parameters under the entry cap stops at the term, and
     with the message, of inserting rec's terms into capped tables, or ends
     as rec does where they hold every term.  Driven step by step, a commit
-    that trips the cap leaves ind, levels, folds, the difference bitmaps,
-    alive and the elements as they were.  Returns the message, or None."""
+    that trips the cap leaves ind, levels, the difference bitmaps, alive
+    and the elements as they were.  Returns the message, or None."""
     params = rec.params
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=cap)
@@ -1207,14 +1255,11 @@ def check_capped_run(generator, rec, cap):
         if i:
             term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
             assert term == meta.term
-        before = (bytes(scan.ind), scan.levels, list(scan.folds), bytes(scan.alive),
-                  scan.back, scan.diffs, scan.above, list(scan.t.elements))
+        before = (bytes(scan.ind), scan.levels, g1_state(scan))
         tripped = guard_message(lambda: scan.commit(meta.term, admission))
         if tripped is not None:
             assert tripped == plain, (params, cap)
-            after = (bytes(scan.ind), scan.levels, scan.folds, bytes(scan.alive),
-                     scan.back, scan.diffs, scan.above, scan.t.elements)
-            assert after == before, (params, cap)
+            assert (bytes(scan.ind), scan.levels, g1_state(scan)) == before, (params, cap)
             break
     assert i + (tripped is None) == len(steps), (params, cap)
     return plain
@@ -1226,28 +1271,30 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
     # it was not handed adds an entry, so a capped run, g = 1 or not,
     # stops at the term, and with the message, of inserting the uncapped
     # run's terms into capped tables.  A commit that trips the cap leaves
-    # ind, levels, folds, the difference bitmaps and alive as they were.
+    # ind, levels, the difference bitmaps and alive as they were.
     for generator, params in capped_runs():
         assert check_capped_run(generator, generator(params), cap) is not None, params
 
 
 @pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
 def test_pair_run_hits_the_entry_cap_at_every_cap(generator):
-    # An h = 2, g = 1 scan builds no table and counts the 1 + n + n(n+1)/2
-    # entries of n elements in its place.  At every cap up to the 861 of
-    # 40 terms, the run stops where capped tables do, with their message,
-    # and at 861 it ends as the uncapped run does.
-    rec = generator(Params(2, 1, 40))
-    messages = [check_capped_run(generator, rec, cap) for cap in range(1, 862)]
-    assert None not in messages[:-1] and messages[-1] is None
+    # A g = 1 scan builds no table and counts the C(n+h, h) entries of n
+    # elements in its place.  At every cap up to the count of the whole
+    # run, 861 for (2, 1, 40), 286 for (3, 1, 10) and 330 for (4, 1, 7),
+    # the run stops where capped tables do, with their message, and at
+    # that count it ends as the uncapped run does.
+    for h, n in [(2, 40), (3, 10), (4, 7)]:
+        rec, full = generator(Params(h, 1, n)), comb(n + h, h)
+        messages = [check_capped_run(generator, rec, cap) for cap in range(1, full + 1)]
+        assert None not in messages[:-1] and messages[-1] is None, (h, n)
 
 
 @pytest.mark.parametrize("h,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
 def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
     # Committed without an admission, a term that breaks B_h[g] or is
-    # already a member is refused before the tables, the bitmaps, the
-    # folds, the difference bitmaps or the window change.  An h = 2, g = 1
-    # scan keeps no tables: its elements, bitmaps and window stay put.
+    # already a member is refused before the tables, the bitmaps or the
+    # window change.  A g = 1 scan keeps no tables: its elements,
+    # difference bitmaps and window stay put.
     prefix = strong_greedy(Params(h, g, 8)).terms
     scan = committed(h, g, prefix)
     bad = next(m for m in range(1, 3 * max(prefix))
@@ -1256,11 +1303,10 @@ def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
                 if m not in prefix and is_bhg(prefix + [m], h, g))
 
     def state():
-        if (h, g) == (2, 1):
-            return pair_state(scan)
+        if g == 1:
+            return g1_state(scan)
         return ([dict(d) for d in scan.t.tables], bytes(scan.ind), bytes(scan.reach),
-                scan.levels, list(scan.folds), bytes(scan.alive), scan.base,
-                scan.back, scan.diffs, scan.above)
+                scan.levels, g1_state(scan))
 
     before = state()
     for term in (bad, prefix[-1]):
