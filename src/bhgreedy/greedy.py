@@ -24,14 +24,13 @@ arithmetic.  No floating point is used anywhere in generation.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import takewhile
 from math import comb
 from operator import add, or_
 from sys import maxsize
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import (BhgError, GuardExceeded, ScanExceededBound,
                      ScanExceededConfiguredLimit)
@@ -183,7 +182,7 @@ def classify_candidate(
     Otherwise returns (None, None, levels, sat): levels are the counts
     R_1..R_g of the enlarged set, and sat, for g > 1, lists the sums that
     m raises to exactly g, the sums it adds to Sat.  An admitted pass thus
-    holds what _Scan.commit needs to add m.  The pass reads no level
+    holds what _SumScan.commit needs to add m.  The pass reads no level
     ceiling: a caller turns ceilings into limits, or levels into a
     verdict.  Without limits the pass is whole.
 
@@ -310,172 +309,90 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class _SidonSet:
-    """The elements of the B_h[1] set of a g = 1 scan, with the part of the
-    SumTableSet surface that _Scan reads, and no sum table.
-
-    Two equal j-fold sums of a B_h[1] set, j <= h, padded with h - j copies
-    of one element, would be two equal h-fold sums, so its n elements have
-    exactly C(n+j-1, j) distinct j-fold sums, and its tables would hold
-    the sum of these over j = 0..h, C(n+h, h) entries.  add_element counts
-    that closed form against the entry cap, and so stops a capped run at
-    the term, and with the message, of SumTableSet; it refuses before
-    anything changes.  Only a term that keeps the set B_h[1] may be added.
-    """
-
-    __slots__ = ("h", "elements", "members", "max_entries")
-
-    def __init__(self, h: int, max_entries: int):
-        self.h = h
-        self.elements: list[int] = []
-        self.members: set[int] = set()
-        self.max_entries = max_entries
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.members
-
-    def add_element(self, a: int) -> None:
-        if a < 1:
-            raise ValueError(f"elements must be positive, got {a}")
-        if comb(len(self.elements) + 1 + self.h, self.h) > self.max_entries:
-            raise GuardExceeded(
-                f"sum-table entry cap {self.max_entries} exceeded while "
-                f"inserting {a}; lower n_terms or h, or raise the cap"
-            )
-        insort(self.elements, a)
-        self.members.add(a)
-
-
-class _Scan:
-    """The state of the greedy scan over one growing set A: t, its sum
-    tables (for g = 1 a _SidonSet, its elements alone), the live-candidate
-    window alive and, for g > 1, the level counts levels and the bitmaps
-    ind and reach, or for g = 1 difference bitmaps: back, diffs and above
-    for h = 2, diff_sets for h > 2.
+class _SumScan:
+    """The state of the greedy scan for g > 1 over one growing set A: t,
+    its sum tables, the level counts levels, the live-candidate window
+    alive and the bitmaps ind and reach.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests a candidate again once a test has
-    found its break; for g > 1 a pass that stops at a level first finds no
-    break, and leaves the candidate for later steps.  The bytearray alive
-    is a window over [base, base + len(alive)) holding 1 for "not a member
-    and not known to break B_h[g]".  The tests clear the candidates that
-    break it, commit clears the new term, and the window then drops its
-    leading zeros in place, so base is the smallest live candidate.  find
-    visits only the live candidates, each found by a C search for the next
-    1.  Only a level ceiling can reject a candidate that a later step
-    admits, so without level checks every non-member below the last term
-    breaks B_h[g].
+    found its break; a pass that stops at a level first finds no break,
+    and leaves the candidate for later steps.  The bytearray alive is a
+    window over [base, base + len(alive)) holding 1 for "not a member and
+    not known to break B_h[g]".  The tests clear the candidates that break
+    it, commit clears the new term, and the window then drops its leading
+    zeros in place, so base is the smallest live candidate.  find visits
+    only the live candidates, each found by a C search for the next 1.
 
-    For g > 1, levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at
-    each commit from the term's classifier pass, so the scan never
-    recounts the h-fold table.  ind is the indicator of the saturated sums
-    Sat = {x : r(x) >= g} over [0, top of S_h], one bit per sum, plus one
-    spare byte.  A non-member m with m + y in Sat for some y in S_{h-1}
-    breaks B_h[g].  As S_{h-1} = A + S_{h-2}, that happens exactly when
-    m + a is in E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some
-    element a.  reach is E, packed like ind (for h = 2 ind itself), and
-    the screen clears these breakers a whole slice at a time with one
-    window of reach per element: n windows a slice, where Sat read once
-    per y in S_{h-1} would take about n^(h-1)/(h-1)!.
-
-    For g = 1 the scan keeps no sum table, level, Sat or E, and alive ends
-    at the largest element M: it holds the live candidates below M, which
-    a greedy run never leaves and a prefix committed by hand may.  Two
-    equal h-fold sums of A + {m}, A a nonempty B_h[1] set, stripped of
-    their common elements, leave two disjoint j-multisets of equal sum,
-    one using m, d >= 1 times, and one not; padded with h - j copies of
-    one element they give d*m + y = z, y in S_{h-d} and z in S_h, and
-    conversely such y and z give two sums.  So the non-member m breaks
-    B_h[1] exactly when k*m is in D_{h,h-k} = S_h - S_{h-k} for some
-    k = 1..h, and m > M, as h*m exceeds every sum of A, for some k < h.
-
-    For h = 2 (Mian-Chowla) that leaves m + a in S_2 for an element a, and
-    the scan keeps these m above M, with what it takes to grow them, as
-    three packed integers: back, with bit M - a - 1 for each element
-    a < M; diffs, with bit b - a - 1 for elements a < b; and above, with
-    bit i set iff M + 1 + i + a is in S_2 for some element a.  For h > 2,
-    diff_sets[i][j] holds D_{i,j} = S_i - S_j, i = 0..h, j = 0..h-1,
-    S_0 = {0}, with bit v + j*M for each value v, so that every index is
-    non-negative; column 0 is S_i.  Bit h*M + 1 + i of D_{h,h-1} is the
-    k = 1 test of M + 1 + i, as bit i of above is for h = 2.
+    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each commit
+    from the term's classifier pass, so the scan never recounts the h-fold
+    table.  ind is the indicator of the saturated sums Sat = {x : r(x) >= g}
+    over [0, top of S_h], one bit per sum, plus one spare byte.  A
+    non-member m with m + y in Sat for some y in S_{h-1} breaks B_h[g].  As
+    S_{h-1} = A + S_{h-2}, that happens exactly when m + a is in
+    E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some element a.
+    reach is E, packed like ind (for h = 2 ind itself), and the screen
+    clears these breakers a whole slice at a time with one window of reach
+    per element: n windows a slice, where Sat read once per y in S_{h-1}
+    would take about n^(h-1)/(h-1)!.
     """
 
-    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach",
-                 "back", "diffs", "above", "diff_sets")
+    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self.t = (_SidonSet(h, max_entries) if g == 1
-                  else SumTableSet(h, max_entries=max_entries))
+        self.t = SumTableSet(h, max_entries=max_entries)
         self.g = g
-        self.levels = (0,) * g if g > 1 else ()
+        self.levels = (0,) * g
         self.alive, self.base = bytearray(), 1
         self.ind = self.reach = bytearray()
-        self.back = self.diffs = self.above = 0
-        self.diff_sets = ([[1] + [0] * (h - 1)] + [[0] * h for _ in range(h)]
-                          if g == 1 and h > 2 else [])
+
+    @property
+    def elements(self) -> list[int]:
+        return self.t.elements
 
     def commit(self, term: int, admission: Optional[tuple] = None) -> None:
-        """Add the non-member term to the set, update levels and the
-        bitmaps, clear term in alive, growing the window to reach it, and
+        """Add the non-member term to the set, update levels, ind and
+        reach, clear term in alive, growing the window to reach it, and
         drop the window's leading zeros.
 
         admission is the pass that admitted term on the current set, as
-        find returns it.  Without one (the first term, a prefix committed
-        by hand) term is checked here, before anything changes, by g1_break
-        or, for g > 1, a whole classifier pass with no limit: only a member
-        or a B_h[g] breaker raises ValueError, which names a sum term would
-        push past g; levels may pass a ceiling.  A refused commit, by the
-        entry cap included, changes nothing.
+        find returns it: the enlarged level counts and the sums it raised
+        to exactly g, whose bits commit sets in ind.  Without one (the
+        first term, a prefix committed by hand) term is checked here,
+        before anything changes, by a whole classifier pass with no limit:
+        only a member or a B_h[g] breaker raises ValueError, which names a
+        sum term would push past g; levels may pass a ceiling.  A refused
+        commit changes nothing.  The entry cap trips inside
+        SumTableSet.add_element, which leaves its tables part-updated, and
+        nothing else.
 
-        For g > 1 the admitting pass holds the enlarged level counts and
-        the sums it raised to exactly g, whose bits commit sets in ind.  For
-        h > 2, reach then starts from Sat and takes h - 2 rounds of
+        For h > 2, reach then starts from Sat and takes h - 2 rounds of
         E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
         the packed integer shifted right by every element.  Shifting right
         only drops bits, so reach sets none past the top of S_h.
-
-        For g = 1 the window gains an entry for each m in (M, term], M the
-        largest element before: 1 where m keeps the set B_h[1], so all 0
-        for a term that find admitted above M, the lowest such m.
-        shift_pairs or shift_diffs then grows the difference bitmaps.
         """
-        t, g, alive = self.t, self.g, self.alive
+        t, g, alive, ind = self.t, self.g, self.alive, self.ind
         h = t.h
         if admission is not None:
             levels, sat = admission
         elif term in t:
             raise ValueError(f"{term} is already in the set")
         else:
-            if g == 1:
-                x, levels, sat = self.g1_break(term), (), ()
-            else:
-                x, _, levels, sat = classify_candidate(t, term, g, self.levels)
+            x, _, levels, sat = classify_candidate(t, term, g, self.levels)
             if x is not None:
                 raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
                                  f"have more than {g} representations")
-        fresh = bytearray()
-        if g == 1 and t.elements and term > t.elements[-1]:
-            last = t.elements[-1]
-            fresh = bytearray(term - last)
-            if admission is None:
-                for m in takewhile(term.__gt__, self.admissible_above()):
-                    fresh[m - last - 1] = 1
         t.add_element(term)
-        if g == 1:
-            alive += fresh
-            (self.shift_pairs if h == 2 else self.shift_diffs)(term)
-        else:
-            ind = self.ind
-            top = (h * t.elements[-1] + 7) // 8 + 1
-            if len(ind) < top:
-                ind += bytes(top - len(ind))
-            for x in sat:
-                ind[x >> 3] |= 1 << (x & 7)
-            if h > 2:
-                e = int.from_bytes(ind, "little")
-                for _ in range(h - 2):
-                    e = reduce(or_, map(e.__rshift__, t.elements))
-                self.reach = e.to_bytes(top, "little")
+        top = (h * t.elements[-1] + 7) // 8 + 1
+        if len(ind) < top:
+            ind += bytes(top - len(ind))
+        for x in sat:
+            ind[x >> 3] |= 1 << (x & 7)
+        if h > 2:
+            e = int.from_bytes(ind, "little")
+            for _ in range(h - 2):
+                e = reduce(or_, map(e.__rshift__, t.elements))
+            self.reach = e.to_bytes(top, "little")
         self.levels = levels
         alive += b"\x01" * (term - self.base + 1 - len(alive))
         alive[term - self.base] = 0
@@ -484,133 +401,10 @@ class _Scan:
         del alive[:k]
         self.base += k
 
-    def shift_pairs(self, term: int) -> None:
-        """Update back, diffs and above, for h = 2 and g = 1, once term has
-        joined the set.
-
-        A term t above M takes two shifts and three ORs, with no loop over
-        the elements, d = t - M:
-
-            back <- (back << d) | (1 << (d - 1)),  diffs <- diffs | back,
-            above <- (above >> d) | diffs,
-
-        the last with the grown diffs.  This is exact.  Take m > t with
-        m + a = b + c, all three in the grown set.  If neither b nor c is
-        t, then neither is a, as b + c - t < t, so m was above before and
-        its bit moves down by d.  Otherwise say b = t: then m = t + c - a,
-        which exceeds t iff a < c, that is iff c - a - 1 is a bit of the
-        grown diffs, and that is the bit of m in the grown above.  The
-        first term, and a term below M committed by hand, rebuild the
-        three from the sorted elements in O(n) shifts: back as the OR of
-        its bits, diffs as the OR of back >> (M - b) over the elements b,
-        and above as the OR of diffs << c over the elements c, shifted
-        down by M.
-        """
-        elements = self.t.elements
-        if len(elements) < 2 or term < elements[-1]:
-            top = elements[-1]
-            self.back = reduce(or_, (1 << top - a - 1 for a in elements[:-1]), 0)
-            self.diffs = reduce(or_, (self.back >> top - b for b in elements))
-            self.above = reduce(or_, map(self.diffs.__lshift__, elements)) >> top
-            return
-        d = term - elements[-2]
-        # One step a statement, so that at most one stale copy of a bitmap,
-        # as many bits as the largest term, is alive at a time.
-        self.back <<= d
-        self.back |= 1 << d - 1
-        self.diffs |= self.back
-        self.above >>= d
-        self.above |= self.diffs
-
-    def shift_diffs(self, term: int) -> None:
-        """Update diff_sets, for h > 2 and g = 1, once term t has joined the
-        set.  As S'_i = S_i | (t + S'_{i-1}), splitting u in S'_i and v in
-        S'_j by whether they use t gives, exactly,
-
-            D'_{i,j} = D_{i,j} | (D'_{i,j-1} - t) | (D'_{i-1,j} + t),
-
-        the second part for j >= 1 and the third for i >= 1; a difference
-        of two sums that both use t lies in the second.  Taken with i and j
-        upward, each new set reads only sets already updated: h(h+1) shifts
-        and ORs, with no factor n.  When M grows to M' = t, each integer
-        first shifts left by j*(M' - M), to its new offset; then "- t" is a
-        left shift by M' - t and "+ t" one by t.
-        """
-        elements, rows, h = self.t.elements, self.diff_sets, self.t.h
-        top = elements[-1]
-        grow = top - (elements[-2] if len(elements) > 1 else 0) if term == top else 0
-        for i, row in enumerate(rows):
-            for j in range(h):
-                d = row[j] << j * grow
-                if j:
-                    d |= row[j - 1] << top - term
-                if i:
-                    d |= rows[i - 1][j] << term
-                row[j] = d
-
-    def g1_break(self, m: int) -> Optional[int]:
-        """For g = 1: a sum with two representations in A + {m}, for the
-        non-member m, or None when A + {m} is B_h[1].
-
-        For h > 2 the test reads bit k*m of D_{h,h-k} for k = 1..h (see
-        _Scan); the witness is k*m + y for the least y in S_{h-k} with the
-        sum in S_h, the lowest bit of S_h >> k*m & S_{h-k}.
-
-        For h = 2, m > M breaks B_2[1] exactly when bit m - M - 1 of above
-        is set.  Any m breaks it exactly when m + a = b + c or 2m = b + c
-        for elements a, b, c: then bit |m - b| - 1 of diffs is set, as
-        c - a = m - b is not 0, or 2m - b is an element.  Conversely, that
-        bit gives elements a < c with c - a = |m - b|, and m + a = b + c
-        when m > b, m + c = b + a when m < b, so the witness is m + a for
-        the element a with m + a - b an element.  For m above M this loop
-        over the elements runs only once above has m's bit.
-        """
-        elements, h = self.t.elements, self.t.h
-        if not elements:
-            return None
-        top = elements[-1]
-        if h > 2:
-            row = self.diff_sets[h]
-            for k in range(1, h + 1):
-                if row[h - k] >> k * m + (h - k) * top & 1:
-                    y = row[0] >> k * m & self.diff_sets[h - k][0]
-                    return k * m + (y & -y).bit_length() - 1
-            return None
-        members, diffs = self.t.members, self.diffs
-        if m > top and not self.above >> m - top - 1 & 1:
-            return None
-        for b in elements:
-            if 2 * m - b in members:
-                return 2 * m
-            if diffs >> abs(m - b) - 1 & 1:
-                return m + next(a for a in elements if m + a - b in members)
-        return None
-
-    def admissible_above(self) -> Iterator[int]:
-        """For g = 1: the candidates above the largest element M that keep
-        the set B_h[1], lowest first and without end: M + 1 + i for each
-        clear bit i of the k = 1 breakers (above, or D_{h,h-1} shifted down
-        by h*M + 1), checked by g1_break for the other k when h > 2.  The
-        bits are read in a window of _FIRST_SLICE bits, then four times as
-        many, and so on, as a term lies far closer to M than the top of the
-        bitmap does; a mask cuts each window, so above is never copied."""
-        top, h = self.t.elements[-1], self.t.h
-        breakers = self.above if h == 2 else self.diff_sets[h][h - 1] >> h * top + 1
-        lo, width = 0, _FIRST_SLICE
-        while True:
-            free = (breakers & (1 << lo + width) - 1) >> lo ^ (1 << width) - 1
-            while free:
-                low = free & -free
-                free ^= low
-                m = top + lo + low.bit_length()
-                if h == 2 or self.g1_break(m) is None:
-                    yield m
-            lo, width = lo + width, 4 * width
-
     def screen(self, lo: int, hi: int) -> None:
-        """For g > 1: clear alive[m - base] for m in [lo, hi) with m + a in
-        E for some element a; stop once at most _SCREEN_LEFT live
-        candidates of the slice are left.
+        """Clear alive[m - base] for m in [lo, hi) with m + a in E for some
+        element a; stop once at most _SCREEN_LEFT live candidates of the
+        slice are left.
 
         The live candidates are read once as a bitmask, bit i for m = lo + i.
         Each element a costs one slice of reach read as a little-endian
@@ -637,9 +431,9 @@ class _Scan:
 
     def accept_general(self, n_next: int,
                        check_levels: bool) -> Callable[[int], Optional[tuple]]:
-        """Candidate test of a step for g > 1: classify_candidate against
-        the kept levels, with the level limits of a set of size n_next set
-        once per step, or with no limit with check_levels off.
+        """Candidate test of a step: classify_candidate against the kept
+        levels, with the level limits of a set of size n_next set once per
+        step, or with no limit with check_levels off.
 
         The limit of level s >= 2 is its room below the ceiling,
         floor_s - R_s, and the pass stops as soon as the level gains more;
@@ -670,31 +464,14 @@ class _Scan:
         """The smallest live candidate below top that the step's test
         admits, with the pass that admitted it, or None.
 
-        For g = 1 no slice is screened and no classifier pass runs.  The
-        live candidates below M, which only a prefix committed by hand
-        leaves, are decided first by g1_break, which clears each on a
-        break; past them the next term is the first of admissible_above,
-        if it is below top.  Either comes with an empty pass, ((), ()).
-
-        For g > 1 the scan walks [base, top) in slices of _FIRST_SLICE
-        candidates, doubling up to _CHUNK, and grows the window by _CHUNK
-        as it goes.  Each slice is screened first; then alive.find, a C
-        search, steps from one live candidate of the slice to the next, so
-        no Python code runs for a cleared entry.  accept_general decides
-        each, and may clear the entry it is handed; the search resumes
-        past it.
+        The scan walks [base, top) in slices of _FIRST_SLICE candidates,
+        doubling up to _CHUNK, and grows the window by _CHUNK as it goes.
+        Each slice is screened first; then alive.find, a C search, steps
+        from one live candidate of the slice to the next, so no Python code
+        runs for a cleared entry.  accept_general decides each, and may
+        clear the entry it is handed; the search resumes past it.
         """
         alive, base = self.alive, self.base
-        if self.g == 1:
-            end = max(0, min(len(alive), top - base))
-            i = alive.find(1, 0, end)
-            while i >= 0:
-                if self.g1_break(base + i) is None:
-                    return base + i, ((), ())
-                alive[i] = 0
-                i = alive.find(1, i + 1, end)
-            m = next(self.admissible_above())
-            return (m, ((), ())) if m < top else None
         accept = self.accept_general(n_next, check_levels)
         lo, width = base, _FIRST_SLICE
         while lo < top:
@@ -713,6 +490,224 @@ class _Scan:
         return None
 
 
+class _SidonScan:
+    """The state of the greedy scan for g = 1 over one growing B_h[1] set A:
+    its elements in increasing order and their set, with no sum table,
+    level, Sat or E.
+
+    A greedy g = 1 run commits its terms in increasing order: every
+    non-member below the largest element M of a greedy prefix breaks
+    B_h[1], so the scan tests only candidates above M, and commit refuses
+    any other term.  Two equal h-fold sums of A + {m}, A a nonempty B_h[1]
+    set, stripped of their common elements, leave two disjoint j-multisets
+    of equal sum, one using m, d >= 1 times, and one not; padded with
+    h - j copies of one element they give d*m + y = z, y in S_{h-d} and z
+    in S_h, and conversely such y and z give two sums.  So the non-member
+    m breaks B_h[1] exactly when k*m is in D_{h,h-k} = S_h - S_{h-k} for
+    some k = 1..h, and m > M, as h*m exceeds every sum of A, for some
+    k < h.  A subclass keeps difference bitmaps from which breakers reads
+    the k = 1 breakers above M, bit m - M - 1 for m, and breaks decides one
+    m > M exactly, naming a witness; grow updates them for a new top term.
+
+    Two equal j-fold sums of a B_h[1] set, j <= h, padded with h - j copies
+    of one element, would be two equal h-fold sums, so its n elements have
+    exactly C(n+j-1, j) distinct j-fold sums, and its tables would hold
+    the sum of these over j = 0..h, C(n+h, h) entries.  commit counts that
+    closed form against the entry cap, and so stops a capped run at the
+    term, and with the message, of SumTableSet.
+    """
+
+    __slots__ = ("h", "elements", "members", "max_entries")
+
+    def __init__(self, h: int, max_entries: int = DEFAULT_MAX_ENTRIES):
+        self.h = h
+        self.elements: list[int] = []
+        self.members: set[int] = set()
+        self.max_entries = max_entries
+
+    def commit(self, term: int, admission: Optional[tuple] = None) -> None:
+        """Add term, above the largest element M, to the set and grow the
+        difference bitmaps.
+
+        admission is the empty pass ((), ()) that find returns with each
+        term it admits.  Without one (the first term, a prefix committed by
+        hand) term is checked here, before anything changes: a term at or
+        below M, a member included, or a B_h[1] breaker raises ValueError,
+        the latter naming a sum with two representations.  A refused
+        commit, by the entry cap included, changes nothing.
+        """
+        h, elements = self.h, self.elements
+        last = elements[-1] if elements else 0
+        if admission is None and elements:
+            if term <= last:
+                raise ValueError(f"{term} is not above the largest element {last}")
+            x = self.breaks(term)
+            if x is not None:
+                raise ValueError(f"{term} breaks B_{h}[1]: the sum {x} would "
+                                 f"have more than 1 representations")
+        if term < 1:
+            raise ValueError(f"elements must be positive, got {term}")
+        if comb(len(elements) + 1 + h, h) > self.max_entries:
+            raise GuardExceeded(
+                f"sum-table entry cap {self.max_entries} exceeded while "
+                f"inserting {term}; lower n_terms or h, or raise the cap"
+            )
+        self.grow(term, last)
+        elements.append(term)
+        self.members.add(term)
+
+    def find(self, top: int, n_next: int,
+             check_levels: bool) -> Optional[tuple[int, tuple]]:
+        """The smallest m above M and below top that keeps the set B_h[1],
+        with the empty pass ((), ()), or None; no level is kept, so n_next
+        and check_levels change nothing.
+
+        m is M + 1 + i for the lowest clear bit i of breakers that breaks
+        accepts.  The bits are read in a window of _FIRST_SLICE bits, then
+        four times as many, and so on, as a term lies far closer to M than
+        the top of the bitmap does; a mask cuts each window, so the bitmap
+        is never copied.
+        """
+        last = self.elements[-1]
+        breakers, lo, width = self.breakers(), 0, _FIRST_SLICE
+        while last + 1 + lo < top:
+            free = (breakers & (1 << lo + width) - 1) >> lo ^ (1 << width) - 1
+            while free:
+                low = free & -free
+                free ^= low
+                m = last + lo + low.bit_length()
+                if m >= top:
+                    return None
+                if self.breaks(m) is None:
+                    return m, ((), ())
+            lo, width = lo + width, 4 * width
+        return None
+
+
+class _PairScan(_SidonScan):
+    """The g = 1 scan for h = 2 (Mian-Chowla).  m > M breaks B_2[1] exactly
+    when m + a is in S_2 for an element a, and the scan keeps these m, with
+    what it takes to grow them, as three packed integers: back, with bit
+    M - a - 1 for each element a < M; diffs, with bit b - a - 1 for
+    elements a < b; and above, with bit i set iff M + 1 + i + a is in S_2
+    for some element a.
+    """
+
+    __slots__ = ("back", "diffs", "above")
+
+    def __init__(self, h: int, max_entries: int = DEFAULT_MAX_ENTRIES):
+        super().__init__(h, max_entries)
+        self.back = self.diffs = self.above = 0
+
+    def breakers(self) -> int:
+        return self.above
+
+    def breaks(self, m: int) -> Optional[int]:
+        """A sum with two representations in A + {m}, for m > M, or None
+        when A + {m} is B_2[1].
+
+        m breaks it exactly when bit m - M - 1 of above is set, and then
+        m + a = b + c for elements a < c with c - a = m - b, so bit
+        m - b - 1 of diffs is set; the witness is m + a for the element a
+        with m + a - b an element.
+        """
+        elements, diffs = self.elements, self.diffs
+        if not self.above >> m - elements[-1] - 1 & 1:
+            return None
+        b = next(b for b in elements if diffs >> m - b - 1 & 1)
+        return m + next(a for a in elements if m + a - b in self.members)
+
+    def grow(self, term: int, last: int) -> None:
+        """Update back, diffs and above for the term t about to join the
+        set above M = last, with no loop over the elements, d = t - M:
+
+            back <- (back << d) | (1 << (d - 1)),  diffs <- diffs | back,
+            above <- (above >> d) | diffs,
+
+        the last with the grown diffs.  This is exact.  Take m > t with
+        m + a = b + c, all three in the grown set.  If neither b nor c is
+        t, then neither is a, as b + c - t < t, so m was above before and
+        its bit moves down by d.  Otherwise say b = t: then m = t + c - a,
+        which exceeds t iff a < c, that is iff c - a - 1 is a bit of the
+        grown diffs, and that is the bit of m in the grown above.  The
+        first term leaves all three empty.
+        """
+        if not last:
+            return
+        d = term - last
+        # One step a statement, so that at most one stale copy of a bitmap,
+        # as many bits as the largest term, is alive at a time.
+        self.back <<= d
+        self.back |= 1 << d - 1
+        self.diffs |= self.back
+        self.above >>= d
+        self.above |= self.diffs
+
+
+class _DiffScan(_SidonScan):
+    """The g = 1 scan for h > 2.  diff_sets[i][j] holds D_{i,j} = S_i - S_j,
+    i = 0..h, j = 0..h-1, S_0 = {0}, with bit v + j*M for each value v, so
+    that every index is non-negative; column 0 is S_i.  Bit h*M + 1 + i of
+    D_{h,h-1} is the k = 1 test of M + 1 + i.
+    """
+
+    __slots__ = ("diff_sets",)
+
+    def __init__(self, h: int, max_entries: int = DEFAULT_MAX_ENTRIES):
+        super().__init__(h, max_entries)
+        self.diff_sets = [[1] + [0] * (h - 1)] + [[0] * h for _ in range(h)]
+
+    def breakers(self) -> int:
+        return self.diff_sets[self.h][self.h - 1] >> self.h * self.elements[-1] + 1
+
+    def breaks(self, m: int) -> Optional[int]:
+        """A sum with two representations in A + {m}, for m > M, or None
+        when A + {m} is B_h[1]: bit k*m of D_{h,h-k} for k = 1..h-1.  The
+        witness is k*m + y for the least y in S_{h-k} with the sum in S_h,
+        the lowest bit of S_h >> k*m & S_{h-k}.
+        """
+        h, rows, last = self.h, self.diff_sets, self.elements[-1]
+        for k in range(1, h):
+            if rows[h][h - k] >> k * m + (h - k) * last & 1:
+                y = rows[h][0] >> k * m & rows[h - k][0]
+                return k * m + (y & -y).bit_length() - 1
+        return None
+
+    def grow(self, term: int, last: int) -> None:
+        """Update diff_sets for the term t about to join the set above
+        M = last.  As S'_i = S_i | (t + S'_{i-1}), splitting u in S'_i and
+        v in S'_j by whether they use t gives, exactly,
+
+            D'_{i,j} = D_{i,j} | (D'_{i,j-1} - t) | (D'_{i-1,j} + t),
+
+        the second part for j >= 1 and the third for i >= 1; a difference
+        of two sums that both use t lies in the second.  Taken with i and j
+        upward, each new set reads only sets already updated: h(h+1) shifts
+        and ORs, with no factor n.  Each integer first shifts left by
+        j*(t - M), to its new offset j*t; then "- t" adds nothing to the
+        offset, and "+ t" is a left shift by t.  Each step updates its
+        integer in place, so the old one is freed before the next
+        temporary is made.
+        """
+        rows, d = self.diff_sets, term - last
+        for i, row in enumerate(rows):
+            for j in range(self.h):
+                row[j] <<= j * d
+                if j:
+                    row[j] |= row[j - 1]
+                if i:
+                    row[j] |= rows[i - 1][j] << term
+
+
+def _new_scan(h: int, g: int,
+              max_entries: int = DEFAULT_MAX_ENTRIES) -> _SumScan | _SidonScan:
+    """A fresh scan for the rule of (h, g): sum tables for g > 1, and
+    difference bitmaps for g = 1, three packed integers for h = 2 and the
+    matrix D_{i,j} for h > 2."""
+    return (_SumScan(h, g, max_entries) if g > 1
+            else (_PairScan if h == 2 else _DiffScan)(h, max_entries))
+
+
 def _greedy(
     params: Params,
     algorithm: str,
@@ -727,12 +722,13 @@ def _greedy(
 
     Term n is the smallest non-member in [1, ceiling(n).floor] that keeps
     the set B_h[g] and, with check_levels, within its level ceilings; if
-    there is none, error is raised.  A _Scan keeps the state of the scan
-    between steps, and commit takes each term find admits with its pass.
+    there is none, error is raised.  The scan of the rule of (h, g) keeps
+    its state between steps, and commit takes each term find admits with
+    its pass.
     """
     h, g = params.h, params.g
-    scan = _Scan(h, g, max_entries)
-    members = scan.t.elements
+    scan = _new_scan(h, g, max_entries)
+    members = scan.elements
     rec = SequenceRecord(params, algorithm)
     meta, admission = StepMeta(1, 1, 0, ceiling(1).floor, 0.0), None
     while True:

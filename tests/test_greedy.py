@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import sys
+from copy import deepcopy
 from functools import reduce
 from math import comb
 from operator import or_
@@ -25,7 +26,8 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import _CHUNK, _SCREEN_LEFT, _Scan, classify_candidate
+from bhgreedy.greedy import (_CHUNK, _SCREEN_LEFT, _DiffScan, _new_scan, _PairScan,
+                             _SumScan, classify_candidate)
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -50,16 +52,14 @@ def build(h, elements):
 
 def committed(h, g, terms):
     """A scan that has committed terms in order."""
-    scan = _Scan(h, g)
+    scan = _new_scan(h, g)
     for a in terms:
         scan.commit(a)
     return scan
 
 
 def sat_bits(scan):
-    """The scan's Sat = {x : r(x) >= g} as a packed integer, for g > 1;
-    a g = 1 scan keeps no Sat."""
-    assert scan.g > 1 and scan.diff_sets == []
+    """The Sat = {x : r(x) >= g} of a g > 1 scan as a packed integer."""
     return int.from_bytes(scan.ind, "little")
 
 
@@ -82,12 +82,13 @@ def diff_sets_oracle(prefix, h):
 
 
 def check_g1_bitmaps(scan, prefix):
-    """For g = 1: the scan's difference bitmaps match their definitions
-    over the elements, enumerated with no recurrence (back, diffs and
-    above for h = 2, diff_sets for h > 2), the scan keeps no Sat, E or
-    level, and its window ends at the largest element M.  Returns the
-    k = 1 breakers above M, {m > M : m + y in S_h for some y in S_{h-1}}."""
-    h, top = scan.t.h, max(prefix)
+    """For g = 1: the scan's elements are the sorted prefix, and its
+    difference bitmaps match their definitions over the elements,
+    enumerated with no recurrence (back, diffs and above for h = 2,
+    diff_sets for h > 2).  Returns the k = 1 breakers above the largest
+    element M, {m > M : m + y in S_h for some y in S_{h-1}}."""
+    h, top = scan.h, max(prefix)
+    assert scan.elements == sorted(prefix)
     folds = fold_sets(prefix, h)
     sums = packed(folds[h])
     hits = bin(reduce(or_, (sums >> y for y in folds[h - 1])) >> top + 1)
@@ -96,20 +97,21 @@ def check_g1_bitmaps(scan, prefix):
         assert scan.back == packed(top - a - 1 for a in prefix if a < top), prefix
         assert scan.diffs == packed(b - a - 1 for a in prefix for b in prefix if a < b), prefix
         assert scan.above == packed(m - top - 1 for m in above), prefix
-        assert scan.diff_sets == []
     else:
         assert scan.diff_sets == diff_sets_oracle(prefix, h), prefix
-        assert scan.back == scan.diffs == scan.above == 0
-    assert scan.ind == scan.reach == b"" and scan.levels == ()
-    assert scan.base + len(scan.alive) == top + 1
     return above
 
 
-def g1_state(scan):
-    """What a g = 1 scan keeps: its elements, its difference bitmaps and
-    its window."""
-    return (list(scan.t.elements), scan.back, scan.diffs, scan.above,
-            [list(row) for row in scan.diff_sets], bytes(scan.alive), scan.base)
+def kept_state(scan):
+    """Everything a scan keeps, read slot by slot of its class and copied,
+    a SumTableSet as its tables."""
+    state = {}
+    for cls in type(scan).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            value = getattr(scan, name)
+            state[name] = ([dict(d) for d in value.tables] if isinstance(value, SumTableSet)
+                           else deepcopy(value))
+    return state
 
 
 def keeps_bh1(hist, prefix, m, h):
@@ -119,20 +121,18 @@ def keeps_bh1(hist, prefix, m, h):
 
 
 def check_g1_break(scan, prefix):
-    """For g = 1, after committing prefix: for every non-member m in
-    [1, h*M + 9], M the largest element, g1_break keeps the set B_h[1]
+    """For g = 1, after committing the sorted prefix: for every m in
+    (M, h*M + 9], M the largest element, breaks keeps the set B_h[1]
     exactly when enumeration does.  A commit of a breaker with no admission
     raises a ValueError that names a sum with two representations in
-    prefix + [m], and changes none of the elements, the bitmaps or the
-    window.  Returns the breakers, each with its witness."""
-    h = scan.t.h
-    members, before, witnesses = set(prefix), g1_state(scan), {}
+    prefix + [m], and changes nothing the scan keeps.  Returns the
+    breakers, each with its witness."""
+    h, top = scan.h, max(prefix)
+    before, witnesses = kept_state(scan), {}
     hist = multiset_sum_histogram(prefix, h)
-    for m in range(1, h * max(prefix) + 10):
-        if m in members:
-            continue
+    for m in range(top + 1, h * top + 10):
         keeps = keeps_bh1(hist, prefix, m, h)
-        assert (scan.g1_break(m) is None) == keeps, (prefix, m)
+        assert (scan.breaks(m) is None) == keeps, (prefix, m)
         if keeps:
             continue
         with pytest.raises(ValueError) as refused:
@@ -141,22 +141,21 @@ def check_g1_break(scan, prefix):
         assert words[:5] == [str(m), "breaks", f"B_{h}[1]:", "the", "sum"], words
         x = int(words[5])
         assert multiset_sum_histogram(prefix + [m], h)[x] >= 2, (prefix, m, x)
-        assert g1_state(scan) == before, (prefix, m)
+        assert kept_state(scan) == before, (prefix, m)
         witnesses[m] = x
     return witnesses
 
 
-def shuffled_sidon_sets(count, h=2):
-    """count seeded B_h[1] sets of up to 10 elements below 120, each in the
-    shuffled order in which a test commits it by hand."""
+def seeded_sidon_sets(count, h=2):
+    """count seeded B_h[1] sets of up to 10 elements below 120, each sorted,
+    in the order in which a g = 1 scan takes its terms."""
     for seed in range(count):
         rng = random.Random(seed)
         elements = []
         for a in rng.sample(range(1, 120), 60):
             if len(elements) < 10 and is_bhg(elements + [a], h, 1):
                 elements.append(a)
-        rng.shuffle(elements)
-        yield seed, elements
+        yield seed, sorted(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +469,8 @@ def check_fused_against_contract_op(prefix, h, g):
 @pytest.mark.parametrize("h,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
                                  (4, 2)])
 def test_fused_scan_paths_match_contract_op(h, g):
-    # No g = 1 scan calls accept_general or keeps the tables it reads;
-    # its break test, g1_break, is checked on the same prefixes.
+    # No g = 1 scan has accept_general or keeps the tables it reads; its
+    # break test, breaks, is checked above M on the same prefixes.
     rec = strong_greedy(Params(h, g, 7))
     for n in range(1, len(rec.terms)):
         if g == 1:
@@ -670,7 +669,7 @@ def test_reach_matches_the_oracle_after_every_commit(generator, h, g, n):
     # bytes, the length of ind.  At g = 1 no E is kept, and the difference
     # bitmaps kept in its place must match theirs.
     terms = generator(Params(h, g, n)).terms
-    scan = _Scan(h, g)
+    scan = _new_scan(h, g)
     for i, a in enumerate(terms):
         scan.commit(a)
         if g == 1:
@@ -706,18 +705,16 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
     # m + y in Sat for some y in S_{h-1} (sums from enumeration), each a
     # B_h[g] break, and touch nothing else.  At g = 1 no screen runs: the
     # k = 1 breakers of the bitmaps (above, or D_{h,h-1}) must be exactly
-    # these breakers past the largest element, and a greedy prefix leaves
-    # no live candidate below it.
+    # these breakers past the largest element.
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
-        t = build(h, scan.t.elements)
+        t = build(h, scan.elements)
         top = h * t.elements[-1]
         breaks = [m for m in range(lo, hi)
                   if m not in t and any(hist[m + y] >= g for y in lower)]
         if g == 1:
             last = t.elements[-1]
-            assert scan.base == last + 1 and not scan.alive
             cleared = sorted(m for m in check_g1_bitmaps(scan, t.elements) if m < hi)
             breaks = [m for m in breaks if m > last]
         else:
@@ -741,14 +738,13 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
 
 
 def check_g1_accept(elements, h):
-    """Commit the B_h[1] set elements in increasing order.  For each
-    non-member m of [1, h*M + 2), M the largest element, g1_break must
-    agree with is_strong_candidate, and m > M may be a k = 1 breaker of
-    the bitmaps only on a "bhg" verdict.  find must return the smallest
-    accepted m, with the live candidates below it, which the sorted
-    commits leave below M, decided inside it and cleared, as each breaks
-    B_h[1].  Returns the kinds of candidate seen: "k1" (m + y in S_h for
-    some y in S_{h-1}), "high" (none, but rejected) and "accepted"."""
+    """Commit the B_h[1] set elements in increasing order.  For each m of
+    (M, h*M + 2), M the largest element, breaks must agree with
+    is_strong_candidate, and m may be a k = 1 breaker of the bitmaps only
+    on a "bhg" verdict.  find must return the smallest accepted m, and
+    None when top is at or below it.  Returns the kinds of candidate seen:
+    "k1" (m + y in S_h for some y in S_{h-1}), "high" (none, but rejected)
+    and "accepted"."""
     elements = sorted(elements)
     scan = committed(h, 1, elements)
     t = build(h, elements)
@@ -756,20 +752,16 @@ def check_g1_accept(elements, h):
     above = check_g1_bitmaps(scan, elements)
     reach = reach_oracle(elements, h, 1)
     kinds, first = set(), None
-    for m in range(1, h * top + 2):
-        if m in t:
-            continue
+    for m in range(top + 1, h * top + 2):
         verdict = is_strong_candidate(t, t.candidate_delta(m), len(t) + 1, h, 1)
-        assert (scan.g1_break(m) is None) == verdict.accepted, (elements, m)
+        assert (scan.breaks(m) is None) == verdict.accepted, (elements, m)
         assert m not in above or verdict.reason == "bhg", (elements, m)
         if verdict.accepted and first is None:
             first = m
         kinds.add("k1" if any(m + a in reach for a in elements) else
                   "accepted" if verdict.accepted else "high")
-    live, k = bytes(scan.alive), max(0, first - scan.base)
     assert scan.find(first, len(t) + 1, False) is None
     assert scan.find(first + 1, len(t) + 1, False) == (first, ((), ()))
-    assert not any(scan.alive[:k]) and scan.alive[k:] == live[k:], elements
     return kinds
 
 
@@ -785,16 +777,15 @@ def test_g1_accept_resumes_where_the_screen_stopped(generator, h, n):
 
 @given(drawn=st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True),
        h=st.integers(2, 5))
-@example(drawn=[1, 3], h=2)
 @example(drawn=[1, 3], h=3)
 @example(drawn=[1, 4], h=4)
 @settings(max_examples=100, deadline=None)
 def test_g1_accept_matches_oracle_on_arbitrary_bh1_sets(drawn, h):
-    # Greedy prefixes leave no candidate that only a k >= 2 sum rejects;
-    # arbitrary nonempty B_h[1] sets, kept from the drawn values in order,
-    # do.  In the examples m = 2, 4 and 5 are such candidates:
-    # 2*2 = 1+3, 2*4 + 1 = 3+3+3 and 3*5 + 1 = 4+4+4+4, while no m + y
-    # with y in S_{h-1} is an h-fold sum.
+    # Arbitrary nonempty B_h[1] sets, kept from the drawn values in order
+    # and committed sorted, most of them not greedy prefixes.  In the
+    # examples m = 4 and 5, above the largest element, are candidates that
+    # only a k >= 2 sum rejects: 2*4 + 1 = 3+3+3 and 3*5 + 1 = 4+4+4+4,
+    # while no m + y with y in S_{h-1} is an h-fold sum.
     elements = []
     for a in drawn:
         if is_bhg(elements + [a], h, 1):
@@ -811,20 +802,21 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
     # but only once at most _SCREEN_LEFT live candidates are left.
     # accept_general then marks the rest dead, so after both every
     # non-member of [lo, hi) that breaks B_h[g] is dead, and no other.  At
-    # g = 1 neither runs: every breaker lies below base, among the k = 1
-    # breakers of the bitmaps or where g1_break finds a break, and no other
-    # non-member does.
+    # g = 1 neither runs: every breaker lies below the largest element M,
+    # among the k = 1 breakers of the bitmaps or where breaks finds a break,
+    # and no other non-member does.
     if batch is not None:
         monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
     if g == 1:
         for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
-            t = build(h, scan.t.elements)
+            t = build(h, scan.elements)
+            last = t.elements[-1]
             above = check_g1_bitmaps(scan, t.elements)
             for m in range(lo, hi):
                 if m not in t:
                     verdict = is_strong_candidate(t, t.candidate_delta(m), i + 2, h, g)
                     assert (verdict.reason == "bhg") == (
-                        m < scan.base or m in above or scan.g1_break(m) is not None), \
+                        m < last or m in above or scan.breaks(m) is not None), \
                         (t.elements, m)
         return
     stopped_early = 0
@@ -892,7 +884,7 @@ def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
     # the enumeration.
     rec = generator(Params(h, g, n))
     check_levels = rec.algorithm == "strong"
-    scan = _Scan(h, g)
+    scan = _new_scan(h, g)
     scan.commit(1)
     for i, meta in enumerate(rec.per_step[1:], 1):
         term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
@@ -924,10 +916,11 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
     # Every term after the first reaches commit with the pass that admitted
     # it, so a run classifies inside commit once; a lost hand-off would
     # classify every term twice.  A g = 1 run, (3, 1) and (4, 1) as well
-    # as (2, 1), calls no classify_candidate and screens no slice at all:
-    # its first term is checked by g1_break.
+    # as (2, 1), calls no classify_candidate, and its scan has no screen:
+    # its first term is checked by breaks.
     expected = generator(Params(h, g, n)).terms
-    commit, classify, screen = _Scan.commit, classify_candidate, _Scan.screen
+    cls = type(_new_scan(h, g))
+    commit, classify, screen = cls.commit, classify_candidate, _SumScan.screen
     handed, inside, depth, calls, screens = [], [], [], [], []
 
     def wrapped_commit(self, term, admission=None):
@@ -948,8 +941,9 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
         screens.append(lo)
         return screen(self, lo, hi)
 
-    monkeypatch.setattr(_Scan, "commit", wrapped_commit)
-    monkeypatch.setattr(_Scan, "screen", wrapped_screen)
+    monkeypatch.setattr(cls, "commit", wrapped_commit)
+    if g > 1:
+        monkeypatch.setattr(cls, "screen", wrapped_screen)
     monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
     assert generator(Params(h, g, n)).terms == expected
     if g == 1:
@@ -965,10 +959,9 @@ def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
     # For g = 1 and h > 2, diff_sets[i][j] is D_{i,j} = S_i - S_j, and its
     # column j = 0 the bitmap of S_i, whether a term is admitted by find,
     # with an empty pass, or committed by hand: each must match the
-    # difference set from enumeration after every commit.  ind is never
-    # written, no level is kept, and a greedy run leaves no live candidate.
+    # difference set from enumeration after every commit.
     rec = generator(Params(h, 1, n))
-    scan = _Scan(h, 1)
+    scan = _new_scan(h, 1)
     scan.commit(1)
     check_g1_bitmaps(scan, [1])
     for i, meta in enumerate(rec.per_step[1:], 1):
@@ -976,12 +969,29 @@ def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
         scan.commit(meta.term, ((), ()))
         prefix = rec.terms[:i + 1]
         check_g1_bitmaps(scan, prefix)
-        assert not scan.alive and scan.base == meta.term + 1
         assert committed(h, 1, prefix).diff_sets == scan.diff_sets
-    assert _Scan(2, 1).diff_sets == _Scan(h, 2).diff_sets == []
 
 
-class WalkScan(_Scan):
+RULE_STATE = {
+    _SumScan: {"t", "g", "levels", "alive", "base", "ind", "reach"},
+    _PairScan: {"h", "elements", "members", "max_entries", "back", "diffs", "above"},
+    _DiffScan: {"h", "elements", "members", "max_entries", "diff_sets"},
+}
+
+
+@pytest.mark.parametrize("h,g", [(h, g) for h in range(2, 6) for g in (1, 2, 3)])
+def test_each_rule_has_its_own_scan_class(h, g):
+    # The scan of (h, g) is the class of its rule, and it keeps that rule's
+    # state and nothing else: its slots are exactly the rule's, and it has
+    # no __dict__ to hold more.
+    scan = _new_scan(h, g)
+    cls = _SumScan if g > 1 else _PairScan if h == 2 else _DiffScan
+    assert type(scan) is cls
+    assert {name for c in cls.__mro__ for name in getattr(c, "__slots__", ())} == RULE_STATE[cls]
+    assert not hasattr(scan, "__dict__")
+
+
+class WalkScan(_SumScan):
     """A scan whose screen clears nothing and whose g > 1 accept test
     records each candidate it is handed, optionally clears its entry, and
     admits the candidates in admit with an empty pass."""
@@ -1030,7 +1040,7 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
             if m - base >= len(window) or window[m - base]]
     assert bool(live) == (pattern != "none-live")
     for first in [None] + live:
-        scan = WalkScan(2, g)  # no g = 1 scan walks a slice
+        scan = WalkScan(2, g)
         scan.alive, scan.base = bytearray(window), base
         scan.visits, scan.clear = [], clear
         scan.admit = set() if first is None else set(live[live.index(first):])
@@ -1047,7 +1057,7 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
 def test_find_walks_across_a_full_chunk():
     # At the default slice widths, live entries on both sides of index
     # _CHUNK of the window, inside the slice [64513, 130049).
-    scan = WalkScan(3, 2)  # no g = 1 scan walks a slice
+    scan = WalkScan(3, 2)
     scan.alive, scan.base = bytearray(2 * _CHUNK), 1
     scan.alive[_CHUNK - 1:_CHUNK + 1] = b"\x01\x01"
     scan.visits, scan.clear, scan.admit = [], False, {_CHUNK + 1}
@@ -1060,13 +1070,11 @@ def test_pair_bitmaps_match_enumeration_after_every_commit(generator):
     # At h = 2 and g = 1 each commit shifts back, diffs and above with no
     # loop over the elements.  After every commit of a 60-term run they
     # must match enumeration, and find must return the next term of the
-    # naive greedy, and None when top is at or below it, with no screen
-    # and no accept test: the walk's accept test would record a visit.
+    # naive greedy, and None when top is at or below it.
     expected = naive_classic_greedy(2, 1, 60)
     rec = generator(Params(2, 1, 60))
     assert rec.terms == expected
-    scan = WalkScan(2, 1)
-    scan.visits, scan.clear, scan.admit = [], False, set()
+    scan = _new_scan(2, 1)
     scan.commit(1)
     for i, term in enumerate(expected[1:], 1):
         check_g1_bitmaps(scan, expected[:i])
@@ -1074,92 +1082,96 @@ def test_pair_bitmaps_match_enumeration_after_every_commit(generator):
         found = scan.find(term + 1, i + 1, False)
         assert found == (term, ((), ()))
         scan.commit(*found)
-        assert not scan.alive and scan.base == term + 1
     check_g1_bitmaps(scan, expected)
-    assert scan.visits == []
 
 
-def check_shuffled_commits(h, count):
-    """Commit count seeded B_h[1] sets by hand, each in shuffled order,
-    which puts terms below the largest element M and leaves live
-    candidates below it.  The bitmaps must match enumeration after every
-    commit, and find must return the smallest positive non-member that
-    keeps the set B_h[1], and None when top is at or below it.  Returns
-    the number of commits below M and of next terms found below M."""
-    below = found_below = 0
-    for seed, elements in shuffled_sidon_sets(count, h):
-        scan = _Scan(h, 1)
+@pytest.mark.parametrize("h", [2, 3, 4, 5])
+def test_g1_bitmaps_stay_exact_on_seeded_sidon_sets(h):
+    # Commit 20 seeded B_h[1] sets by hand in increasing order, whose
+    # prefixes, unlike greedy ones, may leave below the largest element M
+    # a non-member that keeps the set B_h[1].  The bitmaps must match
+    # enumeration after every commit, and find must pass over those
+    # non-members: it returns the smallest one above M that keeps the set
+    # B_h[1], and None when top is at or below it.
+    skipped = 0
+    for seed, elements in seeded_sidon_sets(20, h):
+        scan = _new_scan(h, 1)
         for i, a in enumerate(elements):
-            below += i > 0 and a < max(elements[:i])
             scan.commit(a)
             prefix = elements[:i + 1]
             check_g1_bitmaps(scan, prefix)
             hist = multiset_sum_histogram(prefix, h)
-            term = next(m for m in range(1, h * max(prefix) + 2)
-                        if m not in prefix and keeps_bh1(hist, prefix, m, h))
-            found_below += term < max(prefix)
+            keeps = [m for m in range(1, h * a + 2)
+                     if m not in prefix and keeps_bh1(hist, prefix, m, h)]
+            term = next(m for m in keeps if m > a)
+            skipped += keeps[0] < a
             assert scan.find(term, i + 2, False) is None, (seed, prefix)
             assert scan.find(term + 1, i + 2, False) == (term, ((), ())), (seed, prefix)
-    return below, found_below
-
-
-def test_pair_bitmaps_stay_exact_under_shuffled_commits():
-    # At h = 2 a commit below M rebuilds back, diffs and above.
-    assert all(check_shuffled_commits(2, 20))
-
-
-@pytest.mark.parametrize("h", [3, 4, 5])
-def test_diff_sets_stay_exact_under_shuffled_commits(h):
-    # For h > 2 the recurrence of shift_diffs also takes a term below M,
-    # with no growth of the offsets.
-    assert all(check_shuffled_commits(h, 20))
+    assert skipped
 
 
 def test_pair_break_matches_the_naive_oracle():
-    # The break test of a term committed by hand, and of a live candidate
-    # below the largest element M, against the naive oracle: on 30 seeded
-    # Sidon sets after every commit, in shuffled order, and on the prefixes
-    # of the (2, 1, 40) run, which the strong and the classic greedy share.
-    # Both kinds of break must occur below M: m + a = b + c, read off
-    # diffs, and 2m = b + c.
-    below = set()
-    for seed, elements in shuffled_sidon_sets(30):
-        scan = _Scan(2, 1)
-        for i, a in enumerate(elements):
-            scan.commit(a)
-            top = max(elements[:i + 1])
-            for m, x in check_g1_break(scan, elements[:i + 1]).items():
-                if m < top:
-                    below.add("double" if x == 2 * m else "pair")
-    assert below == {"double", "pair"}
+    # The break test of a term committed by hand above the largest element
+    # M against the naive oracle: on 30 seeded Sidon sets after every
+    # commit, in increasing order, and on the prefixes of the (2, 1, 40)
+    # run, which the strong and the classic greedy share.  Every prefix of
+    # two or more elements has breakers above M.
     terms = strong_greedy(Params(2, 1, 40)).terms
     assert classic_greedy(Params(2, 1, 40)).terms == terms
-    scan = _Scan(2, 1)
-    for i, a in enumerate(terms):
-        scan.commit(a)
-        assert check_g1_break(scan, terms[:i + 1]) or i < 2
+    for elements in [e for _, e in seeded_sidon_sets(30)] + [terms]:
+        scan = _new_scan(2, 1)
+        for i, a in enumerate(elements):
+            scan.commit(a)
+            assert check_g1_break(scan, elements[:i + 1]) or i == 0, elements[:i + 1]
 
 
 @pytest.mark.parametrize("h,n,seeds", [(3, 8, 6), (4, 6, 3), (5, 5, 2)])
 def test_diff_break_matches_the_naive_oracle(h, n, seeds):
-    # For h > 2 the break test reads bit k*m of D_{h,h-k}, k = 1..h.
+    # For h > 2 the break test reads bit k*m of D_{h,h-k}, k = 1..h-1.
     # Against the naive oracle, after every commit of seeded B_h[1] sets in
-    # shuffled order and of the strong (h, 1, n) prefixes, for every
-    # non-member in [1, h*M + 9].  Below M both a k = 1 break (m + y in S_h
-    # for some y in S_{h-1}) and a break by k >= 2 copies of m alone must
-    # occur; above M, where h*m is past every sum, the k < h ones.
-    below, above = set(), set()
-    runs = [elements for _, elements in shuffled_sidon_sets(seeds, h)]
+    # increasing order and of the strong (h, 1, n) prefixes, for every m in
+    # (M, h*M + 9], M the largest element.  Both a k = 1 break (m + y in
+    # S_h for some y in S_{h-1}) and a break by k >= 2 copies of m alone
+    # must occur.
+    kinds = set()
+    runs = [elements for _, elements in seeded_sidon_sets(seeds, h)]
     for elements in runs + [strong_greedy(Params(h, 1, n)).terms]:
-        scan = _Scan(h, 1)
+        scan = _new_scan(h, 1)
         for i, a in enumerate(elements):
             scan.commit(a)
             prefix = elements[:i + 1]
             folds = fold_sets(prefix, h)
             for m, x in check_g1_break(scan, prefix).items():
-                kind = "k1" if any(m + y in folds[h] for y in folds[h - 1]) else "high"
-                (below if m < max(prefix) else above).add(kind)
-    assert below == above == {"k1", "high"}
+                kinds.add("k1" if any(m + y in folds[h] for y in folds[h - 1]) else "high")
+    assert kinds == {"k1", "high"}
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 5])
+def test_g1_commit_at_or_below_the_top_term_is_refused(h):
+    # A g = 1 scan takes terms only above its largest element M.  After a
+    # greedy prefix, and after the prefixes of sorted B_h[1] sets that are
+    # not one, a commit of a member, of a breaker below M and, where the
+    # set leaves one, of a non-member below M that keeps the set B_h[1]
+    # raises ValueError, and changes nothing the scan keeps.
+    greedy = strong_greedy(Params(h, 1, 6)).terms
+    seeded = [e[:i] for _, e in seeded_sidon_sets(5, h) for i in range(2, len(e) + 1)]
+    kinds = set()
+    for elements in [greedy] + seeded:
+        scan = committed(h, 1, elements)
+        before, top = kept_state(scan), elements[-1]
+        hist = multiset_sum_histogram(elements, h)
+        refused = {"member": elements[0], "top": top}
+        for m in range(1, top):
+            if m not in elements:
+                kind = "keeper" if keeps_bh1(hist, elements, m, h) else "breaker"
+                refused.setdefault(kind, m)
+        for kind, m in refused.items():
+            with pytest.raises(ValueError, match=f"^{m} is not above the largest element {top}$"):
+                scan.commit(m)
+            assert kept_state(scan) == before, (elements, m)
+            kinds.add((elements == greedy, kind))
+    assert {(True, "breaker"), (False, "breaker"), (False, "keeper")} <= kinds
+    assert (True, "keeper") not in kinds
 
 
 def test_pair_scan_builds_no_sum_table(monkeypatch):
@@ -1175,7 +1187,7 @@ def test_pair_scan_builds_no_sum_table(monkeypatch):
 
     monkeypatch.setattr("bhgreedy.greedy.SumTableSet", refuse)
     assert [gen(params).terms for gen, params in runs] == expected
-    assert committed(2, 1, MIAN_CHOWLA_10).t.elements == MIAN_CHOWLA_10
+    assert committed(2, 1, MIAN_CHOWLA_10).elements == MIAN_CHOWLA_10
 
 
 @pytest.mark.parametrize("generator,n,digest", [
@@ -1192,14 +1204,25 @@ def test_mian_chowla_runs_match_their_golden_digest(generator, n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("generator,h,n,digest", [
-    (classic_greedy, 4, 30, "d1d67fee5b3e305447657ebec0738814e3b0259ece9462e859bb15a708d6d983"),
-    (strong_greedy, 3, 60, "bb352f10205ef47f4aa6869dd11c10dc17600a17eb261f9874cc7c537efe1bbf"),
-])
-def test_diff_set_runs_match_their_golden_digest(generator, h, n, digest):
+GOLDEN_RUNS = [
+    (classic_greedy, 4, 1, 30, "d1d67fee5b3e305447657ebec0738814e3b0259ece9462e859bb15a708d6d983"),
+    (strong_greedy, 3, 1, 60, "bb352f10205ef47f4aa6869dd11c10dc17600a17eb261f9874cc7c537efe1bbf"),
+    (strong_greedy, 3, 2, 60, "45b7b891143e445a6d6789359894286ff3196bb6e136124fdd04056d37a05c8c"),
+    (strong_greedy, 2, 3, 150, "0c5bbc0db48ba501d4515449109a69271746ef97993c63b76fbd65c47bc61b84"),
+    (classic_greedy, 3, 2, 40, "78f6e5ec20e2ff2dd131ccf5ef7d77129bff1aa5dc5414c20c460f6d1d271dc0"),
+]
+
+
+# A g = 1 run keeps the id it had before g joined the parameters.
+@pytest.mark.parametrize("generator,h,g,n,digest", GOLDEN_RUNS, ids=[
+    "-".join(map(str, [gen.__name__, h] + [g] * (g > 1) + [n, digest]))
+    for gen, h, g, n, digest in GOLDEN_RUNS])
+def test_diff_set_runs_match_their_golden_digest(generator, h, g, n, digest):
     # The same digest for g = 1 runs with h > 2, taken when these scans
-    # still kept sum tables, screened slices and rebuilt E every commit.
-    rec = generator(Params(h, 1, n))
+    # still kept sum tables, screened slices and rebuilt E every commit,
+    # and for g > 1 runs far past the n = 20 where the naive oracles stop,
+    # taken before the scan was split into one class per rule.
+    rec = generator(Params(h, g, n))
     text = "".join(f"{m.n},{m.term},{m.scan_length},{m.bound_floor}\n"
                    for m in rec.per_step)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -1239,8 +1262,9 @@ def check_capped_run(generator, rec, cap):
     """A run of rec's parameters under the entry cap stops at the term, and
     with the message, of inserting rec's terms into capped tables, or ends
     as rec does where they hold every term.  Driven step by step, a commit
-    that trips the cap leaves ind, levels, the difference bitmaps, alive
-    and the elements as they were.  Returns the message, or None."""
+    that trips the cap changes nothing the scan keeps but the tables of a
+    SumTableSet, which the cap stops part-way and which are then to be
+    discarded.  Returns the message, or None."""
     params = rec.params
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=cap)
@@ -1250,16 +1274,19 @@ def check_capped_run(generator, rec, cap):
                                            max_entries=cap)) == plain, (params, cap)
     assert [m.term for m in steps] == t.elements, (params, cap)
     check_levels = rec.algorithm == "strong" and g > 1
-    scan, admission = _Scan(h, g, max_entries=cap), None
+    scan, admission = _new_scan(h, g, cap), None
     for i, meta in enumerate(rec.per_step):
         if i:
             term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
             assert term == meta.term
-        before = (bytes(scan.ind), scan.levels, g1_state(scan))
+        before = kept_state(scan)
         tripped = guard_message(lambda: scan.commit(meta.term, admission))
         if tripped is not None:
             assert tripped == plain, (params, cap)
-            assert (bytes(scan.ind), scan.levels, g1_state(scan)) == before, (params, cap)
+            after = kept_state(scan)
+            for state in (before, after):
+                state.pop("t", None)
+            assert after == before, (params, cap)
             break
     assert i + (tripped is None) == len(steps), (params, cap)
     return plain
@@ -1270,8 +1297,8 @@ def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
     # Neither the admission that commit takes over nor the check of a term
     # it was not handed adds an entry, so a capped run, g = 1 or not,
     # stops at the term, and with the message, of inserting the uncapped
-    # run's terms into capped tables.  A commit that trips the cap leaves
-    # ind, levels, the difference bitmaps and alive as they were.
+    # run's terms into capped tables.  A commit that trips the cap changes
+    # nothing the scan keeps but the tables it stopped part-way.
     for generator, params in capped_runs():
         assert check_capped_run(generator, generator(params), cap) is not None, params
 
@@ -1291,29 +1318,22 @@ def test_pair_run_hits_the_entry_cap_at_every_cap(generator):
 
 @pytest.mark.parametrize("h,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
 def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
-    # Committed without an admission, a term that breaks B_h[g] or is
-    # already a member is refused before the tables, the bitmaps or the
-    # window change.  A g = 1 scan keeps no tables: its elements,
-    # difference bitmaps and window stay put.
+    # Committed without an admission, a term above the largest element
+    # that breaks B_h[g], or a member, is refused before anything the scan
+    # keeps changes: for g > 1 its tables, levels and bitmaps, for g = 1
+    # its elements and difference bitmaps.
     prefix = strong_greedy(Params(h, g, 8)).terms
     scan = committed(h, g, prefix)
-    bad = next(m for m in range(1, 3 * max(prefix))
-               if m not in prefix and not is_bhg(prefix + [m], h, g))
+    bad = next(m for m in range(max(prefix) + 1, 3 * max(prefix))
+               if not is_bhg(prefix + [m], h, g))
     good = next(m for m in range(1, 3 * max(prefix))
                 if m not in prefix and is_bhg(prefix + [m], h, g))
-
-    def state():
-        if g == 1:
-            return g1_state(scan)
-        return ([dict(d) for d in scan.t.tables], bytes(scan.ind), bytes(scan.reach),
-                scan.levels, g1_state(scan))
-
-    before = state()
+    before = kept_state(scan)
     for term in (bad, prefix[-1]):
         with pytest.raises(ValueError) as refused:
             scan.commit(term)
-        assert state() == before
-        assert scan.t.elements == prefix
+        assert kept_state(scan) == before
+        assert scan.elements == sorted(prefix)
         if term == bad:  # the refusal names a sum that bad pushes past g
             x = int(str(refused.value).split()[5])
             assert multiset_sum_histogram(prefix + [bad], h)[x] > g
