@@ -245,11 +245,6 @@ def _fold_histograms(elems: list[int], h: int, cap: int) -> list[Counter]:
             for j in range(h + 1)]
 
 
-def _shifted_sums(a: int, elems: list[int], j: int):
-    """a + sum(c) for each j-multiset c of elems, as a lazy iterator."""
-    return map(a.__add__, map(sum, combinations_with_replacement(elems, j)))
-
-
 def _level_count(hist: Counter, s: int) -> int:
     return sum(1 for c in hist.values() if c >= s)
 
@@ -284,14 +279,15 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
     Condition (i), the B_h[g] property, is checked by enumeration;
     condition (ii) compares every level count of the prefix against
     n^(h+(1-s)(h-1)/g) exactly.  Entirely independent of any generator
-    state: one pass over the bare term list, in input order, counts
-    a + sum(c) for each term a and each (h-1)-multiset c of the prefix
-    that a ends, a included, so every h-multiset of the whole list is
-    enumerated exactly once.  Each term's batch of new sums is counted in
-    one C pass; when the histogram grows by the whole batch, every new sum
-    is fresh and distinct and only enters level 1.  Otherwise the batch is
-    counted again, and each distinct sum steps up the levels its
-    multiplicity crossed.
+    state: one pass over the bare term list, in input order, keeps the fold
+    lists folds[j], j = 0..h-1, holding one sum per j-multiset of the
+    prefix.  Term a first grows them, j going up, by a + folds[j-1]; its
+    batch of new sums is then a + folds[h-1], one per h-multiset that
+    contains a, so every h-multiset of the whole list is enumerated exactly
+    once.  The batch is counted in one C pass; when the histogram grows by
+    the whole batch, every new sum is fresh and distinct and only enters
+    level 1.  Otherwise the batch is counted again, and each distinct sum
+    steps up the levels its multiplicity crossed.
     """
     terms = list(terms)
     _checked_input(terms, h, g)
@@ -299,15 +295,17 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
     levels = [0] * (g + 1)  # levels[s] = #{x : r(x) >= s}, s <= g
     worst = None  # smallest sum over g; counts only rise, so it only falls
     out = []
+    folds = [[0]] + [[] for _ in range(h - 1)]  # folds[j]: j-fold sums
     for n, a in enumerate(terms, 1):
         _guard_enumeration(n, h, max_enumeration)
-        prefix = terms[:n]
-        size, batch = len(hist), comb(n + h - 2, h - 1)
-        hist.update(_shifted_sums(a, prefix, h - 1))
+        for j in range(1, h):
+            folds[j] += map(a.__add__, folds[j - 1])
+        size, batch = len(hist), len(folds[h - 1])
+        hist.update(map(a.__add__, folds[h - 1]))
         if len(hist) == size + batch:
             levels[1] += batch
         else:
-            for x, k in Counter(_shifted_sums(a, prefix, h - 1)).items():
+            for x, k in Counter(map(a.__add__, folds[h - 1])).items():
                 r = hist[x]
                 for s in range(r - k + 1, min(r, g) + 1):
                     levels[s] += 1

@@ -166,25 +166,47 @@ def test_one_pass_prefixes_batch_hitting_only_existing_sums(g):
         assert (checks[-1].bhg.x, checks[-1].bhg.count) == (14, 2)
 
 
-@pytest.mark.parametrize("h,g", [(h, g) for h in (2, 3, 4) for g in (1, 2, 3)])
+@pytest.mark.parametrize("h,g", [(h, g) for h in (2, 3, 4, 5) for g in (1, 2, 3)])
 def test_one_pass_prefixes_match_oracle_on_arbitrary_sets(h, g):
+    # h = 5 grows the fold lists four deep; its sets stay short so that the
+    # oracle, which enumerates every prefix afresh, stays quick.
     rng = random.Random(100 * h + g)
     for _ in range(12):
-        terms = rng.sample(range(1, rng.choice([15, 40, 300]) + 1), rng.randint(1, 14))
+        terms = rng.sample(range(1, rng.choice([15, 40, 300]) + 1),
+                           rng.randint(1, 14 if h < 5 else 12))
         assert prefix_fields(verify_strong_prefixes(terms, h, g)) == \
             oracle_prefix_fields(terms, h, g)
 
 
-@pytest.mark.parametrize("cap", [1, 9, 10, 11, 119, 120, 121, 5000])
-def test_prefix_guard_fires_at_first_prefix_over_cap(cap):
+@pytest.mark.parametrize("h,g", [(h, g) for h in (2, 3, 4) for g in (1, 2, 3)])
+@pytest.mark.parametrize("progression", [range(1, 13), range(3, 40, 3)],
+                         ids=["1..12", "3..39 step 3"])
+def test_one_pass_prefixes_match_oracle_when_every_batch_collides(progression, h, g):
+    # In an arithmetic progression every batch from the third term on hits a
+    # sum of the prefix, so each step takes the recount branch.
+    terms = list(progression)
+    for n in range(3, len(terms) + 1):
+        batch, before = last_batch(terms[:n], h)
+        assert set(batch) & set(before)
+    assert prefix_fields(verify_strong_prefixes(terms, h, g)) == \
+        oracle_prefix_fields(terms, h, g)
+    random.Random(10 * h + g).shuffle(terms)
+    assert prefix_fields(verify_strong_prefixes(terms, h, g)) == \
+        oracle_prefix_fields(terms, h, g)
+
+
+@pytest.mark.parametrize("cap,h", [
+    pytest.param(cap, h, id=str(cap) if h == 3 else f"{cap}-h{h}")
+    for h in (3, 2, 4) for cap in (1, 9, 10, 11, 119, 120, 121, 5000)])
+def test_prefix_guard_fires_at_first_prefix_over_cap(cap, h):
     terms = strong_greedy(Params(2, 1, 30)).terms
-    over = [n for n in range(1, 31) if comb(n + 2, 3) > cap]
+    over = [n for n in range(1, 31) if comb(n + h - 1, h) > cap]
     if not over:
-        assert len(verify_strong_prefixes(terms, 3, 1, max_enumeration=cap)) == 30
+        assert len(verify_strong_prefixes(terms, h, 1, max_enumeration=cap)) == 30
         return
-    message = f"^enumeration of {comb(over[0] + 2, 3)} multisets exceeds cap {cap}$"
+    message = f"^enumeration of {comb(over[0] + h - 1, h)} multisets exceeds cap {cap}$"
     with pytest.raises(GuardExceeded, match=message):
-        verify_strong_prefixes(terms, 3, 1, max_enumeration=cap)
+        verify_strong_prefixes(terms, h, 1, max_enumeration=cap)
 
 
 # ---------------------------------------------------------------------------
