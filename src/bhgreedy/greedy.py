@@ -286,7 +286,7 @@ def is_strong_candidate(
     return CandidateVerdict(True)
 
 
-#: Largest scan slice, and the step by which the alive window grows.
+#: Largest scan slice.
 _CHUNK = 1 << 16
 
 #: Width of the first slice of a g > 1 scan; each further slice doubles it,
@@ -304,25 +304,21 @@ _SCREEN_BATCH = 32
 #: are left; the scan's accept test decides them.
 _SCREEN_LEFT = 4
 
-#: alive bytes (0/1) to binary digits, and back.
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
 
 class _SumScan:
     """The state of the greedy scan for g > 1 over one growing set A: t,
-    its sum tables, the level counts levels, the live-candidate window
-    alive and the bitmaps ind and reach.
+    its sum tables, the level counts levels, the packed integer dead and
+    the bitmaps ind and reach.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests a candidate again once a test has
     found its break; a pass that stops at a level first finds no break,
-    and leaves the candidate for later steps.  The bytearray alive is a
-    window over [base, base + len(alive)) holding 1 for "not a member and
-    not known to break B_h[g]".  The tests clear the candidates that break
-    it, commit clears the new term, and the window then drops its leading
-    zeros in place, so base is the smallest live candidate.  find visits
-    only the live candidates, each found by a C search for the next 1.
+    and leaves the candidate for later steps.  Bit m of dead is set when m
+    is 0, a member, or a candidate a test found to break B_h[g]; every
+    other m, the bits above its top included, is live.  The tests set the
+    bits of the candidates that break it and commit sets the new term's,
+    so find starts at the lowest clear bit and visits only live
+    candidates.
 
     levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each commit
     from the term's classifier pass, so the scan never recounts the h-fold
@@ -332,18 +328,18 @@ class _SumScan:
     S_{h-1} = A + S_{h-2}, that happens exactly when m + a is in
     E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some element a.
     reach is E, packed like ind (for h = 2 ind itself), and the screen
-    clears these breakers a whole slice at a time with one window of reach
-    per element: n windows a slice, where Sat read once per y in S_{h-1}
-    would take about n^(h-1)/(h-1)!.
+    marks these breakers dead a whole slice at a time with one window of
+    reach per element: n windows a slice, where Sat read once per y in
+    S_{h-1} would take about n^(h-1)/(h-1)!.
     """
 
-    __slots__ = ("t", "g", "levels", "alive", "base", "ind", "reach")
+    __slots__ = ("t", "g", "levels", "dead", "ind", "reach")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.t = SumTableSet(h, max_entries=max_entries)
         self.g = g
         self.levels = (0,) * g
-        self.alive, self.base = bytearray(), 1
+        self.dead = 1
         self.ind = self.reach = bytearray()
 
     @property
@@ -352,8 +348,7 @@ class _SumScan:
 
     def commit(self, term: int, admission: Optional[tuple] = None) -> None:
         """Add the non-member term to the set, update levels, ind and
-        reach, clear term in alive, growing the window to reach it, and
-        drop the window's leading zeros.
+        reach, and set the bit of term in dead.
 
         admission is the pass that admitted term on the current set, as
         find returns it: the enlarged level counts and the sums it raised
@@ -371,7 +366,7 @@ class _SumScan:
         the packed integer shifted right by every element.  Shifting right
         only drops bits, so reach sets none past the top of S_h.
         """
-        t, g, alive, ind = self.t, self.g, self.alive, self.ind
+        t, g, ind = self.t, self.g, self.ind
         h = t.h
         if admission is not None:
             levels, sat = admission
@@ -394,17 +389,12 @@ class _SumScan:
                 e = reduce(or_, map(e.__rshift__, t.elements))
             self.reach = e.to_bytes(top, "little")
         self.levels = levels
-        alive += b"\x01" * (term - self.base + 1 - len(alive))
-        alive[term - self.base] = 0
-        k = alive.find(1)
-        k = len(alive) if k < 0 else k
-        del alive[:k]
-        self.base += k
+        self.dead |= 1 << term
 
-    def screen(self, lo: int, hi: int) -> None:
-        """Clear alive[m - base] for m in [lo, hi) with m + a in E for some
-        element a; stop once at most _SCREEN_LEFT live candidates of the
-        slice are left.
+    def screen(self, lo: int, hi: int) -> int:
+        """Set the bit in dead of each live m in [lo, hi) with m + a in E
+        for some element a, and return the live candidates it leaves; stop
+        once at most _SCREEN_LEFT of them are left.
 
         The live candidates are read once as a bitmask, bit i for m = lo + i.
         Each element a costs one slice of reach read as a little-endian
@@ -413,9 +403,10 @@ class _SumScan:
         counts the live candidates it has not hit.  Slices past the top of
         S_h come out short, which reads as zeros.
         """
-        elements, alive, base = self.t.elements, self.alive, self.base
+        elements = self.t.elements
         n = len(elements)
-        live = int(alive[lo - base:hi - base][::-1].translate(_TO_DIGITS), 2)
+        mask = (1 << hi - lo) - 1
+        live = (self.dead >> lo & mask) ^ mask
         nb = (hi - lo + 7) // 8 + 1
         hits = done = 0
         with memoryview(self.reach) as view:
@@ -425,9 +416,8 @@ class _SumScan:
                     j = s >> 3
                     hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
                 done += _SCREEN_BATCH
-        if live & hits:
-            left = format(live & ~hits, f"0{hi - lo}b")[::-1]
-            alive[lo - base:hi - base] = left.encode().translate(_FROM_DIGITS)
+        self.dead |= (live & hits) << lo
+        return live & ~hits
 
     def accept_general(self, n_next: int,
                        check_levels: bool) -> Callable[[int], Optional[tuple]]:
@@ -438,13 +428,13 @@ class _SumScan:
         The limit of level s >= 2 is its room below the ceiling,
         floor_s - R_s, and the pass stops as soon as the level gains more;
         level 1 gets none, since R_1 <= C(n+h-1, h) <= n^h.  A B_h[g] break
-        marks m dead; a level rejection leaves m alive for later steps to
-        test again, a B_h[g] breaker that trips a level first included.
-        Both return None.  An admitted m returns its pass, which is whole,
-        (levels, sat), and commit takes it over; it holds until the next
-        commit.
+        sets the bit of m in dead; a level rejection leaves m live for later
+        steps to test again, a B_h[g] breaker that trips a level first
+        included.  Both return None.  An admitted m returns its pass, which
+        is whole, (levels, sat), and commit takes it over; it holds until
+        the next commit.
         """
-        t, g, alive, base, counts = self.t, self.g, self.alive, self.base, self.levels
+        t, g, counts = self.t, self.g, self.levels
         limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, t.h, g, s).floor - r
                                         for s, r in enumerate(counts[1:], 2)]
                   if check_levels else None)
@@ -452,7 +442,7 @@ class _SumScan:
         def accept(m: int) -> Optional[tuple]:
             x, failed, levels, sat = classify_candidate(t, m, g, counts, limits)
             if x is not None:
-                alive[m - base] = 0
+                self.dead |= 1 << m
             elif failed is None:
                 return levels, sat
             return None
@@ -464,28 +454,26 @@ class _SumScan:
         """The smallest live candidate below top that the step's test
         admits, with the pass that admitted it, or None.
 
-        The scan walks [base, top) in slices of _FIRST_SLICE candidates,
-        doubling up to _CHUNK, and grows the window by _CHUNK as it goes.
-        Each slice is screened first; then alive.find, a C search, steps
-        from one live candidate of the slice to the next, so no Python code
-        runs for a cleared entry.  accept_general decides each, and may
-        clear the entry it is handed; the search resumes past it.
+        The scan walks from the lowest clear bit of dead up to top in
+        slices of _FIRST_SLICE candidates, doubling up to _CHUNK.  Each
+        slice is screened first; then the live candidates the screen leaves
+        are taken lowest first, as free & -free, so no Python code runs for
+        a dead candidate.  accept_general decides each, and may mark it
+        dead.
         """
-        alive, base = self.alive, self.base
         accept = self.accept_general(n_next, check_levels)
-        lo, width = base, _FIRST_SLICE
+        dead = self.dead
+        lo, width = (~dead & dead + 1).bit_length() - 1, _FIRST_SLICE
         while lo < top:
             hi = min(lo + width, top)
-            if base + len(alive) < hi:
-                alive += b"\x01" * _CHUNK
-            self.screen(lo, hi)
-            end = hi - base
-            i = alive.find(1, lo - base, end)
-            while i >= 0:
-                admission = accept(base + i)
+            free = self.screen(lo, hi)
+            while free:
+                low = free & -free
+                free ^= low
+                m = lo + low.bit_length() - 1
+                admission = accept(m)
                 if admission is not None:
-                    return base + i, admission
-                i = alive.find(1, i + 1, end)
+                    return m, admission
             lo, width = hi, min(2 * width, _CHUNK)
         return None
 

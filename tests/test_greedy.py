@@ -26,8 +26,8 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import (_CHUNK, _SCREEN_LEFT, _DiffScan, _new_scan, _PairScan,
-                             _SumScan, classify_candidate)
+from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _SCREEN_LEFT, _DiffScan, _new_scan,
+                             _PairScan, _SumScan, classify_candidate)
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -65,6 +65,11 @@ def sat_bits(scan):
 
 def packed(bits):
     return sum(1 << i for i in set(bits))
+
+
+def set_bits(bits, lo=0):
+    """The indices of the set bits of a non-negative integer, from lo up."""
+    return [i for i, bit in enumerate(bin(bits >> lo)[:1:-1], lo) if bit == "1"]
 
 
 def fold_sets(prefix, h):
@@ -435,17 +440,16 @@ def test_level_limit_is_exclusive_in_whole_runs():
 def check_fused_against_contract_op(prefix, h, g):
     """The scan's accept closure, with level checks as the strong scan runs
     it, agrees with is_strong_candidate on every non-member m in
-    [1, 2*max(prefix)+9].  It marks m dead only for a B_h[g] break and
-    never for a level verdict.  Its pass stops at the first level past its
-    floor, so a B_h[g] breaker that trips a level first stays alive; the
-    enlarged set then fails some level s >= 2 as well.  Returns the verdict
-    reasons seen and the count of breakers left alive."""
+    [1, 2*max(prefix)+9].  It sets the bit of m in dead only for a B_h[g]
+    break and never for a level verdict.  Its pass stops at the first
+    level past its floor, so a B_h[g] breaker that trips a level first
+    stays live; the enlarged set then fails some level s >= 2 as well.
+    Returns the verdict reasons seen and the count of breakers left live."""
     n = len(prefix)
     scan = committed(h, g, prefix)
     t = scan.t
     profile = t.rep_histogram(g)
     hi = 2 * max(prefix) + 10
-    scan.alive, scan.base = bytearray(b"\x01") * hi, 1
     fused = scan.accept_general(n + 1, g > 1)
     reasons, alive_breaks = set(), 0
     for m in range(1, hi):
@@ -453,7 +457,7 @@ def check_fused_against_contract_op(prefix, h, g):
             continue
         expect = is_strong_candidate(t, t.candidate_delta(m), n + 1, h, g, profile)
         assert (fused(m) is not None) == expect.accepted, (n, m)
-        dead = scan.alive[m - 1] == 0
+        dead = scan.dead >> m & 1
         if dead:
             assert expect.reason == "bhg", (n, m)
         if expect.reason == "level":
@@ -607,8 +611,8 @@ def scan_lengths_from_terms(terms, restart):
 
 def shrink_scan_slices(monkeypatch):
     """Slices of 3, 6, then 7 candidates, so that scans cross many slice
-    and window boundaries and start at every residue mod 8, and a screen
-    that may stop after every single y."""
+    boundaries and start at every residue mod 8, and a screen that may stop
+    after every single y."""
     monkeypatch.setattr("bhgreedy.greedy._FIRST_SLICE", 3)
     monkeypatch.setattr("bhgreedy.greedy._CHUNK", 7)
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", 1)
@@ -701,11 +705,11 @@ def screened_prefixes(h, g, n):
 def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
     # After each prefix, bit x of Sat (ind) must be set exactly for the
     # sums with r(x) >= g.  With no candidates left to the accept closure,
-    # the screen must clear exactly the non-members m of its slice with
-    # m + y in Sat for some y in S_{h-1} (sums from enumeration), each a
-    # B_h[g] break, and touch nothing else.  At g = 1 no screen runs: the
-    # k = 1 breakers of the bitmaps (above, or D_{h,h-1}) must be exactly
-    # these breakers past the largest element.
+    # the screen must set the bits in dead of exactly the non-members m of
+    # its slice with m + y in Sat for some y in S_{h-1} (sums from
+    # enumeration), each a B_h[g] break, and touch no other bit.  At g = 1
+    # no screen runs: the k = 1 breakers of the bitmaps (above, or
+    # D_{h,h-1}) must be exactly these breakers past the largest element.
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
@@ -720,11 +724,12 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
         else:
             assert len(scan.reach) == (top + 7) // 8 + 1
             assert sat_bits(scan) == sum(1 << x for x in range(top + 1) if hist[x] >= g)
-            scan.alive, scan.base = bytearray(m not in t for m in range(1, hi)), 1
-            alive, before = scan.alive, bytes(scan.alive)
+            before = scan.dead
+            assert before == packed([0] + t.elements)
             scan.screen(lo, hi)
-            assert alive[:lo - 1] == before[:lo - 1]
-            cleared = [m for m in range(lo, hi) if before[m - 1] and not alive[m - 1]]
+            assert scan.dead & before == before
+            cleared = set_bits(scan.dead ^ before)
+            assert not cleared or lo <= cleared[0] <= cleared[-1] < hi
         assert cleared == breaks
         # For g > 1 the first few prefixes may clear nothing; the run
         # as a whole must.
@@ -799,9 +804,10 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
                                                         batch):
     # Screen [lo, hi) in slices of 13, which start at every residue mod 8.
     # The screen may stop while some breakers of a slice are still live,
-    # but only once at most _SCREEN_LEFT live candidates are left.
-    # accept_general then marks the rest dead, so after both every
-    # non-member of [lo, hi) that breaks B_h[g] is dead, and no other.  At
+    # but only once at most _SCREEN_LEFT live candidates are left, and it
+    # returns those left.  accept_general then marks the rest dead, so after both the bit in
+    # dead of every non-member of [lo, hi) that breaks B_h[g] is set, and
+    # no other.  At
     # g = 1 neither runs: every breaker lies below the largest element M,
     # among the k = 1 breakers of the bitmaps or where breaks finds a break,
     # and no other non-member does.
@@ -824,26 +830,24 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
         t = scan.t
         breaks = {m for m in range(lo, hi) if m not in t and is_strong_candidate(
             t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
-        scan.alive, scan.base = bytearray(m not in t for m in range(1, hi + 9)), 1
-        alive, start = scan.alive, bytes(scan.alive)
+        start = scan.dead
         accept = scan.accept_general(i + 2, False)
         for a in range(lo, hi, 13):
             b = min(a + 13, hi)
             exact = {m for m in range(a, b) if m not in t
                      and any(hist[m + y] >= g for y in lower)}
-            before = bytes(alive)
-            scan.screen(a, b)
-            assert alive[:a - 1] == before[:a - 1]
-            assert alive[b - 1:] == before[b - 1:]
-            cleared = {m for m in range(a, b) if before[m - 1] and not alive[m - 1]}
+            before = scan.dead
+            left = scan.screen(a, b)
+            assert scan.dead & before == before
+            cleared = set(set_bits(scan.dead ^ before))
             assert cleared <= exact
-            survivors = [m for m in range(a, b) if alive[m - 1]]
+            survivors = [m for m in range(a, b) if not scan.dead >> m & 1]
+            assert [a + i for i in set_bits(left)] == survivors
             assert cleared == exact or len(survivors) <= _SCREEN_LEFT
             stopped_early += cleared != exact
             for m in survivors:
                 assert (accept(m) is not None) == (m not in breaks), (t.elements, m)
-        dead = {m for m in range(lo, hi) if start[m - 1] and not alive[m - 1]}
-        assert dead == breaks, t.elements
+        assert set(set_bits(scan.dead ^ start)) == breaks, t.elements
     assert stopped_early or batch is None
 
 
@@ -894,6 +898,42 @@ def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
         check_kept_state(scan, rec.terms[:i + 1], h, g)
     for i in range(1, n + 1):
         check_kept_state(committed(h, g, rec.terms[:i]), rec.terms[:i], h, g)
+
+
+def check_dead(scan, prefix, h, g):
+    """Bit 0 of a g > 1 scan's dead and the bit of every element of prefix
+    are set, and every other set bit is a candidate m that breaks B_h[g]
+    with prefix, by enumeration.  Returns the count of those m."""
+    assert scan.dead & packed([0] + prefix) == packed([0] + prefix), prefix
+    breakers = [m for m in set_bits(scan.dead, 1) if m not in prefix]
+    for m in breakers:
+        assert not is_bhg(prefix + [m], h, g), (prefix, m)
+    return len(breakers)
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,g,n", [(2, 2, 30), (3, 2, 14), (3, 3, 12), (4, 2, 9),
+                                   (2, 3, 25)])
+def test_dead_holds_only_members_and_bhg_breaks(generator, h, g, n):
+    # After every find, driven as _greedy drives it and after a prefix
+    # committed by hand in reverse order, dead holds 0, every member and
+    # only candidates that break B_h[g]; a level rejection leaves its
+    # candidate live.  A screen that marked the candidates it did not hit
+    # would set the bits of candidates that keep the set B_h[g].
+    rec = generator(Params(h, g, n))
+    check_levels = rec.algorithm == "strong"
+    scan, by_hand = _new_scan(h, g), _new_scan(h, g)
+    scan.commit(1)
+    breakers = 0
+    for i, meta in enumerate(rec.per_step[1:], 1):
+        term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
+        assert term == meta.term
+        breakers += check_dead(scan, rec.terms[:i], h, g)
+        scan.commit(term, admission)
+        by_hand.commit(rec.terms[-i])
+        by_hand.find(meta.bound_floor + 1, i + 1, check_levels)
+        breakers += check_dead(by_hand, rec.terms[-i:], h, g)
+    assert breakers
 
 
 def test_strong_runs_never_recount_the_levels(monkeypatch):
@@ -973,7 +1013,7 @@ def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
 
 
 RULE_STATE = {
-    _SumScan: {"t", "g", "levels", "alive", "base", "ind", "reach"},
+    _SumScan: {"t", "g", "levels", "dead", "ind", "reach"},
     _PairScan: {"h", "elements", "members", "max_entries", "back", "diffs", "above"},
     _DiffScan: {"h", "elements", "members", "max_entries", "diff_sets"},
 }
@@ -992,14 +1032,12 @@ def test_each_rule_has_its_own_scan_class(h, g):
 
 
 class WalkScan(_SumScan):
-    """A scan whose screen clears nothing and whose g > 1 accept test
-    records each candidate it is handed, optionally clears its entry, and
-    admits the candidates in admit with an empty pass."""
+    """A scan with no elements, so that its screen marks nothing dead, and
+    whose g > 1 accept test records each candidate it is handed, optionally
+    sets its bit in dead, and admits the candidates in admit with an empty
+    pass."""
 
     __slots__ = ("visits", "admit", "clear")
-
-    def screen(self, lo, hi):
-        return 0
 
     def accept_general(self, n_next, check_levels):
         return self.record
@@ -1008,21 +1046,20 @@ class WalkScan(_SumScan):
         assert m not in self.visits, (m, self.visits)  # also ends a stuck walk
         self.visits.append(m)
         if self.clear:
-            self.alive[m - self.base] = 0
+            self.dead |= 1 << m
         return ((), ()) if m in self.admit else None
 
 
-# With base 5, the slices of shrink_scan_slices are [5, 8), [8, 14),
-# [14, 21), [21, 28), ...  Each pattern is (window, top): alive starts as
-# window over [5, 5 + len(window)), and find grows it by 7 live entries
-# whenever a slice runs past its end.
+# Each pattern is (dead, top).  Bits 0..4 of dead are set and bit 5 is
+# clear, so the slices of shrink_scan_slices are [5, 8), [8, 14),
+# [14, 21), [21, 28), ...
 WALK_PATTERNS = {
-    # Live at the first and last index of every slice, and one between.
-    "slice-edges": (bytes(1 if i in (0, 2, 3, 8, 9, 11, 15) else 0 for i in range(16)), 21),
-    # Live at the window's last entry; the slice [14, 21) grows the window
-    # by 7 live entries, and [21, 24) grows it again.
-    "window-growth": (bytes(9) + b"\x01", 24),
-    "none-live": (bytes(16), 21),
+    # Live at the first and last candidate of every slice, and one between.
+    "slice-edges": ((1 << 21) - 1 ^ packed(5 + i for i in (0, 2, 3, 8, 9, 11, 15)), 21),
+    # Live at 5, dead at 6..12, and live at every candidate past the top set
+    # bit of dead, across three slices.
+    "past-the-top": ((1 << 13) - 1 ^ 1 << 5, 24),
+    "none-live": ((1 << 21) - 1, 21),
 }
 
 
@@ -1032,37 +1069,34 @@ WALK_PATTERNS = {
 def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g):
     # find must hand the accept test every live candidate below top, each
     # once and in increasing order, and return the first one it admits,
-    # also when accept clears the entry it was handed.
+    # also when accept marks dead the candidate it was handed.
     shrink_scan_slices(monkeypatch)
-    window, top = WALK_PATTERNS[pattern]
-    base = 5
-    live = [m for m in range(base, top)
-            if m - base >= len(window) or window[m - base]]
+    dead, top = WALK_PATTERNS[pattern]
+    live = [m for m in range(top) if not dead >> m & 1]
     assert bool(live) == (pattern != "none-live")
     for first in [None] + live:
         scan = WalkScan(2, g)
-        scan.alive, scan.base = bytearray(window), base
+        scan.dead = dead
         scan.visits, scan.clear = [], clear
         scan.admit = set() if first is None else set(live[live.index(first):])
         assert scan.find(top, 2, False) == (None if first is None
                                             else (first, ((), ())))
         expected = live if first is None else live[:live.index(first) + 1]
         assert scan.visits == expected
-        grown = bytearray(window) + b"\x01" * (len(scan.alive) - len(window))
-        for m in scan.visits if clear else ():
-            grown[m - base] = 0
-        assert scan.alive == grown
+        assert scan.dead == dead | (packed(scan.visits) if clear else 0)
 
 
 def test_find_walks_across_a_full_chunk():
-    # At the default slice widths, live entries on both sides of index
-    # _CHUNK of the window, inside the slice [64513, 130049).
+    # At the default slice widths a walk from 1 reaches the slice
+    # [64513, 130049), _CHUNK wide; live at both its ends and on both
+    # sides of bit _CHUNK inside it.
+    lo = 1 + _CHUNK - _FIRST_SLICE
+    live = [1, lo, _CHUNK, _CHUNK + 1, lo + _CHUNK - 1]
     scan = WalkScan(3, 2)
-    scan.alive, scan.base = bytearray(2 * _CHUNK), 1
-    scan.alive[_CHUNK - 1:_CHUNK + 1] = b"\x01\x01"
-    scan.visits, scan.clear, scan.admit = [], False, {_CHUNK + 1}
-    assert scan.find(2 * _CHUNK + 1, 2, False) == (_CHUNK + 1, ((), ()))
-    assert scan.visits == [_CHUNK, _CHUNK + 1]
+    scan.dead = (1 << lo + _CHUNK) - 1 ^ packed(live)
+    scan.visits, scan.clear, scan.admit = [], False, {live[-1]}
+    assert scan.find(lo + _CHUNK + 1, 2, False) == (live[-1], ((), ()))
+    assert scan.visits == live
 
 
 @pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
@@ -1264,7 +1298,8 @@ def check_capped_run(generator, rec, cap):
     as rec does where they hold every term.  Driven step by step, a commit
     that trips the cap changes nothing the scan keeps but the tables of a
     SumTableSet, which the cap stops part-way and which are then to be
-    discarded.  Returns the message, or None."""
+    discarded, and no earlier commit trips.  Returns the message, or
+    None."""
     params = rec.params
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=cap)
@@ -1279,16 +1314,17 @@ def check_capped_run(generator, rec, cap):
         if i:
             term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
             assert term == meta.term
+        if i < len(steps):
+            assert guard_message(lambda: scan.commit(meta.term, admission)) is None, \
+                (params, cap, i)
+            continue
         before = kept_state(scan)
-        tripped = guard_message(lambda: scan.commit(meta.term, admission))
-        if tripped is not None:
-            assert tripped == plain, (params, cap)
-            after = kept_state(scan)
-            for state in (before, after):
-                state.pop("t", None)
-            assert after == before, (params, cap)
-            break
-    assert i + (tripped is None) == len(steps), (params, cap)
+        assert guard_message(lambda: scan.commit(meta.term, admission)) == plain, (params, cap)
+        after = kept_state(scan)
+        for state in (before, after):
+            state.pop("t", None)
+        assert after == before, (params, cap)
+        break
     return plain
 
 
