@@ -33,7 +33,6 @@ are emitted only with --timings, in a separate JSON block).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import statistics
@@ -45,7 +44,7 @@ from typing import Optional
 
 from . import verify as verify_mod
 from .errors import BhgError, FitError, GuardExceeded, ScanExceededBound
-from .formats import FORMATS, INT_FIELD, read_terms, render_terms
+from .formats import FORMATS, INT_FIELD, canonical_json, read_terms, render_terms
 from .greedy import (
     ALGORITHM_CLASSIC,
     ALGORITHM_STRONG,
@@ -319,7 +318,7 @@ def _cmd_verify(args) -> int:
 
     report["ok"] = ok
     if args.report:
-        _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.report)
+        _write_out(canonical_json(report), args.report)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -381,7 +380,7 @@ def _cmd_diagnose(args) -> int:
                 for i in diag.instances
             ],
         }
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_out(canonical_json(doc), args.out)
     return EXIT_OK if diag.ok else EXIT_VERIFY_FAIL
 
 

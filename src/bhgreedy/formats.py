@@ -10,8 +10,10 @@ CSV
 
 JSON
     An object carrying the full run record (see SEQUENCE_SCHEMA below); a
-    bare JSON array of terms is also accepted when reading.  Serialization
-    is canonical (sorted keys, fixed indentation, trailing newline), so
+    bare JSON array of terms is also accepted when reading.  Every JSON
+    file the package writes goes through canonical_json: sorted keys,
+    two-space indentation and a trailing newline, the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` plus that newline, so
     identical runs produce byte-identical files.  Wall-clock timings are
     emitted only on request and live in their own block, keeping the
     default output deterministic.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .errors import InputFormatError
@@ -33,6 +36,59 @@ FORMATS = ("json", "csv", "bfile")
 #: A b-file or CSV field, or a guard variable: an optional sign and ASCII
 #: digits, nothing else that int() would take (underscores, non-ASCII digits).
 INT_FIELD = re.compile(r"[+-]?[0-9]+")
+
+#: json's spelling of the floats that have no JSON literal.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def canonical_json(doc) -> str:
+    """doc rendered as ``json.dumps(doc, indent=2, sort_keys=True)`` renders
+    it, plus a trailing newline.
+
+    json.dumps falls back to its pure-Python encoder whenever indent is
+    set, and spends a generator frame on every value; this writer builds
+    each container in one join and renders a list of plain ints in one
+    pass.  Keys must be str: any other key, or a value that is not a dict,
+    list, tuple, str, int, float, bool or None, raises TypeError.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """value rendered at the indentation that newline, a line break and
+    the current indent, carries."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = map(int.__repr__, value)
+        else:
+            body = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not str.
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": "
+             + (int.__repr__(v) if type(v) is int else _encode(v, inner))
+             for k, v in sorted(value.items())]) + newline + "}")
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
 
 
 def render_bfile(terms) -> str:
@@ -67,7 +123,7 @@ def render_json(rec: SequenceRecord, *, bound_ok: Optional[bool] = None,
             "per_step_seconds": [round(st.elapsed, 6) for st in rec.per_step],
             "total_seconds": round(sum(st.elapsed for st in rec.per_step), 6),
         }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc)
 
 
 def render_terms(rec: SequenceRecord, fmt: str, *,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from math import comb
 from operator import add, or_
 from sys import maxsize
@@ -139,9 +139,9 @@ class Threshold:
     def admits(self, value: int) -> bool:
         return value ** self.g <= self.rhs_pow
 
-    @cached_property
+    @property
     def floor(self) -> int:
-        """Largest integer admitted, computed on first use."""
+        """Largest integer admitted, computed on each read."""
         return int_nth_root(self.rhs_pow, self.g)
 
 

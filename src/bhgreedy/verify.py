@@ -53,6 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Optional
@@ -99,11 +100,24 @@ class PrefixCheck:
 
 @dataclass(frozen=True)
 class BoundEntry:
+    """a_n against its ceiling, held as the two sides of the exact
+    comparison a_n^g <= rhs_pow."""
+
     n: int
     term: int
-    ok: bool
-    #: lhs/rhs of the exact comparison, as a fraction of the ceiling's power.
-    ratio: Fraction
+    #: a_n^g, the left side of the comparison.
+    term_pow: int
+    #: The ceiling's g-th power, the right side.
+    rhs_pow: int
+
+    @property
+    def ok(self) -> bool:
+        return self.term_pow <= self.rhs_pow
+
+    @property
+    def ratio(self) -> Fraction:
+        """term_pow / rhs_pow as an exact fraction, built on each read."""
+        return Fraction(self.term_pow, self.rhs_pow)
 
 
 @dataclass
@@ -122,7 +136,10 @@ class BoundReport:
 
     @property
     def worst(self) -> BoundEntry:
-        return max(self.entries, key=lambda e: e.ratio)
+        """The first entry of largest ratio, compared by cross-multiplying
+        the two sides of each comparison."""
+        return max(self.entries, key=cmp_to_key(
+            lambda a, b: a.term_pow * b.rhs_pow - b.term_pow * a.rhs_pow))
 
     def failures(self) -> list[BoundEntry]:
         return [e for e in self.entries if not e.ok]
@@ -325,13 +342,12 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
 
 def _bound_report(kind: str, rec: SequenceRecord,
                   ceiling: Callable[[int], Threshold]) -> BoundReport:
-    """Per-index verdict of a_n against the Threshold ceiling(n); each
-    entry's ratio is the exact fraction a_n^g / rhs_pow of its comparison."""
+    """Per-index verdict of a_n against the Threshold ceiling(n), kept as
+    the two integers a_n^g and rhs_pow of its exact comparison."""
     entries = []
     for n, term in enumerate(rec.terms, 1):
         c = ceiling(n)
-        entries.append(BoundEntry(n, term, c.admits(term),
-                                  Fraction(term ** c.g, c.rhs_pow)))
+        entries.append(BoundEntry(n, term, term ** c.g, c.rhs_pow))
     return BoundReport(kind, rec.params.h, rec.params.g, entries)
 
 

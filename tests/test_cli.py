@@ -110,6 +110,18 @@ def test_scan_cap_below_one_is_usage_error(capsys, monkeypatch, command, cap):
     assert f"BHG_SCAN_CAP must be >= 1, got {cap}" in err
 
 
+@pytest.mark.parametrize("h,g,n", [(2, 1, 30), (3, 2, 8)])
+def test_generate_timings_file_has_the_json_dumps_bytes(capsys, h, g, n):
+    """The --timings block is the one output with floats; the file holds the
+    bytes json.dumps(indent=2, sort_keys=True) gives for its document."""
+    code, stdout, _ = run(capsys, "generate", "--h", str(h), "--g", str(g),
+                          "--n", str(n), "--timings")
+    assert code == EXIT_OK
+    doc = json.loads(stdout)
+    assert all(type(t) is float for t in doc["timings"]["per_step_seconds"])
+    assert stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("argv,flag,env", [
     (["generate", "--h", "2", "--g", "1", "--n", "5"], "--memory-cap", "BHG_MEMORY_CAP"),
     (["compare", "--h", "2", "--g", "1", "--n", "5"], "--memory-cap", "BHG_MEMORY_CAP"),

@@ -1,11 +1,18 @@
 """Tests for the sequence file formats."""
 
+import ast
 import json
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bhgreedy import InputFormatError, Params, strong_greedy
 from bhgreedy.formats import (
+    canonical_json,
     detect_format,
     parse_terms,
     render_bfile,
@@ -127,3 +134,75 @@ def test_render_terms_dispatch():
     assert json.loads(render_terms(rec, "json"))["terms"] == [1, 2, 4]
     with pytest.raises(ValueError):
         render_terms(rec, "xml")
+
+
+# ---------------------------------------------------------------------------
+# canonical_json against json.dumps(indent=2, sort_keys=True)
+
+#: Every code point, control characters and lone surrogates included.
+KEYS = st.text(st.characters(exclude_categories=()), max_size=6)
+FLOATS = st.one_of(
+    st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: round(x, 6)),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64).flatmap(lambda x: st.sampled_from([x, -x])),
+    FLOATS, KEYS,
+)
+DOCS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+@example({"b": [], "a": (), "c": {}, "d": [1, -2, 2 ** 70], "e": [1, True]})
+@example({"\ud800": "\x00\u2028\U0001f600", "\x7f": ["\udfff"]})
+@example([float("nan"), float("inf"), float("-inf"), -0.0, round(2 / 3, 6)])
+def test_canonical_json_matches_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {1: 2}, {None: 1}, {"a": {2.5: 1}}, {(1, 2): 3}, {"a": 1, 3: 4},
+    [1, {False: 0}],
+])
+def test_canonical_json_refuses_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {1, 2}, object(), b"bytes", Fraction(1, 2), Decimal("1.5"), 1j,
+    {"a": [1, {"b": frozenset()}]}, [1, 2, range(3)],
+])
+def test_canonical_json_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        canonical_json(doc)
+
+
+def test_no_indented_json_dumps_in_the_package():
+    """An indented json.dump(s) runs CPython's pure-Python encoder; every
+    writer of the package goes through canonical_json instead."""
+    package = Path(__file__).resolve().parent.parent / "src" / "bhgreedy"
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert calls == []

@@ -3,6 +3,7 @@
 import ast
 import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -230,6 +231,60 @@ def test_strong_bound_check_pinpoints_failures():
     assert not report.ok
     bad = report.failures()
     assert len(bad) == 1 and bad[0].n == 3 and bad[0].term == 999999
+
+
+def _reference_bound_verdicts(rec, rhs_pow, g):
+    """(n, term, ok, ratio) of every index from the ceiling formula itself:
+    ok as Threshold.admits decides it and ratio as a normalised Fraction."""
+    return [(n, t, t ** g <= rhs_pow(n), Fraction(t ** g, rhs_pow(n)))
+            for n, t in enumerate(rec.terms, 1)]
+
+
+def _rhs_pow(algo, h, g):
+    if algo == "strong":
+        return lambda n: (2 * g) ** g * n ** (h * g + h - 1)
+    return lambda n: 2 * n ** (2 * h - 1)
+
+
+@pytest.mark.parametrize("algo,h,g,terms", [
+    *[("strong", h, g, n) for h, g, n in [(2, 1, 30), (2, 2, 20), (2, 3, 15),
+                                           (3, 1, 12), (3, 2, 10), (4, 2, 6)]],
+    *[("classic", h, 1, n) for h, n in [(2, 30), (3, 12), (4, 8)]],
+    # a_3 over its strong ceiling 4 * 3^(5/2) = 62.35...; a_1 on its classic
+    # ceiling 2 * 1^3 and a_2 over 2 * 2^3
+    ("strong", 2, 2, [1, 3, 63]),
+    ("classic", 2, 1, [2, 17, 4]),
+])
+def test_bound_report_matches_the_exact_ratios(algo, h, g, terms):
+    if isinstance(terms, int):
+        generate = strong_greedy if algo == "strong" else classic_greedy
+        rec = generate(Params(h, g, terms))
+    else:
+        rec = SequenceRecord(Params(h, g, len(terms)), algo, terms, [])
+    report = (strong_bound_check if algo == "strong" else classic_bound_check)(rec)
+    verdicts = _reference_bound_verdicts(rec, _rhs_pow(algo, h, g), g)
+    assert [(e.n, e.term, e.ok, e.ratio) for e in report.entries] == verdicts
+    assert all(e.ratio == Fraction(e.term_pow, e.rhs_pow) for e in report.entries)
+    assert report.ok == all(ok for _, _, ok, _ in verdicts)
+    assert report.ok is isinstance(terms, int)  # the hand-built records fail
+    assert [e.n for e in report.failures()] == [n for n, _, ok, _ in verdicts if not ok]
+    assert report.worst is max(report.entries, key=lambda e: e.ratio)
+    assert report.worst.n == max(verdicts, key=lambda v: v[3])[0]
+
+
+def test_bound_report_worst_is_the_first_of_equal_ratios():
+    # a_1^2 / 16 = a_4^2 / 16384 = 1/4 is the largest ratio, at n = 1 and 4
+    rec = SequenceRecord(Params(2, 2, 4), "strong", [2, 3, 5, 64], [])
+    report = strong_bound_check(rec)
+    entries = report.entries
+    assert entries[0].ratio == entries[3].ratio == Fraction(1, 4)
+    assert (entries[0].term_pow, entries[0].rhs_pow) != \
+        (entries[3].term_pow, entries[3].rhs_pow)
+    assert report.worst is entries[0]
+    rec = SequenceRecord(Params(2, 1, 3), "classic", [1, 8, 9], [])
+    report = classic_bound_check(rec)
+    assert report.entries[0].ratio == report.entries[1].ratio == Fraction(1, 2)
+    assert report.worst is report.entries[0]
 
 
 def test_classic_bound_check_examples():
