@@ -316,11 +316,11 @@ class _SumScan:
     and leaves the candidate for later steps.  Bit m of dead is set when m
     is 0, a member, or a candidate a test found to break B_h[g]; every
     other m, the bits above its top included, is live.  The tests set the
-    bits of the candidates that break it and commit sets the new term's,
+    bits of the candidates that break it and grow sets the new term's,
     so find starts at the lowest clear bit and visits only live
     candidates.
 
-    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each commit
+    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each grow
     from the term's classifier pass, so the scan never recounts the h-fold
     table.  ind is the indicator of the saturated sums Sat = {x : r(x) >= g}
     over [0, top of S_h], one bit per sum, plus one spare byte.  A
@@ -347,37 +347,50 @@ class _SumScan:
         return self.t.elements
 
     def commit(self, term: int, admission: Optional[tuple] = None) -> None:
-        """Add the non-member term to the set, update levels, ind and
-        reach, and set the bit of term in dead.
+        """Add the non-member term to the set and ready the scan for the
+        next find: join, then grow."""
+        self.grow(term, self.join(term, admission))
+
+    def join(self, term: int, admission: Optional[tuple] = None) -> tuple:
+        """Add the non-member term to the tables, and return the pass that
+        grow takes.
 
         admission is the pass that admitted term on the current set, as
         find returns it: the enlarged level counts and the sums it raised
-        to exactly g, whose bits commit sets in ind.  Without one (the
-        first term, a prefix committed by hand) term is checked here,
-        before anything changes, by a whole classifier pass with no limit:
-        only a member or a B_h[g] breaker raises ValueError, which names a
-        sum term would push past g; levels may pass a ceiling.  A refused
-        commit changes nothing.  The entry cap trips inside
-        SumTableSet.add_element, which leaves its tables part-updated, and
-        nothing else.
+        to exactly g.  Without one (the first term, a prefix committed by
+        hand) term is checked here, before anything changes, by a whole
+        classifier pass with no limit: only a member or a B_h[g] breaker
+        raises ValueError, which names a sum term would push past g; levels
+        may pass a ceiling.  A refused join changes nothing.  The entry cap
+        trips inside SumTableSet.add_element, which leaves its tables
+        part-updated, and nothing else.  Until grow has run, the scan
+        serves no find or further join.
+        """
+        t, g = self.t, self.g
+        if admission is None:
+            if term in t:
+                raise ValueError(f"{term} is already in the set")
+            x, _, levels, sat = classify_candidate(t, term, g, self.levels)
+            if x is not None:
+                raise ValueError(f"{term} breaks B_{t.h}[{g}]: the sum {x} would "
+                                 f"have more than {g} representations")
+            admission = levels, sat
+        t.add_element(term)
+        return admission
 
-        For h > 2, reach then starts from Sat and takes h - 2 rounds of
+    def grow(self, term: int, admission: tuple) -> None:
+        """Update what only find reads for the term join has just added
+        with its pass admission: levels, the bits of the sums it raised to
+        g in ind, reach, and the bit of term in dead.
+
+        For h > 2, reach starts from Sat and takes h - 2 rounds of
         E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
         the packed integer shifted right by every element.  Shifting right
         only drops bits, so reach sets none past the top of S_h.
         """
-        t, g, ind = self.t, self.g, self.ind
+        t, ind = self.t, self.ind
         h = t.h
-        if admission is not None:
-            levels, sat = admission
-        elif term in t:
-            raise ValueError(f"{term} is already in the set")
-        else:
-            x, _, levels, sat = classify_candidate(t, term, g, self.levels)
-            if x is not None:
-                raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
-                                 f"have more than {g} representations")
-        t.add_element(term)
+        self.levels, sat = admission
         top = (h * t.elements[-1] + 7) // 8 + 1
         if len(ind) < top:
             ind += bytes(top - len(ind))
@@ -388,7 +401,6 @@ class _SumScan:
             for _ in range(h - 2):
                 e = reduce(or_, map(e.__rshift__, t.elements))
             self.reach = e.to_bytes(top, "little")
-        self.levels = levels
         self.dead |= 1 << term
 
     def screen(self, lo: int, hi: int) -> int:
@@ -431,8 +443,8 @@ class _SumScan:
         sets the bit of m in dead; a level rejection leaves m live for later
         steps to test again, a B_h[g] breaker that trips a level first
         included.  Both return None.  An admitted m returns its pass, which
-        is whole, (levels, sat), and commit takes it over; it holds until
-        the next commit.
+        is whole, (levels, sat), and join takes it over; it holds until
+        the next join.
         """
         t, g, counts = self.t, self.g, self.levels
         limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, t.h, g, s).floor - r
@@ -485,7 +497,7 @@ class _SidonScan:
 
     A greedy g = 1 run commits its terms in increasing order: every
     non-member below the largest element M of a greedy prefix breaks
-    B_h[1], so the scan tests only candidates above M, and commit refuses
+    B_h[1], so the scan tests only candidates above M, and join refuses
     any other term.  Two equal h-fold sums of A + {m}, A a nonempty B_h[1]
     set, stripped of their common elements, leave two disjoint j-multisets
     of equal sum, one using m, d >= 1 times, and one not; padded with
@@ -500,7 +512,7 @@ class _SidonScan:
     Two equal j-fold sums of a B_h[1] set, j <= h, padded with h - j copies
     of one element, would be two equal h-fold sums, so its n elements have
     exactly C(n+j-1, j) distinct j-fold sums, and its tables would hold
-    the sum of these over j = 0..h, C(n+h, h) entries.  commit counts that
+    the sum of these over j = 0..h, C(n+h, h) entries.  join counts that
     closed form against the entry cap, and so stops a capped run at the
     term, and with the message, of SumTableSet.
     """
@@ -515,14 +527,20 @@ class _SidonScan:
 
     def commit(self, term: int, admission: Optional[tuple] = None) -> None:
         """Add term, above the largest element M, to the set and grow the
-        difference bitmaps.
+        difference bitmaps: join, then grow."""
+        self.grow(term, self.join(term, admission))
+
+    def join(self, term: int, admission: Optional[tuple] = None) -> int:
+        """Add term, above the largest element M, to the elements, and
+        return M, or 0 for the first term, which grow takes.
 
         admission is the empty pass ((), ()) that find returns with each
         term it admits.  Without one (the first term, a prefix committed by
         hand) term is checked here, before anything changes: a term at or
         below M, a member included, or a B_h[1] breaker raises ValueError,
         the latter naming a sum with two representations.  A refused
-        commit, by the entry cap included, changes nothing.
+        join, by the entry cap included, changes nothing.  Until grow has
+        run, the scan serves no find or further join.
         """
         h, elements = self.h, self.elements
         last = elements[-1] if elements else 0
@@ -540,9 +558,9 @@ class _SidonScan:
                 f"sum-table entry cap {self.max_entries} exceeded while "
                 f"inserting {term}; lower n_terms or h, or raise the cap"
             )
-        self.grow(term, last)
         elements.append(term)
         self.members.add(term)
+        return last
 
     def find(self, top: int, n_next: int,
              check_levels: bool) -> Optional[tuple[int, tuple]]:
@@ -606,8 +624,8 @@ class _PairScan(_SidonScan):
         return m + next(a for a in elements if m + a - b in self.members)
 
     def grow(self, term: int, last: int) -> None:
-        """Update back, diffs and above for the term t about to join the
-        set above M = last, with no loop over the elements, d = t - M:
+        """Update back, diffs and above for the term t that has joined
+        the set above M = last, with no loop over the elements, d = t - M:
 
             back <- (back << d) | (1 << (d - 1)),  diffs <- diffs | back,
             above <- (above >> d) | diffs,
@@ -662,7 +680,7 @@ class _DiffScan(_SidonScan):
         return None
 
     def grow(self, term: int, last: int) -> None:
-        """Update diff_sets for the term t about to join the set above
+        """Update diff_sets for the term t that has joined the set above
         M = last.  As S'_i = S_i | (t + S'_{i-1}), splitting u in S'_i and
         v in S'_j by whether they use t gives, exactly,
 
@@ -711,8 +729,10 @@ def _greedy(
     Term n is the smallest non-member in [1, ceiling(n).floor] that keeps
     the set B_h[g] and, with check_levels, within its level ceilings; if
     there is none, error is raised.  The scan of the rule of (h, g) keeps
-    its state between steps, and commit takes each term find admits with
-    its pass.
+    its state between steps, and join takes each term find admits with
+    its pass.  Only the next find reads what grow updates, so the run's
+    last term is joined and not grown: the run stops at the same term,
+    with the same message, under the entry cap, which join checks.
     """
     h, g = params.h, params.g
     scan = _new_scan(h, g, max_entries)
@@ -720,13 +740,14 @@ def _greedy(
     rec = SequenceRecord(params, algorithm)
     meta, admission = StepMeta(1, 1, 0, ceiling(1).floor, 0.0), None
     while True:
-        scan.commit(meta.term, admission)
+        joined = scan.join(meta.term, admission)
         rec.terms.append(meta.term)
         rec.per_step.append(meta)
         if on_step is not None:
             on_step(meta)
         if meta.n == params.n_terms:
             return rec
+        scan.grow(meta.term, joined)
         t0 = time.perf_counter()
         n_next = meta.n + 1
         floor = ceiling(n_next).floor

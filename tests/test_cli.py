@@ -1,5 +1,6 @@
 """End-to-end CLI tests (in-process, asserting exit codes and output)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bhgreedy import Threshold
+from bhgreedy import Threshold, cli
 from bhgreedy.cli import (
     EXIT_BOUND_CONTRADICTION,
     EXIT_GUARD,
@@ -605,3 +606,81 @@ def test_file_error_is_an_input_error(capsys, tmp_path, command):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def parser_cases(path):
+    """argv lists for every subcommand, valid and not, and for the edges of
+    the top-level parser; path is a bfile of the first ten Mian-Chowla
+    terms."""
+    f = str(path)
+    per_command = {
+        "generate": (["--h", "2", "--g", "1", "--n", "5", "--format", "csv"],
+                     ["--h", "2"], ["--h", "2", "--g", "x", "--n", "5"],
+                     ["--h", "2", "--g", "1", "--n", "5", "--form", "csv"]),
+        "verify": (["--h", "2", "--g", "1", f], ["--h", "2", f],
+                   ["--h", "2", "--g", "1", f, "--enum-cap", "1_000"],
+                   ["--h", "2", "--g", "1", f, "--bhg"]),
+        "diagnose": (["--h", "2", "--g", "2", "--n", "5"], ["--h", "2", "--g", "2"],
+                     ["--h", "2", "--g", "2", "--n", "five"],
+                     ["--h", "2", "--g", "2", "--n", "5", "--sample", "3"]),
+        "compare": (["--h", "2", "--g", "1", "--n", "5"], ["--g", "1", "--n", "5"],
+                    ["--h", "2", "--g", "1", "--n", "5.0"],
+                    ["--h", "2", "--g", "1", "--n", "5", "--mem", "100000"]),
+        "fit": (["--h", "2", "--g", "1", f], ["--h", "2", "--g", "1"],
+                ["--h", "two", "--g", "1", f],
+                ["--h", "2", "--g", "1", f, "--form", "bfile"]),
+    }
+    for command, argvs in per_command.items():
+        yield [command, "--help"]
+        for argv in argvs:
+            yield [command, *argv]
+    yield ["diagnose", "--h", "2", "--g", "2", "--n", "5", "--input", f]
+    yield ["generate", "--h", "2", "--g", "1", "--n", "3", "--bogus"]
+    yield ["fit", "--h", "2", "--g", "1", f, "extra"]
+    yield from ([], ["--help"], ["bogus"], ["-"], ["-5", "generate"],
+                ["--", "generate", "--h", "2", "--g", "1", "--n", "3"],
+                ["--h", "2", "generate"])
+
+
+def test_main_parses_as_the_whole_parser_does(capsys, monkeypatch, tmp_path):
+    # main builds the options of the subcommand it runs only.  On every
+    # argv it must exit, print and fail as a parser built whole does: the
+    # same top-level help, choices and unrecognized arguments, and the
+    # same usage errors inside each subcommand.
+    path = tmp_path / "mc.bfile"
+    path.write_text("".join(f"{n} {a}\n" for n, a in enumerate(MIAN_CHOWLA_10, 1)))
+    build = cli.build_parser
+    for argv in parser_cases(path):
+        monkeypatch.setattr(cli, "build_parser", build)
+        one = run(capsys, *argv)
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        assert run(capsys, *argv) == one, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--h", "2", "--g", "1", "--n", "3"],
+    ["verify", "--h", "2", "--g", "1", "missing.bfile"],
+])
+def test_main_builds_options_for_the_dispatched_subcommand_only(capsys, monkeypatch,
+                                                               argv):
+    # A cheap guard on the saving: the parser main builds has options
+    # beyond -h on the subparser of argv's command only.
+    original, built = cli.build_parser, []
+
+    def build(command=None):
+        built.append(original(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    run(capsys, *argv)
+    subparsers = next(a for a in built[0]._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: [a.option_strings for a in p._actions]
+               for name, p in subparsers.choices.items()}
+    assert set(options) == {"generate", "verify", "diagnose", "compare", "fit"}
+    for name, strings in options.items():
+        assert (strings == [["-h", "--help"]]) == (name != argv[0]), name

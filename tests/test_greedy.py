@@ -953,23 +953,29 @@ def test_strong_runs_never_recount_the_levels(monkeypatch):
 ])
 def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, generator,
                                                                h, g, n):
-    # Every term after the first reaches commit with the pass that admitted
-    # it, so a run classifies inside commit once; a lost hand-off would
+    # Every term after the first reaches join with the pass that admitted
+    # it, so a run classifies inside join once; a lost hand-off would
     # classify every term twice.  A g = 1 run, (3, 1) and (4, 1) as well
     # as (2, 1), calls no classify_candidate, and its scan has no screen:
-    # its first term is checked by breaks.
+    # its first term is checked by breaks.  Only find reads what grow
+    # updates, so the run grows every term but its last.
     expected = generator(Params(h, g, n)).terms
     cls = type(_new_scan(h, g))
-    commit, classify, screen = cls.commit, classify_candidate, _SumScan.screen
-    handed, inside, depth, calls, screens = [], [], [], [], []
+    join, grow = cls.join, cls.grow
+    classify, screen = classify_candidate, _SumScan.screen
+    handed, inside, depth, calls, screens, grown = [], [], [], [], [], []
 
-    def wrapped_commit(self, term, admission=None):
+    def wrapped_join(self, term, admission=None):
         handed.append(admission is not None)
         depth.append(term)
         try:
-            return commit(self, term, admission)
+            return join(self, term, admission)
         finally:
             depth.pop()
+
+    def wrapped_grow(self, term, joined):
+        grown.append(term)
+        return grow(self, term, joined)
 
     def wrapped_classify(t, m, *args):
         calls.append(m)
@@ -981,7 +987,8 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
         screens.append(lo)
         return screen(self, lo, hi)
 
-    monkeypatch.setattr(cls, "commit", wrapped_commit)
+    monkeypatch.setattr(cls, "join", wrapped_join)
+    monkeypatch.setattr(cls, "grow", wrapped_grow)
     if g > 1:
         monkeypatch.setattr(cls, "screen", wrapped_screen)
     monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
@@ -991,6 +998,7 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
     else:
         assert inside == [1] and screens
     assert handed == [False] + [True] * (n - 1)
+    assert grown == expected[:-1]
 
 
 @pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
@@ -1307,7 +1315,7 @@ def check_capped_run(generator, rec, cap):
     steps = []
     assert guard_message(lambda: generator(params, on_step=steps.append,
                                            max_entries=cap)) == plain, (params, cap)
-    assert [m.term for m in steps] == t.elements, (params, cap)
+    assert [m.term for m in steps] == rec.terms[:len(t.elements)], (params, cap)
     check_levels = rec.algorithm == "strong" and g > 1
     scan, admission = _new_scan(h, g, cap), None
     for i, meta in enumerate(rec.per_step):
@@ -1350,6 +1358,29 @@ def test_pair_run_hits_the_entry_cap_at_every_cap(generator):
         rec, full = generator(Params(h, 1, n)), comb(n + h, h)
         messages = [check_capped_run(generator, rec, cap) for cap in range(1, full + 1)]
         assert None not in messages[:-1] and messages[-1] is None, (h, n)
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,g,n", [(2, 2, 90), (3, 2, 30), (3, 3, 25)])
+def test_g_above_one_run_trips_a_cap_just_below_its_entry_count_at_its_last_term(
+        generator, h, g, n):
+    # A run joins its last term and does not grow it, and join alone checks
+    # the entry cap.  A cap one below the entry count of the whole run's
+    # tables trips at the last term, with the message of SumTableSet, and
+    # a cap equal to that count lets the run end as the uncapped run does.
+    # Strong (2, 2, 90) takes a term below the one before it.
+    rec = generator(Params(h, g, n))
+    t = SumTableSet(h)
+    for a in rec.terms:
+        t.add_element(a)
+    full = t.entry_count()
+    assert check_capped_run(generator, rec, full - 1) == (
+        f"sum-table entry cap {full - 1} exceeded while inserting {rec.terms[-1]}; "
+        "lower n_terms or h, or raise the cap")
+    assert check_capped_run(generator, rec, full) is None
+    capped = generator(Params(h, g, n), max_entries=full)
+    assert ([(m.n, m.term, m.scan_length, m.bound_floor) for m in capped.per_step]
+            == [(m.n, m.term, m.scan_length, m.bound_floor) for m in rec.per_step])
 
 
 @pytest.mark.parametrize("h,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
