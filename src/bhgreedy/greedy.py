@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from math import comb
 from operator import add, or_
 from sys import maxsize
@@ -292,7 +292,7 @@ _CHUNK = 1 << 16
 #: Width of the first slice of a g > 1 scan; each further slice doubles it,
 #: up to _CHUNK.  Most scans end within a few thousand candidates of where
 #: they start, and the screen of a wide slice reads wide windows of reach
-#: until it has settled the slice.  A g = 1 scan reads its bitmaps above the
+#: until it has settled the slice.  A g = 1 scan reads its matrix above the
 #: top term in windows of this width, then four times as many, and so on.
 _FIRST_SLICE = 1 << 10
 
@@ -490,10 +490,32 @@ class _SumScan:
         return None
 
 
+@cache
+def _grow_plan(h: int) -> tuple[tuple[int, Optional[int], int], ...]:
+    """The steps of _SidonScan.grow, entry by entry with i and j upward:
+    (e, None, c) shifts diffs[e] by c*(t - M), and (e, s, c) ORs into it
+    diffs[s] shifted by c*t, c > 0 to the left and c < 0 to the right.
+    D_{0,0} and column 0 of the cut rows take no step, and no shift is by
+    0."""
+    plan = []
+    for i in range(h + 1):
+        first = 1 if i >= h - 1 else 0
+        for j in range(first, h):
+            e = i * h + j
+            offset = j - i if first else j
+            if offset:
+                plan.append((e, None, offset))
+            if j > first:
+                plan.append((e, e - 1, 0))
+            if i:
+                plan.append((e, e - h, 1 if i < h - 1 else 2 - h if i < h else 0))
+    return tuple(plan)
+
+
 class _SidonScan:
     """The state of the greedy scan for g = 1 over one growing B_h[1] set A:
-    its elements in increasing order and their set, with no sum table,
-    level, Sat or E.
+    its elements in increasing order and the difference matrix diffs, with
+    no sum table, level, Sat or E.
 
     A greedy g = 1 run commits its terms in increasing order: every
     non-member below the largest element M of a greedy prefix breaks
@@ -505,9 +527,17 @@ class _SidonScan:
     in S_h, and conversely such y and z give two sums.  So the non-member
     m breaks B_h[1] exactly when k*m is in D_{h,h-k} = S_h - S_{h-k} for
     some k = 1..h, and m > M, as h*m exceeds every sum of A, for some
-    k < h.  A subclass keeps difference bitmaps from which breakers reads
-    the k = 1 breakers above M, bit m - M - 1 for m, and breaks decides one
-    m > M exactly, naming a witness; grow updates them for a new top term.
+    k < h.
+
+    diffs[i*h + j] holds D_{i,j} = S_i - S_j, i = 0..h, j = 0..h-1,
+    S_0 = {0}, as one packed integer.  A row i < h - 1 is whole: it keeps
+    every value v at bit v + j*M, so its column 0 is S_i.  Rows h - 1 and
+    h are cut: they keep only the values v >= (i - j)*M, at bit
+    v - (i - j)*M, and their column 0 keeps nothing.  A later read reaches
+    them only through D_{h,h-k} at k*m > k*M, and grow shows that no value
+    they drop could lead there.  So bit i of D_{h,h-1} is the k = 1 test
+    of M + i, and bit k*i of D_{h,h-k} its test for k.  The matrix holds
+    w_h*M bits, w_h = 3, 15, 42 and 90 for h = 2..5.
 
     Two equal j-fold sums of a B_h[1] set, j <= h, padded with h - j copies
     of one element, would be two equal h-fold sums, so its n elements have
@@ -517,17 +547,17 @@ class _SidonScan:
     term, and with the message, of SumTableSet.
     """
 
-    __slots__ = ("h", "elements", "members", "max_entries")
+    __slots__ = ("h", "elements", "max_entries", "diffs")
 
     def __init__(self, h: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.h = h
         self.elements: list[int] = []
-        self.members: set[int] = set()
         self.max_entries = max_entries
+        self.diffs = [1] + [0] * (h * (h + 1) - 1)
 
     def commit(self, term: int, admission: Optional[tuple] = None) -> None:
         """Add term, above the largest element M, to the set and grow the
-        difference bitmaps: join, then grow."""
+        difference matrix: join, then grow."""
         self.grow(term, self.join(term, admission))
 
     def join(self, term: int, admission: Optional[tuple] = None) -> int:
@@ -538,9 +568,9 @@ class _SidonScan:
         term it admits.  Without one (the first term, a prefix committed by
         hand) term is checked here, before anything changes: a term at or
         below M, a member included, or a B_h[1] breaker raises ValueError,
-        the latter naming a sum with two representations.  A refused
-        join, by the entry cap included, changes nothing.  Until grow has
-        run, the scan serves no find or further join.
+        the latter naming the sum that breaks finds.  A refused join, by
+        the entry cap included, changes nothing.  Until grow has run, the
+        scan serves no find or further join.
         """
         h, elements = self.h, self.elements
         last = elements[-1] if elements else 0
@@ -559,8 +589,25 @@ class _SidonScan:
                 f"inserting {term}; lower n_terms or h, or raise the cap"
             )
         elements.append(term)
-        self.members.add(term)
         return last
+
+    def breaks(self, m: int) -> Optional[int]:
+        """A sum with two representations in A + {m}, for m > M, or None
+        when A + {m} is B_h[1].  The witness is k*m + y for the least k
+        with k*m in D_{h,h-k} and the least y in S_{h-k} with the sum in
+        S_h.  S_{h-1} and S_h are not kept, so only a breaker builds them,
+        each from the fold below it by one shift per element.
+        """
+        h, diffs, elements = self.h, self.diffs, self.elements
+        i = m - elements[-1]
+        k = next((k for k in range(1, h) if diffs[h * h + h - k] >> k * i & 1), None)
+        if k is None:
+            return None
+        folds = [diffs[j * h] for j in range(h - 1)]
+        for _ in range(2):
+            folds.append(reduce(or_, map(folds[-1].__lshift__, elements)))
+        y = folds[h] >> k * m & folds[h - k]
+        return k * m + (y & -y).bit_length() - 1
 
     def find(self, top: int, n_next: int,
              check_levels: bool) -> Optional[tuple[int, tuple]]:
@@ -568,150 +615,75 @@ class _SidonScan:
         with the empty pass ((), ()), or None; no level is kept, so n_next
         and check_levels change nothing.
 
-        m is M + 1 + i for the lowest clear bit i of breakers that breaks
-        accepts.  The bits are read in a window of _FIRST_SLICE bits, then
-        four times as many, and so on, as a term lies far closer to M than
-        the top of the bitmap does; a mask cuts each window, so the bitmap
-        is never copied.
+        m is M + i for the lowest clear bit i >= 1 of D_{h,h-1} with bit
+        k*i clear in D_{h,h-k} for k = 2..h-1.  The bits are read in a
+        window of _FIRST_SLICE bits, then four times as many, and so on,
+        as a term lies far closer to M than the top of the matrix does; a
+        mask cuts each window, so no entry is copied.
         """
-        last = self.elements[-1]
-        breakers, lo, width = self.breakers(), 0, _FIRST_SLICE
-        while last + 1 + lo < top:
-            free = (breakers & (1 << lo + width) - 1) >> lo ^ (1 << width) - 1
+        h, last = self.h, self.elements[-1]
+        row = self.diffs[h * h:]
+        lo, width = 1, _FIRST_SLICE
+        while last + lo < top:
+            hi = lo + width
+            free = (row[-1] & (1 << hi) - 1) >> lo ^ (1 << width) - 1
+            high = [(k, row[h - k] & (1 << k * hi) - 1) for k in range(2, h)]
             while free:
                 low = free & -free
                 free ^= low
-                m = last + lo + low.bit_length()
-                if m >= top:
+                i = lo + low.bit_length() - 1
+                if last + i >= top:
                     return None
-                if self.breaks(m) is None:
-                    return m, ((), ())
-            lo, width = lo + width, 4 * width
-        return None
-
-
-class _PairScan(_SidonScan):
-    """The g = 1 scan for h = 2 (Mian-Chowla).  m > M breaks B_2[1] exactly
-    when m + a is in S_2 for an element a, and the scan keeps these m, with
-    what it takes to grow them, as three packed integers: back, with bit
-    M - a - 1 for each element a < M; diffs, with bit b - a - 1 for
-    elements a < b; and above, with bit i set iff M + 1 + i + a is in S_2
-    for some element a.
-    """
-
-    __slots__ = ("back", "diffs", "above")
-
-    def __init__(self, h: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        super().__init__(h, max_entries)
-        self.back = self.diffs = self.above = 0
-
-    def breakers(self) -> int:
-        return self.above
-
-    def breaks(self, m: int) -> Optional[int]:
-        """A sum with two representations in A + {m}, for m > M, or None
-        when A + {m} is B_2[1].
-
-        m breaks it exactly when bit m - M - 1 of above is set, and then
-        m + a = b + c for elements a < c with c - a = m - b, so bit
-        m - b - 1 of diffs is set; the witness is m + a for the element a
-        with m + a - b an element.
-        """
-        elements, diffs = self.elements, self.diffs
-        if not self.above >> m - elements[-1] - 1 & 1:
-            return None
-        b = next(b for b in elements if diffs >> m - b - 1 & 1)
-        return m + next(a for a in elements if m + a - b in self.members)
-
-    def grow(self, term: int, last: int) -> None:
-        """Update back, diffs and above for the term t that has joined
-        the set above M = last, with no loop over the elements, d = t - M:
-
-            back <- (back << d) | (1 << (d - 1)),  diffs <- diffs | back,
-            above <- (above >> d) | diffs,
-
-        the last with the grown diffs.  This is exact.  Take m > t with
-        m + a = b + c, all three in the grown set.  If neither b nor c is
-        t, then neither is a, as b + c - t < t, so m was above before and
-        its bit moves down by d.  Otherwise say b = t: then m = t + c - a,
-        which exceeds t iff a < c, that is iff c - a - 1 is a bit of the
-        grown diffs, and that is the bit of m in the grown above.  The
-        first term leaves all three empty.
-        """
-        if not last:
-            return
-        d = term - last
-        # One step a statement, so that at most one stale copy of a bitmap,
-        # as many bits as the largest term, is alive at a time.
-        self.back <<= d
-        self.back |= 1 << d - 1
-        self.diffs |= self.back
-        self.above >>= d
-        self.above |= self.diffs
-
-
-class _DiffScan(_SidonScan):
-    """The g = 1 scan for h > 2.  diff_sets[i][j] holds D_{i,j} = S_i - S_j,
-    i = 0..h, j = 0..h-1, S_0 = {0}, with bit v + j*M for each value v, so
-    that every index is non-negative; column 0 is S_i.  Bit h*M + 1 + i of
-    D_{h,h-1} is the k = 1 test of M + 1 + i.
-    """
-
-    __slots__ = ("diff_sets",)
-
-    def __init__(self, h: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        super().__init__(h, max_entries)
-        self.diff_sets = [[1] + [0] * (h - 1)] + [[0] * h for _ in range(h)]
-
-    def breakers(self) -> int:
-        return self.diff_sets[self.h][self.h - 1] >> self.h * self.elements[-1] + 1
-
-    def breaks(self, m: int) -> Optional[int]:
-        """A sum with two representations in A + {m}, for m > M, or None
-        when A + {m} is B_h[1]: bit k*m of D_{h,h-k} for k = 1..h-1.  The
-        witness is k*m + y for the least y in S_{h-k} with the sum in S_h,
-        the lowest bit of S_h >> k*m & S_{h-k}.
-        """
-        h, rows, last = self.h, self.diff_sets, self.elements[-1]
-        for k in range(1, h):
-            if rows[h][h - k] >> k * m + (h - k) * last & 1:
-                y = rows[h][0] >> k * m & rows[h - k][0]
-                return k * m + (y & -y).bit_length() - 1
+                for k, bits in high:
+                    if bits >> k * i & 1:
+                        break
+                else:
+                    return last + i, ((), ())
+            lo, width = hi, 4 * width
         return None
 
     def grow(self, term: int, last: int) -> None:
-        """Update diff_sets for the term t that has joined the set above
+        """Update diffs for the term t that has joined the set above
         M = last.  As S'_i = S_i | (t + S'_{i-1}), splitting u in S'_i and
         v in S'_j by whether they use t gives, exactly,
 
             D'_{i,j} = D_{i,j} | (D'_{i,j-1} - t) | (D'_{i-1,j} + t),
 
         the second part for j >= 1 and the third for i >= 1; a difference
-        of two sums that both use t lies in the second.  Taken with i and j
-        upward, each new set reads only sets already updated: h(h+1) shifts
-        and ORs, with no factor n.  Each integer first shifts left by
-        j*(t - M), to its new offset j*t; then "- t" adds nothing to the
-        offset, and "+ t" is a left shift by t.  Each step updates its
-        integer in place, so the old one is freed before the next
+        of two sums that both use t lies in the second.  In a cut row each
+        part keeps its cut: a value v >= (i - j)*t of the second part comes
+        from v + t >= (i - j + 1)*t, of the third from
+        v - t >= (i - 1 - j)*t, and of the first from v >= (i - j)*M.
+        Column 0 adds to column 1 only u - t, u in S'_i: a u that uses t
+        gives it through the third part too, and one in S_i gives
+        u - t <= i*M - t < (i - 1)*t, below the cut.
+
+        grow runs _grow_plan(h), entry by entry with i and j upward, so
+        each entry reads only entries already updated: at most three
+        shifts and ORs an entry, with no factor n.  Each entry first moves
+        to its new offset, left by j*(t - M) in a whole row and right by
+        (i - j)*(t - M) in a cut row, which drops the values that fall
+        below the cut.  "- t" then shifts by 0, and "+ t" by t to the left
+        between whole rows, by (h - 2)*t to the right into row h - 1 and
+        by 0 into row h.  At h = 2 that is five steps.  Each step updates
+        its integer in place, so the old one is freed before the next
         temporary is made.
         """
-        rows, d = self.diff_sets, term - last
-        for i, row in enumerate(rows):
-            for j in range(self.h):
-                row[j] <<= j * d
-                if j:
-                    row[j] |= row[j - 1]
-                if i:
-                    row[j] |= rows[i - 1][j] << term
+        diffs, d = self.diffs, term - last
+        for e, s, c in _grow_plan(self.h):
+            if s is None:
+                diffs[e] = diffs[e] << c * d if c > 0 else diffs[e] >> -c * d
+            elif c:
+                diffs[e] |= diffs[s] << c * term if c > 0 else diffs[s] >> -c * term
+            else:
+                diffs[e] |= diffs[s]
 
 
 def _new_scan(h: int, g: int,
               max_entries: int = DEFAULT_MAX_ENTRIES) -> _SumScan | _SidonScan:
-    """A fresh scan for the rule of (h, g): sum tables for g > 1, and
-    difference bitmaps for g = 1, three packed integers for h = 2 and the
-    matrix D_{i,j} for h > 2."""
-    return (_SumScan(h, g, max_entries) if g > 1
-            else (_PairScan if h == 2 else _DiffScan)(h, max_entries))
+    """A fresh scan for the rule of (h, g): sum tables for g > 1, and the
+    cut difference matrix for g = 1."""
+    return _SumScan(h, g, max_entries) if g > 1 else _SidonScan(h, max_entries)
 
 
 def _greedy(

@@ -26,8 +26,8 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _SCREEN_LEFT, _DiffScan, _new_scan,
-                             _PairScan, _SumScan, classify_candidate)
+from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _SCREEN_LEFT, _new_scan, _SidonScan,
+                             _SumScan, classify_candidate)
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -78,33 +78,32 @@ def fold_sets(prefix, h):
 
 
 def diff_sets_oracle(prefix, h):
-    """D_{i,j} = S_i - S_j for i = 0..h and j = 0..h-1, each packed with bit
-    u - v + j*M for u in S_i and v in S_j, M the largest element: S_i
-    shifted once per v, with no recurrence."""
+    """D_{i,j} = S_i - S_j for i = 0..h and j = 0..h-1, M the largest
+    element, as a g = 1 scan lays them out, entry i*h + j, from enumeration
+    with no recurrence: S_i shifted once per v in S_j to bit u - v + j*M.
+    Rows i < h - 1 are whole.  Rows h - 1 and h keep only the values from
+    (i - j)*M up, at bit u - v - (i - j)*M, and nothing in column 0."""
     top, folds = max(prefix), fold_sets(prefix, h)
-    return [[reduce(or_, (bits << j * top - v for v in folds[j]), 0) for j in range(h)]
-            for bits in map(packed, folds)]
+    entries = []
+    for i, bits in enumerate(map(packed, folds)):
+        for j in range(h):
+            whole = reduce(or_, (bits << j * top - v for v in folds[j]), 0)
+            entries.append(whole if i < h - 1 else whole >> i * top if j else 0)
+    return entries
 
 
 def check_g1_bitmaps(scan, prefix):
     """For g = 1: the scan's elements are the sorted prefix, and its
-    difference bitmaps match their definitions over the elements,
-    enumerated with no recurrence (back, diffs and above for h = 2,
-    diff_sets for h > 2).  Returns the k = 1 breakers above the largest
-    element M, {m > M : m + y in S_h for some y in S_{h-1}}."""
+    difference matrix matches diff_sets_oracle entry by entry.  Returns the
+    k = 1 breakers above the largest element M,
+    {m > M : m + y in S_h for some y in S_{h-1}}."""
     h, top = scan.h, max(prefix)
     assert scan.elements == sorted(prefix)
+    assert scan.diffs == diff_sets_oracle(prefix, h), prefix
     folds = fold_sets(prefix, h)
     sums = packed(folds[h])
     hits = bin(reduce(or_, (sums >> y for y in folds[h - 1])) >> top + 1)
-    above = {top + 1 + i for i, bit in enumerate(hits[:1:-1]) if bit == "1"}
-    if h == 2:
-        assert scan.back == packed(top - a - 1 for a in prefix if a < top), prefix
-        assert scan.diffs == packed(b - a - 1 for a in prefix for b in prefix if a < b), prefix
-        assert scan.above == packed(m - top - 1 for m in above), prefix
-    else:
-        assert scan.diff_sets == diff_sets_oracle(prefix, h), prefix
-    return above
+    return {top + 1 + i for i, bit in enumerate(hits[:1:-1]) if bit == "1"}
 
 
 def kept_state(scan):
@@ -130,11 +129,13 @@ def check_g1_break(scan, prefix):
     (M, h*M + 9], M the largest element, breaks keeps the set B_h[1]
     exactly when enumeration does.  A commit of a breaker with no admission
     raises a ValueError that names a sum with two representations in
-    prefix + [m], and changes nothing the scan keeps.  Returns the
-    breakers, each with its witness."""
+    prefix + [m], k*m + y for the least k with k*m + y in S_h for some y in
+    S_{h-k}, and the least such y, and changes nothing the scan keeps.
+    Returns the breakers, each with its witness."""
     h, top = scan.h, max(prefix)
     before, witnesses = kept_state(scan), {}
     hist = multiset_sum_histogram(prefix, h)
+    folds = fold_sets(prefix, h)
     for m in range(top + 1, h * top + 10):
         keeps = keeps_bh1(hist, prefix, m, h)
         assert (scan.breaks(m) is None) == keeps, (prefix, m)
@@ -146,6 +147,10 @@ def check_g1_break(scan, prefix):
         assert words[:5] == [str(m), "breaks", f"B_{h}[1]:", "the", "sum"], words
         x = int(words[5])
         assert multiset_sum_histogram(prefix + [m], h)[x] >= 2, (prefix, m, x)
+        k = next(k for k in range(1, h)
+                 if any(k * m + y in folds[h] for y in folds[h - k]))
+        least = min(y for y in folds[h - k] if k * m + y in folds[h])
+        assert x == k * m + least, (prefix, m, x)
         assert kept_state(scan) == before, (prefix, m)
         witnesses[m] = x
     return witnesses
@@ -708,8 +713,8 @@ def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
     # the screen must set the bits in dead of exactly the non-members m of
     # its slice with m + y in Sat for some y in S_{h-1} (sums from
     # enumeration), each a B_h[g] break, and touch no other bit.  At g = 1
-    # no screen runs: the k = 1 breakers of the bitmaps (above, or
-    # D_{h,h-1}) must be exactly these breakers past the largest element.
+    # no screen runs: the k = 1 breakers of the matrix, D_{h,h-1}, must be
+    # exactly these breakers past the largest element.
     monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
@@ -1002,28 +1007,50 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
 
 
 @pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
-@pytest.mark.parametrize("h,n", [(3, 11), (4, 9), (5, 8)])
+@pytest.mark.parametrize("h,n", [(3, 11), (4, 9), (5, 8), (2, 60)])
 def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
-    # For g = 1 and h > 2, diff_sets[i][j] is D_{i,j} = S_i - S_j, and its
-    # column j = 0 the bitmap of S_i, whether a term is admitted by find,
-    # with an empty pass, or committed by hand: each must match the
-    # difference set from enumeration after every commit.
+    # For g = 1, diffs[i*h + j] is D_{i,j} = S_i - S_j, cut in rows h - 1
+    # and h, and column 0 of each whole row is the bitmap of S_i.  The run
+    # must be the naive greedy.  Whether a term is admitted by find, with
+    # an empty pass, or committed by hand, the matrix must match the
+    # difference sets from enumeration after every commit, and find must
+    # return the run's next term, and None when top is at or below it.
     rec = generator(Params(h, 1, n))
+    assert rec.terms == naive_classic_greedy(h, 1, n)
     scan = _new_scan(h, 1)
     scan.commit(1)
     check_g1_bitmaps(scan, [1])
     for i, meta in enumerate(rec.per_step[1:], 1):
-        assert scan.find(meta.bound_floor + 1, i + 1, False) == (meta.term, ((), ()))
-        scan.commit(meta.term, ((), ()))
+        assert scan.find(meta.term, i + 1, False) is None
+        found = scan.find(meta.bound_floor + 1, i + 1, False)
+        assert found == (meta.term, ((), ()))
+        scan.commit(*found)
         prefix = rec.terms[:i + 1]
         check_g1_bitmaps(scan, prefix)
-        assert committed(h, 1, prefix).diff_sets == scan.diff_sets
+        assert committed(h, 1, prefix).diffs == scan.diffs
+
+
+# Bits per unit of the largest element M that the g = 1 matrix holds.
+G1_WIDTH = {2: 3, 3: 15, 4: 42, 5: 90}
+
+
+@pytest.mark.parametrize("h,n", [(2, 300), (3, 40), (4, 20), (5, 12)])
+def test_g1_matrix_never_holds_more_than_its_width(h, n):
+    # After every commit of the strong (h, 1, n) run, and of seeded B_h[1]
+    # sets committed by hand, the matrix holds at most w_h*M + 1 bits, so
+    # that no change regrows the entries its reads cannot reach.
+    runs = [elements for _, elements in seeded_sidon_sets(5, h)]
+    for elements in runs + [strong_greedy(Params(h, 1, n)).terms]:
+        scan = _new_scan(h, 1)
+        for a in elements:
+            scan.commit(a)
+            kept = sum(bits.bit_length() for bits in scan.diffs)
+            assert kept <= G1_WIDTH[h] * a + 1, (elements, a, kept)
 
 
 RULE_STATE = {
     _SumScan: {"t", "g", "levels", "dead", "ind", "reach"},
-    _PairScan: {"h", "elements", "members", "max_entries", "back", "diffs", "above"},
-    _DiffScan: {"h", "elements", "members", "max_entries", "diff_sets"},
+    _SidonScan: {"h", "elements", "max_entries", "diffs"},
 }
 
 
@@ -1033,7 +1060,7 @@ def test_each_rule_has_its_own_scan_class(h, g):
     # state and nothing else: its slots are exactly the rule's, and it has
     # no __dict__ to hold more.
     scan = _new_scan(h, g)
-    cls = _SumScan if g > 1 else _PairScan if h == 2 else _DiffScan
+    cls = _SumScan if g > 1 else _SidonScan
     assert type(scan) is cls
     assert {name for c in cls.__mro__ for name in getattr(c, "__slots__", ())} == RULE_STATE[cls]
     assert not hasattr(scan, "__dict__")
@@ -1107,26 +1134,6 @@ def test_find_walks_across_a_full_chunk():
     assert scan.visits == live
 
 
-@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
-def test_pair_bitmaps_match_enumeration_after_every_commit(generator):
-    # At h = 2 and g = 1 each commit shifts back, diffs and above with no
-    # loop over the elements.  After every commit of a 60-term run they
-    # must match enumeration, and find must return the next term of the
-    # naive greedy, and None when top is at or below it.
-    expected = naive_classic_greedy(2, 1, 60)
-    rec = generator(Params(2, 1, 60))
-    assert rec.terms == expected
-    scan = _new_scan(2, 1)
-    scan.commit(1)
-    for i, term in enumerate(expected[1:], 1):
-        check_g1_bitmaps(scan, expected[:i])
-        assert scan.find(term, i + 1, False) is None
-        found = scan.find(term + 1, i + 1, False)
-        assert found == (term, ((), ()))
-        scan.commit(*found)
-    check_g1_bitmaps(scan, expected)
-
-
 @pytest.mark.parametrize("h", [2, 3, 4, 5])
 def test_g1_bitmaps_stay_exact_on_seeded_sidon_sets(h):
     # Commit 20 seeded B_h[1] sets by hand in increasing order, whose
@@ -1152,40 +1159,29 @@ def test_g1_bitmaps_stay_exact_on_seeded_sidon_sets(h):
     assert skipped
 
 
-def test_pair_break_matches_the_naive_oracle():
-    # The break test of a term committed by hand above the largest element
-    # M against the naive oracle: on 30 seeded Sidon sets after every
-    # commit, in increasing order, and on the prefixes of the (2, 1, 40)
-    # run, which the strong and the classic greedy share.  Every prefix of
-    # two or more elements has breakers above M.
-    terms = strong_greedy(Params(2, 1, 40)).terms
-    assert classic_greedy(Params(2, 1, 40)).terms == terms
-    for elements in [e for _, e in seeded_sidon_sets(30)] + [terms]:
-        scan = _new_scan(2, 1)
-        for i, a in enumerate(elements):
-            scan.commit(a)
-            assert check_g1_break(scan, elements[:i + 1]) or i == 0, elements[:i + 1]
-
-
-@pytest.mark.parametrize("h,n,seeds", [(3, 8, 6), (4, 6, 3), (5, 5, 2)])
+@pytest.mark.parametrize("h,n,seeds", [(3, 8, 6), (4, 6, 3), (5, 5, 2), (2, 40, 30)])
 def test_diff_break_matches_the_naive_oracle(h, n, seeds):
-    # For h > 2 the break test reads bit k*m of D_{h,h-k}, k = 1..h-1.
-    # Against the naive oracle, after every commit of seeded B_h[1] sets in
-    # increasing order and of the strong (h, 1, n) prefixes, for every m in
-    # (M, h*M + 9], M the largest element.  Both a k = 1 break (m + y in
-    # S_h for some y in S_{h-1}) and a break by k >= 2 copies of m alone
-    # must occur.
+    # The break test reads bit k*m of D_{h,h-k}, k = 1..h-1.  Against the
+    # naive oracle, after every commit of seeded B_h[1] sets in increasing
+    # order and of the (h, 1, n) prefixes, which the strong and the classic
+    # greedy share, for every m in (M, h*M + 9], M the largest element.
+    # Every prefix of two or more elements has breakers above M.  A k = 1
+    # break (m + y in S_h for some y in S_{h-1}) must occur, and for h > 2
+    # a break by k >= 2 copies of m alone too.
     kinds = set()
-    runs = [elements for _, elements in seeded_sidon_sets(seeds, h)]
-    for elements in runs + [strong_greedy(Params(h, 1, n)).terms]:
+    terms = strong_greedy(Params(h, 1, n)).terms
+    assert classic_greedy(Params(h, 1, n)).terms == terms
+    for elements in [e for _, e in seeded_sidon_sets(seeds, h)] + [terms]:
         scan = _new_scan(h, 1)
         for i, a in enumerate(elements):
             scan.commit(a)
             prefix = elements[:i + 1]
             folds = fold_sets(prefix, h)
-            for m, x in check_g1_break(scan, prefix).items():
+            breakers = check_g1_break(scan, prefix)
+            assert breakers or i == 0, prefix
+            for m in breakers:
                 kinds.add("k1" if any(m + y in folds[h] for y in folds[h - 1]) else "high")
-    assert kinds == {"k1", "high"}
+    assert kinds == ({"k1", "high"} if h > 2 else {"k1"})
 
 
 @pytest.mark.parametrize("h", [2, 3, 4, 5])
@@ -1216,7 +1212,7 @@ def test_g1_commit_at_or_below_the_top_term_is_refused(h):
     assert (True, "keeper") not in kinds
 
 
-def test_pair_scan_builds_no_sum_table(monkeypatch):
+def test_g1_scan_builds_no_sum_table(monkeypatch):
     # For g = 1, at h = 2, 3 and 4, the scan keeps no SumTableSet, and the
     # entry cap counts the closed form: a stub that refuses to be built
     # changes neither generator's terms.
