@@ -35,12 +35,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import statistics
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import verify as verify_mod
 from .errors import BhgError, FitError, GuardExceeded, ScanExceededBound
@@ -86,8 +83,7 @@ def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
         raise ValueError(f"environment variable {name} {e}") from None
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Tail-half log-log regression of a_n against n."""
 
     slope: float
@@ -112,6 +108,7 @@ def fit_growth(terms) -> FitResult:
     ys = [math.log(terms[n - 1]) for n in range(start, len(terms) + 1)]
     if len(set(ys)) < 2:
         raise FitError("degenerate input: constant tail")
+    import statistics  # not at the top: only fit reads it
     reg = statistics.linear_regression(xs, ys)
     return FitResult(reg.slope, reg.intercept, len(xs), start)
 
@@ -324,7 +321,8 @@ def _cmd_verify(args) -> int:
             }
             if bres.ok:
                 print(f"ok: {bres.kind} holds at every index "
-                      f"(worst ratio {float(bres.worst.ratio):.3g} at n={bres.worst.n})")
+                      f"(worst ratio {bres.worst.term_pow / bres.worst.rhs_pow:.3g} "
+                      f"at n={bres.worst.n})")
             else:
                 ok = False
                 for e in bres.failures():
@@ -429,6 +427,7 @@ def _cmd_fit(args) -> int:
     if h < 2 or g < 1:
         raise ValueError(f"need h >= 2 and g >= 1, got h={h}, g={g}")
     res = fit_growth(terms)
+    from fractions import Fraction  # not at the top: only fit reads it
     proven = Fraction(h * g + h - 1, g)
     print(f"fitted exponent: {res.slope:.4f} "
           f"(tail half: n = {res.start_index}..{len(terms)}, {res.n_points} points)")

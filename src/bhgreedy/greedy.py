@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import comb
 from operator import add, or_
 from sys import maxsize
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (BhgError, GuardExceeded, ScanExceededBound,
                      ScanExceededConfiguredLimit)
@@ -40,26 +39,36 @@ ALGORITHM_CLASSIC = "classic"
 ALGORITHM_STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class Params:
-    """Generation parameters: order h >= 2, multiplicity bound g >= 1, and
-    the number of terms to produce."""
+class _ParamsFields(NamedTuple):
+    """The fields of Params, which checks them on construction."""
 
     h: int
     g: int
     n_terms: int
 
-    def __post_init__(self):
-        if self.h < 2:
-            raise ValueError(f"h must be >= 2, got {self.h}")
-        if self.g < 1:
-            raise ValueError(f"g must be >= 1, got {self.g}")
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
+
+class Params(_ParamsFields):
+    """Generation parameters: order h >= 2, multiplicity bound g >= 1, and
+    the number of terms to produce."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: int, g: int, n_terms: int) -> Params:
+        if h < 2:
+            raise ValueError(f"h must be >= 2, got {h}")
+        if g < 1:
+            raise ValueError(f"g must be >= 1, got {g}")
+        if n_terms < 1:
+            raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+        return tuple.__new__(cls, (h, g, n_terms))
+
+    @classmethod
+    def _make(cls, iterable) -> Params:
+        # _replace builds through _make, which would skip the checks.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class StepMeta:
+class StepMeta(NamedTuple):
     """Per-step generation metadata.
 
     scan_length is the number of non-members in [start, term] that a scan
@@ -76,14 +85,34 @@ class StepMeta:
     elapsed: float
 
 
-@dataclass
 class SequenceRecord:
-    """A generated sequence with its per-step metadata, in generation order."""
+    """A generated sequence with its per-step metadata, in generation order.
 
-    params: Params
-    algorithm: str
-    terms: list[int] = field(default_factory=list)
-    per_step: list[StepMeta] = field(default_factory=list)
+    Mutable, so it has no hash; == and repr go by its fields.
+    """
+
+    __slots__ = ("params", "algorithm", "terms", "per_step")
+    __hash__ = None
+
+    def __init__(self, params: Params, algorithm: str,
+                 terms: Optional[list[int]] = None,
+                 per_step: Optional[list[StepMeta]] = None):
+        self.params = params
+        self.algorithm = algorithm
+        self.terms = [] if terms is None else terms
+        self.per_step = [] if per_step is None else per_step
+
+    def _values(self) -> tuple:
+        return (self.params, self.algorithm, self.terms, self.per_step)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({args})"
 
     @property
     def is_sorted(self) -> bool:
@@ -115,8 +144,7 @@ def int_nth_root(x: int, k: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """The exact ceiling rhs_pow^(1/g), held as its g-th power rhs_pow.
 
     Every ceiling of the package has this form: the level ceilings
@@ -152,8 +180,7 @@ def theorem_bound(n: int, h: int, g: int) -> Threshold:
     return Threshold((2 * g) ** g * n ** (h * g + h - 1), g)
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
+class CandidateVerdict(NamedTuple):
     """Outcome of testing one candidate against the strong-set conditions.
 
     reason "bhg" means the candidate pushes some sum's multiplicity past g

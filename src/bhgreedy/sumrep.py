@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
+from typing import NamedTuple
 
 from .errors import GuardExceeded
 
@@ -42,8 +42,7 @@ DEFAULT_MAX_ENTRIES = 50_000_000
 DEFAULT_MAX_ENUMERATION = 5_000_000
 
 
-@dataclass(frozen=True)
-class CandidateDelta:
+class CandidateDelta(NamedTuple):
     """Representation counts a candidate element m would add.
 
     added[x] is the number of size-h multisets of A + {m} that use m at

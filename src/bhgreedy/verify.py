@@ -51,16 +51,17 @@ reported faithfully, never filtered.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .greedy import SequenceRecord, Threshold, theorem_bound
 from .sumrep import DEFAULT_MAX_ENUMERATION
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Cap on the size of a candidate window a single scan may classify.
 DEFAULT_MAX_WINDOW = 2_000_000
@@ -73,8 +74,7 @@ DEFAULT_SAMPLE_BUDGET = 32
 # Results
 
 
-@dataclass(frozen=True)
-class BhgCheck:
+class BhgCheck(NamedTuple):
     """Outcome of a B_h[g] test: ok, or the smallest offending sum."""
 
     ok: bool
@@ -82,8 +82,7 @@ class BhgCheck:
     count: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PrefixCheck:
+class PrefixCheck(NamedTuple):
     """Strong-set verdict for one prefix: the B_h[g] condition plus the
     level ceilings, both recomputed by enumeration."""
 
@@ -98,8 +97,7 @@ class PrefixCheck:
         return self.bhg.ok and self.level_ok
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     """a_n against its ceiling, held as the two sides of the exact
     comparison a_n^g <= rhs_pow."""
 
@@ -117,11 +115,11 @@ class BoundEntry:
     @property
     def ratio(self) -> Fraction:
         """term_pow / rhs_pow as an exact fraction, built on each read."""
+        from fractions import Fraction  # not at the top: only ratio reads it
         return Fraction(self.term_pow, self.rhs_pow)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """Per-index verdicts of a term-size ceiling, with the exact ratio of
     each term (raised to the comparison power) to the ceiling."""
 
@@ -145,8 +143,7 @@ class BoundReport:
         return [e for e in self.entries if not e.ok]
 
 
-@dataclass
-class ForbiddenSetReport:
+class ForbiddenSetReport(NamedTuple):
     """Window-scan classification of every candidate for one step.
 
     Counts are restricted to the scan window [1, window_hi]; window_hi is
@@ -175,8 +172,7 @@ class ForbiddenSetReport:
         return self.level_breaks[0] == 0
 
 
-@dataclass(frozen=True)
-class InequalityInstance:
+class InequalityInstance(NamedTuple):
     """One recorded inequality check: lhs <relation> rhs.
 
     rhs is exact for the comparison: ceilings with fractional exponents are
@@ -208,16 +204,38 @@ class InequalityInstance:
                 f"{self.lhs} {self.relation} {self.rhs} {verdict}")
 
 
-@dataclass
 class ProofDiagnostics:
-    """Per-step inequality ledger for a generated (or supplied) sequence."""
+    """Per-step inequality ledger for a generated (or supplied) sequence.
 
-    h: int
-    g: int
-    terms: list[int]
-    prefix_checks: list[PrefixCheck] = field(default_factory=list)
-    reports: list[ForbiddenSetReport] = field(default_factory=list)
-    instances: list[InequalityInstance] = field(default_factory=list)
+    Mutable, so it has no hash; == and repr go by its fields.
+    """
+
+    __slots__ = ("h", "g", "terms", "prefix_checks", "reports", "instances")
+    __hash__ = None
+
+    def __init__(self, h: int, g: int, terms: list[int],
+                 prefix_checks: Optional[list[PrefixCheck]] = None,
+                 reports: Optional[list[ForbiddenSetReport]] = None,
+                 instances: Optional[list[InequalityInstance]] = None):
+        self.h = h
+        self.g = g
+        self.terms = terms
+        self.prefix_checks = [] if prefix_checks is None else prefix_checks
+        self.reports = [] if reports is None else reports
+        self.instances = [] if instances is None else instances
+
+    def _values(self) -> tuple:
+        return (self.h, self.g, self.terms, self.prefix_checks, self.reports,
+                self.instances)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({args})"
 
     @property
     def ok(self) -> bool:

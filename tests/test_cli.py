@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bhgreedy import Threshold, cli
+from bhgreedy import Params, SequenceRecord, Threshold, cli, strong_bound_check
 from bhgreedy.cli import (
     EXIT_BOUND_CONTRADICTION,
     EXIT_GUARD,
@@ -20,6 +21,7 @@ from bhgreedy.cli import (
     main,
 )
 from bhgreedy.errors import FitError
+from bhgreedy.formats import read_terms
 
 ROOT = Path(__file__).resolve().parent.parent
 MIAN_CHOWLA_10 = [1, 2, 4, 8, 13, 21, 31, 45, 66, 81]
@@ -372,6 +374,39 @@ def test_verify_classic_bound_needs_g1_before_any_check(capsys, tmp_path,
     assert code == EXIT_USAGE
     assert stdout == ""
     assert "classic ceiling is only proven for g = 1" in err
+
+
+@pytest.mark.parametrize("h,g,source", [
+    (2, 1, "verify-diagnose-n198.bfile"),
+    (2, 1, "verify-diagnose-n199.bfile"),
+    (2, 1, "verify-diagnose-n200.bfile"),
+    (2, 1, MIAN_CHOWLA_10),
+    # 2 = 2g * 1^(h+(h-1)/g): the term is exactly on its ceiling.
+    (2, 1, [2]),
+    # 400^200 and 40^200 are past the largest float; the ratios are 1 and
+    # 10^-200.
+    (2, 200, [400]),
+    (2, 200, [40]),
+])
+def test_verify_worst_ratio_is_the_rounded_exact_fraction(capsys, tmp_path, h,
+                                                          g, source):
+    """verify prints the worst ratio as the correctly rounded float of the
+    exact fraction a_n^g / rhs_pow, with no Fraction built."""
+    if isinstance(source, str):
+        path = ROOT / "bench" / "pinned" / source
+    else:
+        path = tmp_path / "seq.bfile"
+        path.write_text("".join(f"{n} {a}\n" for n, a in enumerate(source, 1)))
+    terms = read_terms(str(path), "bfile")
+    worst = strong_bound_check(
+        SequenceRecord(Params(h, g, len(terms)), "strong", terms)).worst
+    assert worst.ratio == Fraction(worst.term_pow, worst.rhs_pow)
+    code, stdout, _ = run(capsys, "verify", "--h", str(h), "--g", str(g),
+                          str(path))
+    assert code == EXIT_OK
+    assert stdout.splitlines()[-1] == (
+        f"ok: strong-ceiling holds at every index (worst ratio "
+        f"{float(Fraction(worst.term_pow, worst.rhs_pow)):.3g} at n={worst.n})")
 
 
 # ---------------------------------------------------------------------------
