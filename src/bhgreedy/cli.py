@@ -117,21 +117,37 @@ def fit_growth(terms) -> FitResult:
 # Argument parsing
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser of the CLI.
+# The subcommands and their help lines, in the order the top-level help
+# lists them.
+COMMANDS = {
+    "generate": "generate a sequence",
+    "verify": "re-check a sequence file from scratch",
+    "diagnose": "window-scan inequality ledger for a strong run",
+    "compare": "classic vs strong, side by side",
+    "fit": "growth-exponent fit of a sequence file",
+}
 
-    The top-level parser and all five subparsers, with their names and
-    help, are always built, so the top-level help and errors read the same
-    for any command.  Options go only on the subparser named command, or on
-    every subparser when command is None.  argparse hands the options to
-    the one subparser it dispatches to, so a parser built for that command
-    parses argv as the whole parser does.
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser of the CLI: the top-level parser and the
+    subparser of command with its options, or all five subparsers with
+    theirs when command is None.
+
+    argparse hands the rest of argv to the one subparser that argv's first
+    token names, so a parser built for that command parses, prints and
+    fails as the whole tree does.  Its one top-level text is the usage
+    line of "unrecognized arguments", and the subcommands metavar keeps
+    all five names in it.  The whole tree, which prints the top-level help
+    and the other top-level errors, sets no metavar: argparse would name
+    the subcommand argument by it, not by "command", in its "required"
+    and "invalid choice" errors.
     """
     parser = argparse.ArgumentParser(
         prog="bhgreedy",
         description="Generate and verify B_h[g] sequences with exact arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add_params(p, need_n=True):
         p.add_argument("--h", type=_integer, required=True, help="order h >= 2")
@@ -149,62 +165,54 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         for cap in caps:
             p.add_argument(f"--{cap}-cap", type=_integer, default=None, help=helps[cap])
 
-    gen = sub.add_parser("generate", help="generate a sequence")
-    if command in (None, "generate"):
-        add_params(gen)
-        gen.add_argument("--algo", choices=(ALGORITHM_STRONG, ALGORITHM_CLASSIC),
-                         default=ALGORITHM_STRONG)
-        gen.add_argument("--format", choices=FORMATS, default="json")
-        gen.add_argument("--out", default=None, help="output path (default stdout)")
-        gen.add_argument("--timings", action="store_true",
-                         help="include wall-clock timings in JSON output")
-        add_caps(gen, "memory", "scan")
-        gen.set_defaults(func=_cmd_generate)
-
-    ver = sub.add_parser("verify", help="re-check a sequence file from scratch")
-    if command in (None, "verify"):
-        add_params(ver, need_n=False)
-        ver.add_argument("input", help="sequence file (bfile, csv, or json)")
-        ver.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
-        ver.add_argument("--bhg-only", action="store_true",
-                         help="check only the B_h[g] property of the full set")
-        ver.add_argument("--bound", choices=("theorem", "classic", "none"),
-                         default=None,
-                         help="which term-size ceiling to check (default theorem; "
-                              "not with --bhg-only, which checks no ceiling)")
-        ver.add_argument("--report", default=None, help="write a JSON report here")
-        add_caps(ver, "enum")
-        ver.set_defaults(func=_cmd_verify)
-
-    dia = sub.add_parser("diagnose",
-                         help="window-scan inequality ledger for a strong run")
-    if command in (None, "diagnose"):
-        add_params(dia, need_n=False)
-        source = dia.add_mutually_exclusive_group(required=True)
-        source.add_argument("--n", type=_integer, help="terms to generate")
-        source.add_argument("--input",
-                            help="diagnose this sequence file instead of generating")
-        dia.add_argument("--sample-budget", type=_integer,
-                         default=verify_mod.DEFAULT_SAMPLE_BUDGET,
-                         help="sample every max(1, window // N)-th candidate "
-                              "for profile_growth, at most 2N per step "
-                              "(N >= 1, default %(default)s)")
-        dia.add_argument("--out", default=None, help="write the JSON ledger here")
-        add_caps(dia, "memory", "enum", "window")
-        dia.set_defaults(func=_cmd_diagnose)
-
-    cmp_ = sub.add_parser("compare", help="classic vs strong, side by side")
-    if command in (None, "compare"):
-        add_params(cmp_)
-        add_caps(cmp_, "memory", "scan")
-        cmp_.set_defaults(func=_cmd_compare)
-
-    fit = sub.add_parser("fit", help="growth-exponent fit of a sequence file")
-    if command in (None, "fit"):
-        add_params(fit, need_n=False)
-        fit.add_argument("input", help="sequence file (bfile, csv, or json)")
-        fit.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
-        fit.set_defaults(func=_cmd_fit)
+    for name in (COMMANDS if command is None else (command,)):
+        p = sub.add_parser(name, help=COMMANDS[name])
+        if name == "generate":
+            add_params(p)
+            p.add_argument("--algo", choices=(ALGORITHM_STRONG, ALGORITHM_CLASSIC),
+                           default=ALGORITHM_STRONG)
+            p.add_argument("--format", choices=FORMATS, default="json")
+            p.add_argument("--out", default=None, help="output path (default stdout)")
+            p.add_argument("--timings", action="store_true",
+                           help="include wall-clock timings in JSON output")
+            add_caps(p, "memory", "scan")
+            p.set_defaults(func=_cmd_generate)
+        elif name == "verify":
+            add_params(p, need_n=False)
+            p.add_argument("input", help="sequence file (bfile, csv, or json)")
+            p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+            p.add_argument("--bhg-only", action="store_true",
+                           help="check only the B_h[g] property of the full set")
+            p.add_argument("--bound", choices=("theorem", "classic", "none"),
+                           default=None,
+                           help="which term-size ceiling to check (default theorem; "
+                                "not with --bhg-only, which checks no ceiling)")
+            p.add_argument("--report", default=None, help="write a JSON report here")
+            add_caps(p, "enum")
+            p.set_defaults(func=_cmd_verify)
+        elif name == "diagnose":
+            add_params(p, need_n=False)
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--n", type=_integer, help="terms to generate")
+            source.add_argument("--input",
+                                help="diagnose this sequence file instead of generating")
+            p.add_argument("--sample-budget", type=_integer,
+                           default=verify_mod.DEFAULT_SAMPLE_BUDGET,
+                           help="sample every max(1, window // N)-th candidate "
+                                "for profile_growth, at most 2N per step "
+                                "(N >= 1, default %(default)s)")
+            p.add_argument("--out", default=None, help="write the JSON ledger here")
+            add_caps(p, "memory", "enum", "window")
+            p.set_defaults(func=_cmd_diagnose)
+        elif name == "compare":
+            add_params(p)
+            add_caps(p, "memory", "scan")
+            p.set_defaults(func=_cmd_compare)
+        else:  # fit
+            add_params(p, need_n=False)
+            p.add_argument("input", help="sequence file (bfile, csv, or json)")
+            p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+            p.set_defaults(func=_cmd_fit)
 
     return parser
 
@@ -444,14 +452,15 @@ def main(argv=None) -> int:
     """Run the command of argv (default sys.argv[1:]) and return its exit
     code.
 
-    The parser gets the options of one subcommand only, the one named by
-    the first token that does not start with "-".  The top-level parser
-    takes no option with a value, so argparse dispatches to that token,
-    or fails at the top level before any subparser parses, on a command
-    that starts with "-" ("-", a negative number, "--").
+    When argv[0] names a subcommand, only the top-level parser and that
+    subcommand's subparser are built, since argparse dispatches to it and
+    no other.  Any other argv (empty, help, "--", a leading "-" token, an
+    unknown name) gets the whole tree, which prints the top-level help or
+    error.  Either way the output and exit code are those of the whole
+    tree; see build_parser.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

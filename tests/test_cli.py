@@ -673,11 +673,12 @@ def parser_cases(path):
         yield [command, "--help"]
         for argv in argvs:
             yield [command, *argv]
+        yield [command, *argvs[0], "--bogus", "1"]
     yield ["diagnose", "--h", "2", "--g", "2", "--n", "5", "--input", f]
     yield ["generate", "--h", "2", "--g", "1", "--n", "3", "--bogus"]
     yield ["fit", "--h", "2", "--g", "1", f, "extra"]
-    yield from ([], ["--help"], ["bogus"], ["-"], ["-5", "generate"],
-                ["--", "generate", "--h", "2", "--g", "1", "--n", "3"],
+    yield from ([], ["--help"], ["--help", "verify"], ["bogus"], ["-"],
+                ["-5", "generate"], ["--", "generate", "--h", "2", "--g", "1", "--n", "3"],
                 ["--h", "2", "generate"])
 
 
@@ -696,14 +697,82 @@ def test_main_parses_as_the_whole_parser_does(capsys, monkeypatch, tmp_path):
         assert run(capsys, *argv) == one, argv
 
 
+TOP_USAGE = "usage: bhgreedy [-h] {generate,verify,diagnose,compare,fit} ...\n"
+TOP_HELP = TOP_USAGE + """
+Generate and verify B_h[g] sequences with exact arithmetic.
+
+positional arguments:
+  {generate,verify,diagnose,compare,fit}
+    generate            generate a sequence
+    verify              re-check a sequence file from scratch
+    diagnose            window-scan inequality ledger for a strong run
+    compare             classic vs strong, side by side
+    fit                 growth-exponent fit of a sequence file
+
+options:
+  -h, --help            show this help message and exit
+"""
+UNRECOGNIZED = TOP_USAGE + "bhgreedy: error: unrecognized arguments: --bogus 1\n"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the texts of CPython 3.11's argparse, which other "
+                           "versions word differently (3.10: 'optional arguments:')")
+@pytest.mark.parametrize("argv, expected", [
+    ([], (EXIT_USAGE, "", TOP_USAGE + "bhgreedy: error: the following arguments "
+                                      "are required: command\n")),
+    (["bogus"], (EXIT_USAGE, "", TOP_USAGE + "bhgreedy: error: argument command: "
+                 "invalid choice: 'bogus' (choose from 'generate', 'verify', "
+                 "'diagnose', 'compare', 'fit')\n")),
+    (["--help"], (EXIT_OK, TOP_HELP, "")),
+    (["-h", "generate"], (EXIT_OK, TOP_HELP, "")),
+    (["generate", "--h", "2", "--g", "1", "--n", "3", "--bogus", "1"],
+     (EXIT_USAGE, "", UNRECOGNIZED)),
+    (["verify", "--h", "2", "--g", "1", "mc.bfile", "--bogus", "1"],
+     (EXIT_USAGE, "", UNRECOGNIZED)),
+    (["diagnose", "--h", "2", "--g", "2", "--n", "5", "--bogus", "1"],
+     (EXIT_USAGE, "", UNRECOGNIZED)),
+    (["compare", "--h", "2", "--g", "1", "--n", "5", "--bogus", "1"],
+     (EXIT_USAGE, "", UNRECOGNIZED)),
+    (["fit", "--h", "2", "--g", "1", "mc.bfile", "--bogus", "1"],
+     (EXIT_USAGE, "", UNRECOGNIZED)),
+])
+def test_top_level_texts_are_pinned(capsys, monkeypatch, argv, expected):
+    # The top-level texts as the whole parser prints them.  A parser built
+    # for one subcommand must still list all five names in the usage line
+    # of an unrecognized argument, and the whole tree must still name the
+    # subcommand argument "command".  COLUMNS fixes argparse's wrap width.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == expected
+
+
+def subparser_options(parser):
+    """{name: [(option strings, dest), ...]} of each subparser of parser."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.option_strings, a.dest) for a in p._actions]
+            for name, p in subparsers.choices.items()}
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--h", "2", "--g", "1", "--n", "3"],
     ["verify", "--h", "2", "--g", "1", "missing.bfile"],
+    ["diagnose", "--help"],
+    ["compare", "--bogus", "1"],
+    ["fit"],
+    [],
+    ["--help"],
+    ["-h", "generate"],
+    ["bogus"],
+    ["--", "generate"],
+    ["-5", "generate"],
 ])
 def test_main_builds_options_for_the_dispatched_subcommand_only(capsys, monkeypatch,
                                                                argv):
-    # A cheap guard on the saving: the parser main builds has options
-    # beyond -h on the subparser of argv's command only.
+    # A cheap guard on the saving: when argv[0] names a subcommand, the
+    # parser main builds holds that one subparser, with every option the
+    # whole tree gives it.  Any other argv gets all five, with their
+    # options, for the top-level help and errors.
     original, built = cli.build_parser, []
 
     def build(command=None):
@@ -712,10 +781,10 @@ def test_main_builds_options_for_the_dispatched_subcommand_only(capsys, monkeypa
 
     monkeypatch.setattr(cli, "build_parser", build)
     run(capsys, *argv)
-    subparsers = next(a for a in built[0]._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    options = {name: [a.option_strings for a in p._actions]
-               for name, p in subparsers.choices.items()}
-    assert set(options) == {"generate", "verify", "diagnose", "compare", "fit"}
-    for name, strings in options.items():
-        assert (strings == [["-h", "--help"]]) == (name != argv[0]), name
+    options, whole = subparser_options(built[0]), subparser_options(original())
+    assert set(whole) == set(cli.COMMANDS)
+    if argv and argv[0] in cli.COMMANDS:
+        assert options == {argv[0]: whole[argv[0]]}
+    else:
+        assert options == whole
+    assert all(len(strings) > 1 for strings in options.values())
