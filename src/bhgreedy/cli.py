@@ -30,8 +30,6 @@ files are byte-identical across repeated runs with equal options (timings
 are emitted only with --timings, in a separate JSON block).
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os

@@ -19,8 +19,6 @@ JSON
     default output deterministic.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from json.encoder import encode_basestring_ascii

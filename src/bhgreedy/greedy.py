@@ -21,8 +21,6 @@ by raising both sides to the g-th power in arbitrary-precision integer
 arithmetic.  No floating point is used anywhere in generation.
 """
 
-from __future__ import annotations
-
 import time
 from bisect import bisect_left, bisect_right
 from functools import cache, reduce
@@ -31,9 +29,8 @@ from operator import add, or_
 from sys import maxsize
 from typing import Callable, NamedTuple, Optional
 
-from .errors import (BhgError, GuardExceeded, ScanExceededBound,
-                     ScanExceededConfiguredLimit)
-from .sumrep import DEFAULT_MAX_ENTRIES, CandidateDelta, SumTableSet
+from .errors import BhgError, ScanExceededBound, ScanExceededConfiguredLimit
+from .sumrep import DEFAULT_MAX_ENTRIES, CandidateDelta, SumTableSet, entry_cap_error
 
 ALGORITHM_CLASSIC = "classic"
 ALGORITHM_STRONG = "strong"
@@ -53,7 +50,7 @@ class Params(_ParamsFields):
 
     __slots__ = ()
 
-    def __new__(cls, h: int, g: int, n_terms: int) -> Params:
+    def __new__(cls, h: int, g: int, n_terms: int) -> "Params":
         if h < 2:
             raise ValueError(f"h must be >= 2, got {h}")
         if g < 1:
@@ -63,7 +60,7 @@ class Params(_ParamsFields):
         return tuple.__new__(cls, (h, g, n_terms))
 
     @classmethod
-    def _make(cls, iterable) -> Params:
+    def _make(cls, iterable) -> "Params":
         # _replace builds through _make, which would skip the checks.
         return cls(*iterable)
 
@@ -85,25 +82,15 @@ class StepMeta(NamedTuple):
     elapsed: float
 
 
-class SequenceRecord:
-    """A generated sequence with its per-step metadata, in generation order.
+class _MutableRecord:
+    """Base of the mutable records, whose fields are their __slots__:
+    mutable, so they have no hash; == and repr go by the fields."""
 
-    Mutable, so it has no hash; == and repr go by its fields.
-    """
-
-    __slots__ = ("params", "algorithm", "terms", "per_step")
+    __slots__ = ()
     __hash__ = None
 
-    def __init__(self, params: Params, algorithm: str,
-                 terms: Optional[list[int]] = None,
-                 per_step: Optional[list[StepMeta]] = None):
-        self.params = params
-        self.algorithm = algorithm
-        self.terms = [] if terms is None else terms
-        self.per_step = [] if per_step is None else per_step
-
     def _values(self) -> tuple:
-        return (self.params, self.algorithm, self.terms, self.per_step)
+        return tuple(getattr(self, k) for k in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -113,6 +100,20 @@ class SequenceRecord:
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({args})"
+
+
+class SequenceRecord(_MutableRecord):
+    """A generated sequence with its per-step metadata, in generation order."""
+
+    __slots__ = ("params", "algorithm", "terms", "per_step")
+
+    def __init__(self, params: Params, algorithm: str,
+                 terms: Optional[list[int]] = None,
+                 per_step: Optional[list[StepMeta]] = None):
+        self.params = params
+        self.algorithm = algorithm
+        self.terms = [] if terms is None else terms
+        self.per_step = [] if per_step is None else per_step
 
     @property
     def is_sorted(self) -> bool:
@@ -209,7 +210,7 @@ def classify_candidate(
     Otherwise returns (None, None, levels, sat): levels are the counts
     R_1..R_g of the enlarged set, and sat, for g > 1, lists the sums that
     m raises to exactly g, the sums it adds to Sat.  An admitted pass thus
-    holds what _SumScan.commit needs to add m.  The pass reads no level
+    holds what _SumScan.join and grow need to add m.  The pass reads no level
     ceiling: a caller turns ceilings into limits, or levels into a
     verdict.  Without limits the pass is whole.
 
@@ -318,18 +319,10 @@ _CHUNK = 1 << 16
 
 #: Width of the first slice of a g > 1 scan; each further slice doubles it,
 #: up to _CHUNK.  Most scans end within a few thousand candidates of where
-#: they start, and the screen of a wide slice reads wide windows of reach
-#: until it has settled the slice.  A g = 1 scan reads its matrix above the
-#: top term in windows of this width, then four times as many, and so on.
+#: they start, and the screen of a slice reads one window of reach as wide
+#: as the slice per element.  A g = 1 scan reads its matrix above the top
+#: term in windows of this width, then four times as many, and so on.
 _FIRST_SLICE = 1 << 10
-
-#: Elements a the screen ORs into a slice's hits, one window of reach at
-#: lo + a each, between two counts of the candidates left.
-_SCREEN_BATCH = 32
-
-#: The screen stops once at most this many live candidates of its slice
-#: are left; the scan's accept test decides them.
-_SCREEN_LEFT = 4
 
 
 class _SumScan:
@@ -355,9 +348,10 @@ class _SumScan:
     S_{h-1} = A + S_{h-2}, that happens exactly when m + a is in
     E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some element a.
     reach is E, packed like ind (for h = 2 ind itself), and the screen
-    marks these breakers dead a whole slice at a time with one window of
-    reach per element: n windows a slice, where Sat read once per y in
-    S_{h-1} would take about n^(h-1)/(h-1)!.
+    marks all these breakers dead a whole slice at a time with one window
+    of reach per element: n windows a slice, where Sat read once per y in
+    S_{h-1} would take about n^(h-1)/(h-1)!.  The classifier thus sees only
+    candidates that this rule cannot decide.
     """
 
     __slots__ = ("t", "g", "levels", "dead", "ind", "reach")
@@ -372,11 +366,6 @@ class _SumScan:
     @property
     def elements(self) -> list[int]:
         return self.t.elements
-
-    def commit(self, term: int, admission: Optional[tuple] = None) -> None:
-        """Add the non-member term to the set and ready the scan for the
-        next find: join, then grow."""
-        self.grow(term, self.join(term, admission))
 
     def join(self, term: int, admission: Optional[tuple] = None) -> tuple:
         """Add the non-member term to the tables, and return the pass that
@@ -432,29 +421,25 @@ class _SumScan:
 
     def screen(self, lo: int, hi: int) -> int:
         """Set the bit in dead of each live m in [lo, hi) with m + a in E
-        for some element a, and return the live candidates it leaves; stop
-        once at most _SCREEN_LEFT of them are left.
+        for some element a, and return the live candidates it leaves.
 
-        The live candidates are read once as a bitmask, bit i for m = lo + i.
-        Each element a costs one slice of reach read as a little-endian
-        integer and shifted to start at bit lo + a: OR-ing these gives the
-        hits of the slice, in C.  Every _SCREEN_BATCH elements the screen
-        counts the live candidates it has not hit.  Slices past the top of
-        S_h come out short, which reads as zeros.
+        The live candidates are read once as a bitmask, bit i for m = lo + i;
+        a slice with none returns at once.  Each element a costs one slice
+        of reach read as a little-endian integer and shifted to start at bit
+        lo + a: OR-ing these gives the hits of the slice, in C.  Slices past
+        the top of S_h come out short, which reads as zeros.
         """
-        elements = self.t.elements
-        n = len(elements)
         mask = (1 << hi - lo) - 1
         live = (self.dead >> lo & mask) ^ mask
+        if not live:
+            return 0
         nb = (hi - lo + 7) // 8 + 1
-        hits = done = 0
+        hits = 0
         with memoryview(self.reach) as view:
-            while done < n and (live & ~hits).bit_count() > _SCREEN_LEFT:
-                for a in elements[done:done + _SCREEN_BATCH]:
-                    s = lo + a
-                    j = s >> 3
-                    hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
-                done += _SCREEN_BATCH
+            for a in self.t.elements:
+                s = lo + a
+                j = s >> 3
+                hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
         self.dead |= (live & hits) << lo
         return live & ~hits
 
@@ -495,10 +480,10 @@ class _SumScan:
 
         The scan walks from the lowest clear bit of dead up to top in
         slices of _FIRST_SLICE candidates, doubling up to _CHUNK.  Each
-        slice is screened first; then the live candidates the screen leaves
-        are taken lowest first, as free & -free, so no Python code runs for
-        a dead candidate.  accept_general decides each, and may mark it
-        dead.
+        slice is screened whole first, which clears every breaker E shows;
+        then the live candidates the screen leaves are taken lowest first,
+        as free & -free, so no Python code runs for a dead candidate.
+        accept_general decides each, and may mark it dead.
         """
         accept = self.accept_general(n_next, check_levels)
         dead = self.dead
@@ -582,11 +567,6 @@ class _SidonScan:
         self.max_entries = max_entries
         self.diffs = [1] + [0] * (h * (h + 1) - 1)
 
-    def commit(self, term: int, admission: Optional[tuple] = None) -> None:
-        """Add term, above the largest element M, to the set and grow the
-        difference matrix: join, then grow."""
-        self.grow(term, self.join(term, admission))
-
     def join(self, term: int, admission: Optional[tuple] = None) -> int:
         """Add term, above the largest element M, to the elements, and
         return M, or 0 for the first term, which grow takes.
@@ -611,10 +591,7 @@ class _SidonScan:
         if term < 1:
             raise ValueError(f"elements must be positive, got {term}")
         if comb(len(elements) + 1 + h, h) > self.max_entries:
-            raise GuardExceeded(
-                f"sum-table entry cap {self.max_entries} exceeded while "
-                f"inserting {term}; lower n_terms or h, or raise the cap"
-            )
+            raise entry_cap_error(self.max_entries, term)
         elements.append(term)
         return last
 

@@ -25,8 +25,6 @@ decrements one.
 directly and deliberately shares nothing with SumTableSet.
 """
 
-from __future__ import annotations
-
 from bisect import insort
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -40,6 +38,13 @@ DEFAULT_MAX_ENTRIES = 50_000_000
 
 #: Cap on the number of multisets a brute-force enumeration may visit.
 DEFAULT_MAX_ENUMERATION = 5_000_000
+
+
+def entry_cap_error(cap: int, a: int) -> GuardExceeded:
+    """The error raised when inserting a takes the sum tables past cap
+    entries."""
+    return GuardExceeded(f"sum-table entry cap {cap} exceeded while inserting {a}; "
+                         "lower n_terms or h, or raise the cap")
 
 
 class CandidateDelta(NamedTuple):
@@ -104,10 +109,7 @@ class SumTableSet:
                     x = y + ka
                     tj[x] = tj.get(x, 0) + c
             if self.entry_count() > self.max_entries:
-                raise GuardExceeded(
-                    f"sum-table entry cap {self.max_entries} exceeded while "
-                    f"inserting {a}; lower n_terms or h, or raise the cap"
-                )
+                raise entry_cap_error(self.max_entries, a)
         insort(self.elements, a)
 
     def rep_histogram(self, s_max: int) -> tuple[int, ...]:

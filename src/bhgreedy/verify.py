@@ -48,8 +48,6 @@ inequality is rigorous and every recorded instance holds.  Violations are
 reported faithfully, never filtered.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import cmp_to_key
 from itertools import combinations_with_replacement
@@ -57,7 +55,7 @@ from math import comb
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import GuardExceeded
-from .greedy import SequenceRecord, Threshold, theorem_bound
+from .greedy import SequenceRecord, Threshold, _MutableRecord, theorem_bound
 from .sumrep import DEFAULT_MAX_ENUMERATION
 
 if TYPE_CHECKING:
@@ -113,7 +111,7 @@ class BoundEntry(NamedTuple):
         return self.term_pow <= self.rhs_pow
 
     @property
-    def ratio(self) -> Fraction:
+    def ratio(self) -> "Fraction":
         """term_pow / rhs_pow as an exact fraction, built on each read."""
         from fractions import Fraction  # not at the top: only ratio reads it
         return Fraction(self.term_pow, self.rhs_pow)
@@ -204,14 +202,10 @@ class InequalityInstance(NamedTuple):
                 f"{self.lhs} {self.relation} {self.rhs} {verdict}")
 
 
-class ProofDiagnostics:
-    """Per-step inequality ledger for a generated (or supplied) sequence.
-
-    Mutable, so it has no hash; == and repr go by its fields.
-    """
+class ProofDiagnostics(_MutableRecord):
+    """Per-step inequality ledger for a generated (or supplied) sequence."""
 
     __slots__ = ("h", "g", "terms", "prefix_checks", "reports", "instances")
-    __hash__ = None
 
     def __init__(self, h: int, g: int, terms: list[int],
                  prefix_checks: Optional[list[PrefixCheck]] = None,
@@ -223,19 +217,6 @@ class ProofDiagnostics:
         self.prefix_checks = [] if prefix_checks is None else prefix_checks
         self.reports = [] if reports is None else reports
         self.instances = [] if instances is None else instances
-
-    def _values(self) -> tuple:
-        return (self.h, self.g, self.terms, self.prefix_checks, self.reports,
-                self.instances)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({args})"
 
     @property
     def ok(self) -> bool:

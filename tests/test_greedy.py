@@ -26,8 +26,8 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _SCREEN_LEFT, _new_scan, _SidonScan,
-                             _SumScan, classify_candidate)
+from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _new_scan, _SidonScan, _SumScan,
+                             classify_candidate)
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -54,7 +54,7 @@ def committed(h, g, terms):
     """A scan that has committed terms in order."""
     scan = _new_scan(h, g)
     for a in terms:
-        scan.commit(a)
+        scan.grow(a, scan.join(a))
     return scan
 
 
@@ -142,7 +142,7 @@ def check_g1_break(scan, prefix):
         if keeps:
             continue
         with pytest.raises(ValueError) as refused:
-            scan.commit(m)
+            scan.grow(m, scan.join(m))
         words = str(refused.value).split()
         assert words[:5] == [str(m), "breaks", f"B_{h}[1]:", "the", "sum"], words
         x = int(words[5])
@@ -616,11 +616,9 @@ def scan_lengths_from_terms(terms, restart):
 
 def shrink_scan_slices(monkeypatch):
     """Slices of 3, 6, then 7 candidates, so that scans cross many slice
-    boundaries and start at every residue mod 8, and a screen that may stop
-    after every single y."""
+    boundaries and start at every residue mod 8."""
     monkeypatch.setattr("bhgreedy.greedy._FIRST_SLICE", 3)
     monkeypatch.setattr("bhgreedy.greedy._CHUNK", 7)
-    monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", 1)
 
 
 @pytest.mark.parametrize("h,g", [
@@ -680,7 +678,7 @@ def test_reach_matches_the_oracle_after_every_commit(generator, h, g, n):
     terms = generator(Params(h, g, n)).terms
     scan = _new_scan(h, g)
     for i, a in enumerate(terms):
-        scan.commit(a)
+        scan.grow(a, scan.join(a))
         if g == 1:
             check_g1_bitmaps(scan, terms[:i + 1])
             continue
@@ -707,15 +705,14 @@ def screened_prefixes(h, g, n):
 
 
 @pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
-def test_screen_clears_only_bhg_breaks(monkeypatch, h, g, n):
+def test_screen_clears_only_bhg_breaks(h, g, n):
     # After each prefix, bit x of Sat (ind) must be set exactly for the
-    # sums with r(x) >= g.  With no candidates left to the accept closure,
-    # the screen must set the bits in dead of exactly the non-members m of
-    # its slice with m + y in Sat for some y in S_{h-1} (sums from
-    # enumeration), each a B_h[g] break, and touch no other bit.  At g = 1
-    # no screen runs: the k = 1 breakers of the matrix, D_{h,h-1}, must be
-    # exactly these breakers past the largest element.
-    monkeypatch.setattr("bhgreedy.greedy._SCREEN_LEFT", 0)
+    # sums with r(x) >= g.  The screen must set the bits in dead of exactly
+    # the non-members m of its slice with m + y in Sat for some y in
+    # S_{h-1} (sums from enumeration), each a B_h[g] break, and touch no
+    # other bit.  At g = 1 no screen runs: the k = 1 breakers of the
+    # matrix, D_{h,h-1}, must be exactly these breakers past the largest
+    # element.
     screened = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
         t = build(h, scan.elements)
@@ -803,21 +800,20 @@ def test_g1_accept_matches_oracle_on_arbitrary_bh1_sets(drawn, h):
     check_g1_accept(elements, h)
 
 
-@pytest.mark.parametrize("batch", [None, 1])
+@pytest.mark.parametrize("width", [None, 1])
 @pytest.mark.parametrize("h,g,n", SCREEN_PREFIXES)
-def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
-                                                        batch):
-    # Screen [lo, hi) in slices of 13, which start at every residue mod 8.
-    # The screen may stop while some breakers of a slice are still live,
-    # but only once at most _SCREEN_LEFT live candidates are left, and it
-    # returns those left.  accept_general then marks the rest dead, so after both the bit in
-    # dead of every non-member of [lo, hi) that breaks B_h[g] is set, and
-    # no other.  At
-    # g = 1 neither runs: every breaker lies below the largest element M,
-    # among the k = 1 breakers of the bitmaps or where breaks finds a break,
-    # and no other non-member does.
-    if batch is not None:
-        monkeypatch.setattr("bhgreedy.greedy._SCREEN_BATCH", batch)
+def test_screen_stops_early_and_accept_decides_the_rest(h, g, n, width):
+    # Screen [lo, hi) in slices of 13 (width None), which start at every
+    # residue mod 8, or of one candidate each.  Each screen clears exactly
+    # the non-members m of its slice with m + y in Sat for some y in
+    # S_{h-1}, and returns the candidates it leaves; the only early stop
+    # is the return for a slice with no live candidate, which slices of
+    # one meet at every member.  accept_general then marks the other
+    # breakers dead, so after both the bit in dead of every non-member of
+    # [lo, hi) that breaks B_h[g] is set, and no other.  At g = 1 neither
+    # runs: every breaker lies below the largest element M, among the
+    # k = 1 breakers of the bitmaps or where breaks finds a break, and no
+    # other non-member does.
     if g == 1:
         for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
             t = build(h, scan.elements)
@@ -830,6 +826,7 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
                         m < last or m in above or scan.breaks(m) is not None), \
                         (t.elements, m)
         return
+    step = 13 if width is None else width
     stopped_early = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
         t = scan.t
@@ -837,23 +834,50 @@ def test_screen_stops_early_and_accept_decides_the_rest(monkeypatch, h, g, n,
             t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
         start = scan.dead
         accept = scan.accept_general(i + 2, False)
-        for a in range(lo, hi, 13):
-            b = min(a + 13, hi)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
             exact = {m for m in range(a, b) if m not in t
                      and any(hist[m + y] >= g for y in lower)}
             before = scan.dead
+            stopped_early += all(before >> m & 1 for m in range(a, b))
             left = scan.screen(a, b)
             assert scan.dead & before == before
             cleared = set(set_bits(scan.dead ^ before))
-            assert cleared <= exact
+            assert cleared == exact, (t.elements, a)
             survivors = [m for m in range(a, b) if not scan.dead >> m & 1]
             assert [a + i for i in set_bits(left)] == survivors
-            assert cleared == exact or len(survivors) <= _SCREEN_LEFT
-            stopped_early += cleared != exact
             for m in survivors:
                 assert (accept(m) is not None) == (m not in breaks), (t.elements, m)
         assert set(set_bits(scan.dead ^ start)) == breaks, t.elements
-    assert stopped_early or batch is None
+    assert stopped_early or width is None
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,g,n", [(2, 2, 30), (2, 3, 30), (3, 2, 14), (3, 3, 14),
+                                   (4, 2, 10)])
+def test_accept_sees_no_candidate_that_e_decides(monkeypatch, generator, h, g, n):
+    # Every slice is screened whole before its survivors reach the accept
+    # test, so no candidate m that the closure of accept_general is handed
+    # has m + a in the kept E (reach) for some element a: the screen has
+    # marked each such m dead.  Tiny slices make many screens a run.
+    shrink_scan_slices(monkeypatch)
+    accept_general = _SumScan.accept_general
+    handed = []
+
+    def checked(self, n_next, check_levels):
+        accept = accept_general(self, n_next, check_levels)
+        e = int.from_bytes(self.reach, "little")
+
+        def screened_accept(m):
+            handed.append(m)
+            assert not any(e >> m + a & 1 for a in self.elements), (self.elements, m)
+            return accept(m)
+
+        return screened_accept
+
+    monkeypatch.setattr(_SumScan, "accept_general", checked)
+    generator(Params(h, g, n))
+    assert handed
 
 
 @pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
@@ -887,19 +911,19 @@ def check_kept_state(scan, prefix, h, g):
                                    (4, 2, 9), (4, 3, 9)])
 def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
     # Driven as _greedy drives it, each step's find admits the run's next
-    # term with its pass, the one commit would make without ceilings, and
-    # commit takes it over.  Committed by hand, every term is classified
-    # inside commit.  Either way the kept state must match the tables and
+    # term with its pass, the one join would make without ceilings, and
+    # join takes it over.  Committed by hand, every term is classified
+    # inside join.  Either way the kept state must match the tables and
     # the enumeration.
     rec = generator(Params(h, g, n))
     check_levels = rec.algorithm == "strong"
     scan = _new_scan(h, g)
-    scan.commit(1)
+    scan.grow(1, scan.join(1))
     for i, meta in enumerate(rec.per_step[1:], 1):
         term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
         assert term == meta.term
         assert admission == tuple(classify_candidate(scan.t, term, g, scan.levels)[2:])
-        scan.commit(term, admission)
+        scan.grow(term, scan.join(term, admission))
         check_kept_state(scan, rec.terms[:i + 1], h, g)
     for i in range(1, n + 1):
         check_kept_state(committed(h, g, rec.terms[:i]), rec.terms[:i], h, g)
@@ -928,14 +952,14 @@ def test_dead_holds_only_members_and_bhg_breaks(generator, h, g, n):
     rec = generator(Params(h, g, n))
     check_levels = rec.algorithm == "strong"
     scan, by_hand = _new_scan(h, g), _new_scan(h, g)
-    scan.commit(1)
+    scan.grow(1, scan.join(1))
     breakers = 0
     for i, meta in enumerate(rec.per_step[1:], 1):
         term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
         assert term == meta.term
         breakers += check_dead(scan, rec.terms[:i], h, g)
-        scan.commit(term, admission)
-        by_hand.commit(rec.terms[-i])
+        scan.grow(term, scan.join(term, admission))
+        by_hand.grow(rec.terms[-i], by_hand.join(rec.terms[-i]))
         by_hand.find(meta.bound_floor + 1, i + 1, check_levels)
         breakers += check_dead(by_hand, rec.terms[-i:], h, g)
     assert breakers
@@ -1018,13 +1042,13 @@ def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
     rec = generator(Params(h, 1, n))
     assert rec.terms == naive_classic_greedy(h, 1, n)
     scan = _new_scan(h, 1)
-    scan.commit(1)
+    scan.grow(1, scan.join(1))
     check_g1_bitmaps(scan, [1])
     for i, meta in enumerate(rec.per_step[1:], 1):
         assert scan.find(meta.term, i + 1, False) is None
         found = scan.find(meta.bound_floor + 1, i + 1, False)
         assert found == (meta.term, ((), ()))
-        scan.commit(*found)
+        scan.grow(meta.term, scan.join(*found))
         prefix = rec.terms[:i + 1]
         check_g1_bitmaps(scan, prefix)
         assert committed(h, 1, prefix).diffs == scan.diffs
@@ -1043,7 +1067,7 @@ def test_g1_matrix_never_holds_more_than_its_width(h, n):
     for elements in runs + [strong_greedy(Params(h, 1, n)).terms]:
         scan = _new_scan(h, 1)
         for a in elements:
-            scan.commit(a)
+            scan.grow(a, scan.join(a))
             kept = sum(bits.bit_length() for bits in scan.diffs)
             assert kept <= G1_WIDTH[h] * a + 1, (elements, a, kept)
 
@@ -1146,7 +1170,7 @@ def test_g1_bitmaps_stay_exact_on_seeded_sidon_sets(h):
     for seed, elements in seeded_sidon_sets(20, h):
         scan = _new_scan(h, 1)
         for i, a in enumerate(elements):
-            scan.commit(a)
+            scan.grow(a, scan.join(a))
             prefix = elements[:i + 1]
             check_g1_bitmaps(scan, prefix)
             hist = multiset_sum_histogram(prefix, h)
@@ -1174,7 +1198,7 @@ def test_diff_break_matches_the_naive_oracle(h, n, seeds):
     for elements in [e for _, e in seeded_sidon_sets(seeds, h)] + [terms]:
         scan = _new_scan(h, 1)
         for i, a in enumerate(elements):
-            scan.commit(a)
+            scan.grow(a, scan.join(a))
             prefix = elements[:i + 1]
             folds = fold_sets(prefix, h)
             breakers = check_g1_break(scan, prefix)
@@ -1205,7 +1229,7 @@ def test_g1_commit_at_or_below_the_top_term_is_refused(h):
                 refused.setdefault(kind, m)
         for kind, m in refused.items():
             with pytest.raises(ValueError, match=f"^{m} is not above the largest element {top}$"):
-                scan.commit(m)
+                scan.grow(m, scan.join(m))
             assert kept_state(scan) == before, (elements, m)
             kinds.add((elements == greedy, kind))
     assert {(True, "breaker"), (False, "breaker"), (False, "keeper")} <= kinds
@@ -1319,11 +1343,14 @@ def check_capped_run(generator, rec, cap):
             term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
             assert term == meta.term
         if i < len(steps):
-            assert guard_message(lambda: scan.commit(meta.term, admission)) is None, \
+            assert guard_message(
+                lambda: scan.grow(meta.term, scan.join(meta.term, admission))) is None, \
                 (params, cap, i)
             continue
         before = kept_state(scan)
-        assert guard_message(lambda: scan.commit(meta.term, admission)) == plain, (params, cap)
+        assert guard_message(
+            lambda: scan.grow(meta.term, scan.join(meta.term, admission))) == plain, \
+            (params, cap)
         after = kept_state(scan)
         for state in (before, after):
             state.pop("t", None)
@@ -1334,7 +1361,7 @@ def check_capped_run(generator, rec, cap):
 
 @pytest.mark.parametrize("cap", [10, 200, 1000, 4000])
 def test_strong_run_hits_the_entry_cap_where_plain_tables_do(cap):
-    # Neither the admission that commit takes over nor the check of a term
+    # Neither the admission that join takes over nor the check of a term
     # it was not handed adds an entry, so a capped run, g = 1 or not,
     # stops at the term, and with the message, of inserting the uncapped
     # run's terms into capped tables.  A commit that trips the cap changes
@@ -1394,14 +1421,14 @@ def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
     before = kept_state(scan)
     for term in (bad, prefix[-1]):
         with pytest.raises(ValueError) as refused:
-            scan.commit(term)
+            scan.grow(term, scan.join(term))
         assert kept_state(scan) == before
         assert scan.elements == sorted(prefix)
         if term == bad:  # the refusal names a sum that bad pushes past g
             x = int(str(refused.value).split()[5])
             assert multiset_sum_histogram(prefix + [bad], h)[x] > g
     check_kept_state(scan, prefix, h, g)
-    scan.commit(good)
+    scan.grow(good, scan.join(good))
     check_kept_state(scan, prefix + [good], h, g)
 
 

@@ -658,5 +658,5 @@ def test_verify_imports_nothing_of_the_generator_route():
                     alias.name for alias in node.names)
     assert set(imported) <= {"errors", "greedy", "sumrep"}
     assert imported.get("greedy", set()) <= {
-        "SequenceRecord", "Threshold", "int_nth_root", "theorem_bound"}
+        "SequenceRecord", "Threshold", "_MutableRecord", "int_nth_root", "theorem_bound"}
     assert imported.get("sumrep", set()) <= {"DEFAULT_MAX_ENUMERATION"}
