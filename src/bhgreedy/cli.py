@@ -56,10 +56,14 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_BOUND_CONTRADICTION = 4
 
-ENV_MEMORY_CAP = "BHG_MEMORY_CAP"
-ENV_ENUM_CAP = "BHG_ENUM_CAP"
-ENV_SCAN_CAP = "BHG_SCAN_CAP"
-ENV_WINDOW_CAP = "BHG_WINDOW_CAP"
+# One row per guard, the --<name>-cap flag: its environment variable,
+# default (None: no cap) and help text.
+GUARDS = {
+    "memory": ("BHG_MEMORY_CAP", DEFAULT_MAX_ENTRIES, "sum-table entry cap"),
+    "enum": ("BHG_ENUM_CAP", DEFAULT_MAX_ENUMERATION, "brute-force enumeration cap"),
+    "scan": ("BHG_SCAN_CAP", None, "classic-greedy scan ceiling"),
+    "window": ("BHG_WINDOW_CAP", verify_mod.DEFAULT_MAX_WINDOW, "window-scan size cap"),
+}
 
 
 def _integer(raw: str) -> int:
@@ -154,14 +158,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             p.add_argument("--n", type=_integer, required=True, help="number of terms")
 
     def add_caps(p, *caps):
-        helps = {
-            "memory": f"sum-table entry cap (env {ENV_MEMORY_CAP})",
-            "enum": f"brute-force enumeration cap (env {ENV_ENUM_CAP})",
-            "scan": f"classic-greedy scan ceiling (env {ENV_SCAN_CAP})",
-            "window": f"window-scan size cap (env {ENV_WINDOW_CAP})",
-        }
         for cap in caps:
-            p.add_argument(f"--{cap}-cap", type=_integer, default=None, help=helps[cap])
+            env, _, text = GUARDS[cap]
+            p.add_argument(f"--{cap}-cap", type=_integer, default=None,
+                           help=f"{text} (env {env})")
 
     for name in (COMMANDS if command is None else (command,)):
         p = sub.add_parser(name, help=COMMANDS[name])
@@ -219,10 +219,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 # Subcommand handlers
 
 
-def _cap(args, attr: str, env: str, default: Optional[int]) -> Optional[int]:
-    """A guard value: its flag, else the environment variable env, else
-    default.  A value below 1 is a usage error naming where it came from."""
-    cap, source = getattr(args, attr), "--" + attr.replace("_", "-")
+def _cap(args, name: str) -> Optional[int]:
+    """The value of the guard name: its flag, else its environment
+    variable, else its default (GUARDS).  A value below 1 is a usage error
+    naming where it came from."""
+    env, default, _ = GUARDS[name]
+    cap, source = getattr(args, f"{name}_cap"), f"--{name}-cap"
     if cap is None:
         cap, source = _env_int(env, default), f"environment variable {env}"
     if cap is not None and cap < 1:
@@ -246,12 +248,12 @@ def _prefix_failure(c: verify_mod.PrefixCheck) -> dict:
 
 def _cmd_generate(args) -> int:
     params = Params(args.h, args.g, args.n)
-    memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
+    memory_cap = _cap(args, "memory")
     if args.algo == ALGORITHM_STRONG and args.scan_cap is not None:
         raise ValueError("--scan-cap applies only to --algo classic")
     if args.timings and args.format != "json":
         raise ValueError("--timings applies only to --format json")
-    scan_cap = _cap(args, "scan_cap", ENV_SCAN_CAP, None)
+    scan_cap = _cap(args, "scan")
     if args.algo == ALGORITHM_STRONG:
         rec = strong_greedy(params, max_entries=memory_cap)
         bound_ok = verify_mod.strong_bound_check(rec).ok
@@ -271,7 +273,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    enum_cap = _cap(args, "enum_cap", ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION)
+    enum_cap = _cap(args, "enum")
     terms = read_terms(args.input, args.format)
     h, g = args.h, args.g
     if h < 2 or g < 1:
@@ -342,11 +344,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     if args.input is None:
-        memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
+        memory_cap = _cap(args, "memory")
     elif args.memory_cap is not None:
         raise ValueError("--memory-cap applies only with --n")
-    enum_cap = _cap(args, "enum_cap", ENV_ENUM_CAP, DEFAULT_MAX_ENUMERATION)
-    window_cap = _cap(args, "window_cap", ENV_WINDOW_CAP, verify_mod.DEFAULT_MAX_WINDOW)
+    enum_cap = _cap(args, "enum")
+    window_cap = _cap(args, "window")
     if args.sample_budget < 1:
         raise ValueError(f"--sample-budget must be >= 1, got {args.sample_budget}")
     h, g = args.h, args.g
@@ -404,8 +406,8 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = Params(args.h, args.g, args.n)
-    memory_cap = _cap(args, "memory_cap", ENV_MEMORY_CAP, DEFAULT_MAX_ENTRIES)
-    classic = classic_greedy(params, scan_cap=_cap(args, "scan_cap", ENV_SCAN_CAP, None),
+    memory_cap = _cap(args, "memory")
+    classic = classic_greedy(params, scan_cap=_cap(args, "scan"),
                              max_entries=memory_cap)
     strong = strong_greedy(params, max_entries=memory_cap)
     width = max(len(str(t)) for t in classic.terms + strong.terms)

@@ -314,21 +314,27 @@ def is_strong_candidate(
     return CandidateVerdict(True)
 
 
-#: Largest scan slice.
+#: Largest slice of a g > 1 scan.  The screen of a slice reads one window
+#: of reach per element as wide as the slice, all of it, past the term the
+#: scan finds there too, so a scan that walks far would screen ever more
+#: candidates no step needs if the slices kept doubling (ROADMAP item 5).
 _CHUNK = 1 << 16
 
 #: Width of the first slice of a g > 1 scan; each further slice doubles it,
 #: up to _CHUNK.  Most scans end within a few thousand candidates of where
-#: they start, and the screen of a slice reads one window of reach as wide
-#: as the slice per element.  A g = 1 scan reads its matrix above the top
-#: term in windows of this width, then four times as many, and so on.
+#: they start.  A g = 1 scan reads its matrix above the top term in windows
+#: of this width, then four times as many, and so on, with no cap: a window
+#: masks its row from bit 0, so it costs time in proportion to its top, and
+#: fewer, wider windows cost less.
 _FIRST_SLICE = 1 << 10
 
 
 class _SumScan:
     """The state of the greedy scan for g > 1 over one growing set A: t,
     its sum tables, the level counts levels, the packed integer dead and
-    the bitmaps ind and reach.
+    the bitmaps ind and reach.  check_levels is the run's rule: with it,
+    each find admits only a term that keeps every level within its
+    ceiling at the set's next size.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests a candidate again once a test has
@@ -354,11 +360,13 @@ class _SumScan:
     candidates that this rule cannot decide.
     """
 
-    __slots__ = ("t", "g", "levels", "dead", "ind", "reach")
+    __slots__ = ("t", "g", "check_levels", "levels", "dead", "ind", "reach")
 
-    def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES):
+    def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES,
+                 check_levels: bool = False):
         self.t = SumTableSet(h, max_entries=max_entries)
         self.g = g
+        self.check_levels = check_levels
         self.levels = (0,) * g
         self.dead = 1
         self.ind = self.reach = bytearray()
@@ -443,11 +451,11 @@ class _SumScan:
         self.dead |= (live & hits) << lo
         return live & ~hits
 
-    def accept_general(self, n_next: int,
-                       check_levels: bool) -> Callable[[int], Optional[tuple]]:
+    def accept_general(self) -> Callable[[int], Optional[tuple]]:
         """Candidate test of a step: classify_candidate against the kept
-        levels, with the level limits of a set of size n_next set once per
-        step, or with no limit with check_levels off.
+        levels, with the level limits of a set of the next size,
+        len(t) + 1, set once per step, or with no limit with check_levels
+        off.
 
         The limit of level s >= 2 is its room below the ceiling,
         floor_s - R_s, and the pass stops as soon as the level gains more;
@@ -459,9 +467,10 @@ class _SumScan:
         the next join.
         """
         t, g, counts = self.t, self.g, self.levels
+        n_next = len(t) + 1
         limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, t.h, g, s).floor - r
                                         for s, r in enumerate(counts[1:], 2)]
-                  if check_levels else None)
+                  if self.check_levels else None)
 
         def accept(m: int) -> Optional[tuple]:
             x, failed, levels, sat = classify_candidate(t, m, g, counts, limits)
@@ -473,8 +482,7 @@ class _SumScan:
 
         return accept
 
-    def find(self, top: int, n_next: int,
-             check_levels: bool) -> Optional[tuple[int, tuple]]:
+    def find(self, top: int) -> Optional[tuple[int, tuple]]:
         """The smallest live candidate below top that the step's test
         admits, with the pass that admitted it, or None.
 
@@ -485,7 +493,7 @@ class _SumScan:
         as free & -free, so no Python code runs for a dead candidate.
         accept_general decides each, and may mark it dead.
         """
-        accept = self.accept_general(n_next, check_levels)
+        accept = self.accept_general()
         dead = self.dead
         lo, width = (~dead & dead + 1).bit_length() - 1, _FIRST_SLICE
         while lo < top:
@@ -613,11 +621,9 @@ class _SidonScan:
         y = folds[h] >> k * m & folds[h - k]
         return k * m + (y & -y).bit_length() - 1
 
-    def find(self, top: int, n_next: int,
-             check_levels: bool) -> Optional[tuple[int, tuple]]:
+    def find(self, top: int) -> Optional[tuple[int, tuple]]:
         """The smallest m above M and below top that keeps the set B_h[1],
-        with the empty pass ((), ()), or None; no level is kept, so n_next
-        and check_levels change nothing.
+        with the empty pass ((), ()), or None.
 
         m is M + i for the lowest clear bit i >= 1 of D_{h,h-1} with bit
         k*i clear in D_{h,h-k} for k = 2..h-1.  The bits are read in a
@@ -683,11 +689,13 @@ class _SidonScan:
                 diffs[e] |= diffs[s]
 
 
-def _new_scan(h: int, g: int,
-              max_entries: int = DEFAULT_MAX_ENTRIES) -> _SumScan | _SidonScan:
-    """A fresh scan for the rule of (h, g): sum tables for g > 1, and the
-    cut difference matrix for g = 1."""
-    return _SumScan(h, g, max_entries) if g > 1 else _SidonScan(h, max_entries)
+def _new_scan(h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES,
+              check_levels: bool = False) -> _SumScan | _SidonScan:
+    """A fresh scan for the rule of (h, g): sum tables for g > 1, which keep
+    check_levels, and the cut difference matrix for g = 1, which keeps no
+    level and so ignores it."""
+    return (_SumScan(h, g, max_entries, check_levels) if g > 1
+            else _SidonScan(h, max_entries))
 
 
 def _greedy(
@@ -711,7 +719,7 @@ def _greedy(
     with the same message, under the entry cap, which join checks.
     """
     h, g = params.h, params.g
-    scan = _new_scan(h, g, max_entries)
+    scan = _new_scan(h, g, max_entries, check_levels)
     members = scan.elements
     rec = SequenceRecord(params, algorithm)
     meta, admission = StepMeta(1, 1, 0, ceiling(1).floor, 0.0), None
@@ -727,7 +735,7 @@ def _greedy(
         t0 = time.perf_counter()
         n_next = meta.n + 1
         floor = ceiling(n_next).floor
-        found = scan.find(floor + 1, n_next, check_levels)
+        found = scan.find(floor + 1)
         if found is None:
             raise error(f"no admissible candidate <= {floor} for term "
                         f"{n_next} (h={h}, g={g}); {hint}")

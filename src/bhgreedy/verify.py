@@ -246,7 +246,7 @@ def _checked_input(A, h: int, g: int) -> list[int]:
 
 
 def _guard_enumeration(n: int, h: int, cap: int) -> None:
-    total = comb(n + h - 1, h) if n + h > 0 else 1
+    total = comb(n + h - 1, h)
     if total > cap:
         raise GuardExceeded(
             f"enumeration of {total} multisets exceeds cap {cap}"

@@ -376,6 +376,51 @@ def test_verify_classic_bound_needs_g1_before_any_check(capsys, tmp_path,
     assert "classic ceiling is only proven for g = 1" in err
 
 
+# The strong (3, 3, 19) run and 770, which the run rejects as its 20th term
+# on the level-3 ceiling alone: a B_3[3] set whose last prefix is not strong.
+STRONG_3_3_19_770 = [1, 2, 3, 4, 8, 11, 21, 32, 43, 65, 108, 131, 196, 262, 287,
+                     378, 434, 470, 599, 770]
+
+
+def write_bfile(path, terms):
+    path.write_text("".join(f"{n} {a}\n" for n, a in enumerate(terms, 1)))
+    return str(path)
+
+
+def test_verify_names_a_level_past_its_ceiling(capsys, tmp_path):
+    f = write_bfile(tmp_path / "seq.bfile", STRONG_3_3_19_770)
+    report = tmp_path / "report.json"
+    code, stdout, _ = run(capsys, "verify", "--h", "3", "--g", "3", f,
+                          "--report", str(report))
+    assert code == EXIT_VERIFY_FAIL
+    assert stdout == ("FAIL prefix n=20: level 3 count 150 exceeds its ceiling\n"
+                      "ok: strong-ceiling holds at every index "
+                      "(worst ratio 0.00463 at n=1)\n")
+    assert json.loads(report.read_text()) == {
+        "bound": {"failures": [], "kind": "strong-ceiling", "ok": True},
+        "g": 3, "h": 3, "input": f, "n_terms": 20, "ok": False,
+        "prefixes": {"checked": 20, "failures": [
+            {"bhg_ok": True, "count": None, "failed_s": 3, "level_count": 150,
+             "n": 20, "x": None}]},
+    }
+
+
+def test_verify_names_a_term_past_the_strong_ceiling(capsys, tmp_path):
+    f = write_bfile(tmp_path / "seq.bfile", [1, 1000000])
+    report = tmp_path / "report.json"
+    code, stdout, _ = run(capsys, "verify", "--h", "2", "--g", "1", f,
+                          "--report", str(report))
+    assert code == EXIT_VERIFY_FAIL
+    assert stdout == ("ok: all 2 prefixes satisfy both strong-set conditions\n"
+                      "FAIL strong-ceiling at n=2: term 1000000\n")
+    assert json.loads(report.read_text()) == {
+        "bound": {"failures": [{"n": 2, "term": 1000000}], "kind": "strong-ceiling",
+                  "ok": False},
+        "g": 1, "h": 2, "input": f, "n_terms": 2, "ok": False,
+        "prefixes": {"checked": 2, "failures": []},
+    }
+
+
 @pytest.mark.parametrize("h,g,source", [
     (2, 1, "verify-diagnose-n198.bfile"),
     (2, 1, "verify-diagnose-n199.bfile"),
@@ -440,6 +485,21 @@ def test_diagnose_corrupt_input_names_failure(capsys, tmp_path):
                           "--input", str(f))
     assert code == EXIT_VERIFY_FAIL
     assert "prefix_strong" in stdout
+
+
+def test_diagnose_names_a_level_past_its_ceiling(capsys, tmp_path):
+    f = write_bfile(tmp_path / "seq.bfile", STRONG_3_3_19_770)
+    out = tmp_path / "ledger.json"
+    code, stdout, _ = run(capsys, "diagnose", "--h", "3", "--g", "3", "--input", f,
+                          "--out", str(out))
+    assert code == EXIT_VERIFY_FAIL
+    lines = stdout.splitlines()
+    assert lines[0] == "step=20 prefix_strong: level 3 count 150 exceeds its ceiling FAIL"
+    assert lines[-1] == "diagnostics: FAILED (4578 inequality instances, 20 prefixes)"
+    doc = json.loads(out.read_text())
+    assert (doc["ok"], doc["prefix_failures"]) == (False, [
+        {"bhg_ok": True, "count": None, "failed_s": 3, "level_count": 150, "n": 20,
+         "x": None}])
 
 
 def test_diagnose_needs_n_or_input(capsys):

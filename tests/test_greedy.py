@@ -50,9 +50,10 @@ def build(h, elements):
     return t
 
 
-def committed(h, g, terms):
-    """A scan that has committed terms in order."""
-    scan = _new_scan(h, g)
+def committed(h, g, terms, check_levels=False):
+    """A scan, with the level rule check_levels, that has committed terms
+    in order."""
+    scan = _new_scan(h, g, check_levels=check_levels)
     for a in terms:
         scan.grow(a, scan.join(a))
     return scan
@@ -451,11 +452,11 @@ def check_fused_against_contract_op(prefix, h, g):
     stays live; the enlarged set then fails some level s >= 2 as well.
     Returns the verdict reasons seen and the count of breakers left live."""
     n = len(prefix)
-    scan = committed(h, g, prefix)
+    scan = committed(h, g, prefix, check_levels=True)
     t = scan.t
     profile = t.rep_histogram(g)
     hi = 2 * max(prefix) + 10
-    fused = scan.accept_general(n + 1, g > 1)
+    fused = scan.accept_general()
     reasons, alive_breaks = set(), 0
     for m in range(1, hi):
         if m in t:
@@ -767,8 +768,8 @@ def check_g1_accept(elements, h):
             first = m
         kinds.add("k1" if any(m + a in reach for a in elements) else
                   "accepted" if verdict.accepted else "high")
-    assert scan.find(first, len(t) + 1, False) is None
-    assert scan.find(first + 1, len(t) + 1, False) == (first, ((), ()))
+    assert scan.find(first) is None
+    assert scan.find(first + 1) == (first, ((), ()))
     return kinds
 
 
@@ -833,7 +834,7 @@ def test_screen_stops_early_and_accept_decides_the_rest(h, g, n, width):
         breaks = {m for m in range(lo, hi) if m not in t and is_strong_candidate(
             t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
         start = scan.dead
-        accept = scan.accept_general(i + 2, False)
+        accept = scan.accept_general()
         for a in range(lo, hi, step):
             b = min(a + step, hi)
             exact = {m for m in range(a, b) if m not in t
@@ -864,8 +865,8 @@ def test_accept_sees_no_candidate_that_e_decides(monkeypatch, generator, h, g, n
     accept_general = _SumScan.accept_general
     handed = []
 
-    def checked(self, n_next, check_levels):
-        accept = accept_general(self, n_next, check_levels)
+    def checked(self):
+        accept = accept_general(self)
         e = int.from_bytes(self.reach, "little")
 
         def screened_accept(m):
@@ -887,10 +888,9 @@ def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
     # live, where the run's own scan had marked some dead; its find must
     # still return the run's next term under the same ceiling.
     rec = generator(Params(h, g, n))
-    check_levels = rec.algorithm == "strong" and g > 1
     for i, meta in enumerate(rec.per_step[1:], 1):
-        scan = committed(h, g, rec.terms[:i])
-        assert scan.find(meta.bound_floor + 1, i + 1, check_levels)[0] == meta.term, \
+        scan = committed(h, g, rec.terms[:i], rec.algorithm == "strong")
+        assert scan.find(meta.bound_floor + 1)[0] == meta.term, \
             (rec.algorithm, rec.terms[:i])
 
 
@@ -916,11 +916,10 @@ def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
     # inside join.  Either way the kept state must match the tables and
     # the enumeration.
     rec = generator(Params(h, g, n))
-    check_levels = rec.algorithm == "strong"
-    scan = _new_scan(h, g)
+    scan = _new_scan(h, g, check_levels=rec.algorithm == "strong")
     scan.grow(1, scan.join(1))
     for i, meta in enumerate(rec.per_step[1:], 1):
-        term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
+        term, admission = scan.find(meta.bound_floor + 1)
         assert term == meta.term
         assert admission == tuple(classify_candidate(scan.t, term, g, scan.levels)[2:])
         scan.grow(term, scan.join(term, admission))
@@ -950,17 +949,17 @@ def test_dead_holds_only_members_and_bhg_breaks(generator, h, g, n):
     # candidate live.  A screen that marked the candidates it did not hit
     # would set the bits of candidates that keep the set B_h[g].
     rec = generator(Params(h, g, n))
-    check_levels = rec.algorithm == "strong"
-    scan, by_hand = _new_scan(h, g), _new_scan(h, g)
+    scan, by_hand = (_new_scan(h, g, check_levels=rec.algorithm == "strong")
+                     for _ in range(2))
     scan.grow(1, scan.join(1))
     breakers = 0
     for i, meta in enumerate(rec.per_step[1:], 1):
-        term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
+        term, admission = scan.find(meta.bound_floor + 1)
         assert term == meta.term
         breakers += check_dead(scan, rec.terms[:i], h, g)
         scan.grow(term, scan.join(term, admission))
         by_hand.grow(rec.terms[-i], by_hand.join(rec.terms[-i]))
-        by_hand.find(meta.bound_floor + 1, i + 1, check_levels)
+        by_hand.find(meta.bound_floor + 1)
         breakers += check_dead(by_hand, rec.terms[-i:], h, g)
     assert breakers
 
@@ -1045,8 +1044,8 @@ def test_g1_folds_match_the_oracle_after_every_commit(generator, h, n):
     scan.grow(1, scan.join(1))
     check_g1_bitmaps(scan, [1])
     for i, meta in enumerate(rec.per_step[1:], 1):
-        assert scan.find(meta.term, i + 1, False) is None
-        found = scan.find(meta.bound_floor + 1, i + 1, False)
+        assert scan.find(meta.term) is None
+        found = scan.find(meta.bound_floor + 1)
         assert found == (meta.term, ((), ()))
         scan.grow(meta.term, scan.join(*found))
         prefix = rec.terms[:i + 1]
@@ -1073,7 +1072,7 @@ def test_g1_matrix_never_holds_more_than_its_width(h, n):
 
 
 RULE_STATE = {
-    _SumScan: {"t", "g", "levels", "dead", "ind", "reach"},
+    _SumScan: {"t", "g", "check_levels", "levels", "dead", "ind", "reach"},
     _SidonScan: {"h", "elements", "max_entries", "diffs"},
 }
 
@@ -1098,7 +1097,7 @@ class WalkScan(_SumScan):
 
     __slots__ = ("visits", "admit", "clear")
 
-    def accept_general(self, n_next, check_levels):
+    def accept_general(self):
         return self.record
 
     def record(self, m):
@@ -1138,8 +1137,7 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
         scan.dead = dead
         scan.visits, scan.clear = [], clear
         scan.admit = set() if first is None else set(live[live.index(first):])
-        assert scan.find(top, 2, False) == (None if first is None
-                                            else (first, ((), ())))
+        assert scan.find(top) == (None if first is None else (first, ((), ())))
         expected = live if first is None else live[:live.index(first) + 1]
         assert scan.visits == expected
         assert scan.dead == dead | (packed(scan.visits) if clear else 0)
@@ -1154,7 +1152,7 @@ def test_find_walks_across_a_full_chunk():
     scan = WalkScan(3, 2)
     scan.dead = (1 << lo + _CHUNK) - 1 ^ packed(live)
     scan.visits, scan.clear, scan.admit = [], False, {live[-1]}
-    assert scan.find(lo + _CHUNK + 1, 2, False) == (live[-1], ((), ()))
+    assert scan.find(lo + _CHUNK + 1) == (live[-1], ((), ()))
     assert scan.visits == live
 
 
@@ -1178,8 +1176,8 @@ def test_g1_bitmaps_stay_exact_on_seeded_sidon_sets(h):
                      if m not in prefix and keeps_bh1(hist, prefix, m, h)]
             term = next(m for m in keeps if m > a)
             skipped += keeps[0] < a
-            assert scan.find(term, i + 2, False) is None, (seed, prefix)
-            assert scan.find(term + 1, i + 2, False) == (term, ((), ())), (seed, prefix)
+            assert scan.find(term) is None, (seed, prefix)
+            assert scan.find(term + 1) == (term, ((), ())), (seed, prefix)
     assert skipped
 
 
@@ -1336,11 +1334,10 @@ def check_capped_run(generator, rec, cap):
     assert guard_message(lambda: generator(params, on_step=steps.append,
                                            max_entries=cap)) == plain, (params, cap)
     assert [m.term for m in steps] == rec.terms[:len(t.elements)], (params, cap)
-    check_levels = rec.algorithm == "strong" and g > 1
-    scan, admission = _new_scan(h, g, cap), None
+    scan, admission = _new_scan(h, g, cap, rec.algorithm == "strong"), None
     for i, meta in enumerate(rec.per_step):
         if i:
-            term, admission = scan.find(meta.bound_floor + 1, i + 1, check_levels)
+            term, admission = scan.find(meta.bound_floor + 1)
             assert term == meta.term
         if i < len(steps):
             assert guard_message(

@@ -12,6 +12,7 @@ import pytest
 from bhgreedy import (
     DEFAULT_MAX_ENUMERATION,
     GuardExceeded,
+    InequalityInstance,
     Params,
     SequenceRecord,
     classic_bound_check,
@@ -478,6 +479,26 @@ def test_window_scan_emits_run_witnesses_in_order():
         # unsampled m above 48 was emitted for a run.
         assert any(i.m > 48 and i.m not in sample for i in instances
                    if i.name == "promotion_witness")
+
+
+def test_inequality_holds_reads_its_relation():
+    """holds is lhs <= rhs or lhs > rhs, as relation says, so an equal pair
+    holds only under "<=", and an unknown relation is an error.  Every
+    promotion_witness a scan records reads ">": at A = {1, .., 16},
+    (h, g) = (3, 6), most fail, some hold and one has lhs == rhs."""
+    for lhs in (4, 5, 6):
+        assert InequalityInstance("x", 1, lhs, 5).holds == (lhs <= 5)
+        assert InequalityInstance("x", 1, lhs, 5, ">").holds == (lhs > 5)
+    with pytest.raises(ValueError, match="^unknown relation '>='$"):
+        InequalityInstance("x", 1, 5, 5, ">=").holds
+    kept = []
+    _scan_window(list(range(1, 17)), 3, 6, set(), kept, DEFAULT_MAX_WINDOW,
+                 DEFAULT_MAX_ENUMERATION)
+    witnesses = [i for i in kept if i.name == "promotion_witness"]
+    assert {i.relation for i in witnesses} == {">"}
+    assert all(i.holds == (i.lhs > i.rhs) for i in witnesses)
+    assert Counter(i.holds for i in witnesses) == {False: 151_553, True: 10}
+    assert sum(i.lhs == i.rhs for i in witnesses) == 1
 
 
 def test_forbidden_set_sizes_builds_no_instance(monkeypatch):
