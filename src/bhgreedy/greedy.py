@@ -22,7 +22,7 @@ arithmetic.  No floating point is used anywhere in generation.
 """
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from functools import cache, reduce
 from math import comb
 from operator import add, or_
@@ -196,7 +196,7 @@ class CandidateVerdict(NamedTuple):
 
 
 def classify_candidate(
-    t: SumTableSet,
+    t: "SumTableSet | _ScanTables",
     m: int,
     g: int,
     base: tuple[int, ...],
@@ -224,7 +224,10 @@ def classify_candidate(
     that tripped, not the smallest failing one.
 
     The pass reads the pairs (k, y, c), y a (h-k)-fold sum of multiplicity
-    c, from the tables in place: m adds c representations of x = k*m + y.
+    c, from the tables in place: m adds c representations of x = k*m + y,
+    and x <= h*max(M, m), M the largest element.  It reads r(x) as
+    t.tables[h][x]: a SumTableSet's Counter, or the flat array of a scan,
+    which the caller has made cover h*max(M, m).
     A pair raising r(x), plus what m has added to x so far, from cur to
     now enters x into levels cur+1..now.  Most sums are fresh, 0 -> 1, and
     are counted in bulk into level 1; only the others can reach g > 1, so
@@ -235,7 +238,7 @@ def classify_candidate(
     S_{h-1}.
     """
     h = t.h
-    th = t.tables[h].get
+    th = t.tables[h]
     # No gain reaches sys.maxsize, which bounds the size of any container.
     lim = limits or [maxsize] * (g + 1)
     gains = [0] * (g + 1)
@@ -244,7 +247,7 @@ def classify_candidate(
     t1 = t.tables[h - 1]
     for y, c in t1.items():
         x = m + y
-        cur = th(x, 0)
+        cur = th[x]
         now = cur + c
         if now > g:
             return x, None, (), []
@@ -263,7 +266,7 @@ def classify_candidate(
         km = k * m
         for y, c in t.tables[h - k].items():
             x = km + y
-            cur = grown.get(x) or th(x, 0) + share(x - m, 0)
+            cur = grown.get(x) or th[x] + share(x - m, 0)
             now = cur + c
             if now > g:
                 return x, None, (), []
@@ -329,12 +332,82 @@ _CHUNK = 1 << 16
 _FIRST_SLICE = 1 << 10
 
 
+class _ScanTables:
+    """The sum tables of a g > 1 scan.  tables[j], j < h, maps each j-fold
+    sum of A to its multiplicity, as in SumTableSet; tables[h] holds r(x)
+    at index x, a flat array that is 0 wherever x is no h-fold sum.  A scan
+    keeps no B_h[g] breaker, so every r(x) is at most g: a bytearray holds
+    it for g <= 255, and a list of exact integers for a larger g.  distinct
+    counts the sums with r(x) > 0, so entry_count is that of a SumTableSet
+    of the same set, and the entry cap trips at the same term, with the
+    same message.
+
+    cover grows the array by doubling to more than h*m slots, for the
+    largest element or candidate m read so far, never for a scan's ceiling:
+    a classifier pass for m reads r(x) up to h*max(M, m), so whoever runs
+    one covers m first.
+    """
+
+    __slots__ = ("h", "tables", "elements", "max_entries", "distinct")
+
+    def __init__(self, h: int, g: int, max_entries: int):
+        self.h = h
+        self.tables = [{0: 1}, *({} for _ in range(h - 1)),
+                       bytearray() if g <= 255 else []]
+        self.elements: list[int] = []
+        self.max_entries = max_entries
+        self.distinct = 0
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __contains__(self, a: int) -> bool:
+        return a in self.tables[1]
+
+    def cover(self, m: int) -> None:
+        """Grow the array to hold r(x) for every x <= h*m."""
+        rep = self.tables[self.h]
+        short = self.h * m + 1 - len(rep)
+        if short > 0:
+            rep.extend(bytes(max(short, len(rep))))
+
+    def entry_count(self) -> int:
+        return self.distinct + sum(map(len, self.tables[:-1]))
+
+    def add_element(self, a: int) -> None:
+        """Insert the non-member a >= 1 that keeps the set B_h[g], as
+        SumTableSet.add_element does, j downward from h.  Raises
+        GuardExceeded past the entry cap, with the tables part-updated."""
+        h, tables = self.h, self.tables
+        self.cover(a)
+        rep, fresh = tables[h], 0
+        for k in range(1, h + 1):
+            ka = k * a
+            for y, c in tables[h - k].items():
+                x = y + ka
+                r = rep[x]
+                if not r:
+                    fresh += 1
+                rep[x] = r + c
+        self.distinct += fresh
+        for j in range(h - 1, 0, -1):
+            tj = tables[j]
+            for k in range(1, j + 1):
+                ka = k * a
+                for y, c in tables[j - k].items():
+                    x = y + ka
+                    tj[x] = tj.get(x, 0) + c
+        if self.entry_count() > self.max_entries:
+            raise entry_cap_error(self.max_entries, a)
+        insort(self.elements, a)
+
+
 class _SumScan:
     """The state of the greedy scan for g > 1 over one growing set A: t,
-    its sum tables, the level counts levels, the packed integer dead and
-    the bitmaps ind and reach.  check_levels is the run's rule: with it,
-    each find admits only a term that keeps every level within its
-    ceiling at the set's next size.
+    its sum tables with r(x) in a flat array, the level counts levels, the
+    packed integer dead and the bitmaps ind and reach.  check_levels is the
+    run's rule: with it, each find admits only a term that keeps every
+    level within its ceiling at the set's next size.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests a candidate again once a test has
@@ -364,7 +437,7 @@ class _SumScan:
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES,
                  check_levels: bool = False):
-        self.t = SumTableSet(h, max_entries=max_entries)
+        self.t = _ScanTables(h, g, max_entries)
         self.g = g
         self.check_levels = check_levels
         self.levels = (0,) * g
@@ -385,15 +458,17 @@ class _SumScan:
         hand) term is checked here, before anything changes, by a whole
         classifier pass with no limit: only a member or a B_h[g] breaker
         raises ValueError, which names a sum term would push past g; levels
-        may pass a ceiling.  A refused join changes nothing.  The entry cap
-        trips inside SumTableSet.add_element, which leaves its tables
-        part-updated, and nothing else.  Until grow has run, the scan
-        serves no find or further join.
+        may pass a ceiling.  A refused join changes nothing but the length
+        of the array of r(x).  The entry cap trips inside
+        _ScanTables.add_element, which leaves its tables part-updated, and
+        nothing else.  Until grow has run, the scan serves no find or
+        further join.
         """
         t, g = self.t, self.g
         if admission is None:
             if term in t:
                 raise ValueError(f"{term} is already in the set")
+            t.cover(term)
             x, _, levels, sat = classify_candidate(t, term, g, self.levels)
             if x is not None:
                 raise ValueError(f"{term} breaks B_{t.h}[{g}]: the sum {x} would "
@@ -466,13 +541,14 @@ class _SumScan:
         is whole, (levels, sat), and join takes it over; it holds until
         the next join.
         """
-        t, g, counts = self.t, self.g, self.levels
+        t, g, counts, cover = self.t, self.g, self.levels, self.t.cover
         n_next = len(t) + 1
         limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, t.h, g, s).floor - r
                                         for s, r in enumerate(counts[1:], 2)]
                   if self.check_levels else None)
 
         def accept(m: int) -> Optional[tuple]:
+            cover(m)
             x, failed, levels, sat = classify_candidate(t, m, g, counts, limits)
             if x is not None:
                 self.dead |= 1 << m

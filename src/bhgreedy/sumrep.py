@@ -67,7 +67,9 @@ class SumTableSet:
     """Exact j-fold multiset-sum counts of a growing set, j = 0..h.
 
     The tables are the only record of the set: tables[1] maps each element
-    to 1, and elements lists the same members in order.
+    to 1, and elements lists the same members in order.  tables[h] is a
+    Counter, so r(x) reads as tables[h][x], 0 for a sum x it does not hold,
+    and the read inserts nothing.
     """
 
     __slots__ = ("h", "tables", "elements", "max_entries")
@@ -76,8 +78,8 @@ class SumTableSet:
         if h < 2:
             raise ValueError(f"order h must be >= 2, got {h}")
         self.h = h
-        self.tables: list[dict[int, int]] = [{} for _ in range(h + 1)]
-        self.tables[0][0] = 1
+        self.tables: list[dict[int, int]] = [{0: 1}, *({} for _ in range(h - 1)),
+                                             Counter()]
         self.elements: list[int] = []
         self.max_entries = max_entries
 

@@ -18,8 +18,11 @@ def load_spans():
 
 
 def test_traced_generate_counts_and_restores(capsys):
-    # A (3, 2) run inserts into SumTableSet, whose add_element the tracer
-    # wraps; a g = 1 run keeps no sum table (below).
+    # A (3, 2) run keeps its own tables, with r(x) in a flat array, and
+    # inserts into no SumTableSet, so the tracer's add_element span records
+    # no call from it; a g = 1 run keeps no sum table (below).  The span
+    # still counts the reference SumTableSet, here built from the run's
+    # terms while the tracer is installed.
     spans = load_spans()
     owners = (cli, sumrep.SumTableSet, verify)
     before = [dict(vars(owner)) for owner in owners]
@@ -36,14 +39,17 @@ def test_traced_generate_counts_and_restores(capsys):
             assert value.__wrapped__ is original, name
         code = cli.main(["generate", "--h", "3", "--g", "2", "--n", "12",
                          "--format", "csv"])
+        assert code == 0
+        terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
+        assert terms == strong_greedy(Params(3, 2, 12)).terms
+        assert tracer.counts["sumrep.add_element_calls"] == 0
+        assert tracer.counts["sumrep.table_entries"] == 0
+        assert "sumrep.add_element" not in {layer for layer, *_ in tracer.spans}
+        t = SumTableSet(3)
+        for a in terms:
+            t.add_element(a)
     finally:
         restore()
-    assert code == 0
-    terms = [int(line.split(",")[1]) for line in capsys.readouterr().out.split()]
-    assert terms == strong_greedy(Params(3, 2, 12)).terms
-    t = SumTableSet(3)
-    for a in terms:
-        t.add_element(a)
     assert tracer.counts["sumrep.table_entries"] == t.entry_count()
     assert tracer.counts["sumrep.add_element_calls"] == 12
     assert tracer.counts["greedy.steps"] == 11

@@ -109,12 +109,14 @@ def check_g1_bitmaps(scan, prefix):
 
 def kept_state(scan):
     """Everything a scan keeps, read slot by slot of its class and copied,
-    a SumTableSet as its tables."""
+    sum tables as their entries, the array of r(x) as its nonzero slots."""
     state = {}
     for cls in type(scan).__mro__:
         for name in getattr(cls, "__slots__", ()):
             value = getattr(scan, name)
-            state[name] = ([dict(d) for d in value.tables] if isinstance(value, SumTableSet)
+            state[name] = ([dict(d) if isinstance(d, dict)
+                            else {x: r for x, r in enumerate(d) if r}
+                            for d in value.tables] if hasattr(value, "tables")
                            else deepcopy(value))
     return state
 
@@ -453,7 +455,7 @@ def check_fused_against_contract_op(prefix, h, g):
     Returns the verdict reasons seen and the count of breakers left live."""
     n = len(prefix)
     scan = committed(h, g, prefix, check_levels=True)
-    t = scan.t
+    t = build(h, prefix)
     profile = t.rep_histogram(g)
     hi = 2 * max(prefix) + 10
     fused = scan.accept_general()
@@ -830,7 +832,7 @@ def test_screen_stops_early_and_accept_decides_the_rest(h, g, n, width):
     step = 13 if width is None else width
     stopped_early = 0
     for i, scan, hist, lower, lo, hi in screened_prefixes(h, g, n):
-        t = scan.t
+        t = build(h, scan.elements)
         breaks = {m for m in range(lo, hi) if m not in t and is_strong_candidate(
             t, t.candidate_delta(m), i + 2, h, g).reason == "bhg"}
         start = scan.dead
@@ -895,13 +897,24 @@ def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
 
 
 def check_kept_state(scan, prefix, h, g):
-    """For g > 1 the scan's level counts are the tables' R_1..R_g and its
-    Sat is {x : r(x) >= g} from enumeration; at g = 1, which keeps no
+    """For g > 1 the scan's tables are those of a SumTableSet of prefix,
+    with r(x) in a flat array that matches its h-fold table at every
+    x <= h*M and is 0 above, the distinct sums and the entries counted
+    alike; its level counts are the tables' R_1..R_g and its Sat is
+    {x : r(x) >= g} from enumeration.  At g = 1, which keeps no table,
     level or Sat, its difference bitmaps match theirs."""
     if g == 1:
         check_g1_bitmaps(scan, prefix)
         return
-    assert scan.levels == scan.t.rep_histogram(g), prefix
+    t, ref = scan.t, build(h, prefix)
+    rep, top = t.tables[h], h * max(prefix)
+    assert t.tables[:h] == ref.tables[:h], prefix
+    assert list(rep[:top + 1]) == [ref.tables[h][x] for x in range(top + 1)], prefix
+    assert not any(rep[top + 1:]), prefix
+    assert t.distinct == len(ref.tables[h]), prefix
+    assert t.entry_count() == ref.entry_count(), prefix
+    assert t.elements == ref.elements, prefix
+    assert scan.levels == ref.rep_histogram(g), prefix
     assert sat_bits(scan) == sum(
         1 << x for x, c in multiset_sum_histogram(prefix, h).items() if c >= g), prefix
 
@@ -1069,6 +1082,43 @@ def test_g1_matrix_never_holds_more_than_its_width(h, n):
             scan.grow(a, scan.join(a))
             kept = sum(bits.bit_length() for bits in scan.diffs)
             assert kept <= G1_WIDTH[h] * a + 1, (elements, a, kept)
+
+
+@pytest.mark.parametrize("generator", [strong_greedy, classic_greedy])
+@pytest.mark.parametrize("h,g,n", [(2, 2, 60), (2, 3, 60), (3, 2, 30), (4, 2, 15),
+                                   (3, 300, 8)])
+def test_rep_array_never_holds_more_than_twice_its_reach(monkeypatch, generator, h, g, n):
+    # After every join, the flat array of r(x) covers every h-fold sum of
+    # the set and of the candidates tested so far, up to h*max(M, m), M
+    # the largest element and m the largest candidate classified, and
+    # holds at most twice that many slots: it grows by doubling from what
+    # the scan has read, never from the step's ceiling.  It is a bytearray
+    # for g <= 255 and a list above, and the scan builds no SumTableSet.
+    classify, join = classify_candidate, _SumScan.join
+    tested, lengths = [0], []
+
+    def wrapped_classify(t, m, *args):
+        tested[0] = max(tested[0], m)
+        return classify(t, m, *args)
+
+    def checked_join(self, term, admission=None):
+        joined = join(self, term, admission)
+        rep = self.t.tables[h]
+        assert type(rep) is (bytearray if g <= 255 else list)
+        reach = h * max(self.elements[-1], tested[0]) + 1
+        assert reach <= len(rep) <= 2 * reach, (self.elements, tested[0], len(rep))
+        lengths.append(len(rep))
+        return joined
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SumTableSet built")
+
+    expected = generator(Params(h, g, n)).terms
+    monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
+    monkeypatch.setattr(_SumScan, "join", checked_join)
+    monkeypatch.setattr("bhgreedy.greedy.SumTableSet", refuse)
+    assert generator(Params(h, g, n)).terms == expected
+    assert len(lengths) == n and len(set(lengths)) > 2
 
 
 RULE_STATE = {
@@ -1270,6 +1320,9 @@ GOLDEN_RUNS = [
     (strong_greedy, 3, 2, 60, "45b7b891143e445a6d6789359894286ff3196bb6e136124fdd04056d37a05c8c"),
     (strong_greedy, 2, 3, 150, "0c5bbc0db48ba501d4515449109a69271746ef97993c63b76fbd65c47bc61b84"),
     (classic_greedy, 3, 2, 40, "78f6e5ec20e2ff2dd131ccf5ef7d77129bff1aa5dc5414c20c460f6d1d271dc0"),
+    # r(x) reaches 256, past a byte, at the last term; taken while r(x)
+    # was still kept in a dict.
+    (strong_greedy, 4, 256, 20, "083cc5bc148950ac9c0853f66db860bc7428d1959af9a281d8d9cc887c82a663"),
 ]
 
 
