@@ -131,8 +131,23 @@ def int_nth_root(x: int, k: int) -> int:
         raise ValueError("negative radicand")
     if x < 2:
         return x
-    # Newton iteration from an over-estimate converges down to the floor.
-    r = 1 << -(-x.bit_length() // k)
+    # The top bits of x give the leading bits of the root exactly, one
+    # trial power per bit.  They are the whole root when it has at most
+    # p = k.bit_length() bits below its top bit; otherwise, plus one unit
+    # in the last of them, they over-estimate it by a factor below
+    # 1 + 2^-p < 1 + 1/k.  From there Newton's iteration converges down
+    # to the floor in a few steps, where one from a power of two, up to
+    # twice the root, would shrink it by only about (k-1)/k a step.
+    drop = max(0, (x.bit_length() - 1) // k - k.bit_length())
+    top = x >> k * drop
+    i = (top.bit_length() - 1) // k
+    r = 1 << i
+    for i in range(i - 1, -1, -1):
+        if (r | 1 << i) ** k <= top:
+            r |= 1 << i
+    if not drop:
+        return r
+    r = r + 1 << drop
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -209,10 +224,11 @@ def classify_candidate(
     (None, s, (), []) when level s gains more than its limit (below).
     Otherwise returns (None, None, levels, sat): levels are the counts
     R_1..R_g of the enlarged set, and sat, for g > 1, lists the sums that
-    m raises to exactly g, the sums it adds to Sat.  An admitted pass thus
-    holds what _SumScan.join and grow need to add m.  The pass reads no level
-    ceiling: a caller turns ceilings into limits, or levels into a
-    verdict.  Without limits the pass is whole.
+    m raises to exactly g, the sums it adds to Sat.  The pass reads no
+    level ceiling: a caller turns ceilings into limits, or levels into a
+    verdict.  Without limits the pass is whole.  It writes nothing: it is
+    the reference that is_strong_candidate runs, and _ScanTables.admit
+    makes the same pass and writes it through.
 
     limits[s] bounds the gain R_s(enlarged) - R_s of level s (limits[0] is
     unused).  The pass stops as soon as the sums m has reached so far lift
@@ -226,8 +242,9 @@ def classify_candidate(
     The pass reads the pairs (k, y, c), y a (h-k)-fold sum of multiplicity
     c, from the tables in place: m adds c representations of x = k*m + y,
     and x <= h*max(M, m), M the largest element.  It reads r(x) as
-    t.tables[h][x]: a SumTableSet's Counter, or the flat array of a scan,
-    which the caller has made cover h*max(M, m).
+    t.tables[h][x]: a SumTableSet's Counter, or the flat array of a scan's
+    tables with no pass pending, which the caller has made cover
+    h*max(M, m).
     A pair raising r(x), plus what m has added to x so far, from cur to
     now enters x into levels cur+1..now.  Most sums are fresh, 0 -> 1, and
     are counted in bulk into level 1; only the others can reach g > 1, so
@@ -342,13 +359,17 @@ class _ScanTables:
     of the same set, and the entry cap trips at the same term, with the
     same message.
 
-    cover grows the array by doubling to more than h*m slots, for the
-    largest element or candidate m read so far, never for a scan's ceiling:
-    a classifier pass for m reads r(x) up to h*max(M, m), so whoever runs
-    one covers m first.
+    admit, classify_candidate's pass written through to the array, is the
+    only writer of r(x).  A pass it admits stays pending, as (m, the sums
+    it made nonzero), until add_element commits it or the next pass rolls
+    it back; pending is (0, 0) when no pass is.  tripped records that a
+    pass has stopped at a level limit.  cover grows the array by doubling
+    to more than h*m slots, for the largest element or candidate m read
+    so far, never for a scan's ceiling.
     """
 
-    __slots__ = ("h", "tables", "elements", "max_entries", "distinct")
+    __slots__ = ("h", "tables", "elements", "max_entries", "distinct", "pending",
+                 "tripped")
 
     def __init__(self, h: int, g: int, max_entries: int):
         self.h = h
@@ -357,6 +378,8 @@ class _ScanTables:
         self.elements: list[int] = []
         self.max_entries = max_entries
         self.distinct = 0
+        self.pending = (0, 0)
+        self.tripped = False
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -374,22 +397,108 @@ class _ScanTables:
     def entry_count(self) -> int:
         return self.distinct + sum(map(len, self.tables[:-1]))
 
-    def add_element(self, a: int) -> None:
-        """Insert the non-member a >= 1 that keeps the set B_h[g], as
-        SumTableSet.add_element does, j downward from h.  Raises
-        GuardExceeded past the entry cap, with the tables part-updated."""
+    def admit(
+        self, m: int, g: int, base: tuple[int, ...], limits: Optional[list[int]] = None,
+    ) -> tuple[Optional[int], Optional[int], tuple[int, ...], list[int]]:
+        """classify_candidate(self, m, g, base, limits) for the non-member
+        m >= 1, with its pair order, limits, early exits and result, that
+        also writes r(x) plus what m has added so far into the array as it
+        goes.  So a k >= 2 pair reads what the pairs before it added to x
+        there, and the pass keeps no record of its own.
+
+        It first rolls back the pending pass, if any, and covers h*m.  A
+        pass that meets a break or a level limit subtracts what it wrote,
+        and leaves the array and distinct as they were; one that admits m
+        stays pending.  A pair is written after its checks, so the pair a
+        pass stops at is never written.
+
+        The writes pay for a pass that admits m, which then needs no
+        second walk, and cost little for one that stops at a break, a few
+        percent into the walk.  A pass that stops at a level has walked a
+        fifth to three fifths of its pairs (strong (2,3,300) and
+        (3,2,120)), and undoing that costs more than the writes save.  So
+        once a pass has stopped at a level, tripped is set, and every
+        later pass with limits classifies m read-only by
+        classify_candidate; only an m it admits is walked again, to add
+        its pairs to the array, and left pending.
+        """
+        if self.pending[0]:
+            self.rollback()
         h, tables = self.h, self.tables
-        self.cover(a)
-        rep, fresh = tables[h], 0
+        if h * m >= len(tables[h]):
+            self.cover(m)
+        if limits and self.tripped:
+            x, s, levels, sat = verdict = classify_candidate(self, m, g, base, limits)
+            if x is None and s is None:
+                self._replay(m, h, None, 1)
+                self.pending = m, levels[0] - base[0]
+            return verdict
+        rep = tables[h]
+        # No gain reaches sys.maxsize, which bounds the size of any container.
+        lim = limits or [maxsize] * (g + 1)
+        gains = [0] * (g + 1)
+        sat: list[int] = []
+        fresh = 0
         for k in range(1, h + 1):
-            ka = k * a
+            km = k * m
             for y, c in tables[h - k].items():
-                x = y + ka
-                r = rep[x]
-                if not r:
+                x = km + y
+                cur = rep[x]
+                now = cur + c
+                if now > g:
+                    self._replay(m, k, y)
+                    return x, None, (), []
+                if now == 1:
                     fresh += 1
-                rep[x] = r + c
-        self.distinct += fresh
+                else:
+                    for s in range(cur + 1, now + 1):
+                        gains[s] += 1
+                        if gains[s] > lim[s]:
+                            self._replay(m, k, y)
+                            self.tripped = True
+                            return None, s, (), []
+                    if now == g:
+                        sat.append(x)
+                rep[x] = now
+        gains[1] += fresh
+        failed = next((s for s in range(1, g + 1) if gains[s] > lim[s]), None)
+        if failed is not None:
+            self._replay(m, h)
+            self.tripped = True
+            return None, failed, (), []
+        self.pending = m, gains[1]
+        return None, None, tuple(map(add, base, gains[1:])), sat
+
+    def _replay(self, m: int, last: int, stop: Optional[int] = None,
+                sign: int = -1) -> None:
+        """Add sign*c to r(x) for the pairs (k, y, c) of the pass for m, in
+        its order, up to the pair (last, stop), or through every pair of
+        k = last when stop is None: with sign -1, undo what a pass that
+        stopped at (last, stop), which it did not write, wrote."""
+        h, tables = self.h, self.tables
+        rep = tables[h]
+        for k in range(1, last + 1):
+            km = k * m
+            for y, c in tables[h - k].items():
+                if k == last and y == stop:
+                    return
+                rep[km + y] += sign * c
+
+    def rollback(self) -> None:
+        """Undo the pending pass, if any."""
+        m, _ = self.pending
+        if m:
+            self.pending = (0, 0)
+            self._replay(m, self.h)
+
+    def add_element(self, a: int) -> None:
+        """Commit the pending pass, which admitted a: count the sums it made
+        nonzero, fold a into the tables below h, j downward, as
+        SumTableSet.add_element does, and insert a.  Raises GuardExceeded
+        past the entry cap, with the tables part-updated."""
+        h, tables = self.h, self.tables
+        self.distinct += self.pending[1]
+        self.pending = (0, 0)
         for j in range(h - 1, 0, -1):
             tj = tables[j]
             for k in range(1, j + 1):
@@ -454,22 +563,26 @@ class _SumScan:
 
         admission is the pass that admitted term on the current set, as
         find returns it: the enlarged level counts and the sums it raised
-        to exactly g.  Without one (the first term, a prefix committed by
-        hand) term is checked here, before anything changes, by a whole
-        classifier pass with no limit: only a member or a B_h[g] breaker
-        raises ValueError, which names a sum term would push past g; levels
-        may pass a ceiling.  A refused join changes nothing but the length
-        of the array of r(x).  The entry cap trips inside
+        to exactly g.  Its writes to the array are still pending, so join
+        folds only the tables below h.  Without one (the first term, a
+        prefix committed by hand), or when the pending pass is another
+        candidate's, that pass is rolled back and term checked here,
+        before anything else changes, by a whole pass with no limit: a
+        term below 1, a member or a B_h[g] breaker raises ValueError, the
+        last naming a sum term would push past g; levels may pass a
+        ceiling.  A refused join changes nothing but the length of the
+        array of r(x) and a pending pass.  The entry cap trips inside
         _ScanTables.add_element, which leaves its tables part-updated, and
         nothing else.  Until grow has run, the scan serves no find or
         further join.
         """
         t, g = self.t, self.g
-        if admission is None:
+        if term < 1:
+            raise ValueError(f"elements must be positive, got {term}")
+        if admission is None or t.pending[0] != term:
             if term in t:
                 raise ValueError(f"{term} is already in the set")
-            t.cover(term)
-            x, _, levels, sat = classify_candidate(t, term, g, self.levels)
+            x, _, levels, sat = t.admit(term, g, self.levels)
             if x is not None:
                 raise ValueError(f"{term} breaks B_{t.h}[{g}]: the sum {x} would "
                                  f"have more than {g} representations")
@@ -527,8 +640,8 @@ class _SumScan:
         return live & ~hits
 
     def accept_general(self) -> Callable[[int], Optional[tuple]]:
-        """Candidate test of a step: classify_candidate against the kept
-        levels, with the level limits of a set of the next size,
+        """Candidate test of a step: the pass of _ScanTables.admit against
+        the kept levels, with the level limits of a set of the next size,
         len(t) + 1, set once per step, or with no limit with check_levels
         off.
 
@@ -538,18 +651,18 @@ class _SumScan:
         sets the bit of m in dead; a level rejection leaves m live for later
         steps to test again, a B_h[g] breaker that trips a level first
         included.  Both return None.  An admitted m returns its pass, which
-        is whole, (levels, sat), and join takes it over; it holds until
-        the next join.
+        is whole, (levels, sat), and join takes it over, with its writes;
+        it holds until the next pass or join.
         """
-        t, g, counts, cover = self.t, self.g, self.levels, self.t.cover
+        t, g, counts = self.t, self.g, self.levels
         n_next = len(t) + 1
         limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, t.h, g, s).floor - r
                                         for s, r in enumerate(counts[1:], 2)]
                   if self.check_levels else None)
+        admit = t.admit
 
         def accept(m: int) -> Optional[tuple]:
-            cover(m)
-            x, failed, levels, sat = classify_candidate(t, m, g, counts, limits)
+            x, failed, levels, sat = admit(m, g, counts, limits)
             if x is not None:
                 self.dead |= 1 << m
             elif failed is None:

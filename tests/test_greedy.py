@@ -26,8 +26,8 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _new_scan, _SidonScan, _SumScan,
-                             classify_candidate)
+from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _new_scan, _ScanTables, _SidonScan,
+                             _SumScan, classify_candidate)
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -193,6 +193,31 @@ def test_int_nth_root_edges():
 def test_int_nth_root_is_exact_floor(x, k):
     r = int_nth_root(x, k)
     assert r ** k <= x < (r + 1) ** k
+
+
+def bisect_root(x, k):
+    """The largest r with r**k <= x, by bisection on r."""
+    lo, hi = 0, 1
+    while hi ** k <= x:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** k <= x else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 255, 256, 300])
+def test_int_nth_root_matches_bisection(k):
+    # Random radicands of up to 6,000 bits, whose roots run from 1 bit
+    # (k = 300) to 3,000 (k = 2), and the edges around exact powers r**k,
+    # where an estimate one unit off shows.
+    rng = random.Random(k)
+    xs = [0, 1] + [rng.getrandbits(rng.randint(1, 6000)) for _ in range(12)]
+    for bits in (1, 2, 9, 33, 200):
+        r = rng.getrandbits(bits) | 1 << bits - 1
+        xs += [r ** k - 1, r ** k, r ** k + 1]
+    for x in xs:
+        assert int_nth_root(x, k) == (x if k == 1 else bisect_root(x, k)), (x, k)
 
 
 def test_threshold_leq_examples():
@@ -924,17 +949,19 @@ def check_kept_state(scan, prefix, h, g):
                                    (4, 2, 9), (4, 3, 9)])
 def test_kept_levels_and_sat_match_the_oracles(generator, h, g, n):
     # Driven as _greedy drives it, each step's find admits the run's next
-    # term with its pass, the one join would make without ceilings, and
-    # join takes it over.  Committed by hand, every term is classified
-    # inside join.  Either way the kept state must match the tables and
-    # the enumeration.
+    # term with its pass, the one classify_candidate makes on reference
+    # tables of the prefix without ceilings, and join takes it over, with
+    # the writes it left pending.  Committed by hand, every term is
+    # classified inside join.  Either way the kept state must match the
+    # tables and the enumeration.
     rec = generator(Params(h, g, n))
     scan = _new_scan(h, g, check_levels=rec.algorithm == "strong")
     scan.grow(1, scan.join(1))
     for i, meta in enumerate(rec.per_step[1:], 1):
         term, admission = scan.find(meta.bound_floor + 1)
         assert term == meta.term
-        assert admission == tuple(classify_candidate(scan.t, term, g, scan.levels)[2:])
+        ref = build(h, rec.terms[:i])
+        assert admission == tuple(classify_candidate(ref, term, g, scan.levels)[2:])
         scan.grow(term, scan.join(term, admission))
         check_kept_state(scan, rec.terms[:i + 1], h, g)
     for i in range(1, n + 1):
@@ -997,13 +1024,15 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
     # Every term after the first reaches join with the pass that admitted
     # it, so a run classifies inside join once; a lost hand-off would
     # classify every term twice.  A g = 1 run, (3, 1) and (4, 1) as well
-    # as (2, 1), calls no classify_candidate, and its scan has no screen:
-    # its first term is checked by breaks.  Only find reads what grow
+    # as (2, 1), runs no classifier pass, and its scan has no screen: its
+    # first term is checked by breaks.  No pass of these g > 1 runs stops
+    # at a level limit, so every pass is written through and none calls
+    # classify_candidate, the reference.  Only find reads what grow
     # updates, so the run grows every term but its last.
     expected = generator(Params(h, g, n)).terms
     cls = type(_new_scan(h, g))
     join, grow = cls.join, cls.grow
-    classify, screen = classify_candidate, _SumScan.screen
+    classify, screen = _ScanTables.admit, _SumScan.screen
     handed, inside, depth, calls, screens, grown = [], [], [], [], [], []
 
     def wrapped_join(self, term, admission=None):
@@ -1024,6 +1053,9 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
             inside.append(m)
         return classify(t, m, *args)
 
+    def reference(*args):
+        raise AssertionError("classify_candidate called")
+
     def wrapped_screen(self, lo, hi):
         screens.append(lo)
         return screen(self, lo, hi)
@@ -1032,7 +1064,8 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
     monkeypatch.setattr(cls, "grow", wrapped_grow)
     if g > 1:
         monkeypatch.setattr(cls, "screen", wrapped_screen)
-    monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
+    monkeypatch.setattr(_ScanTables, "admit", wrapped_classify)
+    monkeypatch.setattr("bhgreedy.greedy.classify_candidate", reference)
     assert generator(Params(h, g, n)).terms == expected
     if g == 1:
         assert calls == screens == []
@@ -1094,7 +1127,7 @@ def test_rep_array_never_holds_more_than_twice_its_reach(monkeypatch, generator,
     # holds at most twice that many slots: it grows by doubling from what
     # the scan has read, never from the step's ceiling.  It is a bytearray
     # for g <= 255 and a list above, and the scan builds no SumTableSet.
-    classify, join = classify_candidate, _SumScan.join
+    classify, join = _ScanTables.admit, _SumScan.join
     tested, lengths = [0], []
 
     def wrapped_classify(t, m, *args):
@@ -1114,7 +1147,7 @@ def test_rep_array_never_holds_more_than_twice_its_reach(monkeypatch, generator,
         raise AssertionError("SumTableSet built")
 
     expected = generator(Params(h, g, n)).terms
-    monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
+    monkeypatch.setattr(_ScanTables, "admit", wrapped_classify)
     monkeypatch.setattr(_SumScan, "join", checked_join)
     monkeypatch.setattr("bhgreedy.greedy.SumTableSet", refuse)
     assert generator(Params(h, g, n)).terms == expected
@@ -1480,6 +1513,124 @@ def test_committing_a_bhg_break_raises_and_changes_nothing(h, g):
     check_kept_state(scan, prefix, h, g)
     scan.grow(good, scan.join(good))
     check_kept_state(scan, prefix + [good], h, g)
+
+
+def strong_limits(scan, h, g):
+    """The level limits of the strong scan's accept test for a set of the
+    next size: none for level 1, floor_s - R_s for s >= 2."""
+    n_next = len(scan.elements) + 1
+    return [sys.maxsize, sys.maxsize] + [Threshold.for_level(n_next, h, g, s).floor - r
+                                         for s, r in enumerate(scan.levels[1:], 2)]
+
+
+@pytest.mark.parametrize("tripped", [False, True])
+@pytest.mark.parametrize("h,g,n,level_exits", [(2, 2, 20, False), (2, 3, 56, True),
+                                               (3, 2, 12, False), (3, 3, 20, True),
+                                               (4, 2, 8, False), (3, 300, 10, False)])
+def test_written_pass_matches_the_reference_and_undoes_what_it_rejects(h, g, n, level_exits,
+                                                                      tripped):
+    # After each prefix of the strong run, the pass of the scan's tables,
+    # written through or (tripped) read-only, with the strong scan's
+    # limits, must admit exactly the non-members m of [1, 2*M + 9] that
+    # is_strong_candidate admits, M the largest element.  A break must be
+    # a "bhg" verdict, and a level exit any rejection; the (2, 3) and
+    # (3, 3) prefixes meet level exits, the others none.  An admitted pass
+    # hands back the reference pass's levels and sat and stays pending.
+    # After a rejected pass, or an admitted one rolled back, the array's
+    # slots and distinct are as before the pass.  Each term is then
+    # joined, with find's admission or by hand over its pending pass, and
+    # the kept state must match the reference.
+    rec = strong_greedy(Params(h, g, n))
+    scan = _new_scan(h, g, check_levels=True)
+    t, kinds = scan.t, set()
+    for i, term in enumerate(rec.terms):
+        prefix = rec.terms[:i]
+        if prefix:
+            ref = build(h, prefix)
+            profile, limits = ref.rep_histogram(g), strong_limits(scan, h, g)
+            rep = t.tables[h]
+            for m in range(1, 2 * max(prefix) + 10):
+                if m in ref:
+                    continue
+                t.tripped = tripped
+                before, distinct = rep[:], t.distinct
+                x, s, levels, sat = t.admit(m, g, scan.levels, limits)
+                expect = is_strong_candidate(ref, ref.candidate_delta(m), i + 1, h, g, profile)
+                assert (x is None and s is None) == expect.accepted, (prefix, m)
+                if x is not None:
+                    assert expect.reason == "bhg", (prefix, m)
+                    kinds.add("bhg")
+                elif s is not None:
+                    kinds.add("level")
+                else:
+                    assert t.pending[0] == m
+                    assert (levels, sat) == tuple(classify_candidate(ref, m, g, scan.levels)[2:])
+                    t.rollback()
+                    kinds.add("admitted")
+                assert t.pending == (0, 0)
+                assert rep[:len(before)] == before and not any(rep[len(before):]), (prefix, m)
+                assert t.distinct == distinct, (prefix, m)
+            found = scan.find(rec.per_step[i].bound_floor + 1)
+            assert found[0] == term
+            joined = scan.join(*found) if i % 2 else scan.join(term)
+            assert joined == found[1]
+        else:
+            joined = scan.join(term)
+        scan.grow(term, joined)
+        check_kept_state(scan, rec.terms[:i + 1], h, g)
+    assert "admitted" in kinds and (g > 255 or "bhg" in kinds)
+    assert ("level" in kinds) == level_exits
+
+
+@pytest.mark.parametrize("h,g", [(2, 2), (3, 2), (3, 3)])
+def test_g_above_one_join_refuses_a_term_below_one(h, g):
+    # A term of 0 or below is refused, as the first term and after a
+    # prefix, with SumTableSet's message and before anything changes.
+    prefix = strong_greedy(Params(h, g, 6)).terms
+    for terms in ([], prefix):
+        scan = committed(h, g, terms)
+        before = kept_state(scan)
+        for term in (0, -3):
+            with pytest.raises(ValueError, match=f"^elements must be positive, got {term}$"):
+                scan.join(term)
+            assert kept_state(scan) == before, (terms, term)
+    with pytest.raises(ValueError, match="^elements must be positive, got -3$"):
+        SumTableSet(h).add_element(-3)
+
+
+def test_scan_classifies_read_only_once_a_pass_stops_at_a_level(monkeypatch):
+    # Strong (3, 3, 25) first stops a pass at a level limit at step 20.
+    # Up to that pass every pass is written through and none calls
+    # classify_candidate; from then on every pass is the read-only
+    # reference first.  Either way each term, and no other candidate,
+    # leaves its pass pending, written through, for join to take over, so
+    # join runs no pass of its own.  The terms are those of the run
+    # without the switch.
+    expected = strong_greedy(Params(3, 3, 25)).terms
+    admit, classify = _ScanTables.admit, classify_candidate
+    calls = []
+
+    def wrapped_admit(self, m, g, base, limits=None):
+        tripped = self.tripped
+        verdict = admit(self, m, g, base, limits)
+        calls.append(("admit", m, limits is not None, tripped, self.pending[0] == m))
+        return verdict
+
+    def wrapped_classify(t, m, *args):
+        calls.append(("classify", m))
+        return classify(t, m, *args)
+
+    monkeypatch.setattr(_ScanTables, "admit", wrapped_admit)
+    monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
+    assert strong_greedy(Params(3, 3, 25)).terms == expected
+    passes = [call for call in calls if call[0] == "admit"]
+    assert passes[0] == ("admit", 1, False, False, True)  # the first term, by hand
+    assert all(limited for _, _, limited, _, _ in passes[1:])
+    tripped = next(i for i, p in enumerate(passes) if p[3])
+    assert tripped > 1 and all(p[3] for p in passes[tripped:])
+    assert [call[1] for call in calls if call[0] == "classify"] == [
+        p[1] for p in passes[tripped:]]
+    assert [m for _, m, _, _, pending in passes if pending] == expected
 
 
 def test_classic_scan_cap_is_enforced():

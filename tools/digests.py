@@ -8,7 +8,7 @@ Each run's digest is the sha256 of one "n,term,scan_length,bound_floor"
 line per step, as in the golden-digest tests.  DIGESTS holds the digests of
 a known-good tree; take new ones on the parent of a change, never on the
 change under test.  The check exits 1 and names each run whose digest
-differs.  Standard library only; the 18 runs take about 7 s in one
+differs.  Standard library only; the 21 runs take about 7 s in one
 process on a 2-CPU Xeon.
 """
 
@@ -22,7 +22,7 @@ from bhgreedy import Params, classic_greedy, strong_greedy  # noqa: E402
 
 GENERATORS = {"strong": strong_greedy, "classic": classic_greedy}
 
-#: (algorithm, h, g, n, sha256), taken at commit d308294.
+#: (algorithm, h, g, n, sha256), taken at commit d308294 unless noted.
 DIGESTS = [
     ("strong", 3, 2, 40,
      "fa95437a84a086ee241de9c1cbf71a7902b43734dc728f9adf6683e9ada3b114"),
@@ -60,6 +60,14 @@ DIGESTS = [
      "d70394db5c670cb385b88e0b53f30d3160958bc77e60f7dc0a94fecf19ec2fcd"),
     ("classic", 2, 2, 200,
      "90d2fc0729fbb75975197f4d74098c8cbe2af973dfcee14ac3da9085b1f067c8"),
+    # Taken at commit 8ef5a5d.  Strong (2,3,61) meets ten level
+    # rejections from step 55 on; (3,3,19) and (4,3,12) meet only breaks.
+    ("strong", 3, 3, 19,
+     "c7475ac0be41204bde3c19630eae056bf5b8ec138af2e7aa17dcce18415cf789"),
+    ("strong", 2, 3, 61,
+     "4f7f1bdc05777d7c628d20edd02d88c3351783716d854da23908bb5a9657fd59"),
+    ("strong", 4, 3, 12,
+     "fe7c1069d766dea09136e2459f9268fcacf1001b88eba1a334cfc9798757a311"),
 ]
 
 
