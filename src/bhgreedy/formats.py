@@ -14,14 +14,17 @@ JSON
     file the package writes goes through canonical_json: sorted keys,
     two-space indentation and a trailing newline, the bytes of
     ``json.dumps(doc, indent=2, sort_keys=True)`` plus that newline, so
-    identical runs produce byte-identical files.  Wall-clock timings are
-    emitted only on request and live in their own block, keeping the
-    default output deterministic.
+    identical runs produce byte-identical files.  The per-step rows, dicts
+    with the same keys and int values, are filled into one row template.
+    Wall-clock timings are emitted only on request and live in their own
+    block, keeping the default output deterministic.
 """
 
 import json
 import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InputFormatError
@@ -46,8 +49,11 @@ def canonical_json(doc) -> str:
     json.dumps falls back to its pure-Python encoder whenever indent is
     set, and spends a generator frame on every value; this writer builds
     each container in one join and renders a list of plain ints in one
-    pass.  Keys must be str: any other key, or a value that is not a dict,
-    list, tuple, str, int, float, bool or None, raises TypeError.
+    pass.  A list of two or more dicts with the same str keys and plain
+    int values is rendered from one row template, '"key": %d' for each
+    sorted key, filled once per row.  Keys must be str: any other key, or
+    a value that is not a dict, list, tuple, str, int, float, bool or
+    None, raises TypeError.
     """
     return _encode(doc, "\n") + "\n"
 
@@ -72,8 +78,18 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
+        types = set(map(type, value))
+        if types == {int}:
             body = map(int.__repr__, value)
+        elif types == {dict} and _int_rows(value):
+            # One template for every row; a "%" in a key is doubled so
+            # that the template reads it as text.
+            keys = sorted(value[0])
+            cell = inner + "  "
+            template = ("{" + cell + ("," + cell).join(
+                [encode_basestring_ascii(k).replace("%", "%%") + ": %d"
+                 for k in keys]) + inner + "}")
+            body = map(template.__mod__, map(itemgetter(*keys), value))
         else:
             body = [_encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
@@ -87,6 +103,20 @@ def _encode(value, newline: str) -> str:
              for k, v in sorted(value.items())]) + newline + "}")
     raise TypeError(f"Object of type {type(value).__name__} "
                     f"is not JSON serializable")
+
+
+def _int_rows(rows) -> bool:
+    """Whether rows, a list of dicts, holds at least two non-empty dicts
+    with the same str keys and only plain int values (bools excluded).
+    The first row is checked before the keys and values of the others."""
+    first = rows[0]
+    if not (len(rows) > 1 and first
+            and set(map(type, first.values())) == {int}
+            and set(map(type, first)) == {str}):
+        return False
+    keys = first.keys()
+    return (all(row.keys() == keys for row in rows)
+            and set(map(type, chain.from_iterable(map(dict.values, rows)))) == {int})
 
 
 def render_bfile(terms) -> str:

@@ -125,6 +125,22 @@ def test_generate_timings_file_has_the_json_dumps_bytes(capsys, h, g, n):
     assert stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("algo,h,g,n", [
+    ("strong", 2, 1, 240), ("strong", 3, 2, 42), ("strong", 2, 3, 61),
+    ("classic", 4, 1, 19),
+])
+def test_generate_json_has_the_json_dumps_bytes(capsys, algo, h, g, n):
+    """Without --timings every per_step row holds only ints, the rows
+    canonical_json renders from one template; the bytes are still those
+    of json.dumps(indent=2, sort_keys=True)."""
+    code, stdout, _ = run(capsys, "generate", "--algo", algo, "--h", str(h),
+                          "--g", str(g), "--n", str(n), "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(stdout)
+    assert len(doc["per_step"]) == n
+    assert stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("argv,flag,env", [
     (["generate", "--h", "2", "--g", "1", "--n", "5"], "--memory-cap", "BHG_MEMORY_CAP"),
     (["compare", "--h", "2", "--g", "1", "--n", "5"], "--memory-cap", "BHG_MEMORY_CAP"),

@@ -146,11 +146,37 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: round(x, 6)),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
 )
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(),
+INTS = st.one_of(
+    st.integers(),
     st.integers(min_value=2 ** 64).flatmap(lambda x: st.sampled_from([x, -x])),
-    FLOATS, KEYS,
 )
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, KEYS)
+
+
+@st.composite
+def int_rows(draw):
+    """0-6 dicts over one key set, each inserted in its own order, with int
+    values; in some lists one later row carries a bool, None, float or str
+    value, or an extra or a missing key."""
+    keys = draw(st.lists(KEYS, max_size=4, unique=True))
+    rows = [{k: draw(INTS) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(0, 6)))]
+    if len(rows) > 1 and draw(st.booleans()):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        flaw = draw(st.sampled_from(["value", "extra", "missing"]))
+        if flaw == "extra":
+            row[draw(KEYS.filter(lambda k: k not in row))] = draw(INTS)
+        elif row:
+            key = draw(st.sampled_from(sorted(row)))
+            if flaw == "value":
+                row[key] = draw(st.one_of(st.booleans(), st.none(), FLOATS, KEYS))
+            else:
+                del row[key]
+    return rows
+
+
+#: The lists canonical_json renders from one row template, and near misses.
+ROWS = int_rows()
 DOCS = st.recursive(
     SCALARS,
     lambda children: st.one_of(
@@ -159,23 +185,32 @@ DOCS = st.recursive(
         st.lists(st.integers(), max_size=6),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
         st.dictionaries(KEYS, children, max_size=4),
+        ROWS,
     ),
     max_leaves=25,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(DOCS)
+@given(st.one_of(DOCS, ROWS))
 @example({"b": [], "a": (), "c": {}, "d": [1, -2, 2 ** 70], "e": [1, True]})
 @example({"\ud800": "\x00\u2028\U0001f600", "\x7f": ["\udfff"]})
 @example([float("nan"), float("inf"), float("-inf"), -0.0, round(2 / 3, 6)])
+@example([{}, {}])
+@example({"rows": [{"a": 1}, {"a": -2 ** 70}, {"a": 0}]})
+@example([{"a": 1, "b": 2}])
+@example([{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": 2 ** 64, "a": -5}])
+@example([{"\u2028": 1, '"': 2, "%": 3}, {"%": 4, '"': 5, "\u2028": 6}])
+@example([{"a": 1}, {"a": True}])
+@example([{"a": 1}, {"a": 2, "b": 3}])
+@example([{"a": 1, "b": 2}, {"a": 3}])
 def test_canonical_json_matches_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("doc", [
     {1: 2}, {None: 1}, {"a": {2.5: 1}}, {(1, 2): 3}, {"a": 1, 3: 4},
-    [1, {False: 0}],
+    [1, {False: 0}], [{"a": 1}, {1: 2}], [{1: 2}, {1: 3}],
 ])
 def test_canonical_json_refuses_non_str_keys(doc):
     with pytest.raises(TypeError):

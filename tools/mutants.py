@@ -13,7 +13,7 @@ all pass.  The run exits 1 on a survivor, on any other pytest outcome
 occur exactly once in its file, so a mutant that no longer matches the
 code fails rather than passing unseen; it exits 0 when every mutant is
 killed.  Standard library only, apart from the pytest that runs the
-tests; the eight mutants take about 10 s on a 2-CPU Xeon.
+tests; the thirteen mutants take about 12 s on a 2-CPU Xeon.
 """
 
 import os
@@ -36,6 +36,10 @@ class Mutant(NamedTuple):
 
 
 GREEDY = "src/bhgreedy/greedy.py"
+CLI = "src/bhgreedy/cli.py"
+FORMATS = "src/bhgreedy/formats.py"
+PINNED_TEXTS = "tests/test_cli.py::test_top_level_texts_are_pinned"
+CANONICAL = "tests/test_formats.py::test_canonical_json_matches_json_dumps"
 WRITTEN_PASS = ("tests/test_greedy.py::"
                 "test_written_pass_matches_the_reference_and_undoes_what_it_rejects")
 
@@ -90,6 +94,35 @@ MUTANTS = [
            "            return self.lhs > self.rhs",
            "            return self.lhs >= self.rhs",
            ("tests/test_verify.py::test_inequality_holds_reads_its_relation",)),
+    # The whole parser also sets the subcommands metavar, so its "required"
+    # and "invalid choice" errors name the five choices, not "command".
+    Mutant("metavar-on-both-paths", CLI,
+           '    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"',
+           '    metavar = "{" + ",".join(COMMANDS) + "}"',
+           (PINNED_TEXTS,)),
+    # A parser built for one subcommand sets no metavar, so the usage line
+    # of "unrecognized arguments" lists only that subcommand.
+    Mutant("metavar-dropped", CLI,
+           '    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)',
+           '    sub = parser.add_subparsers(dest="command", required=True)',
+           (PINNED_TEXTS, "tests/test_cli.py::test_main_parses_as_the_whole_parser_does")),
+    # The row path takes a bool for an int, so a later row's true prints 1.
+    Mutant("row-int-isinstance", FORMATS,
+           "            and set(map(type, chain.from_iterable(map(dict.values, rows)))) == {int})",
+           "            and all(isinstance(v, int)\n"
+           "                    for v in chain.from_iterable(map(dict.values, rows))))",
+           (CANONICAL,)),
+    # The row template keeps the first row's key order, unsorted.
+    Mutant("row-keys-unsorted", FORMATS,
+           "            keys = sorted(value[0])",
+           "            keys = list(value[0])",
+           (CANONICAL, "tests/test_cli.py::test_generate_json_has_the_json_dumps_bytes")),
+    # The row path reads no later row's key set, so a row's extra key is
+    # dropped and a missing one raises KeyError.
+    Mutant("row-key-check-dropped", FORMATS,
+           "    return (all(row.keys() == keys for row in rows)\n            and ",
+           "    return (True\n            and ",
+           (CANONICAL,)),
 ]
 
 
