@@ -365,7 +365,10 @@ def _cmd_diagnose(args) -> int:
         rec, sample_budget=args.sample_budget,
         max_window=window_cap, max_enumeration=enum_cap)
 
-    for c in diag.failed_prefixes():
+    failed_prefixes = diag.failed_prefixes()
+    holds = [inst.holds for inst in diag.instances]
+    ok = not failed_prefixes and all(holds)
+    for c in failed_prefixes:
         if not c.bhg.ok:
             print(f"step={c.n} prefix_strong: sum {c.bhg.x} has "
                   f"{c.bhg.count} representations (> {g}) FAIL")
@@ -374,21 +377,21 @@ def _cmd_diagnose(args) -> int:
                   f"{c.level_count} exceeds its ceiling FAIL")
     counts = Counter(inst.name for inst in diag.instances)
     failed_counts = Counter()
-    for inst in diag.instances:
-        if not inst.holds:
+    for inst, held in zip(diag.instances, holds):
+        if not held:
             failed_counts[inst.name] += 1
             print(inst.describe())
     for name in sorted(counts):
         status = f"{failed_counts[name]} FAILED" if failed_counts[name] else "ok"
         print(f"{name}: {counts[name]} instances, {status}")
-    print(f"diagnostics: {'ok' if diag.ok else 'FAILED'} "
+    print(f"diagnostics: {'ok' if ok else 'FAILED'} "
           f"({len(diag.instances)} inequality instances, "
           f"{len(diag.prefix_checks)} prefixes)")
 
     if args.out:
         doc = {
-            "h": h, "g": g, "terms": diag.terms, "ok": diag.ok,
-            "prefix_failures": [_prefix_failure(c) for c in diag.failed_prefixes()],
+            "h": h, "g": g, "terms": diag.terms, "ok": ok,
+            "prefix_failures": [_prefix_failure(c) for c in failed_prefixes],
             "reports": [
                 {"n": r.n, "window_hi": r.window_hi, "members": r.members,
                  "bhg_breaks": r.bhg_breaks, "level_breaks": list(r.level_breaks),
@@ -399,12 +402,12 @@ def _cmd_diagnose(args) -> int:
             "instances": [
                 {"name": i.name, "step": i.step, "s": i.s, "m": i.m,
                  "lhs": i.lhs, "relation": i.relation, "rhs": i.rhs,
-                 "holds": i.holds}
-                for i in diag.instances
+                 "holds": held}
+                for i, held in zip(diag.instances, holds)
             ],
         }
         _write_out(canonical_json(doc), args.out)
-    return EXIT_OK if diag.ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def _cmd_compare(args) -> int:

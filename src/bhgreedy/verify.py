@@ -17,13 +17,20 @@ The strong greedy picks the smallest candidate in none of these classes, so
 the forbidden classes can never fill the window; ``forbidden_set_sizes``
 reports the class sizes for one set.  Candidate m adds the sums k*m + y, y
 an (h-k)-fold sum of A; when these are pairwise distinct and new to A, its
-verdict depends on the fold multiplicities alone, so the scan shares it and
-works sum by sum only where sums collide.  It visits one by one only its
-stops (the members, the candidates whose sums collide and the sampled
-ones) and accounts for each run of generic candidates between two stops in
-one step.  ``proof_diagnostics`` runs the
-same scan after every prefix of a run and also records, per step, the
-inequality instances that make the counting argument checkable:
+verdict depends on the fold multiplicities alone, and all such candidates
+share it.  Every other verdict comes from counts, not sum by sum: for each
+class (c, lo), one C-level Counter pass over the differences x//k - y//k
+counts at every m the pairs of multiplicity c whose sum lands on a sum of
+A of multiplicity lo, and each such hit shifts the shared verdict by a
+fixed amount.  Only where pairs of different k land on one sum, at
+m = (y1-y2)/(k2-k1), are their representations merged.  The scan visits
+one by one only its stops (the members, the candidates where some sum
+meets a sum of A or of another pair, and the sampled ones), with one dict
+read per class each, and accounts for each run of generic candidates
+between two stops in one step.  Its cost is mostly the Counter passes,
+about |S_h| * |S_(h-1)| differences per prefix.  ``proof_diagnostics``
+runs the same scan after every prefix of a run and also records, per
+step, the inequality instances that make the counting argument checkable:
 
   window_union        union of forbidden classes  <=  window size - 1
   first_level_empty   no candidate can break level 1 (R_1 <= (n+1)^h always)
@@ -49,9 +56,10 @@ reported faithfully, never filtered.
 """
 
 from collections import Counter
-from functools import cmp_to_key
-from itertools import combinations_with_replacement
+from functools import cache, cmp_to_key
+from itertools import combinations, combinations_with_replacement, product, starmap
 from math import comb
+from operator import sub
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import GuardExceeded
@@ -380,12 +388,22 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
 
     Each candidate m is classified from brute-force fold histograms of the
     prefix: the representations it adds are the sums x = k*m + y, y an
-    (h-k)-fold sum, k = 1..h.  The stops (members, special candidates and
-    the sample, within the window) are visited one by one in increasing
-    order; a member is never classified further.  The generic candidates
-    between two stops form a run, which shares the generic verdict and is
-    counted in one step.  Instances come out in increasing m all the same:
-    a promotion_witness for each level-s breaker (s >= 2), whether a stop
+    (h-k)-fold sum, k = 1..h.  Its verdict comes from a vector of counts
+    (sums past g, level gains, t_count per level) packed into one int: the
+    generic vector, plus for each class (c, lo) the number of pairs of
+    multiplicity c whose sum lands at m on a sum of multiplicity lo, times
+    the class's shift, plus a correction per sum that pairs of different k
+    share at m.  One Counter per class over the differences x//k - y//k
+    (x = y mod k) gives the hit counts; the pairs of pairs of different k
+    give the shared sums.  Each distinct vector is settled once.
+
+    The stops (the members, the candidates where a pair's sum meets a sum
+    of A or of another pair, and the sample, within the window) are
+    visited one by one in increasing order, at one dict read per class;
+    a member is never classified further.  The generic candidates between
+    two stops form a run, which shares the generic verdict and is counted
+    in one step.  Instances come out in increasing m all the same: a
+    promotion_witness for each level-s breaker (s >= 2), whether a stop
     or in a run, profile_growth for each m in sample, one per level
     s >= 2, and then the step's window_union, first_level_empty,
     bhg_break_bound, and per level s >= 2 level_break_bound and
@@ -400,70 +418,94 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
     folds = _fold_histograms(prefix, h, max_enumeration)
     hist = folds[h]
     base = [_level_count(hist, s) for s in range(g + 1)]  # base[s], base[0] unused
-    thresholds = [Threshold.for_level(n + 1, h, g, s) for s in range(1, g + 1)]
+    # How far each level s may still rise at size n + 1 (room[0] unused).
+    room = [0] + [Threshold.for_level(n + 1, h, g, s).floor - base[s]
+                  for s in range(1, g + 1)]
     # Ceiling 2n^(h+(h-1)/g) shared by the break-count bounds.
     break_cap = Threshold(2 ** g * n ** (h * g + h - 1), g).floor
 
+    # A verdict vector has 2g + 1 entries: 0 counts the sums past g, s = 1..g
+    # the sums that enter level s, and g + s (s >= 2) the t_count at level
+    # s.  It is packed into one int, width bits an entry, so that vectors
+    # add as ints; a candidate's entries count distinct sums, at most the
+    # pairs (below) and the sums of A.
+    width = sum(map(len, folds)).bit_length()
+    mask = (1 << width) - 1
+
+    @cache
+    def effect(lo: int, add: int) -> int:
+        """The vector of one sum of multiplicity lo that gains add new
+        representations: 1 at 0 if it passes g, at each level s in
+        lo+1..min(lo+add, g), and at g + s for each s in 2..min(lo+1, g)."""
+        bits = ([lo + add > g] + [lo < s <= lo + add for s in range(1, g + 1)]
+                + [1 < s <= lo + 1 for s in range(1, g + 1)])
+        return sum(bit << width * i for i, bit in enumerate(bits))
+
+    def grouped(counts: Counter, k: int) -> dict[tuple, list]:
+        """The sums x of counts as x // k, by (x mod k, multiplicity)."""
+        out: dict[tuple, list] = {}
+        for x, c in counts.items():
+            out.setdefault((x % k, c), []).append(x // k)
+        return out
+
     # Candidate m adds c representations of k*m + y for each pair (k, y, c),
-    # y an (h-k)-fold sum of multiplicity c.  A generic m, whose sums
-    # k*m + y are pairwise distinct and outside S_h, gets one fresh sum per
-    # pair, so all generic candidates share one verdict.  Only the special
-    # ones, m = (x-y)/k with x in S_h and m = (y1-y2)/(k2-k1) where two
-    # pairs collide, are worked out sum by sum, on the pairs involved.
-    pairs = [(k, y, c) for k in range(1, h + 1) for y, c in folds[h - k].items()]
-    special: dict[int, set] = {}
-    for i, p in enumerate(pairs):
-        k, y, _ = p
-        for x in hist:
-            if x > y and (x - y) % k == 0:
-                special.setdefault((x - y) // k, set()).add(p)
-        for q in pairs[:i]:  # pairs run in increasing k
-            d = q[1] - y
-            if q[0] < k and d > 0 and d % (k - q[0]) == 0:
-                special.setdefault(d // (k - q[0]), set()).update((p, q))
-    generic_gains = [sum(1 for *_, c in pairs if c >= s) for s in range(g + 1)]
-    # Sums over g: a pair's own c > g, or a sum of A already over g, which
-    # leaves A + {m} not B_h[g] whatever m is.
-    over = sum(1 for *_, c in pairs if c > g) + sum(1 for c in hist.values() if c > g)
+    # y an (h-k)-fold sum of multiplicity c.  A pair whose sum is new to A
+    # and to the other pairs adds effect(0, c), so a generic m has the sum
+    # of these over every pair, fresh.  One whose sum lands on a sum x of A
+    # of multiplicity lo adds effect(lo, c) instead, whatever its k, so
+    # hits[c, lo][m] counts the pairs of class (c, lo) that land at m.
+    # Such an m is (x - y)/k with x = y mod k, that is x//k - y//k.
+    hits: dict[tuple, Counter] = {}
+    for k in range(1, h + 1):
+        xs_by, ys_by = grouped(hist, k), grouped(folds[h - k], k)
+        for ((r, c), ys), ((rx, lo), xs) in product(ys_by.items(), xs_by.items()):
+            if r == rx:
+                hits.setdefault((c, lo), Counter()).update(
+                    starmap(sub, product(xs, ys)))
+    # Each class's hit count times its shift moves fresh to m's vector.
+    classes = [(hits[c, lo].get, effect(lo, c) - effect(0, c)) for c, lo in hits]
+    # Where pairs (k1, y1, c1) and (k2, y2, c2) share a sum x, at
+    # m = (y1-y2)/(k2-k1), their effects merge: shared[m, x] maps the k of
+    # each pair at x to its c, and merges[m] adds, per such x,
+    # effect(lo, sum of c) in place of each pair's effect(lo, c).
+    shared: dict[tuple, dict] = {}
+    for k1, k2 in combinations(range(1, h + 1), 2):
+        for (y1, c1), (y2, c2) in product(folds[h - k1].items(), folds[h - k2].items()):
+            m, rest = divmod(y1 - y2, k2 - k1)
+            if m > 0 and not rest:
+                shared.setdefault((m, k1 * m + y1), {}).update({k1: c1, k2: c2})
+    merges: Counter = Counter()
+    for (m, x), ks in shared.items():
+        lo, cs = hist.get(x, 0), ks.values()
+        merges[m] += effect(lo, sum(cs)) - sum(effect(lo, c) for c in cs)
+    # A sum of A over g leaves A + {m} not B_h[g] whatever m is.
+    fresh = (sum(effect(0, c) for k in range(1, h + 1) for c in folds[h - k].values())
+             + sum(c > g for c in hist.values()))
 
-    def verdict(m: int, involved) -> tuple:
-        """Swap the generic share of the involved pairs for their merged sums."""
-        gains, over_left, added = generic_gains[:], over, {}
-        for k, y, c in involved:
-            added[k * m + y] = added.get(k * m + y, 0) + c
-            over_left -= c > g
-            for s in range(1, min(c, g) + 1):
-                gains[s] -= 1
-        breaks, t_vals = over_left > 0, [0] * (g + 1)
-        for x, add in added.items():
-            lo = hist.get(x, 0)
-            breaks = breaks or lo + add > g
-            for s in range(lo + 1, min(lo + add, g) + 1):
-                gains[s] += 1
-            for s in range(2, min(lo + 1, g) + 1):
-                t_vals[s] += 1
-        fails = [s for s in range(1, g + 1)
-                 if not thresholds[s - 1].admits(base[s] + gains[s])]
-        return breaks, gains, t_vals, fails
+    @cache
+    def verdict(v: int) -> tuple:
+        """Whether a candidate of packed vector v breaks B_h[g], the
+        entries of v and the levels s whose gain passes room[s]."""
+        vec = [v >> width * i & mask for i in range(2 * g + 1)]
+        return vec[0] > 0, vec, [s for s in range(1, g + 1) if vec[s] > room[s]]
 
-    generic = verdict(0, ())
+    generic = verdict(fresh)
     # Strict witness bound behind the break-count cap, per level s >= 2.
     witness_rhs = {s: Threshold(n ** ((h - 1) * g + (1 - s) * (h - 1)), g).floor
                    for s in range(2, g + 1)}
-    bhg_breaks = 0
     level_breaks = [0] * (g + 1)
-    union = 0
-    member_count = 0
-    first_admissible = None
+    bhg_breaks, first_admissible = 0, None
+    # A member is counted in the union and classified no further.
+    union = member_count = sum(1 for a in members if a <= win)
     t_sums = [0] * (g + 1)
 
     def tally(first: int, count: int, v: tuple) -> None:
         """Count the count candidates first, first + 1, ..., which share
         the verdict v, with a promotion_witness per candidate and level."""
         nonlocal bhg_breaks, union, first_admissible
-        breaks, _, t_vals, fails = v
+        breaks, vec, fails = v
         for s in range(2, g + 1):
-            t_sums[s] += count * t_vals[s]
+            t_sums[s] += count * vec[g + s]
         bhg_breaks += count * breaks
         for s in fails:
             level_breaks[s] += count
@@ -474,12 +516,13 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
         witness_levels = [s for s in fails if s >= 2]
         if witness_levels and instances is not None:
             instances.extend(InequalityInstance(
-                "promotion_witness", n, lhs=t_vals[s], rhs=witness_rhs[s],
+                "promotion_witness", n, lhs=vec[g + s], rhs=witness_rhs[s],
                 relation=">", s=s, m=m)
                 for m in range(first, first + count) for s in witness_levels)
 
     # A run, the generic candidates between two stops, is tallied in one step.
-    stops = sorted(m for m in members.union(special, sample) if m <= win)
+    special = set(merges).union(*hits.values())
+    stops = sorted(m for m in members.union(special, sample) if 0 < m <= win)
     prev = 0
     for m in stops + [win + 1]:
         if m > prev + 1:
@@ -488,17 +531,16 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
         if m > win:
             break
         if m in members:
-            member_count += 1
-            union += 1
             continue
-        v = verdict(m, special[m]) if m in special else generic
+        v = generic if m not in special else verdict(fresh + merges[m] + sum(
+            [get(m, 0) * shift for get, shift in classes]))
         tally(m, 1, v)
         if m in sample and instances is not None:
-            _, gains, t_vals, _ = v
+            vec = v[1]
             for s in range(2, g + 1):
                 instances.append(InequalityInstance(
-                    "profile_growth", n, lhs=base[s] + gains[s],
-                    rhs=base[s] + t_vals[s], s=s, m=m))
+                    "profile_growth", n, lhs=base[s] + vec[s],
+                    rhs=base[s] + vec[g + s], s=s, m=m))
 
     report = ForbiddenSetReport(
         h=h, g=g, n=n, window_hi=win,
@@ -537,10 +579,13 @@ def forbidden_set_sizes(A, h: int, g: int, *,
 
     This is the enumeration scan of proof_diagnostics run on A alone, with
     no instances built and no sample, so it visits one by one only the
-    members and the candidates whose sums collide, where it merges sums;
-    the runs of generic candidates between them are counted in bulk.  The
-    test suite checks it against a brute-force classification that
-    rebuilds the histogram of A + {m} per candidate.
+    members and the candidates where a pair's sum meets a sum of A or of
+    another pair, each classified from its hit count per class and the
+    merges of the pairs that share a sum there; the runs of generic
+    candidates between them are counted in bulk.  The test suite checks
+    it against a brute-force classification that rebuilds the histogram
+    of A + {m} per candidate, and against a scan that merges each
+    candidate's sums pair by pair.
     """
     return _scan_window(_checked_input(A, h, g), h, g, set(), None,
                         max_window, DEFAULT_MAX_ENUMERATION)

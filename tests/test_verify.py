@@ -31,6 +31,7 @@ from oracles import (
     added_histogram,
     first_failed_level,
     is_strong,
+    merged_window_scan,
     multiset_sum_histogram,
     naive_t_count,
 )
@@ -378,15 +379,24 @@ def test_forbidden_report_matches_brute_force(h, g, n):
         brute_forbidden_report(sorted(prefix), h, g)
 
 
-def arbitrary_small_sets(count=20, max_window=4000):
-    """Seeded random (h, g, terms), B_h[g] or not, whose diagnostics scan at
-    most max_window candidates in all."""
+def window_total(h, g, n):
+    """The candidates the diagnostics of an n-term set scan in all."""
+    return sum(theorem_bound(k + 1, h, g).floor for k in range(2, n + 1))
+
+
+def arbitrary_small_sets(count=20, wide=10, max_window=4000):
+    """Seeded random (h, g, terms), B_h[g] or not: count draws with h <= 4
+    and g <= 3 whose diagnostics scan at most max_window candidates in
+    all, then wide draws from the same stream with h <= 5 and g <= 4 and
+    twice that window, which h = 5 needs even at two terms."""
     rng = random.Random(7)
     cases = []
-    while len(cases) < count:
-        h, g, n = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 4)
+    while len(cases) < count + wide:
+        top_h, top_g, cap = (4, 3, max_window) if len(cases) < count else \
+            (5, 4, 2 * max_window)
+        h, g, n = rng.randint(2, top_h), rng.randint(1, top_g), rng.randint(2, 4)
         terms = rng.sample(range(1, rng.choice([8, 20, 60]) + 1), n)
-        if sum(theorem_bound(k + 1, h, g).floor for k in range(2, n + 1)) <= max_window:
+        if window_total(h, g, n) <= cap:
             cases.append((h, g, terms))
     return cases
 
@@ -479,6 +489,71 @@ def test_window_scan_emits_run_witnesses_in_order():
         # unsampled m above 48 was emitted for a run.
         assert any(i.m > 48 and i.m not in sample for i in instances
                    if i.name == "promotion_witness")
+
+
+def diagnostics_by_both_routes(rec, budget, monkeypatch):
+    """proof_diagnostics of rec by the count route and by the pair-by-pair
+    merge of merged_window_scan."""
+    counted = proof_diagnostics(rec, sample_budget=budget)
+    with monkeypatch.context() as patch:
+        patch.setattr("bhgreedy.verify._scan_window", merged_window_scan)
+        merged = proof_diagnostics(rec, sample_budget=budget)
+    return counted, merged
+
+
+@pytest.mark.parametrize("h,g,n", [(2, 2, 25), (2, 3, 20), (3, 2, 10), (3, 3, 8),
+                                   (4, 2, 6), (2, 1, 20), (3, 1, 9), (2, 2, 35),
+                                   (3, 2, 13), (4, 3, 6)])
+def test_count_route_matches_the_merged_scan_on_strong_runs(h, g, n, monkeypatch):
+    """The hit counts per class give every report and instance that
+    merging each candidate's sums pair by pair gives."""
+    rec = strong_greedy(Params(h, g, n))
+    for budget in (1, 32):
+        counted, merged = diagnostics_by_both_routes(rec, budget, monkeypatch)
+        assert counted.reports == merged.reports
+        assert counted.instances == merged.instances
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_route_matches_the_merged_scan_on_arbitrary_sets(seed, monkeypatch):
+    """50 seeded sets per seed, B_h[g] or not, h <= 5, g <= 4, terms up to
+    50, at sample budgets 1 and 32, and with every candidate sampled
+    where the windows hold at most 3000 candidates in all."""
+    rng = random.Random(seed)
+    done = 0
+    while done < 50:
+        h, g, n = rng.randint(2, 5), rng.randint(1, 4), rng.randint(2, 5)
+        terms = rng.sample(range(1, rng.choice([8, 20, 50]) + 1), n)
+        total = window_total(h, g, n)
+        if total > 20_000:
+            continue
+        done += 1
+        rec = SequenceRecord(Params(h, g, n), "strong", terms, [])
+        for budget in (1, 32, 10 ** 9) if total <= 3000 else (1, 32):
+            counted, merged = diagnostics_by_both_routes(rec, budget, monkeypatch)
+            assert (counted.reports, counted.instances) == \
+                (merged.reports, merged.instances), (h, g, terms, budget)
+
+
+def test_scan_merges_pairs_of_different_k_on_one_sum():
+    """At A = {1, 2, 4}, (h, g) = (3, 2), m = 3 reaches the level-1 sum
+    8 = 2+2+4 twice: 3+1+4 (k = 1, y = 5) and 3+3+2 (k = 2, y = 2).  Each
+    pair alone adds one representation and leaves 8 within g = 2; merged
+    they lift it to 3, past g.  7 = 3+2+2 = 3+3+1 and 9 = 3+2+4 = 3+3+3 are
+    reached twice too.  A merged sum enters level 2 and counts for t_count
+    once, not once per pair: R_2 rises from 1 to 6 and t_count at s = 2 is
+    6 (the sums 5 to 10), where separate pairs would read 9 and 9."""
+    A, h, g = [1, 2, 4], 3, 2
+    assert verify_bhg(A + [3], h, g) == (False, 6, 3)  # 6 = 1+2+3 breaks alone
+    assert naive_t_count(A, 3, 2, h) == 6
+    instances = []
+    report = _scan_window(A, h, g, {3}, instances, DEFAULT_MAX_WINDOW,
+                          DEFAULT_MAX_ENUMERATION)
+    assert (report.members, report.bhg_breaks, report.level_breaks,
+            report.union_size, report.first_admissible) == \
+        brute_forbidden_report(A, h, g)
+    assert [(i.m, i.s, i.lhs, i.rhs) for i in instances
+            if i.name == "profile_growth"] == [(3, 2, 6, 1 + 6)]
 
 
 def test_inequality_holds_reads_its_relation():

@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Check that a fixed set of generator runs still make the same steps.
+"""Check that a fixed set of generator runs still make the same steps, and
+that a fixed set of diagnose runs still write the same ledgers.
 
-    python3 tools/digests.py            # compare this tree against DIGESTS
-    python3 tools/digests.py --print    # print this tree's table, to paste
+    python3 tools/digests.py            # compare this tree against the tables
+    python3 tools/digests.py --print    # print this tree's tables, to paste
 
-Each run is one ``generate --format json`` command, run in process.  It
-has two digests: the sha256 of one "n,term,scan_length,bound_floor" line
-per step, read from the document's per_step rows as in the golden-digest
-tests, and the sha256 of the document's bytes.  DIGESTS holds the digests
-of a known-good tree; take new ones on the parent of a change, never on
-the change under test.  The check exits 1 and names each run whose step
-or document digest differs.  Standard library only; the 21 runs take
-about 6 s in one process on a 2-CPU Xeon.
+Each generator run is one ``generate --format json`` command, run in
+process.  It has two digests: the sha256 of one
+"n,term,scan_length,bound_floor" line per step, read from the document's
+per_step rows as in the golden-digest tests, and the sha256 of the
+document's bytes.  Each ledger is the sha256 of the file that
+``diagnose --h H --g G --n N --out FILE`` writes.  DIGESTS and LEDGERS
+hold the digests of a known-good tree; take new ones on the parent of a
+change, never on the change under test.  The check exits 1 and names each
+run whose step, document or ledger digest differs.  Standard library only;
+the 21 runs and 5 ledgers take about 8 s in one process on a 2-CPU Xeon.
 """
 
 import hashlib
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -96,6 +100,21 @@ DIGESTS = [
      "d092aa1208c0f8cd49cb7a9862f481ea449b0d7103c26623a190d1bb506925e6"),
 ]
 
+#: (h, g, n, sha256 of the strong run's diagnose ledger), taken at commit
+#: 5bbd3d2.
+LEDGERS = [
+    (2, 2, 60,
+     "bc8160c93ba7d617e13d9e63d8aeb612f57bd3b96adb6f9913d66a95c48a7e3f"),
+    (3, 2, 20,
+     "5b58a6d64b2c29e8b8f18692149d349f41b78819c47fe27ff8e27412e48c119f"),
+    (2, 3, 30,
+     "a88b5e6ddcc99648a35076e6d6b06ff0a6a1f3a7c9e1c9534e666da06f55abb4"),
+    (4, 2, 8,
+     "8fd3f79970c8063997cb432eb03b74a0c6124e9405db6d76f4d0199f54135a27"),
+    (3, 1, 12,
+     "7f2ad5829da3bffcab0b396e5e375f1c92893b08259811282a132c371fc12fbf"),
+]
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -115,6 +134,18 @@ def digests(algorithm: str, h: int, g: int, n: int) -> tuple[str, str]:
     return sha256(steps), sha256(text)
 
 
+def ledger_digest(h: int, g: int, n: int) -> str:
+    """The sha256 of the diagnose ledger of the strong (h, g, n) run."""
+    with tempfile.TemporaryDirectory(prefix="bhg-digests-") as tmp:
+        out = Path(tmp) / "ledger.json"
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["diagnose", "--h", str(h), "--g", str(g),
+                             "--n", str(n), "--out", str(out)])
+        if code not in (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL):
+            raise SystemExit(f"diagnose ({h},{g},{n}) exited with {code}")
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--print"]:
         for algorithm, h, g, n, *_ in DIGESTS:
@@ -122,6 +153,8 @@ def main(argv: list[str]) -> int:
             print(f'    ("{algorithm}", {h}, {g}, {n},\n'
                   f'     "{steps}",\n'
                   f'     "{doc}"),')
+        for h, g, n, _ in LEDGERS:
+            print(f'    ({h}, {g}, {n},\n     "{ledger_digest(h, g, n)}"),')
         return 0
     if argv:
         print(__doc__.strip(), file=sys.stderr)
@@ -135,7 +168,13 @@ def main(argv: list[str]) -> int:
         bad += bool(wrong)
         print(f"{'FAIL' if wrong else 'ok  '} {algorithm} ({h},{g},{n})"
               + "".join(f": {w}" for w in wrong))
-    print(f"{len(DIGESTS) - bad} of {len(DIGESTS)} runs match")
+    for h, g, n, expected in LEDGERS:
+        got = ledger_digest(h, g, n)
+        bad += got != expected
+        print(f"{'ok  ' if got == expected else 'FAIL'} diagnose ({h},{g},{n})"
+              + ("" if got == expected else f": ledger {got} != {expected}"))
+    total = len(DIGESTS) + len(LEDGERS)
+    print(f"{total - bad} of {total} runs match")
     return 1 if bad else 0
 
 

@@ -13,7 +13,7 @@ all pass.  The run exits 1 on a survivor, on any other pytest outcome
 occur exactly once in its file, so a mutant that no longer matches the
 code fails rather than passing unseen; it exits 0 when every mutant is
 killed.  Standard library only, apart from the pytest that runs the
-tests; the thirteen mutants take about 12 s on a 2-CPU Xeon.
+tests; the sixteen mutants take about 13 s on a 2-CPU Xeon.
 """
 
 import os
@@ -38,10 +38,14 @@ class Mutant(NamedTuple):
 GREEDY = "src/bhgreedy/greedy.py"
 CLI = "src/bhgreedy/cli.py"
 FORMATS = "src/bhgreedy/formats.py"
+VERIFY = "src/bhgreedy/verify.py"
 PINNED_TEXTS = "tests/test_cli.py::test_top_level_texts_are_pinned"
 CANONICAL = "tests/test_formats.py::test_canonical_json_matches_json_dumps"
 WRITTEN_PASS = ("tests/test_greedy.py::"
                 "test_written_pass_matches_the_reference_and_undoes_what_it_rejects")
+MERGED_PAIRS = "tests/test_verify.py::test_scan_merges_pairs_of_different_k_on_one_sum"
+ROUTES_ON_RUNS = ("tests/test_verify.py::"
+                  "test_count_route_matches_the_merged_scan_on_strong_runs")
 
 MUTANTS = [
     # A whole replay (a pending pass rolled back, a pass that fails the
@@ -90,10 +94,26 @@ MUTANTS = [
            "        n_next = len(t) + 2",
            ("tests/test_greedy.py::test_level_limit_is_exclusive_in_whole_runs",)),
     # holds reads ">" as ">=", so an equal pair holds under both.
-    Mutant("holds-ge", "src/bhgreedy/verify.py",
+    Mutant("holds-ge", VERIFY,
            "            return self.lhs > self.rhs",
            "            return self.lhs >= self.rhs",
            ("tests/test_verify.py::test_inequality_holds_reads_its_relation",)),
+    # The window scan never merges the pairs that share a sum, so each keeps
+    # its own effect(lo, c).
+    Mutant("merge-dropped", VERIFY,
+           "verdict(fresh + merges[m] + sum(",
+           "verdict(fresh + sum(",
+           (MERGED_PAIRS, ROUTES_ON_RUNS)),
+    # The generic verdict reads the hits at m = 0, which come from x = y.
+    Mutant("generic-reads-m-0", VERIFY,
+           "    generic = verdict(fresh)\n",
+           "    generic = verdict(fresh + sum([get(0, 0) * shift for get, shift in classes]))\n",
+           (ROUTES_ON_RUNS,)),
+    # A merged sum counts for t_count once per pair that reaches it.
+    Mutant("t-count-per-pair", VERIFY,
+           "effect(lo, sum(cs)) - sum(",
+           "effect(lo, sum(cs)) + (len(cs) - 1) * effect(lo, 0) - sum(",
+           (MERGED_PAIRS,)),
     # The whole parser also sets the subcommands metavar, so its "required"
     # and "invalid choice" errors name the five choices, not "command".
     Mutant("metavar-on-both-paths", CLI,
