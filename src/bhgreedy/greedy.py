@@ -211,7 +211,7 @@ class CandidateVerdict(NamedTuple):
 
 
 def classify_candidate(
-    t: "SumTableSet | _ScanTables",
+    t: "SumTableSet | _SumScan",
     m: int,
     g: int,
     base: tuple[int, ...],
@@ -227,8 +227,8 @@ def classify_candidate(
     m raises to exactly g, the sums it adds to Sat.  The pass reads no
     level ceiling: a caller turns ceilings into limits, or levels into a
     verdict.  Without limits the pass is whole.  It writes nothing: it is
-    the reference that is_strong_candidate runs, and _ScanTables.admit
-    makes the same pass and writes it through.
+    the reference that is_strong_candidate runs, and _SumScan.admit makes
+    the same pass and writes it through.
 
     limits[s] bounds the gain R_s(enlarged) - R_s of level s (limits[0] is
     unused).  The pass stops as soon as the sums m has reached so far lift
@@ -242,9 +242,8 @@ def classify_candidate(
     The pass reads the pairs (k, y, c), y a (h-k)-fold sum of multiplicity
     c, from the tables in place: m adds c representations of x = k*m + y,
     and x <= h*max(M, m), M the largest element.  It reads r(x) as
-    t.tables[h][x]: a SumTableSet's Counter, or the flat array of a scan's
-    tables with no pass pending, which the caller has made cover
-    h*max(M, m).
+    t.tables[h][x]: a SumTableSet's Counter, or the flat array of a scan
+    with no pass pending, which the caller has made cover h*max(M, m).
     A pair raising r(x), plus what m has added to x so far, from cur to
     now enters x into levels cur+1..now.  Most sums are fresh, 0 -> 1, and
     are counted in bulk into level 1; only the others can reach g > 1, so
@@ -349,30 +348,60 @@ _CHUNK = 1 << 16
 _FIRST_SLICE = 1 << 10
 
 
-class _ScanTables:
-    """The sum tables of a g > 1 scan.  tables[j], j < h, maps each j-fold
-    sum of A to its multiplicity, as in SumTableSet; tables[h] holds r(x)
-    at index x, a flat array that is 0 wherever x is no h-fold sum.  A scan
-    keeps no B_h[g] breaker, so every r(x) is at most g: a bytearray holds
-    it for g <= 255, and a list of exact integers for a larger g.  distinct
-    counts the sums with r(x) > 0, so entry_count is that of a SumTableSet
-    of the same set, and the entry cap trips at the same term, with the
-    same message.
+class _SumScan:
+    """The state of the greedy scan for g > 1 over one growing set A: its
+    sorted elements, its sum tables, the level counts levels, the packed
+    integer dead and the bitmaps ind and reach.  check_levels is the run's
+    rule: with it, each find admits only a term that keeps every level
+    within its ceiling at the set's next size.
+
+    tables[j], j < h, maps each j-fold sum of A to its multiplicity, as in
+    SumTableSet; tables[h] holds r(x) at index x, a flat array that is 0
+    wherever x is no h-fold sum.  A scan keeps no B_h[g] breaker, so every
+    r(x) is at most g: a bytearray holds it for g <= 255, and a list of
+    exact integers for a larger g.  distinct counts the sums with
+    r(x) > 0, so entry_count is that of a SumTableSet of the same set, and
+    the entry cap trips at the same term, with the same message.
 
     admit, classify_candidate's pass written through to the array, is the
     only writer of r(x).  A pass it admits stays pending, as (m, the sums
-    it made nonzero), until add_element commits it or the next pass rolls
-    it back; pending is (0, 0) when no pass is.  tripped records that a
-    pass has stopped at a level limit.  cover grows the array by doubling
-    to more than h*m slots, for the largest element or candidate m read
-    so far, never for a scan's ceiling.
+    it made nonzero), until join commits it or the next pass rolls it
+    back; pending is (0, 0) when no pass is.  tripped records that a pass
+    has stopped at a level limit.  admit grows the array by doubling to
+    more than h*m slots, for the largest element or candidate m read so
+    far, never for a scan's ceiling.
+
+    A B_h[g] break is permanent, because representation counts never
+    decrease, so the scan never tests a candidate again once a test has
+    found its break; a pass that stops at a level first finds no break,
+    and leaves the candidate for later steps.  Bit m of dead is set when m
+    is 0, a member, or a candidate a test found to break B_h[g]; every
+    other m, the bits above its top included, is live.  The tests set the
+    bits of the candidates that break it and grow sets the new term's,
+    so find starts at the lowest clear bit and visits only live
+    candidates.
+
+    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each grow
+    from the term's classifier pass, so the scan never recounts the h-fold
+    table.  ind is the indicator of the saturated sums Sat = {x : r(x) >= g}
+    over [0, top of S_h], one bit per sum, plus one spare byte.  A
+    non-member m with m + y in Sat for some y in S_{h-1} breaks B_h[g].  As
+    S_{h-1} = A + S_{h-2}, that happens exactly when m + a is in
+    E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some element a.
+    reach is E, packed like ind (for h = 2 ind itself), and the screen
+    marks all these breakers dead a whole slice at a time with one window
+    of reach per element: n windows a slice, where Sat read once per y in
+    S_{h-1} would take about n^(h-1)/(h-1)!.  The classifier thus sees only
+    candidates that this rule cannot decide.
     """
 
-    __slots__ = ("h", "tables", "elements", "max_entries", "distinct", "pending",
-                 "tripped")
+    __slots__ = ("h", "g", "tables", "elements", "max_entries", "distinct", "pending",
+                 "tripped", "check_levels", "levels", "dead", "ind", "reach")
 
-    def __init__(self, h: int, g: int, max_entries: int):
+    def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES,
+                 check_levels: bool = False):
         self.h = h
+        self.g = g
         self.tables = [{0: 1}, *({} for _ in range(h - 1)),
                        bytearray() if g <= 255 else []]
         self.elements: list[int] = []
@@ -380,37 +409,29 @@ class _ScanTables:
         self.distinct = 0
         self.pending = (0, 0)
         self.tripped = False
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.tables[1]
-
-    def cover(self, m: int) -> None:
-        """Grow the array to hold r(x) for every x <= h*m."""
-        rep = self.tables[self.h]
-        short = self.h * m + 1 - len(rep)
-        if short > 0:
-            rep.extend(bytes(max(short, len(rep))))
+        self.check_levels = check_levels
+        self.levels = (0,) * g
+        self.dead = 1
+        self.ind = self.reach = bytearray()
 
     def entry_count(self) -> int:
         return self.distinct + sum(map(len, self.tables[:-1]))
 
     def admit(
-        self, m: int, g: int, base: tuple[int, ...], limits: Optional[list[int]] = None,
+        self, m: int, limits: Optional[list[int]] = None,
     ) -> tuple[Optional[int], Optional[int], tuple[int, ...], list[int]]:
-        """classify_candidate(self, m, g, base, limits) for the non-member
+        """classify_candidate(self, m, g, levels, limits) for the non-member
         m >= 1, with its pair order, limits, early exits and result, that
         also writes r(x) plus what m has added so far into the array as it
         goes.  So a k >= 2 pair reads what the pairs before it added to x
         there, and the pass keeps no record of its own.
 
-        It first rolls back the pending pass, if any, and covers h*m.  A
-        pass that meets a break or a level limit subtracts what it wrote,
-        and leaves the array and distinct as they were; one that admits m
-        stays pending.  A pair is written after its checks, so the pair a
-        pass stops at is never written.
+        It first rolls back the pending pass, if any, and grows the array
+        to hold r(x) for every x <= h*m.  A pass that meets a break or a
+        level limit subtracts what it wrote, and leaves the array and
+        distinct as they were; one that admits m stays pending.  A pair is
+        written after its checks, so the pair a pass stops at is never
+        written.
 
         The writes pay for a pass that admits m, which then needs no
         second walk, and cost little for one that stops at a break, a few
@@ -424,16 +445,17 @@ class _ScanTables:
         """
         if self.pending[0]:
             self.rollback()
-        h, tables = self.h, self.tables
-        if h * m >= len(tables[h]):
-            self.cover(m)
+        h, g, base, tables = self.h, self.g, self.levels, self.tables
+        rep = tables[h]
+        short = h * m + 1 - len(rep)
+        if short > 0:
+            rep.extend(bytes(max(short, len(rep))))
         if limits and self.tripped:
             x, s, levels, sat = verdict = classify_candidate(self, m, g, base, limits)
             if x is None and s is None:
                 self._replay(m, h, None, 1)
                 self.pending = m, levels[0] - base[0]
             return verdict
-        rep = tables[h]
         # No gain reaches sys.maxsize, which bounds the size of any container.
         lim = limits or [maxsize] * (g + 1)
         gains = [0] * (g + 1)
@@ -491,103 +513,49 @@ class _ScanTables:
             self.pending = (0, 0)
             self._replay(m, self.h)
 
-    def add_element(self, a: int) -> None:
-        """Commit the pending pass, which admitted a: count the sums it made
-        nonzero, fold a into the tables below h, j downward, as
-        SumTableSet.add_element does, and insert a.  Raises GuardExceeded
-        past the entry cap, with the tables part-updated."""
-        h, tables = self.h, self.tables
+    def join(self, term: int, admission: Optional[tuple] = None) -> tuple:
+        """Add the non-member term to the tables and elements, and return
+        the pass that grow takes.
+
+        admission is the pass that admitted term on the current set, as
+        find returns it: the enlarged level counts and the sums it raised
+        to exactly g.  Its writes to the array are still pending, so join
+        counts the sums it made nonzero and folds only the tables below h,
+        j downward, as SumTableSet.add_element does.  Without one (the
+        first term, a prefix committed by hand), or when the pending pass
+        is another candidate's, that pass is rolled back and term checked
+        here, before anything else changes, by a whole pass with no limit:
+        a term below 1, a member or a B_h[g] breaker raises ValueError, the
+        last naming a sum term would push past g; levels may pass a
+        ceiling.  A refused join changes nothing but the length of the
+        array of r(x) and a pending pass.  Past the entry cap it raises
+        GuardExceeded, with the tables, distinct and pending part-updated,
+        and nothing else changed.  Until grow has run, the scan serves no
+        find or further join.
+        """
+        h, g, tables = self.h, self.g, self.tables
+        if term < 1:
+            raise ValueError(f"elements must be positive, got {term}")
+        if admission is None or self.pending[0] != term:
+            if term in tables[1]:
+                raise ValueError(f"{term} is already in the set")
+            x, _, levels, sat = self.admit(term)
+            if x is not None:
+                raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
+                                 f"have more than {g} representations")
+            admission = levels, sat
         self.distinct += self.pending[1]
         self.pending = (0, 0)
         for j in range(h - 1, 0, -1):
             tj = tables[j]
             for k in range(1, j + 1):
-                ka = k * a
+                ka = k * term
                 for y, c in tables[j - k].items():
                     x = y + ka
                     tj[x] = tj.get(x, 0) + c
         if self.entry_count() > self.max_entries:
-            raise entry_cap_error(self.max_entries, a)
-        insort(self.elements, a)
-
-
-class _SumScan:
-    """The state of the greedy scan for g > 1 over one growing set A: t,
-    its sum tables with r(x) in a flat array, the level counts levels, the
-    packed integer dead and the bitmaps ind and reach.  check_levels is the
-    run's rule: with it, each find admits only a term that keeps every
-    level within its ceiling at the set's next size.
-
-    A B_h[g] break is permanent, because representation counts never
-    decrease, so the scan never tests a candidate again once a test has
-    found its break; a pass that stops at a level first finds no break,
-    and leaves the candidate for later steps.  Bit m of dead is set when m
-    is 0, a member, or a candidate a test found to break B_h[g]; every
-    other m, the bits above its top included, is live.  The tests set the
-    bits of the candidates that break it and grow sets the new term's,
-    so find starts at the lowest clear bit and visits only live
-    candidates.
-
-    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each grow
-    from the term's classifier pass, so the scan never recounts the h-fold
-    table.  ind is the indicator of the saturated sums Sat = {x : r(x) >= g}
-    over [0, top of S_h], one bit per sum, plus one spare byte.  A
-    non-member m with m + y in Sat for some y in S_{h-1} breaks B_h[g].  As
-    S_{h-1} = A + S_{h-2}, that happens exactly when m + a is in
-    E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some element a.
-    reach is E, packed like ind (for h = 2 ind itself), and the screen
-    marks all these breakers dead a whole slice at a time with one window
-    of reach per element: n windows a slice, where Sat read once per y in
-    S_{h-1} would take about n^(h-1)/(h-1)!.  The classifier thus sees only
-    candidates that this rule cannot decide.
-    """
-
-    __slots__ = ("t", "g", "check_levels", "levels", "dead", "ind", "reach")
-
-    def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 check_levels: bool = False):
-        self.t = _ScanTables(h, g, max_entries)
-        self.g = g
-        self.check_levels = check_levels
-        self.levels = (0,) * g
-        self.dead = 1
-        self.ind = self.reach = bytearray()
-
-    @property
-    def elements(self) -> list[int]:
-        return self.t.elements
-
-    def join(self, term: int, admission: Optional[tuple] = None) -> tuple:
-        """Add the non-member term to the tables, and return the pass that
-        grow takes.
-
-        admission is the pass that admitted term on the current set, as
-        find returns it: the enlarged level counts and the sums it raised
-        to exactly g.  Its writes to the array are still pending, so join
-        folds only the tables below h.  Without one (the first term, a
-        prefix committed by hand), or when the pending pass is another
-        candidate's, that pass is rolled back and term checked here,
-        before anything else changes, by a whole pass with no limit: a
-        term below 1, a member or a B_h[g] breaker raises ValueError, the
-        last naming a sum term would push past g; levels may pass a
-        ceiling.  A refused join changes nothing but the length of the
-        array of r(x) and a pending pass.  The entry cap trips inside
-        _ScanTables.add_element, which leaves its tables part-updated, and
-        nothing else.  Until grow has run, the scan serves no find or
-        further join.
-        """
-        t, g = self.t, self.g
-        if term < 1:
-            raise ValueError(f"elements must be positive, got {term}")
-        if admission is None or t.pending[0] != term:
-            if term in t:
-                raise ValueError(f"{term} is already in the set")
-            x, _, levels, sat = t.admit(term, g, self.levels)
-            if x is not None:
-                raise ValueError(f"{term} breaks B_{t.h}[{g}]: the sum {x} would "
-                                 f"have more than {g} representations")
-            admission = levels, sat
-        t.add_element(term)
+            raise entry_cap_error(self.max_entries, term)
+        insort(self.elements, term)
         return admission
 
     def grow(self, term: int, admission: tuple) -> None:
@@ -600,10 +568,9 @@ class _SumScan:
         the packed integer shifted right by every element.  Shifting right
         only drops bits, so reach sets none past the top of S_h.
         """
-        t, ind = self.t, self.ind
-        h = t.h
+        h, ind = self.h, self.ind
         self.levels, sat = admission
-        top = (h * t.elements[-1] + 7) // 8 + 1
+        top = (h * self.elements[-1] + 7) // 8 + 1
         if len(ind) < top:
             ind += bytes(top - len(ind))
         for x in sat:
@@ -611,7 +578,7 @@ class _SumScan:
         if h > 2:
             e = int.from_bytes(ind, "little")
             for _ in range(h - 2):
-                e = reduce(or_, map(e.__rshift__, t.elements))
+                e = reduce(or_, map(e.__rshift__, self.elements))
             self.reach = e.to_bytes(top, "little")
         self.dead |= 1 << term
 
@@ -632,7 +599,7 @@ class _SumScan:
         nb = (hi - lo + 7) // 8 + 1
         hits = 0
         with memoryview(self.reach) as view:
-            for a in self.t.elements:
+            for a in self.elements:
                 s = lo + a
                 j = s >> 3
                 hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
@@ -640,10 +607,10 @@ class _SumScan:
         return live & ~hits
 
     def accept_general(self) -> Callable[[int], Optional[tuple]]:
-        """Candidate test of a step: the pass of _ScanTables.admit against
-        the kept levels, with the level limits of a set of the next size,
-        len(t) + 1, set once per step, or with no limit with check_levels
-        off.
+        """Candidate test of a step: the pass of admit against the kept
+        levels, with the level limits of a set of the next size,
+        len(elements) + 1, set once per step, or with no limit with
+        check_levels off.
 
         The limit of level s >= 2 is its room below the ceiling,
         floor_s - R_s, and the pass stops as soon as the level gains more;
@@ -654,15 +621,14 @@ class _SumScan:
         is whole, (levels, sat), and join takes it over, with its writes;
         it holds until the next pass or join.
         """
-        t, g, counts = self.t, self.g, self.levels
-        n_next = len(t) + 1
-        limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, t.h, g, s).floor - r
-                                        for s, r in enumerate(counts[1:], 2)]
+        n_next = len(self.elements) + 1
+        limits = ([maxsize, maxsize] + [Threshold.for_level(n_next, self.h, self.g, s).floor - r
+                                        for s, r in enumerate(self.levels[1:], 2)]
                   if self.check_levels else None)
-        admit = t.admit
+        admit = self.admit
 
         def accept(m: int) -> Optional[tuple]:
-            x, failed, levels, sat = admit(m, g, counts, limits)
+            x, failed, levels, sat = admit(m, limits)
             if x is not None:
                 self.dead |= 1 << m
             elif failed is None:

@@ -261,6 +261,15 @@ def _guard_enumeration(n: int, h: int, cap: int) -> None:
         )
 
 
+def _guard_window(n: int, h: int, g: int, cap: int) -> int:
+    """The top of the scan window of a prefix of n terms,
+    floor(2g*(n+1)^(h+(h-1)/g)), or GuardExceeded when it exceeds cap."""
+    win = theorem_bound(n + 1, h, g).floor
+    if win > cap:
+        raise GuardExceeded(f"scan window 1..{win} exceeds cap {cap}")
+    return win
+
+
 def _fold_histograms(elems: list[int], h: int, cap: int) -> list[Counter]:
     """Multiset-sum histograms for every fold 0..h, by enumeration.  The
     h-fold count bounds every lower one, so it alone is guarded."""
@@ -381,10 +390,11 @@ def classic_bound_check(rec: SequenceRecord) -> BoundReport:
 # Window scans
 
 
-def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
-                 instances: Optional[list[InequalityInstance]], max_window: int,
+def _scan_window(prefix: list[int], h: int, g: int, win: int, sample: set[int],
+                 instances: Optional[list[InequalityInstance]],
                  max_enumeration: int) -> ForbiddenSetReport:
-    """Classify every candidate in the scan window of the sorted prefix.
+    """Classify every candidate in the scan window 1..win of the sorted
+    prefix, win as _guard_window gives it.
 
     Each candidate m is classified from brute-force fold histograms of the
     prefix: the representations it adds are the sums x = k*m + y, y an
@@ -407,13 +417,9 @@ def _scan_window(prefix: list[int], h: int, g: int, sample: set[int],
     or in a run, profile_growth for each m in sample, one per level
     s >= 2, and then the step's window_union, first_level_empty,
     bhg_break_bound, and per level s >= 2 level_break_bound and
-    promotion_total.  With instances None no instance is built.  The
-    window guard fires before anything is enumerated.
+    promotion_total.  With instances None no instance is built.
     """
     n = len(prefix)
-    win = theorem_bound(n + 1, h, g).floor
-    if win > max_window:
-        raise GuardExceeded(f"scan window 1..{win} exceeds cap {max_window}")
     members = set(prefix)
     folds = _fold_histograms(prefix, h, max_enumeration)
     hist = folds[h]
@@ -587,8 +593,9 @@ def forbidden_set_sizes(A, h: int, g: int, *,
     of A + {m} per candidate, and against a scan that merges each
     candidate's sums pair by pair.
     """
-    return _scan_window(_checked_input(A, h, g), h, g, set(), None,
-                        max_window, DEFAULT_MAX_ENUMERATION)
+    elems = _checked_input(A, h, g)
+    return _scan_window(elems, h, g, _guard_window(len(elems), h, g, max_window),
+                        set(), None, DEFAULT_MAX_ENUMERATION)
 
 
 def t_count(A, m: int, s: int, h: int, *,
@@ -638,7 +645,9 @@ def proof_diagnostics(rec: SequenceRecord, *,
     ValueError.
 
     Prefix validity (both strong-set conditions) is checked for every
-    prefix as well, so a corrupted record names its failure here.
+    prefix as well, so a corrupted record names its failure here.  Then
+    every step's window is checked against max_window before the first
+    window scan, and the first one past it raises GuardExceeded.
     """
     if sample_budget < 1:
         raise ValueError(f"sample_budget must be >= 1, got {sample_budget}")
@@ -648,12 +657,11 @@ def proof_diagnostics(rec: SequenceRecord, *,
     diag.prefix_checks = verify_strong_prefixes(
         terms, h, g, max_enumeration=max_enumeration)
 
-    for n in range(2, len(terms) + 1):
-        win = theorem_bound(n + 1, h, g).floor
+    windows = [_guard_window(n, h, g, max_window) for n in range(2, len(terms) + 1)]
+    for n, win in enumerate(windows, 2):
         sample = set(range(1, win + 1, max(1, win // sample_budget)))
         if n < len(terms) and terms[n] <= win:
             sample.add(terms[n])
         diag.reports.append(_scan_window(
-            sorted(terms[:n]), h, g, sample, diag.instances, max_window,
-            max_enumeration))
+            sorted(terms[:n]), h, g, win, sample, diag.instances, max_enumeration))
     return diag

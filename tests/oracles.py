@@ -9,22 +9,20 @@ are the purest (and slowest) form, for small inputs only.
 The one exception is merged_window_scan, a window scan that merges each
 special candidate's sums pair by pair: the reference for the count route
 of verify._scan_window.  It takes verify's records, fold histograms and
-ceilings (Threshold, theorem_bound), and no sum table or classifier of
-the generator.
+level ceilings (Threshold), and no sum table or classifier of the
+generator.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from bhgreedy.errors import GuardExceeded
 from bhgreedy.verify import (
     ForbiddenSetReport,
     InequalityInstance,
     Threshold,
     _fold_histograms,
     _level_count,
-    theorem_bound,
 )
 
 
@@ -143,9 +141,9 @@ def naive_t_count(A, m, s, h):
     return len(xs)
 
 
-def merged_window_scan(prefix: list[int], h: int, g: int, sample: set[int],
+def merged_window_scan(prefix: list[int], h: int, g: int, win: int, sample: set[int],
                        instances: Optional[list[InequalityInstance]],
-                       max_window: int, max_enumeration: int) -> ForbiddenSetReport:
+                       max_enumeration: int) -> ForbiddenSetReport:
     """verify._scan_window with each special candidate's sums merged pair
     by pair, the reference for its count route: the same signature,
     report and instances.
@@ -161,13 +159,9 @@ def merged_window_scan(prefix: list[int], h: int, g: int, sample: set[int],
     or in a run, profile_growth for each m in sample, one per level
     s >= 2, and then the step's window_union, first_level_empty,
     bhg_break_bound, and per level s >= 2 level_break_bound and
-    promotion_total.  With instances None no instance is built.  The
-    window guard fires before anything is enumerated.
+    promotion_total.  With instances None no instance is built.
     """
     n = len(prefix)
-    win = theorem_bound(n + 1, h, g).floor
-    if win > max_window:
-        raise GuardExceeded(f"scan window 1..{win} exceeds cap {max_window}")
     members = set(prefix)
     folds = _fold_histograms(prefix, h, max_enumeration)
     hist = folds[h]

@@ -26,8 +26,8 @@ from bhgreedy import (
     strong_greedy,
     theorem_bound,
 )
-from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _new_scan, _ScanTables, _SidonScan,
-                             _SumScan, classify_candidate)
+from bhgreedy.greedy import (_CHUNK, _FIRST_SLICE, _new_scan, _SidonScan, _SumScan,
+                             classify_candidate)
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -116,7 +116,7 @@ def kept_state(scan):
             value = getattr(scan, name)
             state[name] = ([dict(d) if isinstance(d, dict)
                             else {x: r for x, r in enumerate(d) if r}
-                            for d in value.tables] if hasattr(value, "tables")
+                            for d in value] if name == "tables"
                            else deepcopy(value))
     return state
 
@@ -931,14 +931,14 @@ def check_kept_state(scan, prefix, h, g):
     if g == 1:
         check_g1_bitmaps(scan, prefix)
         return
-    t, ref = scan.t, build(h, prefix)
-    rep, top = t.tables[h], h * max(prefix)
-    assert t.tables[:h] == ref.tables[:h], prefix
+    ref = build(h, prefix)
+    rep, top = scan.tables[h], h * max(prefix)
+    assert scan.tables[:h] == ref.tables[:h], prefix
     assert list(rep[:top + 1]) == [ref.tables[h][x] for x in range(top + 1)], prefix
     assert not any(rep[top + 1:]), prefix
-    assert t.distinct == len(ref.tables[h]), prefix
-    assert t.entry_count() == ref.entry_count(), prefix
-    assert t.elements == ref.elements, prefix
+    assert scan.distinct == len(ref.tables[h]), prefix
+    assert scan.entry_count() == ref.entry_count(), prefix
+    assert scan.elements == ref.elements, prefix
     assert scan.levels == ref.rep_histogram(g), prefix
     assert sat_bits(scan) == sum(
         1 << x for x, c in multiset_sum_histogram(prefix, h).items() if c >= g), prefix
@@ -1032,7 +1032,7 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
     expected = generator(Params(h, g, n)).terms
     cls = type(_new_scan(h, g))
     join, grow = cls.join, cls.grow
-    classify, screen = _ScanTables.admit, _SumScan.screen
+    classify, screen = _SumScan.admit, _SumScan.screen
     handed, inside, depth, calls, screens, grown = [], [], [], [], [], []
 
     def wrapped_join(self, term, admission=None):
@@ -1047,11 +1047,11 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
         grown.append(term)
         return grow(self, term, joined)
 
-    def wrapped_classify(t, m, *args):
+    def wrapped_classify(self, m, limits=None):
         calls.append(m)
         if depth:
             inside.append(m)
-        return classify(t, m, *args)
+        return classify(self, m, limits)
 
     def reference(*args):
         raise AssertionError("classify_candidate called")
@@ -1064,7 +1064,7 @@ def test_generator_classifies_inside_commit_only_its_first_term(monkeypatch, gen
     monkeypatch.setattr(cls, "grow", wrapped_grow)
     if g > 1:
         monkeypatch.setattr(cls, "screen", wrapped_screen)
-    monkeypatch.setattr(_ScanTables, "admit", wrapped_classify)
+    monkeypatch.setattr(_SumScan, "admit", wrapped_classify)
     monkeypatch.setattr("bhgreedy.greedy.classify_candidate", reference)
     assert generator(Params(h, g, n)).terms == expected
     if g == 1:
@@ -1127,16 +1127,16 @@ def test_rep_array_never_holds_more_than_twice_its_reach(monkeypatch, generator,
     # holds at most twice that many slots: it grows by doubling from what
     # the scan has read, never from the step's ceiling.  It is a bytearray
     # for g <= 255 and a list above, and the scan builds no SumTableSet.
-    classify, join = _ScanTables.admit, _SumScan.join
+    classify, join = _SumScan.admit, _SumScan.join
     tested, lengths = [0], []
 
-    def wrapped_classify(t, m, *args):
+    def wrapped_classify(self, m, limits=None):
         tested[0] = max(tested[0], m)
-        return classify(t, m, *args)
+        return classify(self, m, limits)
 
     def checked_join(self, term, admission=None):
         joined = join(self, term, admission)
-        rep = self.t.tables[h]
+        rep = self.tables[h]
         assert type(rep) is (bytearray if g <= 255 else list)
         reach = h * max(self.elements[-1], tested[0]) + 1
         assert reach <= len(rep) <= 2 * reach, (self.elements, tested[0], len(rep))
@@ -1147,7 +1147,7 @@ def test_rep_array_never_holds_more_than_twice_its_reach(monkeypatch, generator,
         raise AssertionError("SumTableSet built")
 
     expected = generator(Params(h, g, n)).terms
-    monkeypatch.setattr(_ScanTables, "admit", wrapped_classify)
+    monkeypatch.setattr(_SumScan, "admit", wrapped_classify)
     monkeypatch.setattr(_SumScan, "join", checked_join)
     monkeypatch.setattr("bhgreedy.greedy.SumTableSet", refuse)
     assert generator(Params(h, g, n)).terms == expected
@@ -1155,7 +1155,8 @@ def test_rep_array_never_holds_more_than_twice_its_reach(monkeypatch, generator,
 
 
 RULE_STATE = {
-    _SumScan: {"t", "g", "check_levels", "levels", "dead", "ind", "reach"},
+    _SumScan: {"h", "g", "tables", "elements", "max_entries", "distinct", "pending",
+               "tripped", "check_levels", "levels", "dead", "ind", "reach"},
     _SidonScan: {"h", "elements", "max_entries", "diffs"},
 }
 
@@ -1175,10 +1176,10 @@ def test_each_rule_has_its_own_scan_class(h, g):
 class WalkScan(_SumScan):
     """A scan with no elements, so that its screen marks nothing dead, and
     whose g > 1 accept test records each candidate it is handed, optionally
-    sets its bit in dead, and admits the candidates in admit with an empty
-    pass."""
+    sets its bit in dead, and admits the candidates in admitted with an
+    empty pass."""
 
-    __slots__ = ("visits", "admit", "clear")
+    __slots__ = ("visits", "admitted", "clear")
 
     def accept_general(self):
         return self.record
@@ -1188,7 +1189,7 @@ class WalkScan(_SumScan):
         self.visits.append(m)
         if self.clear:
             self.dead |= 1 << m
-        return ((), ()) if m in self.admit else None
+        return ((), ()) if m in self.admitted else None
 
 
 # Each pattern is (dead, top).  Bits 0..4 of dead are set and bit 5 is
@@ -1219,7 +1220,7 @@ def test_find_visits_exactly_the_live_candidates(monkeypatch, pattern, clear, g)
         scan = WalkScan(2, g)
         scan.dead = dead
         scan.visits, scan.clear = [], clear
-        scan.admit = set() if first is None else set(live[live.index(first):])
+        scan.admitted = set() if first is None else set(live[live.index(first):])
         assert scan.find(top) == (None if first is None else (first, ((), ())))
         expected = live if first is None else live[:live.index(first) + 1]
         assert scan.visits == expected
@@ -1234,7 +1235,7 @@ def test_find_walks_across_a_full_chunk():
     live = [1, lo, _CHUNK, _CHUNK + 1, lo + _CHUNK - 1]
     scan = WalkScan(3, 2)
     scan.dead = (1 << lo + _CHUNK) - 1 ^ packed(live)
-    scan.visits, scan.clear, scan.admit = [], False, {live[-1]}
+    scan.visits, scan.clear, scan.admitted = [], False, {live[-1]}
     assert scan.find(lo + _CHUNK + 1) == (live[-1], ((), ()))
     assert scan.visits == live
 
@@ -1408,10 +1409,10 @@ def check_capped_run(generator, rec, cap):
     """A run of rec's parameters under the entry cap stops at the term, and
     with the message, of inserting rec's terms into capped tables, or ends
     as rec does where they hold every term.  Driven step by step, a commit
-    that trips the cap changes nothing the scan keeps but the tables of a
-    SumTableSet, which the cap stops part-way and which are then to be
-    discarded, and no earlier commit trips.  Returns the message, or
-    None."""
+    that trips the cap changes nothing the scan keeps but, for g > 1, its
+    sum tables, distinct and pending pass, which the cap stops part-way
+    and which are then to be discarded, and no earlier commit trips.
+    Returns the message, or None."""
     params = rec.params
     h, g = params.h, params.g
     t = SumTableSet(h, max_entries=cap)
@@ -1436,7 +1437,8 @@ def check_capped_run(generator, rec, cap):
             (params, cap)
         after = kept_state(scan)
         for state in (before, after):
-            state.pop("t", None)
+            for name in ("tables", "distinct", "pending"):
+                state.pop(name, None)
         assert after == before, (params, cap)
         break
     return plain
@@ -1542,19 +1544,19 @@ def test_written_pass_matches_the_reference_and_undoes_what_it_rejects(h, g, n, 
     # the kept state must match the reference.
     rec = strong_greedy(Params(h, g, n))
     scan = _new_scan(h, g, check_levels=True)
-    t, kinds = scan.t, set()
+    kinds = set()
     for i, term in enumerate(rec.terms):
         prefix = rec.terms[:i]
         if prefix:
             ref = build(h, prefix)
             profile, limits = ref.rep_histogram(g), strong_limits(scan, h, g)
-            rep = t.tables[h]
+            rep = scan.tables[h]
             for m in range(1, 2 * max(prefix) + 10):
                 if m in ref:
                     continue
-                t.tripped = tripped
-                before, distinct = rep[:], t.distinct
-                x, s, levels, sat = t.admit(m, g, scan.levels, limits)
+                scan.tripped = tripped
+                before, distinct = rep[:], scan.distinct
+                x, s, levels, sat = scan.admit(m, limits)
                 expect = is_strong_candidate(ref, ref.candidate_delta(m), i + 1, h, g, profile)
                 assert (x is None and s is None) == expect.accepted, (prefix, m)
                 if x is not None:
@@ -1563,13 +1565,13 @@ def test_written_pass_matches_the_reference_and_undoes_what_it_rejects(h, g, n, 
                 elif s is not None:
                     kinds.add("level")
                 else:
-                    assert t.pending[0] == m
+                    assert scan.pending[0] == m
                     assert (levels, sat) == tuple(classify_candidate(ref, m, g, scan.levels)[2:])
-                    t.rollback()
+                    scan.rollback()
                     kinds.add("admitted")
-                assert t.pending == (0, 0)
+                assert scan.pending == (0, 0)
                 assert rep[:len(before)] == before and not any(rep[len(before):]), (prefix, m)
-                assert t.distinct == distinct, (prefix, m)
+                assert scan.distinct == distinct, (prefix, m)
             found = scan.find(rec.per_step[i].bound_floor + 1)
             assert found[0] == term
             joined = scan.join(*found) if i % 2 else scan.join(term)
@@ -1598,6 +1600,47 @@ def test_g_above_one_join_refuses_a_term_below_one(h, g):
         SumTableSet(h).add_element(-3)
 
 
+@pytest.mark.parametrize("h,g,n", [(2, 2, 20), (3, 2, 12), (3, 3, 12)])
+def test_join_checks_a_term_handed_another_candidates_admission(monkeypatch, h, g, n):
+    # After each prefix of the strong run, find admits the run's next term
+    # m and leaves its pass pending.  Joined by hand with m's admission, a
+    # different non-member that keeps the set B_h[g] must not take that
+    # admission over: m's pass is rolled back, the term is checked by its
+    # own whole pass, which join returns, and the kept state is that of
+    # the prefix with the term.
+    rec = strong_greedy(Params(h, g, n))
+    admit, rollback = _SumScan.admit, _SumScan.rollback
+    passes, undone = [], []
+
+    def wrapped_admit(self, m, limits=None):
+        passes.append((m, limits))
+        return admit(self, m, limits)
+
+    def wrapped_rollback(self):
+        undone.append(self.pending[0])
+        rollback(self)
+
+    monkeypatch.setattr(_SumScan, "admit", wrapped_admit)
+    monkeypatch.setattr(_SumScan, "rollback", wrapped_rollback)
+    for i in range(1, n):
+        prefix = rec.terms[:i]
+        scan = committed(h, g, prefix, check_levels=True)
+        m, admission = scan.find(rec.per_step[i].bound_floor + 1)
+        assert m == rec.terms[i] and scan.pending[0] == m, prefix
+        ref = build(h, prefix)
+        profile = ref.rep_histogram(g)
+        term = next(a for a in range(1, h * max(prefix) + 2)
+                    if a != m and a not in ref
+                    and classify_candidate(ref, a, g, profile)[0] is None)
+        del passes[:], undone[:]
+        joined = scan.join(term, admission)
+        assert undone == [m] and passes == [(term, None)], (prefix, term)
+        assert joined == tuple(classify_candidate(ref, term, g, profile)[2:]), (prefix, term)
+        assert scan.pending == (0, 0)
+        scan.grow(term, joined)
+        check_kept_state(scan, prefix + [term], h, g)
+
+
 def test_scan_classifies_read_only_once_a_pass_stops_at_a_level(monkeypatch):
     # Strong (3, 3, 25) first stops a pass at a level limit at step 20.
     # Up to that pass every pass is written through and none calls
@@ -1607,12 +1650,12 @@ def test_scan_classifies_read_only_once_a_pass_stops_at_a_level(monkeypatch):
     # join runs no pass of its own.  The terms are those of the run
     # without the switch.
     expected = strong_greedy(Params(3, 3, 25)).terms
-    admit, classify = _ScanTables.admit, classify_candidate
+    admit, classify = _SumScan.admit, classify_candidate
     calls = []
 
-    def wrapped_admit(self, m, g, base, limits=None):
+    def wrapped_admit(self, m, limits=None):
         tripped = self.tripped
-        verdict = admit(self, m, g, base, limits)
+        verdict = admit(self, m, limits)
         calls.append(("admit", m, limits is not None, tripped, self.pending[0] == m))
         return verdict
 
@@ -1620,7 +1663,7 @@ def test_scan_classifies_read_only_once_a_pass_stops_at_a_level(monkeypatch):
         calls.append(("classify", m))
         return classify(t, m, *args)
 
-    monkeypatch.setattr(_ScanTables, "admit", wrapped_admit)
+    monkeypatch.setattr(_SumScan, "admit", wrapped_admit)
     monkeypatch.setattr("bhgreedy.greedy.classify_candidate", wrapped_classify)
     assert strong_greedy(Params(3, 3, 25)).terms == expected
     passes = [call for call in calls if call[0] == "admit"]

@@ -26,7 +26,7 @@ from bhgreedy import (
     verify_bhg,
     verify_strong_prefixes,
 )
-from bhgreedy.verify import DEFAULT_MAX_WINDOW, _scan_window
+from bhgreedy.verify import _scan_window
 from oracles import (
     added_histogram,
     first_failed_level,
@@ -476,13 +476,12 @@ def test_window_scan_emits_run_witnesses_in_order():
     A, h, g = list(range(1, 17)), 3, 6
     win = theorem_bound(len(A) + 1, h, g).floor
     dense = WithoutProfileGrowth()
-    expected = _scan_window(A, h, g, set(range(1, win + 1)), dense,
-                            DEFAULT_MAX_WINDOW, DEFAULT_MAX_ENUMERATION)
+    expected = _scan_window(A, h, g, win, set(range(1, win + 1)), dense,
+                            DEFAULT_MAX_ENUMERATION)
     assert (win, expected.level_breaks[5]) == (151_592, 151_563)
     for sample in (set(), set(range(1, win + 1, 997))):
         instances = []
-        report = _scan_window(A, h, g, sample, instances,
-                              DEFAULT_MAX_WINDOW, DEFAULT_MAX_ENUMERATION)
+        report = _scan_window(A, h, g, win, sample, instances, DEFAULT_MAX_ENUMERATION)
         assert report == expected
         assert unsampled_instances(instances) == dense
         # A special candidate is at most max(S_h) = 48, so a witness for an
@@ -547,7 +546,7 @@ def test_scan_merges_pairs_of_different_k_on_one_sum():
     assert verify_bhg(A + [3], h, g) == (False, 6, 3)  # 6 = 1+2+3 breaks alone
     assert naive_t_count(A, 3, 2, h) == 6
     instances = []
-    report = _scan_window(A, h, g, {3}, instances, DEFAULT_MAX_WINDOW,
+    report = _scan_window(A, h, g, theorem_bound(len(A) + 1, h, g).floor, {3}, instances,
                           DEFAULT_MAX_ENUMERATION)
     assert (report.members, report.bhg_breaks, report.level_breaks,
             report.union_size, report.first_admissible) == \
@@ -567,7 +566,7 @@ def test_inequality_holds_reads_its_relation():
     with pytest.raises(ValueError, match="^unknown relation '>='$"):
         InequalityInstance("x", 1, 5, 5, ">=").holds
     kept = []
-    _scan_window(list(range(1, 17)), 3, 6, set(), kept, DEFAULT_MAX_WINDOW,
+    _scan_window(list(range(1, 17)), 3, 6, theorem_bound(17, 3, 6).floor, set(), kept,
                  DEFAULT_MAX_ENUMERATION)
     witnesses = [i for i in kept if i.name == "promotion_witness"]
     assert {i.relation for i in witnesses} == {">"}
@@ -582,7 +581,7 @@ def test_forbidden_set_sizes_builds_no_instance(monkeypatch):
     A = {1, .., 16}, (h, g) = (3, 6), and reports the same."""
     A, h, g = list(range(1, 17)), 3, 6
     kept = []
-    expected = _scan_window(A, h, g, set(), kept, DEFAULT_MAX_WINDOW,
+    expected = _scan_window(A, h, g, theorem_bound(len(A) + 1, h, g).floor, set(), kept,
                             DEFAULT_MAX_ENUMERATION)
     assert sum(i.name == "promotion_witness" for i in kept) == 151_563
 
@@ -724,6 +723,29 @@ def test_diagnostics_window_guard():
     rec = strong_greedy(Params(2, 1, 12))
     with pytest.raises(GuardExceeded):
         proof_diagnostics(rec, max_window=50)
+
+
+def test_diagnostics_check_every_window_before_the_first_scan(monkeypatch):
+    """Of the windows of strong (3, 2, 26), only the last, 1..2,125,764,
+    exceeds the default cap.  proof_diagnostics checks every window after
+    the prefix checks and before the first window scan, so it raises on
+    that one having scanned none; with both caps too small, the
+    enumeration guard of the prefix checks fires first."""
+    rec = strong_greedy(Params(3, 2, 26))
+    scans = []
+
+    def counted(*args):
+        scans.append(args[3])  # the window
+        return _scan_window(*args)
+
+    monkeypatch.setattr("bhgreedy.verify._scan_window", counted)
+    with pytest.raises(GuardExceeded) as exceeded:
+        proof_diagnostics(rec)
+    assert str(exceeded.value) == "scan window 1..2125764 exceeds cap 2000000"
+    assert scans == []
+    with pytest.raises(GuardExceeded, match="^enumeration of 4 multisets exceeds cap 1$"):
+        proof_diagnostics(rec, max_window=0, max_enumeration=1)
+    assert scans == []
 
 
 def test_inequality_instance_describe():

@@ -13,7 +13,7 @@ all pass.  The run exits 1 on a survivor, on any other pytest outcome
 occur exactly once in its file, so a mutant that no longer matches the
 code fails rather than passing unseen; it exits 0 when every mutant is
 killed.  Standard library only, apart from the pytest that runs the
-tests; the sixteen mutants take about 13 s on a 2-CPU Xeon.
+tests; the eighteen mutants take about 14 s on a 2-CPU Xeon.
 """
 
 import os
@@ -90,9 +90,16 @@ MUTANTS = [
            ("tests/test_greedy.py::test_scan_classifies_read_only_once_a_pass_stops_at_a_level",)),
     # The strong scan takes its level limits for a set two terms larger.
     Mutant("n-next-plus-two", GREEDY,
-           "        n_next = len(t) + 1",
-           "        n_next = len(t) + 2",
+           "        n_next = len(self.elements) + 1",
+           "        n_next = len(self.elements) + 2",
            ("tests/test_greedy.py::test_level_limit_is_exclusive_in_whole_runs",)),
+    # join takes over any admission it is handed, though the pending pass
+    # is another candidate's, and never checks the term.
+    Mutant("join-trusts-foreign-admission", GREEDY,
+           "        if admission is None or self.pending[0] != term:",
+           "        if admission is None:",
+           ("tests/test_greedy.py::"
+            "test_join_checks_a_term_handed_another_candidates_admission",)),
     # holds reads ">" as ">=", so an equal pair holds under both.
     Mutant("holds-ge", VERIFY,
            "            return self.lhs > self.rhs",
@@ -114,6 +121,12 @@ MUTANTS = [
            "effect(lo, sum(cs)) - sum(",
            "effect(lo, sum(cs)) + (len(cs) - 1) * effect(lo, 0) - sum(",
            (MERGED_PAIRS,)),
+    # Each step's window is checked only as its scan comes up, so a run
+    # whose last window trips the cap scans every window before it.
+    Mutant("window-guard-in-scan-only", VERIFY,
+           "    windows = [_guard_window(n, h, g, max_window) for n in range(2, len(terms) + 1)]",
+           "    windows = (_guard_window(n, h, g, max_window) for n in range(2, len(terms) + 1))",
+           ("tests/test_verify.py::test_diagnostics_check_every_window_before_the_first_scan",)),
     # The whole parser also sets the subcommands metavar, so its "required"
     # and "invalid choice" errors name the five choices, not "command".
     Mutant("metavar-on-both-paths", CLI,
