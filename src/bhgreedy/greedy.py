@@ -24,7 +24,7 @@ arithmetic.  No floating point is used anywhere in generation.
 import time
 from bisect import bisect_left, bisect_right, insort
 from functools import cache, reduce
-from math import comb
+from math import comb, isqrt
 from operator import add, or_
 from sys import maxsize
 from typing import Callable, NamedTuple, Optional
@@ -122,13 +122,16 @@ class SequenceRecord(_MutableRecord):
 
 def int_nth_root(x: int, k: int) -> int:
     """Largest r with r**k <= x, in pure integer arithmetic; x may be
-    negative only for k = 1, whose root is x itself."""
+    negative only for k = 1, whose root is x itself.  For k = 2 it is
+    math.isqrt(x)."""
     if k < 1:
         raise ValueError("root order must be >= 1")
     if k == 1:
         return x
     if x < 0:
         raise ValueError("negative radicand")
+    if k == 2:
+        return isqrt(x)
     if x < 2:
         return x
     # The top bits of x give the leading bits of the root exactly, one
@@ -247,11 +250,13 @@ def classify_candidate(
     A pair raising r(x), plus what m has added to x so far, from cur to
     now enters x into levels cur+1..now.  Most sums are fresh, 0 -> 1, and
     are counted in bulk into level 1; only the others can reach g > 1, so
-    sat is collected on their branch.  The k = 1 pairs come first: their
-    sums m + y are distinct, so each needs r(x) alone.  The k >= 2 pairs
-    follow, k by k; for each x they reach, r(x) plus what m has added so
-    far is kept, the k = 1 share being the multiplicity of x - m in
-    S_{h-1}.
+    sat is collected on their branch.  A pair with c = 1 enters x into
+    level now alone, so while that level is below its limit it raises it
+    with no loop; the loop takes the rest, a trip included, so order and
+    results are those of the loop.  The k = 1 pairs come first: their sums
+    m + y are distinct, so each needs r(x) alone.  The k >= 2 pairs follow,
+    k by k; for each x they reach, r(x) plus what m has added so far is
+    kept, the k = 1 share being the multiplicity of x - m in S_{h-1}.
     """
     h = t.h
     th = t.tables[h]
@@ -269,6 +274,10 @@ def classify_candidate(
             return x, None, (), []
         if now == 1:
             fresh += 1
+        elif c == 1 and gains[now] < lim[now]:
+            gains[now] += 1
+            if now == g:
+                sat.append(x)
         else:
             for s in range(cur + 1, now + 1):
                 gains[s] += 1
@@ -289,6 +298,10 @@ def classify_candidate(
             grown[x] = now
             if now == 1:
                 fresh += 1
+            elif c == 1 and gains[now] < lim[now]:
+                gains[now] += 1
+                if now == g:
+                    sat.append(x)
             else:
                 for s in range(cur + 1, now + 1):
                     gains[s] += 1
@@ -388,9 +401,12 @@ class _SumScan:
     non-member m with m + y in Sat for some y in S_{h-1} breaks B_h[g].  As
     S_{h-1} = A + S_{h-2}, that happens exactly when m + a is in
     E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some element a.
-    reach is E, packed like ind (for h = 2 ind itself), and the screen
-    marks all these breakers dead a whole slice at a time with one window
-    of reach per element: n windows a slice, where Sat read once per y in
+    reach is E from the scan's base up, packed like ind from byte base/8 on
+    (for h = 2 ind itself), so base = 8*(len(ind) - len(reach)): the lowest
+    clear bit of dead at the last grow, rounded down to a multiple of 8.
+    dead only gains bits, so no find screens below it.  The screen marks
+    all these breakers dead a whole slice at a time with one window of
+    reach per element: n windows a slice, where Sat read once per y in
     S_{h-1} would take about n^(h-1)/(h-1)!.  The classifier thus sees only
     candidates that this rule cannot decide.
     """
@@ -421,10 +437,10 @@ class _SumScan:
         self, m: int, limits: Optional[list[int]] = None,
     ) -> tuple[Optional[int], Optional[int], tuple[int, ...], list[int]]:
         """classify_candidate(self, m, g, levels, limits) for the non-member
-        m >= 1, with its pair order, limits, early exits and result, that
-        also writes r(x) plus what m has added so far into the array as it
-        goes.  So a k >= 2 pair reads what the pairs before it added to x
-        there, and the pass keeps no record of its own.
+        m >= 1, with its pair order, limits, one-level branch, early exits
+        and result, that also writes r(x) plus what m has added so far into
+        the array as it goes.  So a k >= 2 pair reads what the pairs before
+        it added to x there, and the pass keeps no record of its own.
 
         It first rolls back the pending pass, if any, and grows the array
         to hold r(x) for every x <= h*m.  A pass that meets a break or a
@@ -472,6 +488,10 @@ class _SumScan:
                     return x, None, (), []
                 if now == 1:
                     fresh += 1
+                elif c == 1 and gains[now] < lim[now]:
+                    gains[now] += 1
+                    if now == g:
+                        sat.append(x)
                 else:
                     for s in range(cur + 1, now + 1):
                         gains[s] += 1
@@ -561,12 +581,13 @@ class _SumScan:
     def grow(self, term: int, admission: tuple) -> None:
         """Update what only find reads for the term join has just added
         with its pass admission: levels, the bits of the sums it raised to
-        g in ind, reach, and the bit of term in dead.
+        g in ind, the bit of term in dead, and reach.
 
-        For h > 2, reach starts from Sat and takes h - 2 rounds of
-        E <- {x >= 0 : x + a in E for some a in A}, each one C-level OR of
-        the packed integer shifted right by every element.  Shifting right
-        only drops bits, so reach sets none past the top of S_h.
+        For h > 2, reach starts from Sat above base and takes h - 2 rounds
+        of E <- {x >= base : x + a in E for some a in A}, each one C-level
+        OR of the packed integer shifted right by every element.  A round
+        reads only bits at or above those it sets, so E is exact from base
+        up, and sets none past the top of S_h.
         """
         h, ind = self.h, self.ind
         self.levels, sat = admission
@@ -575,22 +596,24 @@ class _SumScan:
             ind += bytes(top - len(ind))
         for x in sat:
             ind[x >> 3] |= 1 << (x & 7)
+        dead = self.dead = self.dead | 1 << term
         if h > 2:
-            e = int.from_bytes(ind, "little")
+            base = ((~dead & dead + 1).bit_length() - 1) >> 3
+            e = int.from_bytes(ind, "little") >> 8 * base
             for _ in range(h - 2):
                 e = reduce(or_, map(e.__rshift__, self.elements))
-            self.reach = e.to_bytes(top, "little")
-        self.dead |= 1 << term
+            self.reach = e.to_bytes(top - base, "little")
 
     def screen(self, lo: int, hi: int) -> int:
         """Set the bit in dead of each live m in [lo, hi) with m + a in E
-        for some element a, and return the live candidates it leaves.
+        for some element a, and return the live candidates it leaves; lo is
+        at least the scan's base.
 
         The live candidates are read once as a bitmask, bit i for m = lo + i;
         a slice with none returns at once.  Each element a costs one slice
         of reach read as a little-endian integer and shifted to start at bit
-        lo + a: OR-ing these gives the hits of the slice, in C.  Slices past
-        the top of S_h come out short, which reads as zeros.
+        lo - base + a: OR-ing these gives the hits of the slice, in C.
+        Slices past the top of S_h come out short, which reads as zeros.
         """
         mask = (1 << hi - lo) - 1
         live = (self.dead >> lo & mask) ^ mask
@@ -598,9 +621,10 @@ class _SumScan:
             return 0
         nb = (hi - lo + 7) // 8 + 1
         hits = 0
+        at = lo - 8 * (len(self.ind) - len(self.reach))
         with memoryview(self.reach) as view:
             for a in self.elements:
-                s = lo + a
+                s = at + a
                 j = s >> 3
                 hits |= int.from_bytes(view[j:j + nb], "little") >> (s & 7)
         self.dead |= (live & hits) << lo

@@ -718,6 +718,51 @@ def test_reach_matches_the_oracle_after_every_commit(generator, h, g, n):
             terms[:i + 1]
 
 
+def reach_base(scan):
+    """The base of a g > 1 scan: the bit of E that reach starts at."""
+    return 8 * (len(scan.ind) - len(scan.reach))
+
+
+@pytest.mark.parametrize("generator,h,g,n", [
+    (strong_greedy, 3, 2, 30), (strong_greedy, 3, 3, 20), (strong_greedy, 4, 2, 12),
+    (classic_greedy, 3, 2, 40),
+])
+def test_reach_above_the_base_matches_the_oracle_in_runs(monkeypatch, generator, h, g, n):
+    # In a run, dead holds the breakers find has met, so the base, the
+    # lowest clear bit of dead rounded down to a multiple of 8, rises
+    # above 0.  After every grow, reach shifted back by the base must hold
+    # exactly the oracle's E on [base, top of S_h].  Every screen that find
+    # makes must start at or above the base, and clear exactly the live m
+    # of its slice with m + a in the oracle's E for some element a.
+    grow, screen = _SumScan.grow, _SumScan.screen
+    bases, oracle = [], []
+
+    def checked_grow(self, term, admission):
+        grow(self, term, admission)
+        base, dead = reach_base(self), self.dead
+        low = (~dead & dead + 1).bit_length() - 1
+        assert base == low - low % 8, (self.elements, low)
+        oracle[:] = [packed(reach_oracle(self.elements, h, g))]
+        bits = int.from_bytes(self.reach, "little") << base
+        assert bits == oracle[0] >> base << base, (self.elements, base)
+        bases.append(base)
+
+    def checked_screen(self, lo, hi):
+        assert lo >= reach_base(self), (self.elements, lo)
+        before, mask = self.dead, (1 << hi - lo) - 1
+        left = screen(self, lo, hi)
+        live = ~before >> lo & mask
+        hits = reduce(or_, (oracle[0] >> lo + a for a in self.elements)) & mask
+        assert self.dead ^ before == (live & hits) << lo, (self.elements, lo)
+        assert left == live & ~hits
+        return left
+
+    monkeypatch.setattr(_SumScan, "grow", checked_grow)
+    monkeypatch.setattr(_SumScan, "screen", checked_screen)
+    generator(Params(h, g, n))
+    assert len(bases) == n - 1 and max(bases) > 0
+
+
 def screened_prefixes(h, g, n):
     """For each proper prefix of the strong (h, g, n) run: a scan that has
     committed it, the h- and (h-1)-fold sum histograms from enumeration,
@@ -886,15 +931,16 @@ def test_screen_stops_early_and_accept_decides_the_rest(h, g, n, width):
 def test_accept_sees_no_candidate_that_e_decides(monkeypatch, generator, h, g, n):
     # Every slice is screened whole before its survivors reach the accept
     # test, so no candidate m that the closure of accept_general is handed
-    # has m + a in the kept E (reach) for some element a: the screen has
-    # marked each such m dead.  Tiny slices make many screens a run.
+    # has m + a in the kept E (reach, from the scan's base up) for some
+    # element a: the screen has marked each such m dead.  Tiny slices make
+    # many screens a run.
     shrink_scan_slices(monkeypatch)
     accept_general = _SumScan.accept_general
     handed = []
 
     def checked(self):
         accept = accept_general(self)
-        e = int.from_bytes(self.reach, "little")
+        e = int.from_bytes(self.reach, "little") << reach_base(self)
 
         def screened_accept(m):
             handed.append(m)

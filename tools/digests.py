@@ -14,7 +14,7 @@ document's bytes.  Each ledger is the sha256 of the file that
 hold the digests of a known-good tree; take new ones on the parent of a
 change, never on the change under test.  The check exits 1 and names each
 run whose step, document or ledger digest differs.  Standard library only;
-the 21 runs and 5 ledgers take about 8 s in one process on a 2-CPU Xeon.
+the 23 runs and 5 ledgers take about 6 s in one process on a 2-CPU Xeon.
 """
 
 import hashlib
@@ -98,6 +98,14 @@ DIGESTS = [
     ("strong", 4, 3, 12,
      "fe7c1069d766dea09136e2459f9268fcacf1001b88eba1a334cfc9798757a311",
      "d092aa1208c0f8cd49cb7a9862f481ea449b0d7103c26623a190d1bb506925e6"),
+    # Both digests taken at commit ad7da4c.  Classic (4,2,20) builds E in
+    # two rounds from a base at most 7 below its largest element.
+    ("classic", 4, 2, 20,
+     "9b138a3ec69838615bdba9fd2ee6cf79fc530b1473ecdf3e1d0f767681644eb5",
+     "752fb096291085d634909ef0a65e3364ad3b92b9d801ea2eb51fc16122eca8d7"),
+    ("classic", 3, 3, 40,
+     "cc1ecff21c99e73c44ee93ebdeff4862e4856efb5c866c7df9e4647c3fee09df",
+     "18b8321742a8d60db4a6b370f0453641a7779f57fba88e2f806fb5d2a77d0255"),
 ]
 
 #: (h, g, n, sha256 of the strong run's diagnose ledger), taken at commit

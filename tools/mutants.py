@@ -13,7 +13,7 @@ all pass.  The run exits 1 on a survivor, on any other pytest outcome
 occur exactly once in its file, so a mutant that no longer matches the
 code fails rather than passing unseen; it exits 0 when every mutant is
 killed.  Standard library only, apart from the pytest that runs the
-tests; the eighteen mutants take about 14 s on a 2-CPU Xeon.
+tests; the twenty-two mutants take about 37 s on a 2-CPU Xeon.
 """
 
 import os
@@ -77,6 +77,31 @@ MUTANTS = [
            "                self.pending = m, levels[0] - base[0]",
            "                self.pending = m, levels[0]",
            (WRITTEN_PASS,)),
+    # The one-level branch of admit raises the level below the one a
+    # c = 1 pair enters x into.
+    Mutant("admit-one-level-below", GREEDY,
+           "                elif c == 1 and gains[now] < lim[now]:\n"
+           "                    gains[now] += 1",
+           "                elif c == 1 and gains[now] < lim[now]:\n"
+           "                    gains[now - 1] += 1",
+           (WRITTEN_PASS,)),
+    # The same in the k = 1 loop of classify_candidate.
+    Mutant("classify-k1-one-level-below", GREEDY,
+           "\n        elif c == 1 and gains[now] < lim[now]:\n"
+           "            gains[now] += 1",
+           "\n        elif c == 1 and gains[now] < lim[now]:\n"
+           "            gains[now - 1] += 1",
+           ("tests/test_greedy.py::test_classify_candidate_matches_oracle",)),
+    # The screen reads E as if reach started at bit 0, not at the base.
+    Mutant("screen-ignores-base", GREEDY,
+           "        at = lo - 8 * (len(self.ind) - len(self.reach))",
+           "        at = lo",
+           ("tests/test_greedy.py::test_reach_above_the_base_matches_the_oracle_in_runs",)),
+    # A square root one too large.
+    Mutant("isqrt-plus-one", GREEDY,
+           "        return isqrt(x)",
+           "        return isqrt(x) + 1",
+           ("tests/test_greedy.py::test_int_nth_root_matches_bisection",)),
     # A pass admitted and not joined is never rolled back, so the next
     # pass reads its writes.
     Mutant("no-pending-rollback", GREEDY,
