@@ -150,17 +150,15 @@ def int_nth_root(x: int, k: int) -> int:
             r |= 1 << i
     if not drop:
         return r
+    # Newton starts above the root s, as (r + 1) << drop has its k-th power
+    # above x.  From any integer above s the next iterate lies in
+    # [s, r - 1], by AM-GM and the floors, so the loop stops exactly at s.
     r = r + 1 << drop
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
 class Threshold(NamedTuple):
@@ -372,17 +370,17 @@ class _SumScan:
     SumTableSet; tables[h] holds r(x) at index x, a flat array that is 0
     wherever x is no h-fold sum.  A scan keeps no B_h[g] breaker, so every
     r(x) is at most g: a bytearray holds it for g <= 255, and a list of
-    exact integers for a larger g.  distinct counts the sums with
-    r(x) > 0, so entry_count is that of a SumTableSet of the same set, and
-    the entry cap trips at the same term, with the same message.
+    exact integers for a larger g.  levels[0], R_1 below, counts the sums
+    with r(x) > 0, so entry_count is that of a SumTableSet of the same
+    set, and the entry cap trips at the same term, with the same message.
 
     admit, classify_candidate's pass written through to the array, is the
-    only writer of r(x).  A pass it admits stays pending, as (m, the sums
-    it made nonzero), until join commits it or the next pass rolls it
-    back; pending is (0, 0) when no pass is.  tripped records that a pass
-    has stopped at a level limit.  admit grows the array by doubling to
-    more than h*m slots, for the largest element or candidate m read so
-    far, never for a scan's ceiling.
+    only writer of r(x).  A pass it admits stays pending, as its candidate
+    m, until join commits it or the next pass rolls it back; pending is 0
+    when no pass is.  tripped records that a pass has stopped at a level
+    limit.  admit grows the array by doubling to more than h*m slots, for
+    the largest element or candidate m read so far, never for a scan's
+    ceiling.
 
     A B_h[g] break is permanent, because representation counts never
     decrease, so the scan never tests a candidate again once a test has
@@ -394,7 +392,7 @@ class _SumScan:
     so find starts at the lowest clear bit and visits only live
     candidates.
 
-    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each grow
+    levels holds R_1..R_g, R_s = |{x : r(x) >= s}|, taken at each join
     from the term's classifier pass, so the scan never recounts the h-fold
     table.  ind is the indicator of the saturated sums Sat = {x : r(x) >= g}
     over [0, top of S_h], one bit per sum, plus one spare byte.  A
@@ -402,17 +400,17 @@ class _SumScan:
     S_{h-1} = A + S_{h-2}, that happens exactly when m + a is in
     E = {x >= 0 : x + z in Sat for some z in S_{h-2}} for some element a.
     reach is E from the scan's base up, packed like ind from byte base/8 on
-    (for h = 2 ind itself), so base = 8*(len(ind) - len(reach)): the lowest
-    clear bit of dead at the last grow, rounded down to a multiple of 8.
-    dead only gains bits, so no find screens below it.  The screen marks
-    all these breakers dead a whole slice at a time with one window of
-    reach per element: n windows a slice, where Sat read once per y in
-    S_{h-1} would take about n^(h-1)/(h-1)!.  The classifier thus sees only
-    candidates that this rule cannot decide.
+    (for h = 2, Sat from the base up), so base = 8*(len(ind) - len(reach)):
+    the lowest clear bit of dead at the last grow, rounded down to a
+    multiple of 8.  dead only gains bits, so no find screens below it.  The
+    screen marks all these breakers dead a whole slice at a time with one
+    window of reach per element: n windows a slice, where Sat read once
+    per y in S_{h-1} would take about n^(h-1)/(h-1)!.  The classifier thus
+    sees only candidates that this rule cannot decide.
     """
 
-    __slots__ = ("h", "g", "tables", "elements", "max_entries", "distinct", "pending",
-                 "tripped", "check_levels", "levels", "dead", "ind", "reach")
+    __slots__ = ("h", "g", "tables", "elements", "max_entries", "pending", "tripped",
+                 "check_levels", "levels", "dead", "ind", "reach")
 
     def __init__(self, h: int, g: int, max_entries: int = DEFAULT_MAX_ENTRIES,
                  check_levels: bool = False):
@@ -422,16 +420,15 @@ class _SumScan:
                        bytearray() if g <= 255 else []]
         self.elements: list[int] = []
         self.max_entries = max_entries
-        self.distinct = 0
-        self.pending = (0, 0)
+        self.pending = 0
         self.tripped = False
         self.check_levels = check_levels
         self.levels = (0,) * g
         self.dead = 1
-        self.ind = self.reach = bytearray()
+        self.ind, self.reach = bytearray(), bytearray()
 
     def entry_count(self) -> int:
-        return self.distinct + sum(map(len, self.tables[:-1]))
+        return self.levels[0] + sum(map(len, self.tables[:-1]))
 
     def admit(
         self, m: int, limits: Optional[list[int]] = None,
@@ -444,10 +441,9 @@ class _SumScan:
 
         It first rolls back the pending pass, if any, and grows the array
         to hold r(x) for every x <= h*m.  A pass that meets a break or a
-        level limit subtracts what it wrote, and leaves the array and
-        distinct as they were; one that admits m stays pending.  A pair is
-        written after its checks, so the pair a pass stops at is never
-        written.
+        level limit subtracts what it wrote, and leaves the array as it
+        was; one that admits m stays pending, as m.  A pair is written
+        after its checks, so the pair a pass stops at is never written.
 
         The writes pay for a pass that admits m, which then needs no
         second walk, and cost little for one that stops at a break, a few
@@ -459,7 +455,7 @@ class _SumScan:
         classify_candidate; only an m it admits is walked again, to add
         its pairs to the array, and left pending.
         """
-        if self.pending[0]:
+        if self.pending:
             self.rollback()
         h, g, base, tables = self.h, self.g, self.levels, self.tables
         rep = tables[h]
@@ -467,10 +463,10 @@ class _SumScan:
         if short > 0:
             rep.extend(bytes(max(short, len(rep))))
         if limits and self.tripped:
-            x, s, levels, sat = verdict = classify_candidate(self, m, g, base, limits)
+            x, s, _, _ = verdict = classify_candidate(self, m, g, base, limits)
             if x is None and s is None:
                 self._replay(m, h, None, 1)
-                self.pending = m, levels[0] - base[0]
+                self.pending = m
             return verdict
         # No gain reaches sys.maxsize, which bounds the size of any container.
         lim = limits or [maxsize] * (g + 1)
@@ -508,7 +504,7 @@ class _SumScan:
             self._replay(m, h)
             self.tripped = True
             return None, failed, (), []
-        self.pending = m, gains[1]
+        self.pending = m
         return None, None, tuple(map(add, base, gains[1:])), sat
 
     def _replay(self, m: int, last: int, stop: Optional[int] = None,
@@ -528,9 +524,9 @@ class _SumScan:
 
     def rollback(self) -> None:
         """Undo the pending pass, if any."""
-        m, _ = self.pending
+        m = self.pending
         if m:
-            self.pending = (0, 0)
+            self.pending = 0
             self._replay(m, self.h)
 
     def join(self, term: int, admission: Optional[tuple] = None) -> tuple:
@@ -540,8 +536,8 @@ class _SumScan:
         admission is the pass that admitted term on the current set, as
         find returns it: the enlarged level counts and the sums it raised
         to exactly g.  Its writes to the array are still pending, so join
-        counts the sums it made nonzero and folds only the tables below h,
-        j downward, as SumTableSet.add_element does.  Without one (the
+        takes its levels, R_1 among them, and folds only the tables below
+        h, j downward, as SumTableSet.add_element does.  Without one (the
         first term, a prefix committed by hand), or when the pending pass
         is another candidate's, that pass is rolled back and term checked
         here, before anything else changes, by a whole pass with no limit:
@@ -549,14 +545,14 @@ class _SumScan:
         last naming a sum term would push past g; levels may pass a
         ceiling.  A refused join changes nothing but the length of the
         array of r(x) and a pending pass.  Past the entry cap it raises
-        GuardExceeded, with the tables, distinct and pending part-updated,
+        GuardExceeded, with the tables, levels and pending part-updated,
         and nothing else changed.  Until grow has run, the scan serves no
         find or further join.
         """
         h, g, tables = self.h, self.g, self.tables
         if term < 1:
             raise ValueError(f"elements must be positive, got {term}")
-        if admission is None or self.pending[0] != term:
+        if admission is None or self.pending != term:
             if term in tables[1]:
                 raise ValueError(f"{term} is already in the set")
             x, _, levels, sat = self.admit(term)
@@ -564,8 +560,8 @@ class _SumScan:
                 raise ValueError(f"{term} breaks B_{h}[{g}]: the sum {x} would "
                                  f"have more than {g} representations")
             admission = levels, sat
-        self.distinct += self.pending[1]
-        self.pending = (0, 0)
+        self.pending = 0
+        self.levels = admission[0]
         for j in range(h - 1, 0, -1):
             tj = tables[j]
             for k in range(1, j + 1):
@@ -580,29 +576,27 @@ class _SumScan:
 
     def grow(self, term: int, admission: tuple) -> None:
         """Update what only find reads for the term join has just added
-        with its pass admission: levels, the bits of the sums it raised to
-        g in ind, the bit of term in dead, and reach.
+        with its pass admission: the bits of the sums it raised to g in
+        ind, the bit of term in dead, and reach.
 
-        For h > 2, reach starts from Sat above base and takes h - 2 rounds
-        of E <- {x >= base : x + a in E for some a in A}, each one C-level
-        OR of the packed integer shifted right by every element.  A round
-        reads only bits at or above those it sets, so E is exact from base
-        up, and sets none past the top of S_h.
+        reach starts from Sat above base and takes h - 2 rounds (none for
+        h = 2) of E <- {x >= base : x + a in E for some a in A}, each one
+        C-level OR of the packed integer shifted right by every element.  A
+        round reads only bits at or above those it sets, so E is exact from
+        base up, and sets none past the top of S_h.
         """
         h, ind = self.h, self.ind
-        self.levels, sat = admission
         top = (h * self.elements[-1] + 7) // 8 + 1
         if len(ind) < top:
             ind += bytes(top - len(ind))
-        for x in sat:
+        for x in admission[1]:
             ind[x >> 3] |= 1 << (x & 7)
         dead = self.dead = self.dead | 1 << term
-        if h > 2:
-            base = ((~dead & dead + 1).bit_length() - 1) >> 3
-            e = int.from_bytes(ind, "little") >> 8 * base
-            for _ in range(h - 2):
-                e = reduce(or_, map(e.__rshift__, self.elements))
-            self.reach = e.to_bytes(top - base, "little")
+        base = ((~dead & dead + 1).bit_length() - 1) >> 3
+        e = int.from_bytes(ind, "little") >> 8 * base
+        for _ in range(h - 2):
+            e = reduce(or_, map(e.__rshift__, self.elements))
+        self.reach = e.to_bytes(top - base, "little")
 
     def screen(self, lo: int, hi: int) -> int:
         """Set the bit in dead of each live m in [lo, hi) with m + a in E

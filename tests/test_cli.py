@@ -70,6 +70,16 @@ def test_generate_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command,h,g", [("verify", "1", "1"), ("fit", "2", "0")])
+def test_order_or_multiplicity_out_of_range_is_usage_error(capsys, tmp_path, command, h, g):
+    f = tmp_path / "mc.bfile"
+    f.write_text("1 1\n2 2\n3 4\n")
+    code, out, err = run(capsys, command, "--h", h, "--g", g, str(f))
+    assert code == EXIT_USAGE
+    assert err == f"error: need h >= 2 and g >= 1, got h={h}, g={g}\n"
+    assert out == ""
+
+
 def test_generate_missing_args_usage_error(capsys):
     code, _, _ = run(capsys, "generate", "--h", "2")
     assert code == EXIT_USAGE

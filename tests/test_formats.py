@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -97,6 +98,22 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(InputFormatError):
         parse_terms("", "bfile")
+
+
+@pytest.mark.parametrize("text,fmt,message", [
+    ("[]", "json", "empty term list"),
+    ('{"terms": []}', "json", "empty term list"),
+    ("1 1\n2 2 3\n", "bfile", "line 2: expected 'n a_n', got '2 2 3'"),
+    ("1,1\n2,2,3\n", "csv", "line 2: expected 'n,a_n', got '2,2,3'"),
+])
+def test_malformed_input_names_its_fault(text, fmt, message):
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        parse_terms(text, fmt)
+
+
+def test_parse_terms_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        parse_terms("1 1\n", "xml")
     with pytest.raises(InputFormatError):
         parse_terms("not json {", "json")
     with pytest.raises(InputFormatError):

@@ -270,6 +270,8 @@ def test_theorem_bound_examples():
     assert theorem_bound(1, 3, 2).floor == 4
     assert theorem_bound(1, 2, 7).floor == 14
     assert theorem_bound(4, 2, 2).floor == 128  # 4 * 4^(5/2)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        theorem_bound(0, 2, 1)
 
 
 @given(n=st.integers(1, 40), h=st.integers(2, 4), g=st.integers(1, 4))
@@ -970,8 +972,8 @@ def test_rebuilt_scan_finds_the_next_term(generator, h, g, n):
 def check_kept_state(scan, prefix, h, g):
     """For g > 1 the scan's tables are those of a SumTableSet of prefix,
     with r(x) in a flat array that matches its h-fold table at every
-    x <= h*M and is 0 above, the distinct sums and the entries counted
-    alike; its level counts are the tables' R_1..R_g and its Sat is
+    x <= h*M and is 0 above, the distinct sums (R_1) and the entries
+    counted alike; its level counts are the tables' R_1..R_g and its Sat is
     {x : r(x) >= g} from enumeration.  At g = 1, which keeps no table,
     level or Sat, its difference bitmaps match theirs."""
     if g == 1:
@@ -982,7 +984,7 @@ def check_kept_state(scan, prefix, h, g):
     assert scan.tables[:h] == ref.tables[:h], prefix
     assert list(rep[:top + 1]) == [ref.tables[h][x] for x in range(top + 1)], prefix
     assert not any(rep[top + 1:]), prefix
-    assert scan.distinct == len(ref.tables[h]), prefix
+    assert scan.levels[0] == len(ref.tables[h]), prefix
     assert scan.entry_count() == ref.entry_count(), prefix
     assert scan.elements == ref.elements, prefix
     assert scan.levels == ref.rep_histogram(g), prefix
@@ -1201,8 +1203,8 @@ def test_rep_array_never_holds_more_than_twice_its_reach(monkeypatch, generator,
 
 
 RULE_STATE = {
-    _SumScan: {"h", "g", "tables", "elements", "max_entries", "distinct", "pending",
-               "tripped", "check_levels", "levels", "dead", "ind", "reach"},
+    _SumScan: {"h", "g", "tables", "elements", "max_entries", "pending", "tripped",
+               "check_levels", "levels", "dead", "ind", "reach"},
     _SidonScan: {"h", "elements", "max_entries", "diffs"},
 }
 
@@ -1456,8 +1458,9 @@ def check_capped_run(generator, rec, cap):
     with the message, of inserting rec's terms into capped tables, or ends
     as rec does where they hold every term.  Driven step by step, a commit
     that trips the cap changes nothing the scan keeps but, for g > 1, its
-    sum tables, distinct and pending pass, which the cap stops part-way
-    and which are then to be discarded, and no earlier commit trips.
+    sum tables, level counts and pending pass, which the cap stops
+    part-way and which are then to be discarded, and no earlier commit
+    trips.
     Returns the message, or None."""
     params = rec.params
     h, g = params.h, params.g
@@ -1483,7 +1486,7 @@ def check_capped_run(generator, rec, cap):
             (params, cap)
         after = kept_state(scan)
         for state in (before, after):
-            for name in ("tables", "distinct", "pending"):
+            for name in ("tables", "levels", "pending"):
                 state.pop(name, None)
         assert after == before, (params, cap)
         break
@@ -1582,12 +1585,16 @@ def test_written_pass_matches_the_reference_and_undoes_what_it_rejects(h, g, n, 
     # limits, must admit exactly the non-members m of [1, 2*M + 9] that
     # is_strong_candidate admits, M the largest element.  A break must be
     # a "bhg" verdict, and a level exit any rejection; the (2, 3) and
-    # (3, 3) prefixes meet level exits, the others none.  An admitted pass
-    # hands back the reference pass's levels and sat and stays pending.
-    # After a rejected pass, or an admitted one rolled back, the array's
-    # slots and distinct are as before the pass.  Each term is then
-    # joined, with find's admission or by hand over its pending pass, and
-    # the kept state must match the reference.
+    # (3, 3) prefixes meet level exits, the others none.  Every pass must
+    # return the (x, s) of the reference pass under the same limits.  An
+    # admitted pass hands back the reference pass's levels and sat and
+    # stays pending.  After a rejected pass, or an admitted one rolled
+    # back, the array's slots and R_1 are as before the pass.  A written
+    # pass is then made once more with no room on level 1, where the
+    # fresh sums trip it at the end of the pass if nothing trips it
+    # before, and must again match the reference and leave the array as
+    # it was.  Each term is then joined, with find's admission or by hand
+    # over its pending pass, and the kept state must match the reference.
     rec = strong_greedy(Params(h, g, n))
     scan = _new_scan(h, g, check_levels=True)
     kinds = set()
@@ -1601,8 +1608,9 @@ def test_written_pass_matches_the_reference_and_undoes_what_it_rejects(h, g, n, 
                 if m in ref:
                     continue
                 scan.tripped = tripped
-                before, distinct = rep[:], scan.distinct
+                before, r1 = rep[:], scan.levels[0]
                 x, s, levels, sat = scan.admit(m, limits)
+                assert (x, s) == classify_candidate(ref, m, g, profile, limits)[:2], (prefix, m)
                 expect = is_strong_candidate(ref, ref.candidate_delta(m), i + 1, h, g, profile)
                 assert (x is None and s is None) == expect.accepted, (prefix, m)
                 if x is not None:
@@ -1611,13 +1619,21 @@ def test_written_pass_matches_the_reference_and_undoes_what_it_rejects(h, g, n, 
                 elif s is not None:
                     kinds.add("level")
                 else:
-                    assert scan.pending[0] == m
+                    assert scan.pending == m
                     assert (levels, sat) == tuple(classify_candidate(ref, m, g, scan.levels)[2:])
                     scan.rollback()
                     kinds.add("admitted")
-                assert scan.pending == (0, 0)
+                assert scan.pending == 0
                 assert rep[:len(before)] == before and not any(rep[len(before):]), (prefix, m)
-                assert scan.distinct == distinct, (prefix, m)
+                assert scan.levels[0] == r1, (prefix, m)
+                if not tripped:
+                    no_room = [sys.maxsize, 0] + [sys.maxsize] * (g - 1)
+                    assert (scan.admit(m, no_room)[:2]
+                            == classify_candidate(ref, m, g, profile, no_room)[:2]), (prefix, m)
+                    scan.rollback()
+                    assert rep[:len(before)] == before and not any(rep[len(before):]), \
+                        (prefix, m)
+                    scan.tripped = tripped
             found = scan.find(rec.per_step[i].bound_floor + 1)
             assert found[0] == term
             joined = scan.join(*found) if i % 2 else scan.join(term)
@@ -1646,6 +1662,17 @@ def test_g_above_one_join_refuses_a_term_below_one(h, g):
         SumTableSet(h).add_element(-3)
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_pair_scan_refuses_a_first_term_below_one(h):
+    # A g = 1 scan with no element has no largest one to compare with, so
+    # a first term of 0 meets the positivity check, and is refused before
+    # anything changes.
+    scan = _new_scan(h, 1)
+    with pytest.raises(ValueError, match="^elements must be positive, got 0$"):
+        scan.join(0)
+    assert scan.elements == []
+
+
 @pytest.mark.parametrize("h,g,n", [(2, 2, 20), (3, 2, 12), (3, 3, 12)])
 def test_join_checks_a_term_handed_another_candidates_admission(monkeypatch, h, g, n):
     # After each prefix of the strong run, find admits the run's next term
@@ -1663,7 +1690,7 @@ def test_join_checks_a_term_handed_another_candidates_admission(monkeypatch, h, 
         return admit(self, m, limits)
 
     def wrapped_rollback(self):
-        undone.append(self.pending[0])
+        undone.append(self.pending)
         rollback(self)
 
     monkeypatch.setattr(_SumScan, "admit", wrapped_admit)
@@ -1672,7 +1699,7 @@ def test_join_checks_a_term_handed_another_candidates_admission(monkeypatch, h, 
         prefix = rec.terms[:i]
         scan = committed(h, g, prefix, check_levels=True)
         m, admission = scan.find(rec.per_step[i].bound_floor + 1)
-        assert m == rec.terms[i] and scan.pending[0] == m, prefix
+        assert m == rec.terms[i] and scan.pending == m, prefix
         ref = build(h, prefix)
         profile = ref.rep_histogram(g)
         term = next(a for a in range(1, h * max(prefix) + 2)
@@ -1682,7 +1709,7 @@ def test_join_checks_a_term_handed_another_candidates_admission(monkeypatch, h, 
         joined = scan.join(term, admission)
         assert undone == [m] and passes == [(term, None)], (prefix, term)
         assert joined == tuple(classify_candidate(ref, term, g, profile)[2:]), (prefix, term)
-        assert scan.pending == (0, 0)
+        assert scan.pending == 0
         scan.grow(term, joined)
         check_kept_state(scan, prefix + [term], h, g)
 
@@ -1702,7 +1729,7 @@ def test_scan_classifies_read_only_once_a_pass_stops_at_a_level(monkeypatch):
     def wrapped_admit(self, m, limits=None):
         tripped = self.tripped
         verdict = admit(self, m, limits)
-        calls.append(("admit", m, limits is not None, tripped, self.pending[0] == m))
+        calls.append(("admit", m, limits is not None, tripped, self.pending == m))
         return verdict
 
     def wrapped_classify(t, m, *args):

@@ -134,6 +134,11 @@ def test_candidate_delta_rejects_members():
         build(2, [1, 2]).candidate_delta(2)
 
 
+def test_candidate_delta_rejects_non_positive_candidates():
+    with pytest.raises(ValueError, match="^candidates must be positive, got 0$"):
+        build(2, [1, 2]).candidate_delta(0)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
@@ -147,6 +152,13 @@ def test_brute_force_rep_examples():
 def test_brute_force_rep_guard():
     with pytest.raises(GuardExceeded):
         brute_force_rep(range(1, 50), 4, 100, max_enumeration=1000)
+
+
+def test_brute_force_rep_rejects_duplicates_and_orders_below_one():
+    with pytest.raises(ValueError, match="^elements must be distinct$"):
+        brute_force_rep([1, 2, 2], 2, 4)
+    with pytest.raises(ValueError, match="^h must be >= 1, got 0$"):
+        brute_force_rep([1, 2], 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ all pass.  The run exits 1 on a survivor, on any other pytest outcome
 occur exactly once in its file, so a mutant that no longer matches the
 code fails rather than passing unseen; it exits 0 when every mutant is
 killed.  Standard library only, apart from the pytest that runs the
-tests; the twenty-two mutants take about 37 s on a 2-CPU Xeon.
+tests; the twenty-five mutants take about 45 s on a 2-CPU Xeon.
 """
 
 import os
@@ -64,19 +64,18 @@ MUTANTS = [
            "            for y, c in tables[h - k].items():\n"
            "                if k == last and y == stop:",
            (WRITTEN_PASS,)),
-    # distinct counts only the sums a pass raises from 0 to exactly 1, and
-    # misses a c >= 2 pair on a fresh sum.
+    # A written pass counts into R_1 only the sums it raises from 0 to
+    # exactly 1, and misses a c >= 2 pair on a fresh sum.
     Mutant("distinct-counts-only-now-1", GREEDY,
-           "        self.pending = m, gains[1]",
-           "        self.pending = m, fresh",
+           "        gains[1] += fresh",
+           "        gains[1] = fresh",
+           (WRITTEN_PASS,)),
+    # The entry count takes R_g for R_1, the count of distinct sums.
+    Mutant("read-only-distinct-counts-all", GREEDY,
+           "        return self.levels[0] + sum(map(len, self.tables[:-1]))",
+           "        return self.levels[-1] + sum(map(len, self.tables[:-1]))",
            ("tests/test_greedy.py::"
             "test_g_above_one_run_trips_a_cap_just_below_its_entry_count_at_its_last_term",)),
-    # A candidate admitted read-only counts every sum of the enlarged set
-    # as new to distinct.
-    Mutant("read-only-distinct-counts-all", GREEDY,
-           "                self.pending = m, levels[0] - base[0]",
-           "                self.pending = m, levels[0]",
-           (WRITTEN_PASS,)),
     # The one-level branch of admit raises the level below the one a
     # c = 1 pair enters x into.
     Mutant("admit-one-level-below", GREEDY,
@@ -92,6 +91,17 @@ MUTANTS = [
            "\n        elif c == 1 and gains[now] < lim[now]:\n"
            "            gains[now - 1] += 1",
            ("tests/test_greedy.py::test_classify_candidate_matches_oracle",)),
+    # The one-level branch of admit raises a level one past its limit
+    # before the loop takes over, so the pass trips later, if at all.
+    Mutant("admit-one-level-past-limit", GREEDY,
+           "                elif c == 1 and gains[now] < lim[now]:",
+           "                elif c == 1 and gains[now] <= lim[now]:",
+           (WRITTEN_PASS,)),
+    # A written pass that fails a level at its end keeps its writes.
+    Mutant("end-exit-keeps-writes", GREEDY,
+           "            self._replay(m, h)\n            self.tripped = True\n",
+           "            self.tripped = True\n",
+           (WRITTEN_PASS,)),
     # The screen reads E as if reach started at bit 0, not at the base.
     Mutant("screen-ignores-base", GREEDY,
            "        at = lo - 8 * (len(self.ind) - len(self.reach))",
@@ -102,10 +112,16 @@ MUTANTS = [
            "        return isqrt(x)",
            "        return isqrt(x) + 1",
            ("tests/test_greedy.py::test_int_nth_root_matches_bisection",)),
+    # Newton starts below the root, where its first step rises and the
+    # loop stops at once.
+    Mutant("newton-starts-below", GREEDY,
+           "    r = r + 1 << drop",
+           "    r = r << drop",
+           ("tests/test_greedy.py::test_int_nth_root_matches_bisection",)),
     # A pass admitted and not joined is never rolled back, so the next
     # pass reads its writes.
     Mutant("no-pending-rollback", GREEDY,
-           "        if self.pending[0]:\n            self.rollback()\n",
+           "        if self.pending:\n            self.rollback()\n",
            "",
            ("tests/test_greedy.py::test_fused_scan_paths_match_contract_op",)),
     # The scan never switches to read-only passes after a level stop.
@@ -121,7 +137,7 @@ MUTANTS = [
     # join takes over any admission it is handed, though the pending pass
     # is another candidate's, and never checks the term.
     Mutant("join-trusts-foreign-admission", GREEDY,
-           "        if admission is None or self.pending[0] != term:",
+           "        if admission is None or self.pending != term:",
            "        if admission is None:",
            ("tests/test_greedy.py::"
             "test_join_checks_a_term_handed_another_candidates_admission",)),
