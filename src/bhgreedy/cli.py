@@ -246,6 +246,19 @@ def _prefix_failure(c: verify_mod.PrefixCheck) -> dict:
             "failed_s": c.failed_s, "level_count": c.level_count}
 
 
+def _prefix_text(c: verify_mod.PrefixCheck, g: int) -> str:
+    """Why a failed prefix fails, as verify and diagnose print it."""
+    if not c.bhg.ok:
+        return f"sum {c.bhg.x} has {c.bhg.count} representations (> {g})"
+    return f"level {c.failed_s} count {c.level_count} exceeds its ceiling"
+
+
+def _read_record(terms: list[int], h: int, g: int) -> SequenceRecord:
+    """terms read from a file, as the record of a strong run the checks
+    take."""
+    return SequenceRecord(Params(h, g, len(terms)), ALGORITHM_STRONG, terms, [])
+
+
 def _cmd_generate(args) -> int:
     params = Params(args.h, args.g, args.n)
     memory_cap = _cap(args, "memory")
@@ -289,7 +302,7 @@ def _cmd_verify(args) -> int:
 
     if args.bhg_only:
         res = verify_mod.verify_bhg(terms, h, g, max_enumeration=enum_cap)
-        report["bhg"] = {"ok": res.ok, "x": res.x, "count": res.count}
+        report["bhg"] = res._asdict()
         if res.ok:
             print(f"ok: all {len(terms)} terms form a B_{h}[{g}] set")
         else:
@@ -306,22 +319,13 @@ def _cmd_verify(args) -> int:
         if bad:
             ok = False
             for c in bad:
-                if not c.bhg.ok:
-                    print(f"FAIL prefix n={c.n}: sum {c.bhg.x} has "
-                          f"{c.bhg.count} representations (> {g})")
-                else:
-                    print(f"FAIL prefix n={c.n}: level {c.failed_s} count "
-                          f"{c.level_count} exceeds its ceiling")
+                print(f"FAIL prefix n={c.n}: {_prefix_text(c, g)}")
         else:
             print(f"ok: all {len(checks)} prefixes satisfy both strong-set conditions")
 
         if bound != "none":
-            params = Params(h, g, len(terms))
-            rec = SequenceRecord(params, ALGORITHM_STRONG, list(terms), [])
-            if bound == "theorem":
-                bres = verify_mod.strong_bound_check(rec)
-            else:
-                bres = verify_mod.classic_bound_check(rec)
+            bres = (verify_mod.strong_bound_check if bound == "theorem"
+                    else verify_mod.classic_bound_check)(_read_record(terms, h, g))
             failures = bres.failures()
             report["bound"] = {
                 "kind": bres.kind,
@@ -356,9 +360,7 @@ def _cmd_diagnose(args) -> int:
         raise ValueError(f"--sample-budget must be >= 1, got {args.sample_budget}")
     h, g = args.h, args.g
     if args.input is not None:
-        terms = read_terms(args.input)
-        params = Params(h, g, len(terms))
-        rec = SequenceRecord(params, ALGORITHM_STRONG, terms, [])
+        rec = _read_record(read_terms(args.input), h, g)
     else:
         rec = strong_greedy(Params(h, g, args.n), max_entries=memory_cap)
     diag = verify_mod.proof_diagnostics(
@@ -369,12 +371,7 @@ def _cmd_diagnose(args) -> int:
     holds = [inst.holds for inst in diag.instances]
     ok = not failed_prefixes and all(holds)
     for c in failed_prefixes:
-        if not c.bhg.ok:
-            print(f"step={c.n} prefix_strong: sum {c.bhg.x} has "
-                  f"{c.bhg.count} representations (> {g}) FAIL")
-        else:
-            print(f"step={c.n} prefix_strong: level {c.failed_s} count "
-                  f"{c.level_count} exceeds its ceiling FAIL")
+        print(f"step={c.n} prefix_strong: {_prefix_text(c, g)} FAIL")
     counts = Counter(inst.name for inst in diag.instances)
     failed_counts = Counter()
     for inst, held in zip(diag.instances, holds):
@@ -392,13 +389,9 @@ def _cmd_diagnose(args) -> int:
         doc = {
             "h": h, "g": g, "terms": diag.terms, "ok": ok,
             "prefix_failures": [_prefix_failure(c) for c in failed_prefixes],
-            "reports": [
-                {"n": r.n, "window_hi": r.window_hi, "members": r.members,
-                 "bhg_breaks": r.bhg_breaks, "level_breaks": list(r.level_breaks),
-                 "union_size": r.union_size, "union_cap": r.union_cap,
-                 "first_admissible": r.first_admissible}
-                for r in diag.reports
-            ],
+            # h and g stand once, at the top of the ledger, not in each row.
+            "reports": [{k: v for k, v in r._asdict().items() if k not in ("h", "g")}
+                        for r in diag.reports],
             "instances": [
                 {"name": i.name, "step": i.step, "s": i.s, "m": i.m,
                  "lhs": i.lhs, "relation": i.relation, "rhs": i.rhs,

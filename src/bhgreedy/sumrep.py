@@ -40,6 +40,14 @@ DEFAULT_MAX_ENTRIES = 50_000_000
 DEFAULT_MAX_ENUMERATION = 5_000_000
 
 
+def _guard_enumeration(n: int, h: int, cap: int) -> None:
+    """GuardExceeded when the size-h multisets of n elements, C(n+h-1, h),
+    are more than cap."""
+    total = comb(n + h - 1, h)
+    if total > cap:
+        raise GuardExceeded(f"enumeration of {total} multisets exceeds cap {cap}")
+
+
 def entry_cap_error(cap: int, a: int) -> GuardExceeded:
     """The error raised when inserting a takes the sum tables past cap
     entries."""
@@ -166,9 +174,5 @@ def brute_force_rep(
         raise ValueError("elements must be distinct")
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    total = comb(len(elems) + h - 1, h)
-    if total > max_enumeration:
-        raise GuardExceeded(
-            f"enumeration of {total} multisets exceeds cap {max_enumeration}"
-        )
+    _guard_enumeration(len(elems), h, max_enumeration)
     return sum(1 for combo in combinations_with_replacement(elems, h) if sum(combo) == x)

@@ -58,13 +58,12 @@ reported faithfully, never filtered.
 from collections import Counter
 from functools import cache, cmp_to_key
 from itertools import combinations, combinations_with_replacement, product, starmap
-from math import comb
 from operator import sub
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .greedy import SequenceRecord, Threshold, _MutableRecord, theorem_bound
-from .sumrep import DEFAULT_MAX_ENUMERATION
+from .sumrep import DEFAULT_MAX_ENUMERATION, _guard_enumeration
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -251,14 +250,6 @@ def _checked_input(A, h: int, g: int) -> list[int]:
     if len(set(elems)) != len(elems):
         raise ValueError("elements must be distinct")
     return elems
-
-
-def _guard_enumeration(n: int, h: int, cap: int) -> None:
-    total = comb(n + h - 1, h)
-    if total > cap:
-        raise GuardExceeded(
-            f"enumeration of {total} multisets exceeds cap {cap}"
-        )
 
 
 def _guard_window(n: int, h: int, g: int, cap: int) -> int:

@@ -431,6 +431,14 @@ def test_verify_names_a_level_past_its_ceiling(capsys, tmp_path):
     }
 
 
+def test_verify_names_a_sum_past_its_multiplicity(capsys, tmp_path):
+    f = tmp_path / "corrupt.bfile"
+    f.write_text("1 1\n2 2\n3 3\n")
+    code, stdout, _ = run(capsys, "verify", "--h", "2", "--g", "1", str(f))
+    assert code == EXIT_VERIFY_FAIL
+    assert stdout.splitlines()[0] == "FAIL prefix n=3: sum 4 has 2 representations (> 1)"
+
+
 def test_verify_names_a_term_past_the_strong_ceiling(capsys, tmp_path):
     f = write_bfile(tmp_path / "seq.bfile", [1, 1000000])
     report = tmp_path / "report.json"
@@ -510,7 +518,8 @@ def test_diagnose_corrupt_input_names_failure(capsys, tmp_path):
     code, stdout, _ = run(capsys, "diagnose", "--h", "2", "--g", "1",
                           "--input", str(f))
     assert code == EXIT_VERIFY_FAIL
-    assert "prefix_strong" in stdout
+    assert stdout.splitlines()[0] == (
+        "step=3 prefix_strong: sum 4 has 2 representations (> 1) FAIL")
 
 
 def test_diagnose_names_a_level_past_its_ceiling(capsys, tmp_path):

@@ -150,7 +150,8 @@ def test_brute_force_rep_examples():
 
 
 def test_brute_force_rep_guard():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded,
+                       match="^enumeration of 270725 multisets exceeds cap 1000$"):
         brute_force_rep(range(1, 50), 4, 100, max_enumeration=1000)
 
 

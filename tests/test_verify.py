@@ -761,7 +761,8 @@ def test_inequality_instance_describe():
 
 def test_verify_imports_nothing_of_the_generator_route():
     """verify.py may take shared arithmetic and records from greedy and the
-    enumeration cap from sumrep, but no sum table or candidate classifier."""
+    enumeration cap and its guard from sumrep, but no sum table or candidate
+    classifier."""
     source = Path(__file__).resolve().parent.parent / "src" / "bhgreedy" / "verify.py"
     imported: dict[str, set[str]] = {}
     for node in ast.walk(ast.parse(source.read_text())):
@@ -777,4 +778,4 @@ def test_verify_imports_nothing_of_the_generator_route():
     assert set(imported) <= {"errors", "greedy", "sumrep"}
     assert imported.get("greedy", set()) <= {
         "SequenceRecord", "Threshold", "_MutableRecord", "int_nth_root", "theorem_bound"}
-    assert imported.get("sumrep", set()) <= {"DEFAULT_MAX_ENUMERATION"}
+    assert imported.get("sumrep", set()) <= {"DEFAULT_MAX_ENUMERATION", "_guard_enumeration"}

@@ -13,7 +13,7 @@ all pass.  The run exits 1 on a survivor, on any other pytest outcome
 occur exactly once in its file, so a mutant that no longer matches the
 code fails rather than passing unseen; it exits 0 when every mutant is
 killed.  Standard library only, apart from the pytest that runs the
-tests; the twenty-five mutants take about 45 s on a 2-CPU Xeon.
+tests; the twenty-seven mutants take about 50 s on a 2-CPU Xeon.
 """
 
 import os
@@ -168,6 +168,18 @@ MUTANTS = [
            "    windows = [_guard_window(n, h, g, max_window) for n in range(2, len(terms) + 1)]",
            "    windows = (_guard_window(n, h, g, max_window) for n in range(2, len(terms) + 1))",
            ("tests/test_verify.py::test_diagnostics_check_every_window_before_the_first_scan",)),
+    # A prefix that breaks B_h[g] is named without the g its count exceeds.
+    Mutant("prefix-text-drops-g", CLI,
+           '        return f"sum {c.bhg.x} has {c.bhg.count} representations (> {g})"',
+           '        return f"sum {c.bhg.x} has {c.bhg.count} representations"',
+           ("tests/test_cli.py::test_verify_names_a_sum_past_its_multiplicity",
+            "tests/test_cli.py::test_diagnose_corrupt_input_names_failure")),
+    # Each row of the ledger's reports repeats the h and g of its top.
+    Mutant("report-rows-keep-h-g", CLI,
+           'if k not in ("h", "g")}',
+           'if k not in ()}',
+           ("tests/test_cli.py::"
+            "test_verify_and_diagnose_reproduce_the_pinned_benchmark_bytes",)),
     # The whole parser also sets the subcommands metavar, so its "required"
     # and "invalid choice" errors name the five choices, not "command".
     Mutant("metavar-on-both-paths", CLI,
