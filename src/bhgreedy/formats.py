@@ -14,18 +14,18 @@ JSON
     file the package writes goes through canonical_json: sorted keys,
     two-space indentation and a trailing newline, the bytes of
     ``json.dumps(doc, indent=2, sort_keys=True)`` plus that newline, so
-    identical runs produce byte-identical files.  The per-step rows, dicts
-    with the same keys and int values, are filled into one row template.
+    identical runs produce byte-identical files.  Lists of rows, dicts with
+    the same keys and JSON scalar values (the per-step rows, the ledger's
+    inequality instances), are filled into one row template.
     Wall-clock timings are emitted only on request and live in their own
     block, keeping the default output deterministic.
 """
 
 import json
 import re
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InputFormatError
 from .greedy import SequenceRecord
@@ -38,8 +38,30 @@ FORMATS = ("json", "csv", "bfile")
 #: digits, nothing else that int() would take (underscores, non-ASCII digits).
 INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
+#: A b-file or CSV row that _parse_rows takes without further checks: two
+#: INT_FIELDs split by whitespace, or by a comma with optional whitespace
+#: either side.  \s is the whitespace of str.split and str.strip.
+_ROWS = {None: re.compile(rf"({INT_FIELD.pattern})\s+({INT_FIELD.pattern})"),
+         ",": re.compile(rf"({INT_FIELD.pattern})\s*,\s*({INT_FIELD.pattern})")}
+
 #: json's spelling of the floats that have no JSON literal.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    """value as json.dumps writes it."""
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+#: The encoder of each JSON scalar type, by exact type, for the row template.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def canonical_json(doc) -> str:
@@ -49,11 +71,14 @@ def canonical_json(doc) -> str:
     json.dumps falls back to its pure-Python encoder whenever indent is
     set, and spends a generator frame on every value; this writer builds
     each container in one join and renders a list of plain ints in one
-    pass.  A list of two or more dicts with the same str keys and plain
-    int values is rendered from one row template, '"key": %d' for each
-    sorted key, filled once per row.  Keys must be str: any other key, or
-    a value that is not a dict, list, tuple, str, int, float, bool or
-    None, raises TypeError.
+    pass.  A list of two or more non-empty dicts with the same str keys
+    whose values are all JSON scalars (str, int, float, bool or None, by
+    exact type) is rendered from one row template, one field for each
+    sorted key, filled once per row: a column of plain ints is written by
+    '%d', any other column is encoded once, value by value by its type,
+    and filled in by '%s'.  Keys must be str: any other key, or a value
+    that is not a dict, list, tuple, str, int, float, bool or None, raises
+    TypeError.
     """
     return _encode(doc, "\n") + "\n"
 
@@ -72,8 +97,7 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _FLOAT_WORDS.get(text, text)
+        return _float_text(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -81,16 +105,7 @@ def _encode(value, newline: str) -> str:
         types = set(map(type, value))
         if types == {int}:
             body = map(int.__repr__, value)
-        elif types == {dict} and _int_rows(value):
-            # One template for every row; a "%" in a key is doubled so
-            # that the template reads it as text.
-            keys = sorted(value[0])
-            cell = inner + "  "
-            template = ("{" + cell + ("," + cell).join(
-                [encode_basestring_ascii(k).replace("%", "%%") + ": %d"
-                 for k in keys]) + inner + "}")
-            body = map(template.__mod__, map(itemgetter(*keys), value))
-        else:
+        elif types != {dict} or (body := _scalar_rows(value, inner)) is None:
             body = [_encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if isinstance(value, dict):
@@ -105,18 +120,39 @@ def _encode(value, newline: str) -> str:
                     f"is not JSON serializable")
 
 
-def _int_rows(rows) -> bool:
-    """Whether rows, a list of dicts, holds at least two non-empty dicts
-    with the same str keys and only plain int values (bools excluded).
+def _scalar_rows(rows: list, inner: str) -> Optional[Iterator[str]]:
+    """rows, a list of dicts, rendered row by row from one template at the
+    indentation that inner carries, or None unless it holds at least two
+    non-empty dicts with the same str keys and only JSON scalar values.
     The first row is checked before the keys and values of the others."""
     first = rows[0]
     if not (len(rows) > 1 and first
-            and set(map(type, first.values())) == {int}
-            and set(map(type, first)) == {str}):
-        return False
+            and set(map(type, first)) == {str}
+            and set(map(type, first.values())) <= _SCALARS.keys()):
+        return None
     keys = first.keys()
-    return (all(row.keys() == keys for row in rows)
-            and set(map(type, chain.from_iterable(map(dict.values, rows)))) == {int})
+    if not all(row.keys() == keys for row in rows):
+        return None
+    keys = sorted(keys)
+    columns, fields = [], []
+    for key in keys:
+        column = list(map(itemgetter(key), rows))
+        types = set(map(type, column))
+        if types == {int}:  # bools excluded: %d would write True as 1
+            fields.append("%d")
+        elif types <= _SCALARS.keys():
+            fields.append("%s")
+            column = (list(map(_SCALARS[types.pop()], column)) if len(types) == 1
+                      else [_SCALARS[type(v)](v) for v in column])
+        else:
+            return None
+        columns.append(column)
+    # A "%" in a key is doubled so that the template reads it as text.
+    cell = inner + "  "
+    template = ("{" + cell + ("," + cell).join(
+        [encode_basestring_ascii(k).replace("%", "%%") + ": " + field
+         for k, field in zip(keys, fields)]) + inner + "}")
+    return map(template.__mod__, zip(*columns))
 
 
 def render_bfile(terms) -> str:
@@ -220,25 +256,35 @@ def _parse_json(text: str) -> list[int]:
 
 
 def _parse_rows(text: str, sep, allow_header: bool) -> list[int]:
+    """The terms of b-file (sep None) or CSV (sep ",") rows, blank and
+    comment lines skipped.  Each stripped line is first matched against
+    the row pattern of its format; only a line it refuses is split at sep
+    and its fields checked one by one, so that it raises the error that
+    names its fault, unless it is a CSV header."""
+    row = _ROWS[sep]
     terms = []
     expected = 1
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if allow_header and expected == 1 and line.lower().replace(" ", "") == "n,a_n":
-            continue
-        parts = [part.strip() for part in line.split(sep)]
-        if len(parts) != 2:
+        match = row.fullmatch(line)
+        if match is not None:
+            n, a = match.groups()
+        else:
+            if allow_header and expected == 1 and line.lower().replace(" ", "") == "n,a_n":
+                continue
+            parts = [part.strip() for part in line.split(sep)]
+            if len(parts) != 2:
+                raise InputFormatError(
+                    f"expected 'n{sep or ' '}a_n', got {line!r}", line=lineno)
+            if not all(INT_FIELD.fullmatch(part) for part in parts):
+                raise InputFormatError(f"non-integer field in {line!r}", line=lineno)
+            n, a = parts
+        if int(n) != expected:
             raise InputFormatError(
-                f"expected 'n{sep or ' '}a_n', got {line!r}", line=lineno)
-        if not all(INT_FIELD.fullmatch(part) for part in parts):
-            raise InputFormatError(f"non-integer field in {line!r}", line=lineno)
-        n, a = int(parts[0]), int(parts[1])
-        if n != expected:
-            raise InputFormatError(
-                f"index {n} out of order (expected {expected})", line=lineno)
-        terms.append(a)
+                f"index {int(n)} out of order (expected {expected})", line=lineno)
+        terms.append(int(a))
         expected += 1
     if not terms:
         raise InputFormatError("empty input")

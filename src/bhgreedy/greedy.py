@@ -802,7 +802,8 @@ class _SidonScan:
         k*i clear in D_{h,h-k} for k = 2..h-1.  The bits are read in a
         window of _FIRST_SLICE bits, then four times as many, and so on,
         as a term lies far closer to M than the top of the matrix does; a
-        mask cuts each window, so no entry is copied.
+        mask cuts each window, so no entry is copied, and the rows k >= 2
+        are cut only for a window with a clear bit in row k = 1.
         """
         h, last = self.h, self.elements[-1]
         row = self.diffs[h * h:]
@@ -810,7 +811,8 @@ class _SidonScan:
         while last + lo < top:
             hi = lo + width
             free = (row[-1] & (1 << hi) - 1) >> lo ^ (1 << width) - 1
-            high = [(k, row[h - k] & (1 << k * hi) - 1) for k in range(2, h)]
+            if free:
+                high = [(k, row[h - k] & (1 << k * hi) - 1) for k in range(2, h)]
             while free:
                 low = free & -free
                 free ^= low

@@ -58,6 +58,7 @@ reported faithfully, never filtered.
 from collections import Counter
 from functools import cache, cmp_to_key
 from itertools import combinations, combinations_with_replacement, product, starmap
+from math import comb
 from operator import sub
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -312,16 +313,23 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
     the whole batch, every new sum is fresh and distinct and only enters
     level 1.  Otherwise the batch is counted again, and each distinct sum
     steps up the levels its multiplicity crossed.
+
+    The enumeration guard is checked before the pass: C(n+h-1, h) rises
+    with n, so when the whole list is within max_enumeration every prefix
+    is, and otherwise GuardExceeded names the first prefix past it.
     """
     terms = list(terms)
     _checked_input(terms, h, g)
+    if comb(len(terms) + h - 1, h) > max_enumeration:
+        for n in range(1, len(terms) + 1):
+            _guard_enumeration(n, h, max_enumeration)
     hist: Counter = Counter()
     levels = [0] * (g + 1)  # levels[s] = #{x : r(x) >= s}, s <= g
     worst = None  # smallest sum over g; counts only rise, so it only falls
+    bhg = BhgCheck(True)  # shared by every prefix until a sum passes g
     out = []
     folds = [[0]] + [[] for _ in range(h - 1)]  # folds[j]: j-fold sums
     for n, a in enumerate(terms, 1):
-        _guard_enumeration(n, h, max_enumeration)
         for j in range(1, h):
             folds[j] += map(a.__add__, folds[j - 1])
         size, batch = len(hist), len(folds[h - 1])
@@ -335,11 +343,14 @@ def verify_strong_prefixes(terms, h: int, g: int, *,
                     levels[s] += 1
                 if r > g and (worst is None or x < worst):
                     worst = x
-        bhg = BhgCheck(True) if worst is None else BhgCheck(False, worst, hist[worst])
-        failed_s = next((s for s in range(1, g + 1) if not Threshold.for_level(
-            n, h, g, s).admits(levels[s])), None)
-        out.append(PrefixCheck(n, bhg, failed_s is None, failed_s,
-                               None if failed_s is None else levels[failed_s]))
+            if worst is not None:
+                bhg = BhgCheck(False, worst, hist[worst])
+        for s in range(1, g + 1):
+            if not Threshold.for_level(n, h, g, s).admits(levels[s]):
+                out.append(PrefixCheck(n, bhg, False, s, levels[s]))
+                break
+        else:
+            out.append(PrefixCheck(n, bhg, True))
     return out
 
 
@@ -403,7 +414,11 @@ def _scan_window(prefix: list[int], h: int, g: int, win: int, sample: set[int],
     visited one by one in increasing order, at one dict read per class;
     a member is never classified further.  The generic candidates between
     two stops form a run, which shares the generic verdict and is counted
-    in one step.  Instances come out in increasing m all the same: a
+    in one step.  A sampled candidate that is neither a member nor special
+    stays in its run and only adds its profile_growth instances, unless
+    the generic verdict breaks a level s >= 2: then it splits the run, so
+    that the run's promotion_witness instances do not pass its
+    profile_growth.  Instances come out in increasing m all the same: a
     promotion_witness for each level-s breaker (s >= 2), whether a stop
     or in a run, profile_growth for each m in sample, one per level
     s >= 2, and then the step's window_union, first_level_empty,
@@ -517,11 +532,23 @@ def _scan_window(prefix: list[int], h: int, g: int, win: int, sample: set[int],
                 relation=">", s=s, m=m)
                 for m in range(first, first + count) for s in witness_levels)
 
-    # A run, the generic candidates between two stops, is tallied in one step.
+    def profile_growth(m: int, vec: list) -> None:
+        for s in range(2, g + 1):
+            instances.append(InequalityInstance(
+                "profile_growth", n, lhs=base[s] + vec[s],
+                rhs=base[s] + vec[g + s], s=s, m=m))
+
+    # A run, the generic candidates between two stops, is tallied in one
+    # step; inside holds the sampled candidates that do not split it.
     special = set(merges).union(*hits.values())
+    inside = (set() if instances is None or any(s >= 2 for s in generic[2])
+              else sample - members - special)
     stops = sorted(m for m in members.union(special, sample) if 0 < m <= win)
     prev = 0
     for m in stops + [win + 1]:
+        if m in inside:
+            profile_growth(m, generic[1])
+            continue
         if m > prev + 1:
             tally(prev + 1, m - prev - 1, generic)
         prev = m
@@ -533,11 +560,7 @@ def _scan_window(prefix: list[int], h: int, g: int, win: int, sample: set[int],
             [get(m, 0) * shift for get, shift in classes]))
         tally(m, 1, v)
         if m in sample and instances is not None:
-            vec = v[1]
-            for s in range(2, g + 1):
-                instances.append(InequalityInstance(
-                    "profile_growth", n, lhs=base[s] + vec[s],
-                    rhs=base[s] + vec[g + s], s=s, m=m))
+            profile_growth(m, v[1])
 
     report = ForbiddenSetReport(
         h=h, g=g, n=n, window_hi=win,

@@ -144,6 +144,57 @@ def test_row_fields_are_ascii_integers_only(text, fmt):
     assert exc.value.line == 2
 
 
+#: (text, format, and the terms, or the error text and line, that
+#: splitting each line at its separator and checking each field give).
+#: Of the whitespace separators \x1c-\x1f, str.splitlines breaks a line at
+#: all but \x1f.
+ROW_CASES = [
+    ("1\t5\n2 \t 7\n", "bfile", [5, 7]),
+    ("1\u20035\n2\u30007\n", "bfile", [5, 7]),
+    ("1\x1c5\n", "bfile", ("line 1: expected 'n a_n', got '1'", 1)),
+    ("1 5\x1d\n", "bfile", [5]),
+    ("1\x1f5\n2\xa06\n", "csv", ("line 1: expected 'n,a_n', got '1\\x1f5'", 1)),
+    ("1\x1f5\n2\xa06\n", "bfile", [5, 6]),
+    ("1 +7\n+2 -0\n", "bfile", [7, 0]),
+    ("1 007\n002 5\n", "bfile", [7, 5]),
+    ("1 , 5\n2\t,6\n3,\u20037\n", "csv", [5, 6, 7]),
+    ("n,a_n\n1,5\n", "csv", [5]),
+    (" N , A_N \n1,5\n", "csv", [5]),
+    ("1,5\nn,a_n\n", "csv", ("line 2: non-integer field in 'n,a_n'", 2)),
+    ("n,a_n\n", "csv", ("empty input", None)),
+    ("1 1_000\n", "bfile", ("line 1: non-integer field in '1 1_000'", 1)),
+    ("1,1_000\n", "csv", ("line 1: non-integer field in '1,1_000'", 1)),
+    ("1 \u0661\n", "bfile", ("line 1: non-integer field in '1 \u0661'", 1)),
+    ("1 5 9\n", "bfile", ("line 1: expected 'n a_n', got '1 5 9'", 1)),
+    ("1,5,9\n", "csv", ("line 1: expected 'n,a_n', got '1,5,9'", 1)),
+    ("1,5,\n", "csv", ("line 1: expected 'n,a_n', got '1,5,'", 1)),
+    ("1\n", "bfile", ("line 1: expected 'n a_n', got '1'", 1)),
+    ("1\n", "csv", ("line 1: expected 'n,a_n', got '1'", 1)),
+    ("1,5\n", "bfile", ("line 1: expected 'n a_n', got '1,5'", 1)),
+    ("1 5\n", "csv", ("line 1: expected 'n,a_n', got '1 5'", 1)),
+    ("1 5\n3 7\n", "bfile", ("line 2: index 3 out of order (expected 2)", 2)),
+    ("-1 5\n", "bfile", ("line 1: index -1 out of order (expected 1)", 1)),
+    ("1 +-5\n", "bfile", ("line 1: non-integer field in '1 +-5'", 1)),
+    ("\n# note\n1 5\n   \n#2 6\n2 6\n", "bfile", [5, 6]),
+    ("1 5\r\n2 6\r\n", "bfile", [5, 6]),
+    ("\n  \n# only a comment\n", "bfile", ("empty input", None)),
+    ("# n,a_n\n1,5\n", "csv", [5]),
+]
+
+
+@pytest.mark.parametrize("text,fmt,expected", ROW_CASES)
+def test_rows_parse_as_split_and_checked(text, fmt, expected):
+    """The row pattern takes exactly the lines that splitting at the
+    separator and checking each field takes; any other line raises the
+    error, with the line number, that the field checks name."""
+    if isinstance(expected, list):
+        assert parse_terms(text, fmt) == expected
+        return
+    with pytest.raises(InputFormatError) as exc:
+        parse_terms(text, fmt)
+    assert (str(exc.value), exc.value.line) == expected
+
+
 def test_render_terms_dispatch():
     rec = strong_greedy(Params(2, 1, 3))
     assert render_terms(rec, "bfile") == "1 1\n2 2\n3 4\n"
@@ -170,30 +221,46 @@ INTS = st.one_of(
 SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, KEYS)
 
 
+#: The values of one column of rows: plain ints, ints beside bools or
+#: beside None, floats, strings, or any JSON scalars.
+COLUMNS = st.sampled_from([INTS, st.one_of(INTS, st.booleans()),
+                           st.one_of(INTS, st.none()), FLOATS, KEYS, SCALARS])
+#: Values that json.dumps refuses.
+UNSERIALIZABLE = st.sampled_from([Fraction(1, 2), Decimal("1.5"), 1j, b"x", {1}])
+
+
 @st.composite
-def int_rows(draw):
-    """0-6 dicts over one key set, each inserted in its own order, with int
-    values; in some lists one later row carries a bool, None, float or str
-    value, or an extra or a missing key."""
-    keys = draw(st.lists(KEYS, max_size=4, unique=True))
-    rows = [{k: draw(INTS) for k in draw(st.permutations(keys))}
-            for _ in range(draw(st.integers(0, 6)))]
-    if len(rows) > 1 and draw(st.booleans()):
+def scalar_rows(draw, flaws=("cell", "extra", "missing"), always=False):
+    """0-6 dicts over one key set, each inserted in its own order, with the
+    values of each key drawn from its own column strategy; in some lists
+    (in all, with always) one later row has one of flaws: a list or dict
+    "cell", an "extra" or a "missing" key, a non-str "key", or an
+    "unserializable" value."""
+    keys = draw(st.lists(KEYS, min_size=1 if always else 0, max_size=4, unique=True))
+    columns = {k: draw(COLUMNS) for k in keys}
+    rows = [{k: draw(columns[k]) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(2 if always else 0, 6)))]
+    if len(rows) > 1 and (always or draw(st.booleans())):
         row = rows[draw(st.integers(1, len(rows) - 1))]
-        flaw = draw(st.sampled_from(["value", "extra", "missing"]))
+        flaw = draw(st.sampled_from(flaws))
         if flaw == "extra":
-            row[draw(KEYS.filter(lambda k: k not in row))] = draw(INTS)
+            row[draw(KEYS.filter(lambda k: k not in row))] = draw(SCALARS)
+        elif flaw == "key":
+            row[draw(st.one_of(st.integers(), st.none(), st.booleans()))] = draw(SCALARS)
         elif row:
             key = draw(st.sampled_from(sorted(row)))
-            if flaw == "value":
-                row[key] = draw(st.one_of(st.booleans(), st.none(), FLOATS, KEYS))
+            if flaw == "cell":
+                row[key] = draw(st.one_of(st.lists(SCALARS, max_size=2),
+                                          st.dictionaries(KEYS, SCALARS, max_size=2)))
+            elif flaw == "unserializable":
+                row[key] = draw(UNSERIALIZABLE)
             else:
                 del row[key]
     return rows
 
 
 #: The lists canonical_json renders from one row template, and near misses.
-ROWS = int_rows()
+ROWS = scalar_rows()
 DOCS = st.recursive(
     SCALARS,
     lambda children: st.one_of(
@@ -221,6 +288,12 @@ DOCS = st.recursive(
 @example([{"a": 1}, {"a": True}])
 @example([{"a": 1}, {"a": 2, "b": 3}])
 @example([{"a": 1, "b": 2}, {"a": 3}])
+@example([{"a": True, "b": None}, {"a": False, "b": 1}])
+@example([{"a": 1, "b": "x"}, {"a": None, "b": 2}])
+@example([{"f": float("nan")}, {"f": float("-inf")}, {"f": -0.0}, {"f": 1}])
+@example([{"%d": "%s\x00\ud800"}, {"%d": '"\u2028'}])
+@example([{"a": 1}, {"a": [1]}])
+@example([{"a": None}, {"a": {"b": 1}}])
 def test_canonical_json_matches_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -234,6 +307,13 @@ def test_canonical_json_refuses_non_str_keys(doc):
         canonical_json(doc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(scalar_rows(("key",), always=True))
+def test_canonical_json_refuses_a_non_str_key_in_rows(rows):
+    with pytest.raises(TypeError):
+        canonical_json(rows)
+
+
 @pytest.mark.parametrize("doc", [
     {1, 2}, object(), b"bytes", Fraction(1, 2), Decimal("1.5"), 1j,
     {"a": [1, {"b": frozenset()}]}, [1, 2, range(3)],
@@ -243,6 +323,15 @@ def test_canonical_json_refuses_what_json_refuses(doc):
         json.dumps(doc, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         canonical_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_rows(("unserializable",), always=True))
+def test_canonical_json_refuses_in_rows_what_json_refuses(rows):
+    with pytest.raises(TypeError):
+        json.dumps(rows, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        canonical_json(rows)
 
 
 def test_no_indented_json_dumps_in_the_package():

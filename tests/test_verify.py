@@ -212,6 +212,21 @@ def test_prefix_guard_fires_at_first_prefix_over_cap(cap, h):
         verify_strong_prefixes(terms, h, 1, max_enumeration=cap)
 
 
+@pytest.mark.parametrize("h,cap,message", [
+    (2, 100, "enumeration of 105 multisets exceeds cap 100"),
+    (3, 1600, "enumeration of 1771 multisets exceeds cap 1600"),
+    (4, 800, "enumeration of 1001 multisets exceeds cap 800"),
+    (2, 464, "enumeration of 465 multisets exceeds cap 464"),
+])
+def test_prefix_guard_names_the_first_count_past_a_cap_between_two(h, cap, message):
+    """Each cap lies between the multiset counts of two prefixes of 30
+    Mian-Chowla terms: 91 and 105 at h = 2, 1540 and 1771 at h = 3, 715
+    and 1001 at h = 4, and 435 and 465, the whole list's, at h = 2."""
+    terms = strong_greedy(Params(2, 1, 30)).terms
+    with pytest.raises(GuardExceeded, match=f"^{message}$"):
+        verify_strong_prefixes(terms, h, 1, max_enumeration=cap)
+
+
 # ---------------------------------------------------------------------------
 # term-size ceilings
 
@@ -488,6 +503,27 @@ def test_window_scan_emits_run_witnesses_in_order():
         # unsampled m above 48 was emitted for a run.
         assert any(i.m > 48 and i.m not in sample for i in instances
                    if i.name == "promotion_witness")
+
+
+@pytest.mark.parametrize("A,h,g", [(list(range(1, 17)), 3, 6),
+                                   ([1, 3, 4, 5, 6, 7, 8], 4, 6)])
+def test_count_route_splits_witness_runs_at_samples_as_the_merged_scan(A, h, g):
+    """Here the generic verdict breaks level g, so every run emits one
+    promotion_witness per candidate, and a sampled generic candidate
+    splits its run: its profile_growth instances lie between its own
+    witness and that of the next candidate, in the count route as in
+    merged_window_scan, which splits every run at every sample."""
+    win = theorem_bound(len(A) + 1, h, g).floor
+    sample = set(range(1, win + 1, win // 32))
+    counted, merged = [], []
+    assert _scan_window(A, h, g, win, sample, counted, DEFAULT_MAX_ENUMERATION) == \
+        merged_window_scan(A, h, g, win, sample, merged, DEFAULT_MAX_ENUMERATION)
+    assert counted == merged
+    # A special candidate is at most max(S_h) = h*max(A), far below m.
+    m = sorted(sample)[16]
+    assert [(i.name, i.m) for i in counted if m - 1 <= (i.m or 0) <= m + 1] == \
+        ([("promotion_witness", m - 1), ("promotion_witness", m)]
+         + [("profile_growth", m)] * (g - 1) + [("promotion_witness", m + 1)])
 
 
 def diagnostics_by_both_routes(rec, budget, monkeypatch):
