@@ -157,6 +157,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         if need_n:
             p.add_argument("--n", type=_integer, required=True, help="number of terms")
 
+    def add_input(p):
+        add_params(p, need_n=False)
+        p.add_argument("input", help="sequence file (bfile, csv, or json)")
+        p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+
     def add_caps(p, *caps):
         for cap in caps:
             env, _, text = GUARDS[cap]
@@ -176,9 +181,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             add_caps(p, "memory", "scan")
             p.set_defaults(func=_cmd_generate)
         elif name == "verify":
-            add_params(p, need_n=False)
-            p.add_argument("input", help="sequence file (bfile, csv, or json)")
-            p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+            add_input(p)
             p.add_argument("--bhg-only", action="store_true",
                            help="check only the B_h[g] property of the full set")
             p.add_argument("--bound", choices=("theorem", "classic", "none"),
@@ -207,9 +210,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             add_caps(p, "memory", "scan")
             p.set_defaults(func=_cmd_compare)
         else:  # fit
-            add_params(p, need_n=False)
-            p.add_argument("input", help="sequence file (bfile, csv, or json)")
-            p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+            add_input(p)
             p.set_defaults(func=_cmd_fit)
 
     return parser
@@ -246,11 +247,25 @@ def _prefix_failure(c: verify_mod.PrefixCheck) -> dict:
             "failed_s": c.failed_s, "level_count": c.level_count}
 
 
+def _bhg_text(res: verify_mod.BhgCheck, g: int) -> str:
+    """Why a set is not B_h[g], as verify and diagnose print it."""
+    return f"sum {res.x} has {res.count} representations (> {g})"
+
+
 def _prefix_text(c: verify_mod.PrefixCheck, g: int) -> str:
     """Why a failed prefix fails, as verify and diagnose print it."""
     if not c.bhg.ok:
-        return f"sum {c.bhg.x} has {c.bhg.count} representations (> {g})"
+        return _bhg_text(c.bhg, g)
     return f"level {c.failed_s} count {c.level_count} exceeds its ceiling"
+
+
+def _read_input(args) -> tuple[list[int], int, int]:
+    """The terms of the input file of verify or fit, read in its --format,
+    with --h and --g, checked."""
+    terms, h, g = read_terms(args.input, args.format), args.h, args.g
+    if h < 2 or g < 1:
+        raise ValueError(f"need h >= 2 and g >= 1, got h={h}, g={g}")
+    return terms, h, g
 
 
 def _read_record(terms: list[int], h: int, g: int) -> SequenceRecord:
@@ -287,10 +302,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     enum_cap = _cap(args, "enum")
-    terms = read_terms(args.input, args.format)
-    h, g = args.h, args.g
-    if h < 2 or g < 1:
-        raise ValueError(f"need h >= 2 and g >= 1, got h={h}, g={g}")
+    terms, h, g = _read_input(args)
     if args.bhg_only and args.bound is not None:
         raise ValueError("--bound does not apply with --bhg-only, "
                          "which checks no ceiling")
@@ -306,7 +318,7 @@ def _cmd_verify(args) -> int:
         if res.ok:
             print(f"ok: all {len(terms)} terms form a B_{h}[{g}] set")
         else:
-            print(f"FAIL: sum {res.x} has {res.count} representations (> {g})")
+            print(f"FAIL: {_bhg_text(res, g)}")
             ok = False
     else:
         checks = verify_mod.verify_strong_prefixes(terms, h, g,
@@ -429,10 +441,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    terms = read_terms(args.input, args.format)
-    h, g = args.h, args.g
-    if h < 2 or g < 1:
-        raise ValueError(f"need h >= 2 and g >= 1, got h={h}, g={g}")
+    terms, h, g = _read_input(args)
     res = fit_growth(terms)
     from fractions import Fraction  # not at the top: only fit reads it
     proven = Fraction(h * g + h - 1, g)
@@ -466,16 +475,13 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ScanExceededBound as e:
         print(f"internal-bound contradiction: {e}", file=sys.stderr)
         return EXIT_BOUND_CONTRADICTION
-    except GuardExceeded as e:
+    except GuardExceeded as e:  # a BhgError: keep it before the last clause
         print(f"guard exceeded: {e}", file=sys.stderr)
         return EXIT_GUARD
-    except BhgError as e:
+    except (OSError, ValueError, BhgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -54,7 +54,7 @@ def _float_text(value: float) -> str:
     return _FLOAT_WORDS.get(text, text)
 
 
-#: The encoder of each JSON scalar type, by exact type, for the row template.
+#: The encoder of each JSON scalar type, by exact type, for every scalar written.
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -85,19 +85,11 @@ def canonical_json(doc) -> str:
 
 def _encode(value, newline: str) -> str:
     """value rendered at the indentation that newline, a line break and
-    the current indent, carries."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
+    the current indent, carries.  A scalar is written by its encoder in
+    _SCALARS; a subclass of str, int or float, which has none, is written
+    by json.dumps, which raises TypeError on a value it cannot write."""
+    if (scalar := _SCALARS.get(type(value))) is not None:
+        return scalar(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -116,8 +108,7 @@ def _encode(value, newline: str) -> str:
             [encode_basestring_ascii(k) + ": "
              + (int.__repr__(v) if type(v) is int else _encode(v, inner))
              for k, v in sorted(value.items())]) + newline + "}")
-    raise TypeError(f"Object of type {type(value).__name__} "
-                    f"is not JSON serializable")
+    return json.dumps(value)
 
 
 def _scalar_rows(rows: list, inner: str) -> Optional[Iterator[str]]:

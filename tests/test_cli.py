@@ -20,7 +20,13 @@ from bhgreedy.cli import (
     fit_growth,
     main,
 )
-from bhgreedy.errors import FitError
+from bhgreedy.errors import (
+    FitError,
+    GuardExceeded,
+    InputFormatError,
+    ScanExceededBound,
+    ScanExceededConfiguredLimit,
+)
 from bhgreedy.formats import read_terms
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -296,6 +302,32 @@ def test_bound_contradiction_exit_code(capsys, monkeypatch):
     assert "contradiction" in err
 
 
+#: An error a command may raise, the exit code it maps to, and the line
+#: main prints for it on stderr.
+ERRORS = [
+    (OSError("disk full"), EXIT_USAGE, "error: disk full"),
+    (ValueError("bad value"), EXIT_USAGE, "error: bad value"),
+    (InputFormatError("bad row", line=3), EXIT_USAGE, "error: line 3: bad row"),
+    (FitError("need at least 8 terms, got 3"), EXIT_USAGE,
+     "error: need at least 8 terms, got 3"),
+    (GuardExceeded("cap 5 reached"), EXIT_GUARD, "guard exceeded: cap 5 reached"),
+    (ScanExceededConfiguredLimit("scan past 3"), EXIT_GUARD,
+     "guard exceeded: scan past 3"),
+    (ScanExceededBound("no candidate up to 9"), EXIT_BOUND_CONTRADICTION,
+     "internal-bound contradiction: no candidate up to 9"),
+]
+
+
+@pytest.mark.parametrize("error,code,line", ERRORS,
+                         ids=[type(error).__name__ for error, _, _ in ERRORS])
+def test_each_error_has_its_exit_code_and_line(capsys, monkeypatch, error, code, line):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_fit", fail)
+    assert run(capsys, "fit", "--h", "2", "--g", "1", "seq.bfile") == (code, "", line + "\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -324,7 +356,7 @@ def test_verify_bhg_only(capsys, tmp_path):
     assert code == EXIT_OK
     code, stdout, _ = run(capsys, "verify", "--h", "2", "--g", "1", "--bhg-only", str(f))
     assert code == EXIT_VERIFY_FAIL
-    assert "4" in stdout
+    assert stdout == "FAIL: sum 4 has 2 representations (> 1)\n"
 
 
 @pytest.mark.parametrize("bound", ["classic", "theorem", "none"])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bhgreedy import InputFormatError, Params, strong_greedy
 from bhgreedy.formats import (
+    _scalar_rows,
     canonical_json,
     detect_format,
     parse_terms,
@@ -296,6 +297,54 @@ DOCS = st.recursive(
 @example([{"a": None}, {"a": {"b": 1}}])
 def test_canonical_json_matches_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Subclasses of the scalar types, each with a repr that json never reads:
+# json writes a str, int or float subclass by its value, as the base type.
+class S(str):
+    def __repr__(self):
+        return "S()"
+
+
+class I(int):
+    def __repr__(self):
+        return "I()"
+
+
+class F(float):
+    def __repr__(self):
+        return "F()"
+
+
+SUBCLASS_SCALARS = [S("a \ud800"), S(""), I(7), I(-2 ** 70), F(1.5), F(2 / 3),
+                    F(float("nan")), F(float("inf")), F(float("-inf")), F(-0.0)]
+#: Lists of same-key dicts in which a subclass value, in the first row or
+#: a later one, keeps the row template from taking them.
+SUBCLASS_ROWS = [
+    [{"a": I(1), "b": "x"}, {"a": 2, "b": "y"}],
+    [{"a": 1, "b": "x"}, {"a": I(2), "b": S("y")}],
+    [{"f": F(float("nan"))}, {"f": F(float("inf"))}, {"f": F(float("-inf"))},
+     {"f": F(-0.0)}],
+    [{"a": None, "b": True}, {"a": F(0.5), "b": False}],
+]
+
+
+@pytest.mark.parametrize("doc", [
+    *SUBCLASS_SCALARS,
+    SUBCLASS_SCALARS,
+    tuple(SUBCLASS_SCALARS),
+    [I(1), 2, 3],
+    [I(1), I(2)],
+    {"i": I(3), "f": F(-0.0), "s": S("x"), "n": F(float("nan")), S("k"): [I(4)]},
+    *SUBCLASS_ROWS,
+])
+def test_canonical_json_writes_scalar_subclasses_as_json_does(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("rows", SUBCLASS_ROWS)
+def test_row_template_declines_scalar_subclasses(rows):
+    assert _scalar_rows(rows, "\n  ") is None
 
 
 @pytest.mark.parametrize("doc", [

@@ -454,9 +454,14 @@ def test_window_scan_matches_brute_force_on_arbitrary_sets(h, g, terms):
         assert growth[n] == (g - 1) * (report.window_hi - report.members)
 
 
+def unsampled(inst) -> bool:
+    """Whether inst does not depend on the sample: it is not profile_growth."""
+    return inst.name != "profile_growth"
+
+
 def unsampled_instances(instances):
     """The instances that do not depend on the sample, in order."""
-    return [i for i in instances if i.name != "profile_growth"]
+    return list(filter(unsampled, instances))
 
 
 @pytest.mark.parametrize("h,g,terms", arbitrary_small_sets())
@@ -475,11 +480,31 @@ def test_window_scan_runs_match_every_candidate_sampled(h, g, terms):
 
 class WithoutProfileGrowth(list):
     """An instance list that drops profile_growth, of which a scan sampling
-    every candidate would otherwise keep hundreds of thousands."""
+    every candidate would otherwise keep hundreds of thousands, however
+    the scan adds its instances: append, extend or +=."""
 
     def append(self, inst):
-        if inst.name != "profile_growth":
+        if unsampled(inst):
             super().append(inst)
+
+    def extend(self, insts):
+        super().extend(filter(unsampled, insts))
+
+    def __iadd__(self, insts):
+        self.extend(insts)
+        return self
+
+
+def test_without_profile_growth_drops_it_however_it_is_added():
+    kept, dropped = (InequalityInstance(name, 2, 1, 0, ">", s=2, m=5)
+                     for name in ("promotion_witness", "profile_growth"))
+    instances = WithoutProfileGrowth()
+    instances.append(dropped)
+    instances.extend([kept, dropped])
+    instances += (dropped, kept)
+    instances.append(kept)
+    assert type(instances) is WithoutProfileGrowth
+    assert instances == [kept, kept, kept]
 
 
 def test_window_scan_emits_run_witnesses_in_order():

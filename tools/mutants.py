@@ -13,7 +13,7 @@ all pass.  The run exits 1 on a survivor, on any other pytest outcome
 occur exactly once in its file, so a mutant that no longer matches the
 code fails rather than passing unseen; it exits 0 when every mutant is
 killed.  Standard library only, apart from the pytest that runs the
-tests; the twenty-nine mutants take about 60 s on a 2-CPU Xeon.
+tests; the thirty-one mutants take about 60 s on a 2-CPU Xeon.
 """
 
 import os
@@ -168,12 +168,21 @@ MUTANTS = [
            "    windows = [_guard_window(n, h, g, max_window) for n in range(2, len(terms) + 1)]",
            "    windows = (_guard_window(n, h, g, max_window) for n in range(2, len(terms) + 1))",
            ("tests/test_verify.py::test_diagnostics_check_every_window_before_the_first_scan",)),
-    # A prefix that breaks B_h[g] is named without the g its count exceeds.
+    # A set or prefix that breaks B_h[g] is named without the g its count
+    # exceeds.
     Mutant("prefix-text-drops-g", CLI,
-           '        return f"sum {c.bhg.x} has {c.bhg.count} representations (> {g})"',
-           '        return f"sum {c.bhg.x} has {c.bhg.count} representations"',
+           '    return f"sum {res.x} has {res.count} representations (> {g})"',
+           '    return f"sum {res.x} has {res.count} representations"',
            ("tests/test_cli.py::test_verify_names_a_sum_past_its_multiplicity",
-            "tests/test_cli.py::test_diagnose_corrupt_input_names_failure")),
+            "tests/test_cli.py::test_diagnose_corrupt_input_names_failure",
+            "tests/test_cli.py::test_verify_bhg_only")),
+    # A guard other than the classic scan ceiling falls through to the
+    # clause of exit code 2.  cli does not import the narrower name, so the
+    # mutant reads it from the loaded errors module.
+    Mutant("guard-caught-as-usage", CLI,
+           "    except GuardExceeded as e:",
+           '    except sys.modules["bhgreedy.errors"].ScanExceededConfiguredLimit as e:',
+           ("tests/test_cli.py::test_each_error_has_its_exit_code_and_line",)),
     # Each row of the ledger's reports repeats the h and g of its top.
     Mutant("report-rows-keep-h-g", CLI,
            'if k not in ("h", "g")}',
@@ -192,6 +201,11 @@ MUTANTS = [
            '    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)',
            '    sub = parser.add_subparsers(dest="command", required=True)',
            (PINNED_TEXTS, "tests/test_cli.py::test_main_parses_as_the_whole_parser_does")),
+    # Every bool, in a row or not, is written as the other one.
+    Mutant("scalar-bool-swapped", FORMATS,
+           '    bool: {True: "true", False: "false"}.__getitem__,',
+           '    bool: {True: "false", False: "true"}.__getitem__,',
+           (CANONICAL,)),
     # The row template fills a column of bools, or of bools and ints, by
     # %d, so it writes true as 1.
     Mutant("row-template-bool-as-int", FORMATS,
